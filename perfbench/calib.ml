@@ -6,15 +6,18 @@
    median, with CPU time tracking wall time.  So each workload runs a
    fixed slice of plain OCaml work between its operations, sharing no
    code with the programs under test.  The time the slices take tracks
-   the machine's speed while the operations run; normalized by it, ten
-   seeded fleet runs spread 0.03-0.04 of their median instead of up to
-   0.44.  Reported timings are scaled to the speed at which one slice
-   takes [nominal_s]. *)
+   the machine's speed while the operations run; normalized by it, the
+   ten-seed quartile spreads in WORKLOADS.md shrink by up to half.
+   Reported timings are scaled to the speed at which one slice takes
+   [nominal_s]. *)
 
 let nominal_s = 5e-4
 
 let spent = ref 0.0
 let slices = ref 0
+
+(* Wall time inside slices, warm-up laps included, since start-up. *)
+let paused = ref 0.0
 
 let reset () =
   spent := 0.0;
@@ -38,19 +41,30 @@ let ring =
      done;
      next)
 
-let kernel () =
-  let next = Lazy.force ring in
+let chase next steps =
   let j = ref 0 in
-  for _ = 1 to 100_000 do
+  for _ = 1 to steps do
     j := Array.unsafe_get next !j
   done;
   ignore (Sys.opaque_identity !j)
 
+(* One untimed lap over the whole ring comes first: it reloads whatever
+   the preceding operation evicted from the cache, so the timed steps
+   measure the machine's speed and not the operation's memory footprint. *)
 let slice () =
+  let next = Lazy.force ring in
   let t0 = Unix.gettimeofday () in
-  kernel ();
-  spent := !spent +. (Unix.gettimeofday () -. t0);
+  chase next (Array.length next);
+  let t1 = Unix.gettimeofday () in
+  chase next 100_000;
+  let t2 = Unix.gettimeofday () in
+  spent := !spent +. (t2 -. t1);
+  paused := !paused +. (t2 -. t0);
   incr slices
+
+(* Wall clock that stands still while a slice runs: intervals read from
+   it leave out the calibration work done inside them. *)
+let clock () = Unix.gettimeofday () -. !paused
 
 (* Factor that turns a duration measured since the last [reset] into its
    nominal-speed value (1.0 when no slice ran). *)

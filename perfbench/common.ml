@@ -46,19 +46,23 @@ type outcome = {
           traced *)
 }
 
-(* Run [pass] until [seconds] have passed, always completing a pass; the
-   first call gets [~first:true].  A pass returns the units of work it did
-   and the seconds spent inside the measured operations (the output
-   checks between them do not count).  The result is the median over
-   passes of units per second, so a pass disturbed by another tenant of
-   the machine moves it little. *)
+(* Run [pass] until [seconds] have passed and at least [min_passes]
+   passes have run, always completing a pass; the first call gets
+   [~first:true].  A pass returns the units of work it did and the seconds
+   spent inside the measured operations (the output checks between them
+   do not count).  The result is the median over passes of units per
+   second, so a pass disturbed by another tenant of the machine moves it
+   little.  The floor also gives replay at least three 41-report passes
+   however slow the machine: 123 latency samples, 12 or more beyond p90. *)
+let min_passes = 3
+
 let median_pass_rate ~seconds pass =
   let rates = ref [] in
   let t0 = now () in
   let rec go first =
     let units, busy = pass ~first in
     rates := Stats.ratio (float_of_int units) busy :: !rates;
-    if now () -. t0 < seconds then go false
+    if now () -. t0 < seconds || List.length !rates < min_passes then go false
   in
   go true;
   Stats.median (Array.of_list !rates)

@@ -1,7 +1,7 @@
 (* Command-line entry of the benchmark:
 
      main.exe --workload field|replay|fleet|explore --seed N --seconds S
-              --trace 0|1 [--size tiny|full]
+              --trace 0|1
 
    Prints one human-readable row per metric, then the result line: one
    JSON object with [correct], [attempted], [failed] and [metrics].  Exits
@@ -11,13 +11,11 @@ open Perfbench
 
 let usage () =
   prerr_endline
-    "usage: main.exe --workload field|replay|fleet|explore --seed N --seconds S \
-     --trace 0|1 [--size tiny|full]";
+    "usage: main.exe --workload field|replay|fleet|explore --seed N --seconds S --trace 0|1";
   exit 2
 
 let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 10.0 and trace = ref false in
-  let size = ref Common.Full in
   let rec parse = function
     | "--workload" :: v :: rest -> workload := v; parse rest
     | "--seed" :: v :: rest ->
@@ -29,12 +27,6 @@ let () =
     | "--trace" :: v :: rest ->
         (match v with "0" -> trace := false | "1" -> trace := true | _ -> usage ());
         parse rest
-    | "--size" :: v :: rest ->
-        (match v with
-        | "tiny" -> size := Common.Tiny
-        | "full" -> size := Common.Full
-        | _ -> usage ());
-        parse rest
     | [] -> ()
     | _ -> usage ()
   in
@@ -42,7 +34,7 @@ let () =
   match Harness.find !workload with
   | None -> usage ()
   | Some w ->
-      let r = w.measure ~size:!size ~seed:!seed ~seconds:!seconds ~trace:!trace in
+      let r = w.measure ~size:Common.Full ~seed:!seed ~seconds:!seconds ~trace:!trace in
       List.iter
         (fun (m : Common.metric) -> Printf.printf "%-48s %16.6g %s\n" m.name m.value m.unit_)
         r.rows;

@@ -61,7 +61,7 @@ let layer_of ~parent name =
   else match parent with Some l -> l | None -> "bench"
 
 (* Self seconds per layer over the forest, plus the grand total. *)
-let rollup ?(layer_of = layer_of) (forest : Trace.node list) =
+let rollup (forest : Trace.node list) =
   let tbl = Hashtbl.create 16 in
   let add l s =
     Hashtbl.replace tbl l (s +. Option.value ~default:0.0 (Hashtbl.find_opt tbl l))

@@ -23,9 +23,11 @@ let median samples = percentile samples 0.5
 (* Samples strictly above the nearest-rank [p] position. *)
 let beyond n p = n - int_of_float (Float.ceil (p *. float_of_int n))
 
+let min_beyond = 10
+
 (* The highest of p99/p95/p90/p75/p50 with at least [min_beyond] samples
    above it; [None] when even the median has fewer. *)
-let tail_percentile ?(min_beyond = 10) n =
+let tail_percentile n =
   List.find_opt (fun p -> beyond n p >= min_beyond) [ 0.99; 0.95; 0.9; 0.75; 0.5 ]
 
 type summary = {

@@ -13,10 +13,35 @@ module FR = Instrument.Field_run
 type case = {
   sc : Concolic.Scenario.t;
   program : program;
+  site : (Crash.kind * string) option;
+      (** a crash scenario's catalogued site: crash kind and function *)
   expect : Crash.outcome;  (** outcome of the uninstrumented run *)
 }
 
 type t = { cases : case list }
+
+(* Where each catalogued bug crashes, read off the programs' sources.  A
+   crash scenario that stops crashing there fails its check under every
+   method, the uninstrumented one included. *)
+let coreutils_sites =
+  [
+    ("mkdir", (Crash.Out_of_bounds, "apply_mode"));
+    ("mknod", (Crash.Out_of_bounds, "register_dev"));
+    ("mkfifo", (Crash.Out_of_bounds, "split_components"));
+    ("paste", (Crash.Out_of_bounds, "decode_delim"));
+  ]
+
+let userver_sites =
+  [
+    (1, (Crash.Out_of_bounds, "handle_request"));
+    (2, (Crash.Div_by_zero, "handle_request"));
+    (3, (Crash.Out_of_bounds, "parse_cookie"));
+    (4, (Crash.Out_of_bounds, "handle_request"));
+    (5, (Crash.Out_of_bounds, "handle_request"));
+  ]
+
+(* diff -s stops itself with crash() at the end of main *)
+let diff_site = (Crash.Explicit_crash, "main")
 
 let setup ~size ~seed ~tel =
   let progs = analyze_all ~tel () in
@@ -25,7 +50,10 @@ let setup ~size ~seed ~tel =
     List.concat_map
       (fun (e : Workloads.Coreutils.entry) ->
         let p = find progs e.util in
-        [ (p, Workloads.Coreutils.benign_scenario e); (p, Workloads.Coreutils.crash_scenario e) ])
+        [
+          (p, None, Workloads.Coreutils.benign_scenario e);
+          (p, Some (List.assoc e.util coreutils_sites), Workloads.Coreutils.crash_scenario e);
+        ])
       Workloads.Coreutils.catalog
   in
   let userver = find progs "userver" and diff = find progs "diff" in
@@ -37,10 +65,12 @@ let setup ~size ~seed ~tel =
   let scenarios =
     coreutils
     @ List.map
-        (fun e -> (userver, Workloads.Userver.experiment_scenario e))
+        (fun (e : Workloads.Userver.experiment) ->
+          (userver, Some (List.assoc e.id userver_sites), Workloads.Userver.experiment_scenario e))
         Workloads.Userver.experiments
     @ List.init streams (fun i ->
           ( userver,
+            None,
             Workloads.Userver.scenario
               ~name:(Printf.sprintf "userver-stream%d" i)
               (request_stream rng 4) ))
@@ -49,15 +79,17 @@ let setup ~size ~seed ~tel =
              let file_a, file_b = diff_pair ~seed:(Osmodel.Rng.int rng 1_000_000) () in
              let name = Printf.sprintf "diff-pair%d" i in
              [
-               (diff, Workloads.Diffutil.scenario ~name ~snapshot:false ~file_a ~file_b ());
-               (diff, Workloads.Diffutil.scenario ~name:(name ^ "-crash") ~file_a ~file_b ());
+               (diff, None, Workloads.Diffutil.scenario ~name ~snapshot:false ~file_a ~file_b ());
+               ( diff,
+                 Some diff_site,
+                 Workloads.Diffutil.scenario ~name:(name ^ "-crash") ~file_a ~file_b () );
              ]))
   in
   let cases =
     List.map
-      (fun (program, sc) ->
+      (fun (program, site, sc) ->
         let r = FR.run ~plan:(plan program Methods.No_instrumentation) sc in
-        { sc; program; expect = r.outcome })
+        { sc; program; site; expect = r.outcome })
       scenarios
   in
   { cases }
@@ -66,6 +98,12 @@ let same_outcome expect got =
   match (expect, got) with
   | Crash.Crash a, Crash.Crash b -> Crash.equal_site a b
   | a, b -> a = b
+
+let at_site site (o : Crash.outcome) =
+  match (site, o) with
+  | None, _ -> true
+  | Some (kind, fn), Crash.Crash c -> c.Crash.kind = kind && c.Crash.in_func = fn
+  | Some _, _ -> false
 
 let run t ~seconds ~(tr : Tracing.t) =
   let tel = tr.tel in
@@ -105,11 +143,19 @@ let run t ~seconds ~(tr : Tracing.t) =
             Calib.slice ();
             Hashtbl.replace walls (ci, meth)
               (dt :: Option.value ~default:[] (Hashtbl.find_opt walls (ci, meth)));
-            check c (same_outcome case.expect r.FR.outcome) (fun () ->
-                Printf.sprintf "%s under %s: %s, expected %s" case.sc.name
+            check c
+              (same_outcome case.expect r.FR.outcome && at_site case.site r.outcome)
+              (fun () ->
+                let catalogued =
+                  match case.site with
+                  | Some (kind, fn) -> Printf.sprintf " (%s in %s)" (Crash.kind_to_string kind) fn
+                  | None -> ""
+                in
+                Printf.sprintf "%s under %s: %s, expected %s%s" case.sc.name
                   (Methods.to_string meth)
                   (Crash.outcome_to_string r.outcome)
-                  (Crash.outcome_to_string case.expect));
+                  (Crash.outcome_to_string case.expect)
+                  catalogued);
             (match (rep, wire) with
             | Some rep, Some w ->
                 let round_trips =

@@ -114,47 +114,49 @@ let cycle t ~tel ~lat ~c ~failed i =
       let submitted = Array.make n 0.0 in
       let pending = Queue.create () in
       let waits = ref [] and tick_s = ref 0.0 in
+      (* Ingest times read [Calib.clock], which stands still while the
+         slice after each burst runs: the ingest rate, the waits and the
+         latencies count no calibration work. *)
       let tick () =
         let processed, dt = time (fun () -> Service.tick svc) in
         tick_s := !tick_s +. dt;
-        let done_t = now () in
+        let done_t = Calib.clock () in
         for _ = 1 to processed do
           waits := (done_t -. submitted.(Queue.pop pending)) :: !waits
         done;
         Calib.slice ()
       in
-      let chunk_rates = ref [] and chunk_t0 = ref (now ()) in
-      let (), ingest_s =
-        time (fun () ->
-            Array.iteri
-              (fun j (r : Workloads.Report_gen.report) ->
-                if j mod chunk = 0 && j > 0 then begin
-                  let t = now () in
-                  chunk_rates := float_of_int chunk /. (t -. !chunk_t0) :: !chunk_rates;
-                  chunk_t0 := t
-                end;
-                submitted.(j) <- now ();
-                (match Service.submit svc ~path:r.path r.wire with
-                | Service.Queued -> Queue.push j pending
-                | Service.Dropped why | Service.Rejected (Instrument.Wire.Malformed why) ->
-                    incr failed;
-                    check c false (fun () -> r.path ^ ": not accepted: " ^ why)
-                | Service.Rejected e ->
-                    incr failed;
-                    check c false (fun () ->
-                        r.path ^ ": rejected: " ^ Instrument.Wire.error_to_string e));
-                if j mod burst = burst - 1 then tick ())
-              t.reports;
-            while Service.queue_depth svc > 0 do
-              tick ()
-            done)
-      in
+      let ingest_t0 = Calib.clock () in
+      let chunk_rates = ref [] and chunk_t0 = ref ingest_t0 in
+      Array.iteri
+        (fun j (r : Workloads.Report_gen.report) ->
+          if j mod chunk = 0 && j > 0 then begin
+            let t = Calib.clock () in
+            chunk_rates := float_of_int chunk /. (t -. !chunk_t0) :: !chunk_rates;
+            chunk_t0 := t
+          end;
+          submitted.(j) <- Calib.clock ();
+          (match Service.submit svc ~path:r.path r.wire with
+          | Service.Queued -> Queue.push j pending
+          | Service.Dropped why | Service.Rejected (Instrument.Wire.Malformed why) ->
+              incr failed;
+              check c false (fun () -> r.path ^ ": not accepted: " ^ why)
+          | Service.Rejected e ->
+              incr failed;
+              check c false (fun () ->
+                  r.path ^ ": rejected: " ^ Instrument.Wire.error_to_string e));
+          if j mod burst = burst - 1 then tick ())
+        t.reports;
+      while Service.queue_depth svc > 0 do
+        tick ()
+      done;
+      let ingest_s = Calib.clock () -. ingest_t0 in
       let accepted = (Service.snapshot svc).processed in
       Service.close svc;
       let svc, recovery_s = time (fun () -> open_service t ~tel dir) in
       let recovered = (Service.snapshot svc).processed in
       let summary, drain_s = time (fun () -> Service.drain svc) in
-      let verdict = now () in
+      let verdict = Calib.clock () in
       Calib.slice ();
       Array.iter (fun s -> lat := (verdict -. s) :: !lat) submitted;
       let results = Service.cluster_results svc in
