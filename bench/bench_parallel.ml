@@ -1,21 +1,27 @@
-(* E15 — extension: incremental solving + work-stealing parallel replay.
+(* E15 — extension: incremental solving + parallel replay.
    Not in the paper; measures what the engine rework buys, generation by
    generation: the seed engine, the exact-match solver cache, the scoped
    incremental solver (learned-core pruning + strategy portfolio), and the
-   work-stealing sharded frontier.
+   worker pool over the shared pending frontier.
 
    Three sections:
    1. replay configurations on solver-heavy workloads (the coreutils
-      ESD-style searches, widest pending frontier, and a guided µServer
+      ESD-style searches, an unreproducible report whose search exhausts
+      the same frontier under every configuration, and a guided µServer
       replay) — every configuration must reach the same reproduction
       verdict;
-   2. a speedup-vs-jobs exploration curve (jobs 1/2/N, steal on vs off)
-      with label-map parity;
+   2. a speedup-vs-jobs exploration curve (jobs 1/2/N) with label-map
+      parity;
    3. the E16-style triage batch replayed under the PR-2 configuration
       (cache only) vs the full incremental stack, with the
-      solved-incrementally / core-pruned / steal counters — on a
-      single-core host any win here comes from learning, not
-      parallelism. *)
+      solved-incrementally / core-pruned / cores-learned counters.
+
+   Every timed row does work that the worker schedule cannot change: a
+   jobs=1 search is deterministic, and a multi-worker search is timed only
+   where it ends inside its budget (a reproduction or an exhausted
+   frontier).  A budget-cut multi-worker search spends its budget on
+   whichever runs the schedule reaches first, so its wall clock would
+   measure the schedule rather than the engine. *)
 
 let sprintf = Printf.sprintf
 
@@ -25,6 +31,7 @@ type case = {
   plan : Instrument.Plan.t;
   report : Instrument.Report.t;
   budget : Concolic.Engine.budget;
+  attempts : int option;  (** reseeded restarts; [None] = until the budget *)
 }
 
 (* ESD-style search: crash report with an empty instrumentation plan, so
@@ -51,8 +58,33 @@ let coreutils_case (c : Ctx.t) util =
         report;
         budget =
           { (Ctx.replay_budget c) with max_time_s = 3.0 *. c.replay_time_s };
+        attempts = None;
       })
     report
+
+(* A report that no input reproduces: the no-log report of [util] with its
+   crash kind rewritten to use-after-free, which the program never raises
+   at that site — what replay sees of a field crash caused by the
+   environment (a hardware fault, memory corrupted from outside the
+   program).  Every search exhausts the same finite frontier and gives
+   up, whatever the solver configuration or worker schedule, so this is
+   the heavy search on which the parallel configuration's wall clock
+   measures the engine.
+   Three reseeded attempts, each exhausting the frontier, make it heavy
+   enough to time; the run and time budgets never bind. *)
+let unreproducible_case (c : Ctx.t) util =
+  Option.map
+    (fun case ->
+      let crash = case.report.Instrument.Report.crash in
+      {
+        case with
+        cname = util ^ " (unreproducible)";
+        report =
+          { case.report with
+            crash = { crash with kind = Interp.Crash.Use_after_free } };
+        attempts = Some 3;
+      })
+    (coreutils_case c util)
 
 (* µServer experiment 1 under the static plan: the Table 3 setting with a
    real branch log, to confirm guided replay keeps its verdict (and its
@@ -72,7 +104,7 @@ let userver_case (c : Ctx.t) =
   Option.map
     (fun report ->
       { cname = "userver exp 1 (static)"; prog; plan; report;
-        budget = Ctx.replay_budget c })
+        budget = Ctx.replay_budget c; attempts = None })
     report
 
 let hit_rate_string (stats : Replay.Guided.stats) =
@@ -88,7 +120,6 @@ type econfig = {
   e_jobs : int;
   e_cache : bool;
   e_incr : bool;
-  e_steal : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -98,13 +129,13 @@ let replay_section (c : Ctx.t) par_jobs =
   let configs =
     [
       { label = "j1 fresh (seed)"; e_jobs = 1; e_cache = false;
-        e_incr = false; e_steal = false };
+        e_incr = false };
       { label = "j1 +cache (PR 2)"; e_jobs = 1; e_cache = true;
-        e_incr = false; e_steal = false };
+        e_incr = false };
       { label = "j1 +incremental"; e_jobs = 1; e_cache = true;
-        e_incr = true; e_steal = false };
-      { label = sprintf "j%d +incr +steal" par_jobs; e_jobs = par_jobs;
-        e_cache = true; e_incr = true; e_steal = true };
+        e_incr = true };
+      { label = sprintf "j%d +incr" par_jobs; e_jobs = par_jobs;
+        e_cache = true; e_incr = true };
     ]
   in
   let cases =
@@ -112,71 +143,82 @@ let replay_section (c : Ctx.t) par_jobs =
       [
         coreutils_case c "paste";
         coreutils_case c "mkdir";
+        unreproducible_case c "paste";
         userver_case c;
       ]
   in
+  let cfg = Ctx.pipeline_config c in
   let rows = ref [] in
   let all_agree = ref true in
   let tot_pruned = ref 0 and tot_incr = ref 0 and tot_calls = ref 0 in
-  let tot_steals = ref 0 in
   List.iter
     (fun case ->
       let baseline = ref nan in
       let verdicts = ref [] in
+      (* set once a jobs=1 configuration runs out of budget: the search is
+         budget-cut, so the parallel configuration is not timed on it *)
+      let budget_cut = ref false in
       List.iter
         (fun ec ->
-          let (result, stats), wall =
-            Util.time_call (fun () ->
-                Bugrepro.Pipeline.Run.reproduce
-                  Bugrepro.Pipeline.Config.(
-                    Ctx.pipeline_config c
-                    |> with_budget ~replay:case.budget
-                    |> with_jobs ec.e_jobs
-                    |> with_solver_cache ec.e_cache
-                    |> with_incremental ec.e_incr
-                    |> with_steal ec.e_steal)
-                  ~prog:case.prog ~plan:case.plan case.report)
-          in
-          if Float.is_nan !baseline then baseline := wall;
-          let speedup = !baseline /. wall in
-          verdicts := Replay.Guided.reproduced result :: !verdicts;
-          let eng = stats.Replay.Guided.engine in
-          tot_pruned := !tot_pruned + eng.core_pruned;
-          tot_incr := !tot_incr + eng.solved_incremental;
-          tot_calls := !tot_calls + eng.solver_calls;
-          tot_steals := !tot_steals + eng.steals;
-          let key =
-            sprintf "%s/%s" case.cname
-              (sprintf "j%d%s%s%s" ec.e_jobs
-                 (if ec.e_cache then "+cache" else "")
-                 (if ec.e_incr then "+incr" else "")
-                 (if ec.e_steal then "+steal" else ""))
-          in
-          Util.record_metric ~experiment:"E15" (key ^ "/seconds") wall;
-          Util.record_metric ~experiment:"E15" (key ^ "/speedup") speedup;
-          (match stats.cache with
-          | Some s ->
-              Util.record_metric ~experiment:"E15" (key ^ "/hit_rate")
-                (Solver.Cache.hit_rate s)
-          | None -> ());
-          rows :=
-            [
-              case.cname;
-              ec.label;
-              Util.seconds wall;
-              sprintf "%.2fx" speedup;
-              hit_rate_string stats;
-              (if eng.solver_calls = 0 then "-"
-               else
-                 sprintf "%d/%d" eng.solved_incremental eng.solver_calls);
-              string_of_int eng.core_pruned;
-              string_of_int eng.steals;
-              (match result with
-              | Replay.Guided.Reproduced r -> sprintf "repro (%d runs)" r.runs
-              | Replay.Guided.Not_reproduced r ->
-                  sprintf "NOT repro (%d runs)" r.runs);
-            ]
-            :: !rows)
+          if ec.e_jobs > 1 && !budget_cut then
+            rows :=
+              [ case.cname; ec.label; "-"; "-"; "-"; "-"; "-";
+                "skipped (budget-cut search)" ]
+              :: !rows
+          else begin
+            let (result, stats), wall =
+              Util.time_call (fun () ->
+                  Replay.Guided.reproduce ~budget:case.budget
+                    ~seed:cfg.Bugrepro.Pipeline.Config.seed
+                    ~max_steps:cfg.replay_max_steps ~jobs:ec.e_jobs
+                    ~solver_cache:ec.e_cache ~incremental:ec.e_incr
+                    ?max_attempts:case.attempts ~telemetry:cfg.telemetry
+                    ~prog:case.prog ~plan:case.plan case.report)
+            in
+            (match result with
+            | Replay.Guided.Not_reproduced { timed_out = true; _ } ->
+                budget_cut := true
+            | Replay.Guided.Reproduced _ | Replay.Guided.Not_reproduced _ ->
+                ());
+            if Float.is_nan !baseline then baseline := wall;
+            let speedup = !baseline /. wall in
+            verdicts := Replay.Guided.reproduced result :: !verdicts;
+            let eng = stats.Replay.Guided.engine in
+            tot_pruned := !tot_pruned + eng.core_pruned;
+            tot_incr := !tot_incr + eng.solved_incremental;
+            tot_calls := !tot_calls + eng.solver_calls;
+            let key =
+              sprintf "%s/%s" case.cname
+                (sprintf "j%d%s%s" ec.e_jobs
+                   (if ec.e_cache then "+cache" else "")
+                   (if ec.e_incr then "+incr" else ""))
+            in
+            Util.record_metric ~experiment:"E15" (key ^ "/seconds") wall;
+            Util.record_metric ~experiment:"E15" (key ^ "/speedup") speedup;
+            (match stats.cache with
+            | Some s ->
+                Util.record_metric ~experiment:"E15" (key ^ "/hit_rate")
+                  (Solver.Cache.hit_rate s)
+            | None -> ());
+            rows :=
+              [
+                case.cname;
+                ec.label;
+                Util.seconds wall;
+                sprintf "%.2fx" speedup;
+                hit_rate_string stats;
+                (if eng.solver_calls = 0 then "-"
+                 else
+                   sprintf "%d/%d" eng.solved_incremental eng.solver_calls);
+                string_of_int eng.core_pruned;
+                (match result with
+                | Replay.Guided.Reproduced r ->
+                    sprintf "repro (%d runs)" r.runs
+                | Replay.Guided.Not_reproduced r ->
+                    sprintf "NOT repro (%d runs)" r.runs);
+              ]
+              :: !rows
+          end)
         configs;
       (match !verdicts with
       | v :: vs when not (List.for_all (Bool.equal v) vs) ->
@@ -187,7 +229,7 @@ let replay_section (c : Ctx.t) par_jobs =
     cases;
   Util.table
     ([ "workload"; "configuration"; "wall clock"; "speedup"; "cache";
-       "incr solved"; "pruned"; "steals"; "verdict" ]
+       "incr solved"; "pruned"; "verdict" ]
     :: List.rev !rows);
   Util.record_metric ~experiment:"E15" "verdicts_agree"
     (if !all_agree then 1.0 else 0.0);
@@ -197,8 +239,6 @@ let replay_section (c : Ctx.t) par_jobs =
     (float_of_int !tot_incr);
   Util.record_metric ~experiment:"E15" "replay/solver_calls"
     (float_of_int !tot_calls);
-  Util.record_metric ~experiment:"E15" "replay/steals"
-    (float_of_int !tot_steals);
   Printf.printf "verdict parity across configurations: %s\n"
     (if !all_agree then "OK" else "MISMATCH")
 
@@ -214,34 +254,22 @@ let explore_section (c : Ctx.t) par_jobs =
   let rate (r : Concolic.Dynamic.result) =
     if r.elapsed_s > 0.0 then float_of_int r.runs /. r.elapsed_s else 0.0
   in
-  let job_points =
-    List.sort_uniq Stdlib.compare [ 1; 2; par_jobs ]
-    |> List.map (fun j -> (j, true))
-  in
-  (* the steal-off point isolates what the sharded deques buy at the
-     highest worker count *)
-  let points = job_points @ [ (par_jobs, false) ] in
+  let points = List.sort_uniq Stdlib.compare [ 1; 2; par_jobs ] in
   let runs =
     List.map
-      (fun (jobs, steal) ->
-        let r =
-          Concolic.Dynamic.analyze ~budget ~jobs ~steal
-            ~telemetry:c.telemetry (sc ())
-        in
-        ((jobs, steal), r))
+      (fun jobs ->
+        ( jobs,
+          Concolic.Dynamic.analyze ~budget ~jobs ~telemetry:c.telemetry
+            (sc ()) ))
       points
   in
-  let base_rate =
-    match runs with
-    | ((1, _), r) :: _ -> rate r
-    | _ -> 0.0
-  in
+  let base_rate = match runs with (1, r) :: _ -> rate r | _ -> 0.0 in
   Util.table
     ([ "exploration"; "runs"; "elapsed"; "runs/s"; "speedup"; "coverage" ]
     :: List.map
-         (fun ((jobs, steal), (r : Concolic.Dynamic.result)) ->
+         (fun (jobs, (r : Concolic.Dynamic.result)) ->
            [
-             sprintf "jobs=%d%s" jobs (if steal then "" else " (no steal)");
+             sprintf "jobs=%d" jobs;
              string_of_int r.runs;
              Util.seconds r.elapsed_s;
              sprintf "%.0f" (rate r);
@@ -251,10 +279,9 @@ let explore_section (c : Ctx.t) par_jobs =
            ])
          runs);
   List.iter
-    (fun ((jobs, steal), r) ->
+    (fun (jobs, r) ->
       Util.record_metric ~experiment:"E15"
-        (sprintf "explore/j%d%s_runs_per_s" jobs
-           (if steal then "" else "_nosteal"))
+        (sprintf "explore/j%d_runs_per_s" jobs)
         (rate r))
     runs;
   (* Label parity is only meaningful on explorations that drain the whole
@@ -267,9 +294,9 @@ let explore_section (c : Ctx.t) par_jobs =
   in
   let parity_runs =
     List.map
-      (fun (jobs, steal) ->
+      (fun jobs ->
         let e = Workloads.Coreutils.find "paste" in
-        Concolic.Dynamic.analyze ~budget:parity_budget ~jobs ~steal
+        Concolic.Dynamic.analyze ~budget:parity_budget ~jobs
           ~telemetry:c.telemetry
           (Workloads.Coreutils.crash_scenario e))
       points
@@ -293,7 +320,7 @@ let explore_section (c : Ctx.t) par_jobs =
   Util.record_metric ~experiment:"E15" "explore/labels_identical"
     (if labels_equal then 1.0 else 0.0);
   Printf.printf
-    "label maps identical across jobs/steal on the exhausted frontier: %b%s\n"
+    "label maps identical across jobs on the exhausted frontier: %b%s\n"
     labels_equal
     (if all_exhausted then "" else " (NOT EXHAUSTED — check budget)")
 
@@ -402,10 +429,14 @@ let triage_section (c : Ctx.t) par_jobs =
     | Some pp -> Ok pp
     | None -> Error ("no plan for " ^ r.Instrument.Report.program)
   in
-  let run_batch ~incremental ~steal ~final_rung_jobs =
+  let run_batch ~incremental =
     (* the heavy final rung is run-capped, not time-capped: its generous
-       time bound never binds, so both configurations do the same number of
-       runs and the race measures throughput *)
+       time bound never binds.  It runs on one domain in both generations
+       (the pool still replays the clusters side by side), so its search
+       is deterministic: both generations execute the same runs, forks and
+       solver verdicts, and the race compares the solver stacks on
+       identical work.  A pooled final rung would spend the run budget on
+       whichever runs its schedule reached first. *)
     let heavy =
       { Concolic.Engine.max_runs = c.replay_runs;
         max_time_s = 30.0 *. c.replay_time_s }
@@ -415,62 +446,60 @@ let triage_section (c : Ctx.t) par_jobs =
         Triage.Sched.ladder =
           [ { Concolic.Engine.max_runs = 60; max_time_s = 2.0 }; heavy ];
         jobs = par_jobs;
-        final_rung_jobs;
+        final_rung_jobs = 1;
         incremental;
-        steal;
         deadline_s = 60.0 *. c.replay_time_s }
     in
-    Solver.Incr.reset_totals ();
-    Concolic.Engine.reset_steal_total ();
+    (* counters need an enabled handle: the --trace one when there is
+       one (read as a delta), a sink-less one otherwise *)
+    let tel =
+      if Telemetry.enabled c.telemetry then c.telemetry else Telemetry.create ()
+    in
+    let before = Telemetry.Counters.of_core tel in
     let summary, wall =
       Util.time_call (fun () ->
-          match
-            Triage.run_items ~policy ~telemetry:c.telemetry ~resolve items
-          with
+          match Triage.run_items ~policy ~telemetry:tel ~resolve items with
           | Ok s -> s
           | Error e -> failwith (Triage.Index.error_to_string e))
     in
-    (summary, wall, Solver.Incr.totals (), Concolic.Engine.steal_total ())
+    (* the batch's share of a counter the engine publishes per
+       exploration *)
+    let delta name =
+      Telemetry.Metrics.counter_value tel name
+      - Option.value ~default:0
+          (List.assoc_opt name before.Telemetry.Counters.counters)
+    in
+    (summary, wall, delta)
   in
-  (* best scheduling per generation: the jobs curve shows within-search
-     worker domains alone cost ~2x on this host, so the PR-2 cache runs its
-     heavy rung sequentially (its best), while the incremental stack brings
-     the work-stealing frontier it was built with *)
-  let s_pr2, pr2_s, _, _ =
-    run_batch ~incremental:false ~steal:false ~final_rung_jobs:1
-  in
-  let s_incr, incr_s, tot, steals =
-    run_batch ~incremental:true ~steal:true ~final_rung_jobs:par_jobs
-  in
+  let s_pr2, pr2_s, _ = run_batch ~incremental:false in
+  let s_incr, incr_s, tot = run_batch ~incremental:true in
+  let solver_calls = tot "engine.solver_calls"
+  and solved_incremental = tot "engine.solved_incremental"
+  and core_pruned = tot "engine.core_pruned"
+  and cores_learned = tot "engine.cores_learned" in
   let share =
-    if tot.Solver.Incr.solver_calls > 0 then
-      float_of_int tot.Solver.Incr.incremental
-      /. float_of_int tot.Solver.Incr.solver_calls
+    if solver_calls > 0 then
+      float_of_int solved_incremental /. float_of_int solver_calls
     else 0.0
   in
-  let row label (s : Triage.Summary.t) wall (t : Solver.Incr.snapshot option)
-      steals =
+  let row label (s : Triage.Summary.t) wall counts =
     [
       label;
       string_of_int s.reports;
       string_of_int (List.length s.clusters);
       string_of_int (s.reproduced + s.salvaged_reproduced);
       Util.seconds wall;
-      (match t with
-      | None -> "-"
-      | Some t -> sprintf "%d/%d" t.incremental t.solver_calls);
-      (match t with None -> "-" | Some t -> string_of_int t.core_pruned);
-      (match t with None -> "-" | Some t -> string_of_int t.cores_learned);
-      (match steals with None -> "-" | Some n -> string_of_int n);
     ]
+    @ counts
   in
   Util.table
     [
       [ sprintf "triage batch (jobs=%d)" par_jobs; "reports"; "clusters";
-        "reproduced"; "wall clock"; "incr solved"; "pruned"; "cores";
-        "steals" ];
-      row "PR 2 (cache only)" s_pr2 pr2_s None None;
-      row "incremental + steal" s_incr incr_s (Some tot) (Some steals);
+        "reproduced"; "wall clock"; "incr solved"; "pruned"; "cores" ];
+      row "PR 2 (cache only)" s_pr2 pr2_s [ "-"; "-"; "-" ];
+      row "incremental" s_incr incr_s
+        [ sprintf "%d/%d" solved_incremental solver_calls;
+          string_of_int core_pruned; string_of_int cores_learned ];
     ];
   (* per-cluster statuses, not full summaries: across *different solver
      configurations* the specific crashing input found (the model) may
@@ -487,31 +516,27 @@ let triage_section (c : Ctx.t) par_jobs =
   Util.record_metric ~experiment:"E15" "triage/incr_win"
     (if incr_s < pr2_s then 1.0 else 0.0);
   Util.record_metric ~experiment:"E15" "triage/core_pruned"
-    (float_of_int tot.Solver.Incr.core_pruned);
+    (float_of_int core_pruned);
   Util.record_metric ~experiment:"E15" "triage/solved_incremental"
-    (float_of_int tot.Solver.Incr.incremental);
+    (float_of_int solved_incremental);
   Util.record_metric ~experiment:"E15" "triage/solver_calls"
-    (float_of_int tot.Solver.Incr.solver_calls);
+    (float_of_int solver_calls);
   Util.record_metric ~experiment:"E15" "triage/incremental_share" share;
-  Util.record_metric ~experiment:"E15" "triage/steals"
-    (float_of_int steals);
   Util.record_metric ~experiment:"E15" "triage/verdicts_identical"
     (if same_verdicts then 1.0 else 0.0);
   Printf.printf
     "triage batch: %.3fs (PR 2) vs %.3fs (incremental) — %s; %d/%d solver \
-     calls incremental (%.0f%%), %d core-pruned, %d steals; verdict parity \
-     %s\n"
+     calls incremental (%.0f%%), %d core-pruned; verdict parity %s\n"
     pr2_s incr_s
     (if incr_s < pr2_s then "incremental wins" else "NO WIN")
-    tot.Solver.Incr.incremental tot.Solver.Incr.solver_calls (100.0 *. share)
-    tot.Solver.Incr.core_pruned steals
+    solved_incremental solver_calls (100.0 *. share) core_pruned
     (if same_verdicts then "OK" else "MISMATCH")
 
 let e15 (c : Ctx.t) =
   let par_jobs = if c.jobs > 1 then c.jobs else 4 in
   Util.section ~id:"E15" ~paper:"extension"
     (sprintf
-       "Incremental solving + work-stealing frontier: engine generations, \
+       "Incremental solving + parallel frontier: engine generations, \
         a jobs curve, and the triage batch (vs %d worker domains)"
        par_jobs);
   replay_section c par_jobs;
@@ -522,6 +547,6 @@ let e15 (c : Ctx.t) =
   print_endline
     "expected shape: the cache alone speeds up the no-log searches (sibling\n\
      pendings share long constraint prefixes); the incremental solver then\n\
-     converts those prefixes into scope reuse and learned cores, so its\n\
-     wins survive on a single-core host where extra worker domains cannot\n\
-     help; stealing only changes wall clock, never verdicts or labels."
+     converts those prefixes into scope reuse and learned cores, which pays\n\
+     only where cores prune calls the cache cannot answer; worker domains\n\
+     only change wall clock, never verdicts or labels."

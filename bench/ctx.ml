@@ -16,7 +16,6 @@ type t = {
   jobs : int;  (* worker domains for exploration/replay; 1 = sequential *)
   solver_cache : bool;  (* memoizing solver cache on replay solves *)
   incremental : bool;  (* scoped incremental solver (cores + portfolio) *)
-  steal : bool;  (* work-stealing sharded frontier at jobs > 1 *)
   telemetry : Telemetry.t;
       (* handle for the --trace artifact; Telemetry.disabled (every probe a
          no-op) unless the driver installed a sink *)
@@ -36,7 +35,6 @@ let default =
     jobs = 1;
     solver_cache = true;
     incremental = true;
-    steal = true;
     telemetry = Telemetry.disabled;
   }
 
@@ -78,5 +76,4 @@ let pipeline_config (c : t) =
     |> with_jobs c.jobs
     |> with_solver_cache c.solver_cache
     |> with_incremental c.incremental
-    |> with_steal c.steal
     |> with_telemetry c.telemetry)

@@ -264,7 +264,7 @@ let make_telemetry trace metrics =
   (tel, finish)
 
 let demo_cmd name meth_s experiment timeout save jobs no_solver_cache
-    no_incremental no_steal no_encode trace metrics =
+    no_incremental no_encode trace metrics =
   match find_workload name, method_of_string meth_s with
   | Error e, _ | _, Error e ->
       prerr_endline e;
@@ -282,7 +282,6 @@ let demo_cmd name meth_s experiment timeout save jobs no_solver_cache
           |> with_jobs jobs
           |> with_solver_cache (not no_solver_cache)
           |> with_incremental (not no_incremental)
-          |> with_steal (not no_steal)
           |> with_encode (not no_encode)
           |> with_telemetry tel)
       in
@@ -392,8 +391,8 @@ let make_resolver cfg : Triage.resolve =
         in
         Ok (analysis.Bugrepro.Pipeline.prog, plan)
 
-let triage_cmd dir jobs deadline timeout seed no_incremental no_steal index
-    json trace metrics =
+let triage_cmd dir jobs deadline timeout seed no_incremental index json trace
+    metrics =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Printf.eprintf "no such directory: %s\n" dir;
     2
@@ -408,7 +407,6 @@ let triage_cmd dir jobs deadline timeout seed no_incremental no_steal index
         |> with_budget
              ~replay:{ Concolic.Engine.max_runs = 50_000; max_time_s = timeout }
         |> with_incremental (not no_incremental)
-        |> with_steal (not no_steal)
         |> with_telemetry tel)
     in
     let policy =
@@ -842,14 +840,6 @@ let demo_t =
              pruning, strategy portfolio); every pending is solved from \
              scratch.")
   in
-  let no_steal =
-    Arg.(
-      value & flag
-      & info [ "no-steal" ]
-          ~doc:
-            "Disable the work-stealing sharded frontier at --jobs > 1 and \
-             use the single shared pending list instead.")
-  in
   let no_encode =
     Arg.(
       value & flag
@@ -877,8 +867,7 @@ let demo_t =
   in
   Term.(
     const demo_cmd $ workload_arg $ meth $ exp $ timeout $ save $ jobs
-    $ no_solver_cache $ no_incremental $ no_steal $ no_encode $ trace
-    $ metrics)
+    $ no_solver_cache $ no_incremental $ no_encode $ trace $ metrics)
 
 let fuzz_t =
   let seed =
@@ -989,14 +978,6 @@ let triage_t =
             "Disable the per-cluster incremental solver (scoped contexts, \
              learned-core pruning, strategy portfolio).")
   in
-  let no_steal =
-    Arg.(
-      value & flag
-      & info [ "no-steal" ]
-          ~doc:
-            "Disable the work-stealing sharded frontier inside each \
-             cluster's replay.")
-  in
   let json =
     Arg.(
       value
@@ -1029,7 +1010,7 @@ let triage_t =
   in
   Term.(
     const triage_cmd $ dir $ jobs $ deadline $ timeout $ seed
-    $ no_incremental $ no_steal $ index $ json $ trace $ metrics)
+    $ no_incremental $ index $ json $ trace $ metrics)
 
 let serve_t =
   let dir =

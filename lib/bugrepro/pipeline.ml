@@ -50,7 +50,6 @@ module Config = struct
     incremental : bool;
         (** solve pendings through a scoped incremental solver (core
             pruning, scope reuse, strategy portfolio) *)
-    steal : bool;  (** work-stealing frontier when [jobs] > 1 *)
     seed : int;  (** replay's initial random input *)
     replay_max_steps : int;  (** interpreter step cap per replay run *)
     telemetry : Telemetry.t;
@@ -70,7 +69,6 @@ module Config = struct
       suppression = false;
       solver_cache = true;
       incremental = true;
-      steal = true;
       seed = 1;
       replay_max_steps = 5_000_000;
       telemetry = Telemetry.disabled;
@@ -93,7 +91,6 @@ module Config = struct
   let with_suppression suppression c = { c with suppression }
   let with_solver_cache solver_cache c = { c with solver_cache }
   let with_incremental incremental c = { c with incremental }
-  let with_steal steal c = { c with steal }
   let with_seed seed c = { c with seed }
   let with_replay_max_steps replay_max_steps c = { c with replay_max_steps }
 end
@@ -107,7 +104,7 @@ module Run = struct
     let dynamic =
       Option.map
         (Concolic.Dynamic.analyze ~budget:c.dynamic_budget ~jobs:c.jobs
-           ~incremental:c.incremental ~steal:c.steal ~telemetry:c.telemetry)
+           ~incremental:c.incremental ~telemetry:c.telemetry)
         test_scenario
     in
     let static =
@@ -177,7 +174,7 @@ module Run = struct
       Replay.Guided.result * Replay.Guided.stats =
     Replay.Guided.reproduce ~budget:c.replay_budget ~seed:c.seed
       ~max_steps:c.replay_max_steps ?restore ~jobs:c.jobs
-      ~solver_cache:c.solver_cache ~incremental:c.incremental ~steal:c.steal
+      ~solver_cache:c.solver_cache ~incremental:c.incremental
       ~telemetry:c.telemetry ~prog ~plan report
 end
 

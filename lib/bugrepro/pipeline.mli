@@ -43,9 +43,6 @@ module Config : sig
             ({!Solver.Incr}): learned-core pruning, scope reuse, strategy
             portfolio.  On by default; verdicts match the from-scratch
             solver, found models may differ. *)
-    steal : bool;
-        (** work-stealing sharded frontier when [jobs] > 1 (ignored at
-            [jobs = 1], which always runs the deterministic loop) *)
     seed : int;  (** replay's initial random input *)
     replay_max_steps : int;  (** interpreter step cap per replay run *)
     telemetry : Telemetry.t;
@@ -54,8 +51,8 @@ module Config : sig
   }
 
   (** Paper defaults: sequential, refined static pipeline, syscall log,
-      online log encoding, solver cache, incremental solving and stealing
-      on, telemetry disabled. *)
+      online log encoding, solver cache and incremental solving on,
+      telemetry disabled. *)
   val default : t
 
   (** Setters take the config last so they chain with [|>]. *)
@@ -74,7 +71,6 @@ module Config : sig
   val with_suppression : bool -> t -> t
   val with_solver_cache : bool -> t -> t
   val with_incremental : bool -> t -> t
-  val with_steal : bool -> t -> t
   val with_seed : int -> t -> t
   val with_replay_max_steps : int -> t -> t
 end

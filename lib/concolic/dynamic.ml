@@ -59,10 +59,9 @@ let make_run ?(max_steps = 2_000_000) (sc : Scenario.t) ~vars
     through a mutex (the sticky rule commutes, so the resulting label map
     does not depend on worker scheduling).  [cache] memoizes solver queries
     across pendings.  [incremental] (default true) solves through a private
-    {!Solver.Incr.t} — scope reuse, learned cores, portfolio; [steal]
-    (default true) picks the work-stealing frontier at [jobs] > 1. *)
+    {!Solver.Incr.t} — scope reuse, learned cores, portfolio. *)
 let analyze ?(budget = Engine.default_budget) ?max_steps ?(jobs = 1) ?cache
-    ?(incremental = true) ?(steal = true) ?(telemetry = Telemetry.disabled)
+    ?(incremental = true) ?(telemetry = Telemetry.disabled)
     (sc : Scenario.t) : result =
   Telemetry.Span.with_ telemetry ~name:"analyze.dynamic"
     ~attrs:[ ("scenario", Telemetry.Event.Str sc.name) ]
@@ -82,7 +81,7 @@ let analyze ?(budget = Engine.default_budget) ?max_steps ?(jobs = 1) ?cache
       let incr = if incremental then Some (Solver.Incr.create ()) else None in
       let stats, _ =
         Engine.explore ~vars ~budget ~strategy:Engine.Bfs ~jobs ?cache ?incr
-          ~steal ~telemetry ~run ()
+          ~telemetry ~run ()
       in
       let visited = n - Label.count labels Label.Unvisited in
       let coverage =

@@ -33,8 +33,7 @@ val make_run :
     commutes, so the label map does not depend on worker scheduling);
     [cache] memoizes solver queries across pendings; [incremental] (default
     true) routes pendings through a private {!Solver.Incr.t} (scope reuse,
-    learned-core pruning, strategy portfolio); [steal] (default true)
-    selects the work-stealing frontier at [jobs] > 1; [telemetry] wraps the
+    learned-core pruning, strategy portfolio); [telemetry] wraps the
     exploration in an [analyze.dynamic] span (runs/visited/coverage end
     attributes) over the {!Engine.explore} instrumentation. *)
 val analyze :
@@ -43,7 +42,6 @@ val analyze :
   ?jobs:int ->
   ?cache:Solver.Cache.t ->
   ?incremental:bool ->
-  ?steal:bool ->
   ?telemetry:Telemetry.t ->
   Scenario.t ->
   result

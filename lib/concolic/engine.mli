@@ -8,19 +8,14 @@
     The engine is generic over the run function, so dynamic analysis and
     bug replay share it.
 
-    With [~jobs] > 1 the pending frontier is drained by a pool of OCaml 5
-    domains (the run function must then be safe to call concurrently — each
-    call must build its own interpreter state).  [~jobs:1], the default, is
-    the exact deterministic sequential loop.  An optional shared
-    {!Solver.Cache} memoizes solver queries across pendings.
-
-    With [~steal] (default true) each worker owns a deque and steals from
-    its siblings when it drains: children of a run land on the worker's own
-    deque, so local work extends its own recent traces — the lineage
-    affinity that keeps the per-worker incremental solver scope warm.
-    [~steal:false] restores the single mutex-protected frontier.  Both
-    disciplines produce jobs-invariant result *sets* on exhausted
-    frontiers; visit order differs.
+    One frontier, one loop: [~jobs] workers share a single mutex-protected
+    pending list.  [~jobs:1], the default, runs the one worker on the
+    calling domain and is deterministic.  With [~jobs] > 1 each worker
+    runs on its own OCaml 5 domain (the run function must then be safe to
+    call concurrently — each call must build its own interpreter state);
+    result *sets* on exhausted frontiers are jobs-invariant, visit order is
+    not.  An optional shared {!Solver.Cache} memoizes solver queries across
+    pendings.
 
     Passing [~incr] (a shared {!Solver.Incr.t}) turns on incremental
     solving: learned-core pruning, scope reuse across sibling pendings and
@@ -64,23 +59,13 @@ type stats = {
   mutable solved_incremental : int;
       (** solver calls that reused >= 1 scope frame *)
   mutable solver_calls : int;  (** calls that reached the incremental solver *)
-  mutable steals : int;  (** pendings taken from another worker's deque *)
+  mutable steals : int;
+      (** always 0: the single shared frontier has nothing to steal from;
+          kept so readers of the record keep compiling *)
   mutable worker_runs : int array;
       (** per-worker run counts (length [jobs]; the seeding run counts
           toward worker 0); the sum always equals [runs] *)
 }
-
-(** Batch-level steal accounting, mirroring {!Solver.Incr.totals}:
-    [reset_steal_total] zeroes a process-wide counter and [steal_total]
-    reads the steals accumulated by every exploration since — benches use
-    the pair around replays whose per-explore stats are buried inside
-    {!Replay.Guided} or {!Triage.Sched}. *)
-val reset_steal_total : unit -> unit
-
-val steal_total : unit -> int
-
-(** Print solver failures on pendings to stderr. *)
-val debug_solver : bool ref
 
 (** Explore paths until the budget is exhausted or [should_stop] returns
     true for a run.  Returns the statistics and, if stopped early, the
@@ -92,15 +77,16 @@ val debug_solver : bool ref
     called with the engine's internal lock held, i.e. serialized, so they
     may keep plain mutable state.  [cache] memoizes solver queries across
     pendings (and is shared by all workers).  [incr] enables incremental
-    solving (each worker opens a private session); [steal] (default true)
-    selects the sharded work-stealing frontier when [jobs] > 1 and is
-    ignored at [jobs:1], which always runs the seed sequential loop.
+    solving (each worker opens a private session).
 
     [telemetry] (default disabled) wraps the exploration in an
-    [engine.explore] span with one [engine.worker] child span per domain,
-    times runs ([engine.run_s]) and the solver split, samples the frontier
-    depth over time ([engine.frontier]) and accumulates the
-    [engine.runs]/[sat]/[unsat]/[unknown]/[forks] counters. *)
+    [engine.explore] span with one [engine.worker] child span per domain
+    when [jobs] > 1, times runs ([engine.run_s]) and the solver split,
+    samples the frontier depth over time ([engine.frontier]) and
+    accumulates the [engine.runs]/[sat]/[unsat]/[unknown]/[forks]
+    counters; with [incr] also this exploration's share of the incremental
+    solver's work as [engine.solver_calls]/[solved_incremental]/
+    [core_pruned]/[cores_learned]. *)
 val explore :
   vars:Solver.Symvars.t ->
   ?budget:budget ->
@@ -108,7 +94,6 @@ val explore :
   ?jobs:int ->
   ?cache:Solver.Cache.t ->
   ?incr:Solver.Incr.t ->
-  ?steal:bool ->
   ?telemetry:Telemetry.t ->
   run:(Solver.Model.t -> run_result) ->
   ?should_stop:(Solver.Model.t -> run_result -> bool) ->

@@ -315,13 +315,12 @@ let run_once ?(restore : restore_fn option)
     external incremental solver (one per triage cluster), while
     [incremental] (default true) just enables a private one; learned cores
     are registry-scoped, so a restart's fresh registry drops them but keeps
-    the portfolio statistics.  [steal] (default true) picks the
-    work-stealing frontier when [jobs] > 1.  [max_attempts] caps the
-    restart count, after which a clean frontier exhaustion returns
+    the portfolio statistics.  [max_attempts] caps the restart count,
+    after which a clean frontier exhaustion returns
     [Not_reproduced { timed_out = false; _ }]. *)
 let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
     ?(max_steps = 5_000_000) ?restore ?(jobs = 1) ?(solver_cache = true)
-    ?cache ?incr:ext_incr ?(incremental = true) ?(steal = true) ?max_attempts
+    ?cache ?incr:ext_incr ?(incremental = true) ?max_attempts
     ?(telemetry = Telemetry.disabled) ~(prog : Minic.Program.t)
     ~(plan : Plan.t) (report : Report.t) : result * stats =
   Telemetry.Span.with_ telemetry ~name:"reproduce"
@@ -434,7 +433,7 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
               ~budget:
                 { Concolic.Engine.max_runs = max 1 remaining_runs;
                   max_time_s = max 0.1 remaining_time }
-              ~jobs ?cache ?incr:isolver ~steal ~telemetry ~run ~should_stop ()
+              ~jobs ?cache ?incr:isolver ~telemetry ~run ~should_stop ()
           in
           Telemetry.Span.addi asp "runs" r.Concolic.Engine.runs;
           (r, found))

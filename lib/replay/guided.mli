@@ -78,9 +78,8 @@ type restore_fn =
     strategy portfolio); [incr] supplies an external one instead — the
     triage scheduler opens one per cluster.  Learned cores are
     registry-scoped and reset on each restart's fresh registry; portfolio
-    statistics survive.  [steal] (default true) selects the work-stealing
-    frontier when [jobs] > 1.  [max_attempts] caps the
-    restart-with-a-fresh-seed loop; once hit, a clean frontier exhaustion
+    statistics survive.  [max_attempts] caps the restart-with-a-fresh-seed
+    loop; once hit, a clean frontier exhaustion
     returns [Not_reproduced] with [timed_out = false] (a [true] there
     always means the clock or the run budget ran out, never mere
     exhaustion).  [elapsed_s] is wall-clock time inside this call; callers
@@ -112,7 +111,6 @@ val reproduce :
   ?cache:Solver.Cache.t ->
   ?incr:Solver.Incr.t ->
   ?incremental:bool ->
-  ?steal:bool ->
   ?max_attempts:int ->
   ?telemetry:Telemetry.t ->
   prog:Minic.Program.t ->

@@ -73,30 +73,6 @@ type t = {
 let max_cores = 128
 let max_core_size = 6
 
-(* Process-wide totals across every [Incr.t] (bench E15 reads these over a
-   whole triage batch, where each cluster owns its instance). *)
-let g_solver_calls = Atomic.make 0
-let g_incremental = Atomic.make 0
-let g_core_pruned = Atomic.make 0
-let g_cores_learned = Atomic.make 0
-
-let totals () =
-  {
-    solver_calls = Atomic.get g_solver_calls;
-    incremental = Atomic.get g_incremental;
-    core_pruned = Atomic.get g_core_pruned;
-    cores_learned = Atomic.get g_cores_learned;
-    cores_live = 0;
-    enum_first = 0;
-    cache_hits = 0;
-  }
-
-let reset_totals () =
-  Atomic.set g_solver_calls 0;
-  Atomic.set g_incremental 0;
-  Atomic.set g_core_pruned 0;
-  Atomic.set g_cores_learned 0
-
 let create () =
   {
     mu = Mutex.create ();
@@ -179,7 +155,6 @@ let learn_core t ~vars (core : Expr.t list) =
               t.cores <- (mask_of core, core) :: t.cores;
               t.n_cores <- t.n_cores + 1;
               t.cores_learned <- t.cores_learned + 1;
-              Atomic.incr g_cores_learned;
               if t.n_cores > max_cores then begin
                 (* drop the oldest *)
                 let keep = List.filteri (fun i _ -> i < max_cores) t.cores in
@@ -288,12 +263,13 @@ let record_strategy t sg strat dt =
 (* Scope re-sync *)
 
 (* A sync pays one {!Scope.push} (simplification, negation-pair scan,
-   propagation) per divergent constraint.  Under lineage-affine scheduling
-   the divergence is a handful of frames and the sync is the whole point;
-   but when the search jumps to a far region (a BFS frontier, a steal), a
-   full re-push of hundreds of frames costs more than solving the slice
-   from scratch.  So a large divergence bypasses the scope — the query is
-   solved hint-seeded without a warm start, exactly the cache-only path —
+   propagation) per divergent constraint.  Along a DFS lineage the
+   divergence is a handful of frames and the sync is the whole point; but
+   when the search jumps to a far region (a BFS frontier, a sibling
+   worker's subtree), a full re-push of hundreds of frames costs more than
+   solving the slice from scratch.  So a large divergence bypasses the
+   scope — the query is solved hint-seeded without a warm start, exactly
+   the cache-only path —
    unless the session has been bypassing for a while, in which case it
    re-anchors: the search has moved for good, pay one full sync so the new
    region becomes the cheap prefix. *)
@@ -338,16 +314,13 @@ let solve (s : session) ?budget ?cache ?(slice = true)
   let vars = Scope.vars s.scope in
   if core_subsumes t ~vars cs then begin
     locked t (fun () -> t.core_pruned <- t.core_pruned + 1);
-    Atomic.incr g_core_pruned;
     Solve.Unsat
   end
   else begin
     locked t (fun () -> t.solver_calls <- t.solver_calls + 1);
-    Atomic.incr g_solver_calls;
     let scs = if slice then Cache.slice_focus cs else cs in
     let mark_incremental () =
-      locked t (fun () -> t.incremental <- t.incremental + 1);
-      Atomic.incr g_incremental
+      locked t (fun () -> t.incremental <- t.incremental + 1)
     in
     let finish_unsat () =
       (* the slice's Unsat proof is self-contained: it is a core *)

@@ -35,13 +35,6 @@ type snapshot = {
 val create : unit -> t
 val snapshot : t -> snapshot
 
-(** Process-wide totals across every [t] (counter fields only; the
-    per-instance fields [cores_live], [enum_first] and [cache_hits] read 0).
-    Bench E15 reads these across a whole triage batch. *)
-val totals : unit -> snapshot
-
-val reset_totals : unit -> unit
-
 (** A worker-private handle: owns a {!Scope} under [vars].  Opening a
     session under a different registry than the cores were learned from
     drops them (they are domain facts of that registry). *)

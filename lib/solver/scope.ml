@@ -20,8 +20,8 @@
     pushed constraint, and a domain emptied by propagation.  A contradicted
     scope answers [Unsat] without any search.
 
-    Not thread-safe: each worker owns its scope (lineage-affine scheduling
-    in {!Concolic.Engine} preserves exactly this locality). *)
+    Not thread-safe: each worker owns its scope (one per worker of
+    {!Concolic.Engine}; a DFS pop extends the worker's previous lineage). *)
 
 type frame = {
   orig : Expr.t;  (** the constraint as pushed, for prefix comparison *)

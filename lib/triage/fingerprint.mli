@@ -26,6 +26,10 @@ type t = {
 
 val of_report : Instrument.Report.t -> t
 
+(** The canonical [kind@file:line:col#func] key of a crash site: the
+    [crash_key] field of {!of_report}, without sketching the log. *)
+val crash_key : Interp.Crash.t -> string
+
 (** Stable string form; equal fingerprints have equal keys, and keys sort
     deterministically (used as the cluster ordering everywhere). *)
 val key : t -> string

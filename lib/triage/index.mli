@@ -15,9 +15,17 @@
     single buffered writes flushed before {!append} returns, so a crash
     of the {e service} loses at most the record being written.
 
-    Fail-closed like {!Instrument.Wire}: {!open_} rejects a shard whose
-    header names an unsupported version ([Unknown_version] is an upgrade
-    problem) and rejects any malformed record ([Malformed]) rather than
+    A kill of the service {e during} an append leaves a torn tail: the
+    shard's trailing bytes are a strict prefix of a record frame (or of the
+    header line, for a kill while a fresh index is being created).  That
+    append never returned, so the bytes are not history: {!open_} cuts them
+    off (reporting the count through {!truncated_bytes}) before reopening
+    the shard for append.
+
+    Otherwise fail-closed like {!Instrument.Wire}: {!open_} rejects a shard
+    whose header names an unsupported version ([Unknown_version] is an
+    upgrade problem) and rejects any malformed record before the tail, or
+    any complete record that no longer ingests ([Malformed]), rather than
     guessing — a triage tier must not silently drop history it was asked
     to keep. *)
 
@@ -37,7 +45,9 @@ type t
 (** [open_ ~dir ()] creates [dir] (and its shards' header lines) if
     missing, or loads every existing shard.  [shards] (default 16) only
     applies to a fresh directory — an existing index keeps the shard
-    count it was created with.  Fails closed on any damaged shard. *)
+    count it was created with.  Truncates a torn shard tail to its last
+    complete record; fails closed on any other damage, leaving every shard
+    untouched. *)
 val open_ : ?shards:int -> dir:string -> unit -> (t, error) result
 
 (** Reports recovered on open, in (shard, record) order.  Re-ingested
@@ -56,6 +66,10 @@ val append : ?raw:string -> t -> Ingest.item -> unit
 val size : t -> int
 
 val shard_count : t -> int
+
+(** Torn-tail bytes {!open_} cut off across all shards (0 for a clean
+    index). *)
+val truncated_bytes : t -> int
 
 (** Flush and close every shard file.  The index stays readable on disk;
     a later {!open_} reloads it. *)

@@ -11,7 +11,6 @@ type policy = {
   max_attempts : int;
   solver_cache : bool;
   incremental : bool;
-  steal : bool;
   seed : int;
 }
 
@@ -29,7 +28,6 @@ let default_policy =
     max_attempts = 1;
     solver_cache = true;
     incremental = true;
-    steal = true;
     seed = 1;
   }
 
@@ -47,7 +45,6 @@ let policy_of_config (c : Bugrepro.Pipeline.Config.t) =
     jobs = c.jobs;
     solver_cache = c.solver_cache;
     incremental = c.incremental;
-    steal = c.steal;
     seed = c.seed;
   }
 
@@ -180,14 +177,14 @@ let course_step ?(telemetry = Telemetry.disabled) ?cache ~deadline ~max_rungs
                it the model-determinism guarantee for everything they
                resolve).  The final full-budget rung is the opposite
                shape: few clusters, one heavy search each —
-               [final_rung_jobs] lets the pool work *inside* that search
-               (work-stealing frontier), trading which crashing input is
-               found first for wall clock. *)
+               [final_rung_jobs] lets the pool work *inside* that search,
+               trading which crashing input is found first for wall
+               clock. *)
             let jobs = if rest = [] then max 1 k.policy.final_rung_jobs else 1 in
             let result, stats =
               Guided.reproduce ~budget ~seed:k.seed ~jobs
                 ~solver_cache:k.policy.solver_cache ?cache ?incr:k.incr
-                ~incremental:k.policy.incremental ~steal:k.policy.steal
+                ~incremental:k.policy.incremental
                 ~max_attempts:k.policy.max_attempts ~telemetry ~prog:k.prog
                 ~plan:k.plan report
             in

@@ -16,9 +16,9 @@
 
     The exception is [final_rung_jobs] (default 1, preserving the above
     verbatim): when > 1, the ladder's *final* rung replays with that many
-    worker domains inside the search (work-stealing frontier, §5h).  The
-    final rung is where the few heavy, near-exhaustive searches land
-    after every cheap rung failed, and it typically runs when the cluster
+    worker domains inside the search (§5c).  The final rung is where the
+    few heavy, near-exhaustive searches land after every cheap rung
+    failed, and it typically runs when the cluster
     queue has already drained — the pool would otherwise sit idle.
     Whether such a search reproduces is still scheduling-independent, but
     *which* crashing input it finds first (the summary's model) may vary
@@ -37,13 +37,12 @@ type policy = {
   incremental : bool;
       (** open one {!Solver.Incr.t} per cluster, shared across its ladder
           rungs (scope reuse, core pruning, portfolio statistics) *)
-  steal : bool;  (** work-stealing frontier inside each replay (jobs > 1) *)
   seed : int;  (** batch seed; per-cluster seeds derive from it *)
 }
 
 (** 2 s / 10 s / full {!Concolic.Engine.default_budget}, 60 s deadline,
-    sequential, one attempt per rung, cache on, incremental solving and
-    stealing on, seed 1. *)
+    sequential, one attempt per rung, cache and incremental solving on,
+    seed 1. *)
 val default_policy : policy
 
 (** Derive a policy from the pipeline config: [replay_budget] caps the

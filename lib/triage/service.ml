@@ -177,6 +177,8 @@ let open_ ?(config = default_config) ?(telemetry = Telemetry.disabled)
          left them *)
       (match t.index with
       | Some idx ->
+          Telemetry.Metrics.incr_named t.telemetry
+            ~by:(Index.truncated_bytes idx) "triage.index.truncated_bytes";
           let recovered = Index.items idx in
           List.iter (cluster_one ~persist:false t) recovered;
           if recovered <> [] then

@@ -78,10 +78,12 @@ type outcome =
     every record is reloaded — in (shard, record) order — through the
     normal clustering path, so buckets, representative election, salvage
     flags and window analytics are rebuilt exactly as the previous
-    incarnation left them; the reload fails closed on index damage.
-    [resolve] is consulted lazily, once per cluster, and must depend
-    only on the representative's report (it may be handed a provisional
-    one-member cluster during eager replay). *)
+    incarnation left them.  A torn index tail (a kill mid-append) is cut
+    off and counted in [triage.index.truncated_bytes]; any other index
+    damage fails the reload closed.  [resolve] is consulted lazily, once
+    per cluster, and must depend only on the representative's report (it
+    may be handed a provisional one-member cluster during eager
+    replay). *)
 val open_ :
   ?config:config ->
   ?telemetry:Telemetry.t ->

@@ -346,7 +346,7 @@ let crash_corpus_src =
   \  return 0;\n\
    }"
 
-let explore_crashes ?(steal = true) ?incr ~jobs src =
+let explore_crashes ?incr ~jobs src =
   let prog = Workloads.Runtime_lib.link ~name:"t" src in
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "aaa" ] prog in
   let vars = Solver.Symvars.create () in
@@ -362,8 +362,8 @@ let explore_crashes ?(steal = true) ?incr ~jobs src =
   in
   let cache = Solver.Cache.create () in
   let stats, _ =
-    Concolic.Engine.explore ~vars ~budget:(budget 400) ~jobs ~cache ?incr
-      ~steal ~run ~on_run ()
+    Concolic.Engine.explore ~vars ~budget:(budget 400) ~jobs ~cache ?incr ~run
+      ~on_run ()
   in
   (List.sort compare !crashes, stats)
 
@@ -373,48 +373,36 @@ let test_parallel_determinism () =
   check_bool "found some crash sites" true (List.length seq >= 3);
   Alcotest.(check (list string)) "jobs=1 and jobs=4 find the same crash set" seq par
 
-let test_parallel_determinism_steal_matrix () =
-  (* the exhausted frontier's crash set is invariant across the frontier
-     discipline (sharded deques + stealing vs single queue) and the
-     incremental solver, at any worker count *)
+let test_parallel_determinism_incr_matrix () =
+  (* the exhausted frontier's crash set is invariant across the worker
+     count and the incremental solver *)
   let seq, _ = explore_crashes ~jobs:1 crash_corpus_src in
   check_bool "found some crash sites" true (List.length seq >= 3);
   List.iter
-    (fun (jobs, steal, incremental) ->
+    (fun (jobs, incremental) ->
       let incr = if incremental then Some (Solver.Incr.create ()) else None in
-      let found, stats = explore_crashes ~jobs ~steal ?incr crash_corpus_src in
-      let tag =
-        Printf.sprintf "jobs=%d steal=%b incr=%b" jobs steal incremental
-      in
+      let found, stats = explore_crashes ~jobs ?incr crash_corpus_src in
+      let tag = Printf.sprintf "jobs=%d incr=%b" jobs incremental in
       Alcotest.(check (list string)) (tag ^ " crash set") seq found;
       check_bool (tag ^ " frontier accounting") true
         (stats.sat + stats.unsat + stats.unknown + stats.core_pruned
         = stats.forks))
-    [
-      (1, true, true);
-      (4, true, false);
-      (4, false, false);
-      (4, true, true);
-      (4, false, true);
-    ]
+    [ (1, true); (4, false); (4, true) ]
 
-let test_steal_counters_and_worker_runs () =
-  (* 4-domain stress on the widest frontier: the Atomic accumulators must
-     reconcile — per-worker run counts sum to the total, steals only ever
-     counted when the sharded frontier is on *)
+let test_worker_runs_sum_to_runs () =
+  (* 4-domain stress on the widest frontier: per-worker run counts must
+     reconcile with the total *)
   List.iter
-    (fun (jobs, steal) ->
-      let _, stats = explore_crashes ~jobs ~steal crash_corpus_src in
-      let tag = Printf.sprintf "jobs=%d steal=%b" jobs steal in
+    (fun jobs ->
+      let _, stats = explore_crashes ~jobs crash_corpus_src in
+      let tag = Printf.sprintf "jobs=%d" jobs in
       check_int (tag ^ " worker_runs length") jobs
         (Array.length stats.worker_runs);
       check_int (tag ^ " worker_runs sums to runs") stats.runs
         (Array.fold_left ( + ) 0 stats.worker_runs);
       check_bool (tag ^ " pending_peak positive") true (stats.pending_peak >= 1);
-      if jobs = 1 || not steal then
-        check_int (tag ^ " no steals without sharded deques") 0 stats.steals
-      else check_bool (tag ^ " steal counter sane") true (stats.steals >= 0))
-    [ (1, true); (4, true); (4, false) ]
+      check_int (tag ^ " nothing stolen from one frontier") 0 stats.steals)
+    [ 1; 4 ]
 
 let test_core_pruning_spares_sat_siblings () =
   (* with the incremental solver on, every pending is accounted for
@@ -451,6 +439,135 @@ let test_parallel_respects_run_budget () =
   in
   check_bool "run budget exact under parallel pool" true (stats.runs <= 5)
 
+(* ------------------------------------------------------------------ *)
+(* jobs=1 golden values: the engine statistics and the found model of
+   deterministic explorations, recorded from the dedicated sequential loop
+   the shared-frontier worker pool replaced.  At jobs=1 the pool must pop
+   in the same order and check the same budget, so every value here is
+   exact.  The incremental solver stays off: its portfolio picks strategies
+   by measured time, which may change models between runs. *)
+
+type golden = {
+  g_runs : int;
+  g_sat : int;
+  g_unsat : int;
+  g_unknown : int;
+  g_forks : int;
+  g_peak : int;
+  g_model : (int * int) list option;
+}
+
+let golden_of (s : Concolic.Engine.stats) model =
+  {
+    g_runs = s.runs;
+    g_sat = s.sat;
+    g_unsat = s.unsat;
+    g_unknown = s.unknown;
+    g_forks = s.forks;
+    g_peak = s.pending_peak;
+    g_model = Option.map Solver.Model.bindings model;
+  }
+
+let golden_to_string g =
+  Printf.sprintf "runs=%d sat=%d unsat=%d unknown=%d forks=%d peak=%d model=%s"
+    g.g_runs g.g_sat g.g_unsat g.g_unknown g.g_forks g.g_peak
+    (match g.g_model with
+    | None -> "none"
+    | Some m ->
+        String.concat "; " (List.map (fun (v, x) -> Printf.sprintf "%d=%d" v x) m))
+
+let golden_corpus ~strategy ~cache ~stop () =
+  let sc = scenario ~args:[ "aaa" ] crash_corpus_src in
+  let vars = Solver.Symvars.create () in
+  let run = Concolic.Dynamic.make_run sc ~vars ~on_branch_observed:(fun _ _ -> ()) in
+  let should_stop _ (r : Concolic.Engine.run_result) =
+    stop && match r.outcome with Interp.Crash.Crash _ -> true | _ -> false
+  in
+  let cache = if cache then Some (Solver.Cache.create ()) else None in
+  let s, found =
+    Concolic.Engine.explore ~vars ~budget:(budget 400) ~strategy ~jobs:1 ?cache
+      ~run ~should_stop ()
+  in
+  golden_of s (Option.map fst found)
+
+let golden_explore name () =
+  let sc = Workloads.Coreutils.analysis_scenario (Workloads.Coreutils.find name) in
+  let vars = Solver.Symvars.create () in
+  let run = Concolic.Dynamic.make_run sc ~vars ~on_branch_observed:(fun _ _ -> ()) in
+  let s, _ =
+    Concolic.Engine.explore ~vars ~budget:(budget 60) ~strategy:Concolic.Engine.Bfs
+      ~jobs:1 ~cache:(Solver.Cache.create ()) ~run ()
+  in
+  golden_of s None
+
+let golden_reproduce name () =
+  let e = Workloads.Coreutils.find name in
+  let prog = Lazy.force e.prog in
+  let cfg =
+    Bugrepro.Pipeline.Config.(
+      default
+      |> with_budget ~dynamic:(budget 40)
+           ~replay:{ Concolic.Engine.max_runs = 20_000; max_time_s = 600.0 }
+      |> with_incremental false)
+  in
+  let analysis =
+    Bugrepro.Pipeline.Run.analyze cfg
+      ~test_scenario:(Workloads.Coreutils.analysis_scenario e)
+      prog
+  in
+  let plan = Bugrepro.Pipeline.Run.plan cfg analysis Instrument.Methods.Dynamic_static in
+  let _, report =
+    Bugrepro.Pipeline.Run.field_run_report cfg ~plan
+      (Workloads.Coreutils.crash_scenario e)
+  in
+  let result, stats =
+    Bugrepro.Pipeline.Run.reproduce cfg ~prog ~plan (Option.get report)
+  in
+  golden_of stats.Replay.Guided.engine
+    (match result with Replay.Guided.Reproduced r -> Some r.model | _ -> None)
+
+let golden_cases =
+  let g runs sat unsat forks peak model =
+    { g_runs = runs; g_sat = sat; g_unsat = unsat; g_unknown = 0;
+      g_forks = forks; g_peak = peak; g_model = model }
+  in
+  let corpus_crash = Some [ (0, 67); (1, 97); (2, 97); (3, 0) ] in
+  Concolic.Engine.
+    [
+      ("corpus dfs exhausted", golden_corpus ~strategy:Dfs ~cache:true ~stop:false,
+       g 6 5 0 5 3 None);
+      ("corpus bfs exhausted", golden_corpus ~strategy:Bfs ~cache:false ~stop:false,
+       g 6 5 0 5 3 None);
+      ("corpus dfs first crash", golden_corpus ~strategy:Dfs ~cache:false ~stop:true,
+       g 2 1 0 3 3 corpus_crash);
+      ("corpus bfs first crash", golden_corpus ~strategy:Bfs ~cache:true ~stop:true,
+       g 4 3 0 5 3 corpus_crash);
+      ("paste explore", golden_explore "paste", g 60 59 4 1016 953 None);
+      ("mkdir explore", golden_explore "mkdir", g 60 59 20 1454 1375 None);
+      ( "paste reproduce",
+        golden_reproduce "paste",
+        g 10 9 2 13 9
+          (Some
+             [ (0, 45); (1, 100); (2, 0); (3, 92); (4, 177); (5, 87); (6, 189);
+               (7, 11); (8, 0); (9, 184); (10, 245); (11, 132); (12, 58) ]) );
+      ( "mkdir reproduce",
+        golden_reproduce "mkdir",
+        g 521 520 1025 1545 4
+          (Some
+             [ (0, 45); (1, 109); (2, 0); (3, 49); (4, 48); (5, 48); (6, 48);
+               (7, 44); (8, 87); (9, 189); (10, 11); (11, 82); (12, 211);
+               (13, 56); (14, 0) ]) );
+    ]
+
+let golden_tests =
+  List.map
+    (fun (name, run, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string)
+            (name ^ " at jobs=1") (golden_to_string expected)
+            (golden_to_string (run ()))))
+    golden_cases
+
 let () =
   Alcotest.run "concolic"
     [
@@ -482,15 +599,16 @@ let () =
         [
           Alcotest.test_case "jobs=1 = jobs=4 crash set" `Quick
             test_parallel_determinism;
-          Alcotest.test_case "steal/incr matrix determinism" `Quick
-            test_parallel_determinism_steal_matrix;
-          Alcotest.test_case "steal counters and worker runs" `Quick
-            test_steal_counters_and_worker_runs;
+          Alcotest.test_case "jobs/incr matrix determinism" `Quick
+            test_parallel_determinism_incr_matrix;
+          Alcotest.test_case "worker runs sum to runs" `Quick
+            test_worker_runs_sum_to_runs;
           Alcotest.test_case "core pruning spares sat siblings" `Quick
             test_core_pruning_spares_sat_siblings;
           Alcotest.test_case "parallel respects budget" `Quick
             test_parallel_respects_run_budget;
         ] );
+      ("golden", golden_tests);
       ( "streams",
         [ Alcotest.test_case "stream bytes symbolic" `Quick test_stream_bytes_symbolic ]
       );

@@ -308,8 +308,8 @@ let test_parallel_case_totals_match_sequential () =
   check_bool "case totals match across 4 domains" true (tup seq = tup par)
 
 let test_parallel_engine_counters_reconcile () =
-  (* the Atomic frontier accumulators must agree with the totals whatever
-     the worker count or frontier discipline *)
+  (* the per-worker run counts must agree with the totals whatever the
+     worker count *)
   let prog, _, report = record ~args:[ "BUG" ] magic_src in
   let report = Option.get report in
   let none =
@@ -317,21 +317,20 @@ let test_parallel_engine_counters_reconcile () =
       Instrument.Methods.No_instrumentation
   in
   List.iter
-    (fun (jobs, steal) ->
+    (fun jobs ->
       let _, stats =
-        Replay.Guided.reproduce ~budget ~jobs ~steal ~max_attempts:1 ~prog
-          ~plan:none report
+        Replay.Guided.reproduce ~budget ~jobs ~max_attempts:1 ~prog ~plan:none
+          report
       in
       let e = stats.Replay.Guided.engine in
-      let tag = Printf.sprintf "jobs=%d steal=%b" jobs steal in
+      let tag = Printf.sprintf "jobs=%d" jobs in
       check_bool (tag ^ " worker_runs length") true
         (Array.length e.worker_runs = jobs);
       check_bool (tag ^ " worker_runs sums to runs") true
         (Array.fold_left ( + ) 0 e.worker_runs = e.runs);
       check_bool (tag ^ " pending peak recorded") true (e.pending_peak >= 1);
-      if jobs = 1 || not steal then
-        check_bool (tag ^ " no steals possible") true (e.steals = 0))
-    [ (1, true); (4, true); (4, false) ]
+      check_int (tag ^ " nothing stolen from one frontier") 0 e.steals)
+    [ 1; 4 ]
 
 let () =
   Alcotest.run "replay"

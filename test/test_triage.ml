@@ -739,6 +739,140 @@ let test_service_rungs_jobs_invariant () =
     (Summary.to_json ~timing:false s4)
 
 (* ------------------------------------------------------------------ *)
+(* Index crash consistency: a kill during an append leaves a torn shard
+   tail, which reopen cuts back to the last complete record; damage
+   anywhere before the tail still fails closed. *)
+
+let shard_file dir = Filename.concat dir "shard-000.idx"
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let open_index dir =
+  match Triage.Index.open_ ~shards:1 ~dir () with
+  | Ok idx -> idx
+  | Error e -> Alcotest.failf "index open: %s" (Triage.Index.error_to_string e)
+
+let index_paths idx =
+  List.map (fun (it : Ingest.item) -> it.Ingest.path) (Triage.Index.items idx)
+
+(* intact, intact (another crash) and salvaged: every record flavour *)
+let index_items () =
+  match service_fixture () with
+  | a :: _ :: c :: d :: _, _, resolve -> ([ a; c; d ], resolve)
+  | _ -> Alcotest.fail "fixture too small"
+
+(* A single-shard index holding [items], as shard text plus the shard's
+   byte length after the header and after each appended record. *)
+let record_shard dir items =
+  let idx = open_index dir in
+  let len () = String.length (read_file (shard_file dir)) in
+  let header = len () in
+  let ends =
+    List.map
+      (fun it ->
+        Triage.Index.append idx it;
+        len ())
+      items
+  in
+  Triage.Index.close idx;
+  (read_file (shard_file dir), header, ends)
+
+let test_index_torn_tail_every_offset () =
+  let items, resolve = index_items () in
+  let names = List.map (fun (it : Ingest.item) -> it.Ingest.path) items in
+  let src = fresh_dir () and dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf src;
+      rm_rf dir)
+    (fun () ->
+      let text, header, ends = record_shard src items in
+      Sys.mkdir dir 0o755;
+      for cut = 0 to String.length text do
+        let tag = Printf.sprintf "cut at byte %d" cut in
+        write_file (shard_file dir) (String.sub text 0 cut);
+        let k = List.length (List.filter (fun e -> e <= cut) ends) in
+        (* a torn header is rewritten whole *)
+        let kept =
+          if cut < header then 0 else if k = 0 then header else List.nth ends (k - 1)
+        in
+        let idx = open_index dir in
+        Alcotest.(check (list string))
+          (tag ^ ": the complete records survive")
+          (List.filteri (fun i _ -> i < k) names)
+          (index_paths idx);
+        check_int (tag ^ ": torn bytes counted") (cut - kept)
+          (Triage.Index.truncated_bytes idx);
+        (* the cut shard takes the next append and round-trips *)
+        let next = List.nth items (k mod List.length items) in
+        Triage.Index.append idx next;
+        Triage.Index.close idx;
+        let idx = open_index dir in
+        Alcotest.(check (list string))
+          (tag ^ ": append after recovery round-trips")
+          (List.filteri (fun i _ -> i < k) names @ [ next.Ingest.path ])
+          (index_paths idx);
+        check_int (tag ^ ": nothing torn after recovery") 0
+          (Triage.Index.truncated_bytes idx);
+        Triage.Index.close idx
+      done;
+      (* the service reports the cut through its telemetry *)
+      let cut = List.nth ends 1 + 3 in
+      write_file (shard_file dir) (String.sub text 0 cut);
+      let tel = Telemetry.create () in
+      let config =
+        { Service.default_config with
+          Service.policy = service_policy; index_dir = Some dir;
+          index_shards = 1 }
+      in
+      let svc = open_service ~telemetry:tel ~config resolve in
+      check_int "service recovers the complete records" 2
+        (Service.snapshot svc).Service.processed;
+      check_int "service counts the truncated bytes" 3
+        (Telemetry.Metrics.counter_value tel "triage.index.truncated_bytes");
+      Service.close svc)
+
+let test_index_middle_damage_fails_closed () =
+  let items, _ = index_items () in
+  let src = fresh_dir () and dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf src;
+      rm_rf dir)
+    (fun () ->
+      let text, _, ends = record_shard src items in
+      Sys.mkdir dir 0o755;
+      (* the second record's header line and payload *)
+      let start = List.hd ends in
+      let hend = String.index_from text start '\n' in
+      let plen =
+        match String.split_on_char ' ' (String.sub text start (hend - start)) with
+        | [ _; _; p; _ ] -> int_of_string p
+        | _ -> Alcotest.fail "unexpected record header"
+      in
+      let raw_start = hend + 1 + plen + 1 in
+      let splice pos len by =
+        String.sub text 0 pos ^ by
+        ^ String.sub text (pos + len) (String.length text - pos - len)
+      in
+      let damaged name bad =
+        write_file (shard_file dir) bad;
+        (match Triage.Index.open_ ~shards:1 ~dir () with
+        | Error (Triage.Index.Malformed _) -> ()
+        | Error (Triage.Index.Unknown_version _) ->
+            Alcotest.failf "%s: misread as a version problem" name
+        | Ok _ -> Alcotest.failf "%s: a damaged middle record opened" name);
+        check_string (name ^ ": the shard is left untouched") bad
+          (read_file (shard_file dir))
+      in
+      damaged "record keyword" (splice start 4 "itex");
+      damaged "payload no longer ingests" (splice raw_start 8 "garbage!");
+      (* a length running the frame past the end of the file looks like a
+         torn tail, but the next record's header gives it away *)
+      damaged "length past the end of the file"
+        (splice start (hend - start)
+           (Printf.sprintf "item 0 %d %d" plen (String.length text))))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "triage"
@@ -782,6 +916,13 @@ let () =
             test_service_rungs_run_bounded;
           Alcotest.test_case "run-bounded rungs are jobs-invariant" `Quick
             test_service_rungs_jobs_invariant;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "torn tail at every byte offset" `Quick
+            test_index_torn_tail_every_offset;
+          Alcotest.test_case "middle damage fails closed" `Quick
+            test_index_middle_damage_fails_closed;
         ] );
       ( "ingest",
         [
