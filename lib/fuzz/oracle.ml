@@ -344,7 +344,9 @@ let wire_check (report : Instrument.Report.t) : verdict =
    misread a truncation as an unknown version, and every successful
    salvage must keep the crash site and program, recover a bit count
    monotone in the cut, and re-serialize to something the strict reader
-   accepts.  Then one deep cut — half the branch-log hex — is actually
+   accepts.  At every cut the two readers must agree: the strict reader
+   accepts exactly when salvage diagnoses the prefix complete, with the
+   same report.  Then one deep cut — half the branch-log hex — is actually
    replayed: it must come back [Reproduced] at the recorded site or a
    clean [Not_reproduced], never an exception (the §3.1 [log_exhausted]
    degradation the salvage path exists for). *)
@@ -378,6 +380,36 @@ let payload_tear_pos wire =
       in
       Some (start + ((hex_end - start) / 2))
 
+(* The strict reader is a clean salvage: [Some why] when the two readers
+   disagree on [s]. *)
+let reader_disagreement s : string option =
+  let module W = Instrument.Wire in
+  match W.deserialize_v s, W.deserialize_salvage s with
+  | Ok r, Ok (r', d) ->
+      if d.complete && String.equal (W.serialize r) (W.serialize r') then None
+      else Some "strict reader accepted what salvage diagnoses otherwise"
+  | Ok _, Error _ -> Some "strict reader accepted what salvage rejects"
+  | Error (W.Malformed _), Ok (_, d) ->
+      if d.complete then
+        Some "salvage called intact what the strict reader rejects"
+      else None
+  | Error (W.Malformed _), Error (W.Malformed _) -> None
+  | Error (W.Unknown_version v), Error (W.Unknown_version v') when v = v' ->
+      None
+  | Error _, _ -> Some "readers disagree on the version"
+
+(* The first cut of [wire] at which the two readers disagree. *)
+let cut_disagreement wire =
+  let n = String.length wire in
+  let rec go cut =
+    if cut > n then None
+    else
+      match reader_disagreement (String.sub wire 0 cut) with
+      | Some why -> Some (Printf.sprintf "cut at byte %d/%d: %s" cut n why)
+      | None -> go (cut + 1)
+  in
+  go 0
+
 let salvage_check (cfg : cfg) (case : Gen.case) (plan : Instrument.Plan.t)
     (report : Instrument.Report.t) : verdict =
   let wire = Instrument.Wire.serialize report in
@@ -389,6 +421,7 @@ let salvage_check (cfg : cfg) (case : Gen.case) (plan : Instrument.Plan.t)
   in
   let prev_bits = ref 0 in
   (try
+     failure := cut_disagreement wire;
      for cut = 0 to n do
        if !failure = None then
          match Instrument.Wire.deserialize_salvage (String.sub wire 0 cut) with
@@ -512,20 +545,23 @@ let suppression_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
               | Some _, None | None, Some _ ->
                   Fail "only one of the two runs produced a report"
               | Some raw_report, Some sup_report -> (
-                  (* the table must survive the wire *)
+                  (* the table must survive the wire, and the readers
+                     must agree at every cut of a wire that carries one *)
+                  let sup_wire = Instrument.Wire.serialize sup_report in
                   match
-                    Instrument.Wire.deserialize_v
-                      (Instrument.Wire.serialize sup_report)
+                    ( Instrument.Wire.deserialize_v sup_wire,
+                      cut_disagreement sup_wire )
                   with
-                  | Error e ->
+                  | Error e, _ ->
                       Fail
                         ("suppressed report does not deserialize: "
                         ^ Instrument.Wire.error_to_string e)
-                  | Ok rt
+                  | Ok rt, _
                     when rt.Instrument.Report.suppression
                          <> sup_report.Instrument.Report.suppression ->
                       Fail "suppression table changed across the wire"
-                  | Ok _ -> (
+                  | Ok _, Some why -> Fail ("suppressed wire: " ^ why)
+                  | Ok _, None -> (
                       let raw_result, raw_stats =
                         Bugrepro.Pipeline.Run.reproduce cfg.config ~prog ~plan
                           raw_report

@@ -31,7 +31,8 @@
       proof checker; a suppressed field run's shadow log equals the
       suppression-free log bit for bit with zero reconstruction
       mismatches and unchanged outcome/output; and, when the run
-      crashed, the table survives the wire and guided replay from the
+      crashed, the table survives the wire (where the two readers agree
+      at every cut, as in {b salvage}) and guided replay from the
       suppressed report reaches the same verdict — with the same §3.1
       case counters absent timeouts — as replay from the raw report.
     - {b incremental}: for the collected path constraint sets (and their
@@ -49,9 +50,11 @@
       never misreads a truncation as an unknown version, preserves the
       crash site and program on every successful salvage, recovers a bit
       count monotone in the cut, and yields a report the strict reader
-      round-trips; one deep cut (half the branch log) is then actually
-      replayed and must come back [Reproduced] at the recorded site or a
-      clean [Not_reproduced] — never an exception.
+      round-trips; at every cut the strict reader accepts exactly when
+      salvage diagnoses the prefix complete, with the same report.  One
+      deep cut (half the branch log) is then actually replayed and must
+      come back [Reproduced] at the recorded site or a clean
+      [Not_reproduced] — never an exception.
     - {b streaming}: a small report set (duplicates under distinct
       provenance paths plus one torn copy) triaged through the batch
       entry point and through a live {!Triage.Service} — same items,
@@ -98,6 +101,13 @@ val default_cfg : cfg
 (** Run the oracles on one elaborated case.  [only] restricts to a single
     oracle by name (the shrinker's predicate uses this). *)
 val run : ?only:string -> cfg -> Gen.case -> outcome list
+
+(** The wire readers' agreement on one input, as oracles 6 and 7 check
+    it at every cut: [None] when {!Instrument.Wire.deserialize_v}
+    accepts exactly when {!Instrument.Wire.deserialize_salvage} returns
+    a complete diagnosis with the same report and both read the same
+    [Unknown_version]; [Some why] otherwise. *)
+val reader_disagreement : string -> string option
 
 val failed : outcome list -> outcome list
 val verdict_to_string : verdict -> string

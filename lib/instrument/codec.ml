@@ -231,8 +231,9 @@ let finish (t : Encoder.t) : encoded =
    end of the last complete token, [bits] the count they decode to, and
    [status] whether the whole string was consumed ([`Complete]), stopped
    at an incomplete trailing token ([`Truncated]) or at an invalid one
-   ([`Malformed]). *)
-let scan (data : string) =
+   ([`Malformed]).  A token that would carry the count past [limit] stops
+   the scan as if the stream were torn there. *)
+let scan ?(limit = max_int) (data : string) =
   let n = String.length data in
   let rec go pos bits =
     if pos >= n then (bits, pos, `Complete)
@@ -246,7 +247,8 @@ let scan (data : string) =
           if cnt = 0 then (bits, pos, `Malformed "empty literal token")
           else
             let nbytes = (cnt + 7) / 8 in
-            if pos + 1 + nbytes > n then (bits, pos, `Truncated)
+            if pos + 1 + nbytes > n || bits + cnt > limit then
+              (bits, pos, `Truncated)
             else go (pos + 1 + nbytes) (bits + cnt)
       else
         let period = ((c lsr 4) land 0x7) + 1 in
@@ -267,6 +269,7 @@ let scan (data : string) =
             else cont (pos + 1) (c land 0x7) 3
           in
           (match res with
+          | `Done (_, r) when bits + r + 1 > limit -> (bits, pos, `Truncated)
           | `Done (p, r) -> go p (bits + r + 1)
           | `Truncated -> (bits, pos, `Truncated)
           | `Malformed m -> (bits, pos, `Malformed m))
@@ -279,26 +282,26 @@ let count_bits (data : string) : (int, string) result =
   | _, _, `Truncated -> Error "truncated token stream"
   | _, _, `Malformed m -> Error m
 
-let cut_prefix (data : string) : string * int =
-  let bits, pos, status = scan data in
+let cut_prefix ~max_bits (data : string) : string * int =
+  let bits, pos, status = scan ~limit:max_bits data in
   let n = String.length data in
   match status with
-  | `Truncated
-    when Char.code data.[pos] land 0xc0 = 0x80 && n - pos - 1 >= 1 ->
-      (* Torn trailing LITERAL: the payload bytes that did arrive are the
-         decoded bits themselves (LSB-first), so rewrite the token into a
-         complete shorter literal instead of dropping it — for a small log
-         that encodes as one literal token this is the difference between
-         salvaging most of the log and salvaging nothing.  A torn MATCH
-         stays dropped: its missing high length chunks cannot be
-         reconstructed conservatively without guessing. *)
+  | `Truncated when Char.code data.[pos] land 0xc0 = 0x80 ->
+      (* Torn (or over-limit) trailing LITERAL: the payload bytes that did
+         arrive are the decoded bits themselves (LSB-first), so rewrite the
+         token into a complete shorter literal instead of dropping it — for
+         a small log that encodes as one literal token this is the
+         difference between salvaging most of the log and salvaging
+         nothing.  A torn or over-limit MATCH stays dropped: its missing
+         high length chunks cannot be reconstructed conservatively, and a
+         length past the limit is the corruption itself. *)
       let cnt = Char.code data.[pos] land 0x3f in
-      let have = n - pos - 1 in
-      (* truncated implies have < ceil(cnt/8), hence 8*have < cnt <= 63 *)
-      let m = min cnt (8 * have) in
-      let b = Bytes.of_string (String.sub data 0 n) in
-      Bytes.set b pos (Char.chr (0x80 lor m));
-      (Bytes.unsafe_to_string b, bits + m)
+      let m = min (min cnt (8 * (n - pos - 1))) (max_bits - bits) in
+      if m <= 0 then (String.sub data 0 pos, bits)
+      else
+        let b = Bytes.of_string (String.sub data 0 (pos + 1 + ((m + 7) / 8))) in
+        Bytes.set b pos (Char.chr (0x80 lor m));
+        (Bytes.unsafe_to_string b, bits + m)
   | _ -> (String.sub data 0 pos, bits)
 
 (* ------------------------------------------------------------------ *)

@@ -50,14 +50,16 @@ val finish : Encoder.t -> encoded
     [Error] if any token is truncated or invalid. *)
 val count_bits : string -> (int, string) result
 
-(** Longest salvageable head of a torn or corrupt stream, with the bit
-    count it decodes to.  Usually the prefix ending on the last
-    complete-token boundary; when the stream tears inside a trailing
-    LITERAL token, the payload bytes that did arrive are recovered too
-    (the token is rewritten as a complete shorter literal), so even a
-    single-token payload salvages byte-granular.  Total: never an
-    error, and the result always satisfies [count_bits]. *)
-val cut_prefix : string -> string * int
+(** Longest salvageable head of a torn or corrupt stream that decodes to
+    at most [max_bits] bits, with the bit count it decodes to.  Usually
+    the prefix ending on the last complete-token boundary; when the
+    stream tears (or reaches [max_bits]) inside a LITERAL token, the
+    payload bytes that did arrive are recovered too (the token is
+    rewritten as a complete shorter literal), so even a single-token
+    payload salvages byte-granular.  A MATCH token that would pass
+    [max_bits] is dropped.  Total: never an error, never allocates more
+    than [data], and the result always satisfies [count_bits]. *)
+val cut_prefix : max_bits:int -> string -> string * int
 
 module Reader : sig
   type t

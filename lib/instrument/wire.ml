@@ -18,13 +18,12 @@
    loses the log (a suppressed log read without its table would replay
    garbage), carries its own entry count so a tear on an entry boundary is
    still detected, and is strictly fail-closed: any damage to it makes
-   even the salvage reader reject the whole report.  v3 -> v4: the branch
-   payload may arrive online-encoded in a [branch-enc] line (hex of the
-   {!Codec} token stream) instead of [branch-log]; exactly one of the two
-   must be present, [branch-enc] is rejected below v4, and the strict
-   reader validates that the token stream decodes to exactly the claimed
-   bit count.  A v4 report with a raw payload is line-identical to v3
-   modulo the header digit. *)
+   even salvage reject the whole report.  v3 -> v4: the branch payload
+   may arrive online-encoded in a [branch-enc] line (hex of the {!Codec}
+   token stream) instead of [branch-log]; exactly one of the two must be
+   present, [branch-enc] is damage below v4, and the token stream must
+   decode to exactly the claimed bit count.  A v4 report with a raw
+   payload is line-identical to v3 modulo the header digit. *)
 let magic_prefix = "bugrepro-report/"
 let version = 4
 let magic = magic_prefix ^ string_of_int version
@@ -41,16 +40,6 @@ let hex_of_string s =
   let b = Buffer.create (2 * String.length s) in
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
   Buffer.contents b
-
-let string_of_hex h =
-  if String.length h mod 2 <> 0 then Error "odd hex length"
-  else
-    try
-      Ok
-        (String.init
-           (String.length h / 2)
-           (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
-    with _ -> Error "bad hex"
 
 let method_code = function
   | Methods.No_instrumentation -> "none"
@@ -106,12 +95,6 @@ let suppression_of_string v :
 
 let ints_to_string l = String.concat "," (List.map string_of_int l)
 
-let ints_of_string s =
-  if String.trim s = "" then Ok []
-  else
-    try Ok (List.map int_of_string (String.split_on_char ',' s))
-    with _ -> Error "bad integer list"
-
 (** Serialize a report to its wire form. *)
 let serialize (t : Report.t) : string =
   let b = Buffer.create 1024 in
@@ -162,193 +145,8 @@ let serialize (t : Report.t) : string =
       line "branch-enc: %s" (hex_of_string e.Codec.data));
   Buffer.contents b
 
-let ( let* ) = Result.bind
-
-(* Parse the field lines of a report whose version was already checked;
-   [ver] gates the fields newer versions introduced (branch-enc is v4+). *)
-let parse_fields ~(ver : int) (rest : string list) : (Report.t, string) result =
-  let fields =
-        List.filter_map
-          (fun l ->
-            match String.index_opt l ':' with
-            | Some i ->
-                Some
-                  ( String.sub l 0 i,
-                    String.trim (String.sub l (i + 1) (String.length l - i - 1)) )
-            | None -> None)
-          rest
-      in
-      let get k =
-        match List.assoc_opt k fields with
-        | Some v -> Ok v
-        | None -> Error ("missing field " ^ k)
-      in
-      let* program = get "program" in
-      let cohort =
-        match List.assoc_opt "cohort" fields with
-        | Some "" | None -> None
-        | Some c -> Some c
-      in
-      let* meth_s = get "method" in
-      let* method_used = method_of_code meth_s in
-      let* crash_s = get "crash" in
-      let* crash =
-        match String.split_on_char '|' crash_s with
-        | [ kind; file; line; col; in_func ] -> (
-            let* kind = crash_kind_of_code kind in
-            try
-              Ok
-                {
-                  Interp.Crash.kind;
-                  loc =
-                    Minic.Loc.make ~file ~line:(int_of_string line)
-                      ~col:(int_of_string col);
-                  in_func;
-                }
-            with _ -> Error "bad crash location")
-        | _ -> Error "bad crash field"
-      in
-      let* arg_caps = Result.bind (get "shape-args") ints_of_string in
-      let* conns_s = get "shape-conns" in
-      let* n_conns, conn_cap =
-        match String.split_on_char ',' conns_s with
-        | [ a; b ] -> (
-            try Ok (int_of_string a, int_of_string b) with _ -> Error "bad conns")
-        | _ -> Error "bad shape-conns"
-      in
-      let* files_s = get "shape-files" in
-      let file_names =
-        if files_s = "" then [] else String.split_on_char ',' files_s
-      in
-      let* file_cap =
-        Result.bind (get "shape-filecap") (fun v ->
-            try Ok (int_of_string v) with _ -> Error "bad filecap")
-      in
-      let* nbits =
-        Result.bind (get "branch-bits") (fun v ->
-            try Ok (int_of_string v) with _ -> Error "bad bit count")
-      in
-      let* flushes =
-          (* v2 field; absent from v1 reports *)
-          match List.assoc_opt "branch-flushes" fields with
-          | None -> Ok 0
-          | Some v -> (
-              try Ok (int_of_string v) with _ -> Error "bad flush count")
-        in
-        let* branch_log =
-          match
-            ( List.assoc_opt "branch-log" fields,
-              List.assoc_opt "branch-enc" fields )
-          with
-          | Some _, Some _ -> Error "both branch-log and branch-enc present"
-          | None, None -> Error "missing field branch-log"
-          | Some log_hex, None ->
-              let* bytes = string_of_hex log_hex in
-              if nbits > 8 * String.length bytes then
-                Error "bit count exceeds log bytes"
-              else Ok (Report.Raw { Branch_log.bytes; nbits; flushes })
-          | None, Some enc_hex -> (
-              (* v4 field; fail-closed: the token stream must parse and
-                 decode to exactly the claimed bit count *)
-              if ver < 4 then Error "branch-enc requires format version 4"
-              else
-                let* data = string_of_hex enc_hex in
-                match Codec.count_bits data with
-                | Error m -> Error ("bad branch-enc: " ^ m)
-                | Ok n when n <> nbits ->
-                    Error
-                      (Printf.sprintf
-                         "branch-enc decodes to %d bit(s) but branch-bits \
-                          claims %d"
-                         n nbits)
-                | Ok _ -> Ok (Report.Encoded { Codec.data; nbits; flushes }))
-        in
-        let syscall_log =
-          match List.assoc_opt "syscalls" fields with
-          | None -> Ok None
-          | Some "" -> Ok (Some { Syscall_log.entries = [||] })
-          | Some v -> (
-              try
-                Ok
-                  (Some
-                     {
-                       Syscall_log.entries =
-                         String.split_on_char ',' v
-                         |> List.map (fun kv ->
-                                match String.rindex_opt kv ':' with
-                                | Some i ->
-                                    {
-                                      Syscall_log.kind = String.sub kv 0 i;
-                                      value =
-                                        int_of_string
-                                          (String.sub kv (i + 1)
-                                             (String.length kv - i - 1));
-                                    }
-                                | None -> failwith "bad")
-                         |> Array.of_list;
-                     })
-              with _ -> Error "bad syscall log")
-        in
-        let* syscall_log = syscall_log in
-        let* schedule_log =
-          match List.assoc_opt "schedule" fields with
-          | None -> Ok None
-          | Some v ->
-              let* tids = ints_of_string v in
-              Ok (Some { Schedule_log.tids = Array.of_list tids })
-        in
-        let* suppression =
-          (* v3 field; absent from v1/v2 reports.  Strict: a present but
-             damaged table rejects the report (fail-closed) *)
-          match List.assoc_opt "suppression" fields with
-          | None -> Ok []
-          | Some v -> suppression_of_string v
-        in
-        Ok
-          {
-            Report.program;
-            method_used;
-            cohort;
-            branch_log;
-            syscall_log;
-            schedule_log;
-            crash;
-            shape =
-              { Concolic.Scenario.arg_caps; n_conns; conn_cap; file_names; file_cap };
-            suppression;
-          }
-
-(** Parse a wire-form report with a typed error.  Tolerates unknown
-    trailing fields within a known version (forward compatibility inside a
-    version); a well-formed header naming a version outside [1 ..
-    {!version}] is [Unknown_version]; everything else malformed is
-    [Malformed]. *)
-let deserialize_v (s : string) : (Report.t, error) result =
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
-  match lines with
-  | m :: rest
-    when String.length m >= String.length magic_prefix
-         && String.sub m 0 (String.length magic_prefix) = magic_prefix -> (
-      let v_s =
-        String.sub m (String.length magic_prefix)
-          (String.length m - String.length magic_prefix)
-      in
-      match int_of_string_opt v_s with
-      | None -> Error (Malformed "bad version in report header")
-      | Some v when v < 1 || v > version -> Error (Unknown_version v)
-      | Some v -> (
-          match parse_fields ~ver:v rest with
-          | Ok r -> Ok r
-          | Error e -> Error (Malformed e)))
-  | _ -> Error (Malformed "not a bugrepro report (bad magic)")
-
-(** {!deserialize_v} with the error flattened to a string (the historical
-    interface; kept for existing callers). *)
-let deserialize (s : string) : (Report.t, string) result =
-  Result.map_error error_to_string (deserialize_v s)
-
 (* ------------------------------------------------------------------ *)
-(* Salvage: the lenient sibling of the fail-closed reader.
+(* Reading.  One field walk serves both readers.
 
    A crash that tears its own log is the most common field artifact: the
    process dies with a partly-written 4 KB buffer, so the wire form stops
@@ -356,38 +154,43 @@ let deserialize (s : string) : (Report.t, string) result =
    the longest valid prefix — a well-formed header plus as many complete
    fields and complete hex log bytes as still parse — so replay can degrade
    into [log_exhausted] forking (§3.1 case 1) instead of rejecting the
-   report outright.  [deserialize_v] stays fail-closed for callers that
-   want corruption to be loud. *)
+   report outright.  Every departure from a clean report is recorded as
+   damage, the first one by name; [deserialize_v] is the fail-closed view
+   of the same walk: it accepts exactly the inputs salvage found no damage
+   in. *)
 
 type salvage = {
   complete : bool;
-      (** nothing was dropped: the strict reader would have accepted it *)
-  dropped_lines : int;  (** field lines lost to the tear (or unparsable) *)
-  lost_log_bits : int;  (** claimed branch bits minus salvaged bits *)
-  dropped_syscalls : int;  (** syscall entries lost from the log's tail *)
-  dropped_schedule : bool;  (** the schedule log did not survive *)
+  damage : string option;
+  dropped_lines : int;
+  lost_log_bits : int;
+  dropped_syscalls : int;
+  dropped_schedule : bool;
 }
 
-let salvage_to_string (s : salvage) =
-  if s.complete then "intact"
-  else
-    Printf.sprintf
-      "torn: %d line(s), %d branch bit(s), %d syscall entry(ies)%s lost"
-      s.dropped_lines s.lost_log_bits s.dropped_syscalls
-      (if s.dropped_schedule then ", schedule log" else "")
-
-(* Longest prefix of [h] made of complete (two-digit) hex bytes. *)
+(* Bytes of the longest prefix of [h] made of complete hex pairs, and
+   whether anything of [h] was left over. *)
 let hex_prefix h =
-  let is_hex c =
-    (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - 48
+    | 'a' .. 'f' -> Char.code c - 87
+    | 'A' .. 'F' -> Char.code c - 55
+    | _ -> -1
   in
   let n = String.length h in
-  let ok = ref 0 in
-  while !ok < n && is_hex h.[!ok] do
-    incr ok
-  done;
-  let even = !ok - (!ok mod 2) in
-  (String.sub h 0 even, even < n)
+  let b = Buffer.create (n / 2) in
+  let rec go i =
+    if i + 1 >= n then i
+    else
+      let hi = digit h.[i] and lo = digit h.[i + 1] in
+      if hi < 0 || lo < 0 then i
+      else (
+        Buffer.add_char b (Char.chr ((hi * 16) + lo));
+        go (i + 2))
+  in
+  let stop = go 0 in
+  (Buffer.contents b, stop < n)
 
 (* Longest prefix of complete [kind:value] syscall entries. *)
 let syscall_prefix v =
@@ -421,35 +224,6 @@ let ints_prefix v =
   in
   take [] 0 parts
 
-(* Mutable accumulation state for the salvage walk. *)
-type partial = {
-  mutable p_program : string option;
-  mutable p_cohort : string option;
-  mutable p_method : Methods.t option;
-  mutable p_crash : Interp.Crash.t option;
-  mutable p_arg_caps : int list option;
-  mutable p_conns : (int * int) option;
-  mutable p_files : string list option;
-  mutable p_filecap : int option;
-  mutable p_nbits : int option;
-  mutable p_bytes : string option;
-  mutable p_enc : (string * int) option;
-      (* encoded payload cut at the last complete token boundary, with the
-         bit count that prefix decodes to *)
-  mutable p_enc_ok : bool;
-      (* the branch-enc line parsed completely (no tear, no trailing
-         token damage): the encoded form can be kept verbatim *)
-  mutable p_flushes : int option;
-  mutable p_syscalls : Syscall_log.entry list option;
-  mutable p_sys_dropped : int;
-  mutable p_schedule : int list option;
-  mutable p_sched_dropped : bool;
-  mutable p_suppression : (int * Staticanalysis.Suppression.rule) list option;
-  mutable p_sup_bad : bool;
-      (* a suppression line was present but damaged: the whole salvage
-         must fail (a suppressed log without its exact table is garbage) *)
-}
-
 let parse_crash crash_s : Interp.Crash.t option =
   match String.split_on_char '|' crash_s with
   | [ kind; file; line; col; in_func ] -> (
@@ -465,15 +239,23 @@ let parse_crash crash_s : Interp.Crash.t option =
           | _ -> None))
   | _ -> None
 
+let parse_conns v =
+  match String.split_on_char ',' v with
+  | [ a; b ] -> (
+      match int_of_string_opt a, int_of_string_opt b with
+      | Some a, Some b -> Some (a, b)
+      | _ -> None)
+  | _ -> None
+
 (** Salvage a torn or byte-corrupted wire form.  The header must be intact
     (and name a supported version — an unknown version is an upgrade
     problem, not a tear); field lines are then consumed in order until the
-    first one that no longer parses, with the branch-log hex, the syscall
-    list and the schedule list each salvaged down to their longest complete
-    prefix.  Succeeds when the identity fields (program, method, crash
-    site, input shape) survived; the branch log may come back shorter than
-    recorded — or empty — with the loss accounted in the {!salvage}
-    diagnosis.  Never raises. *)
+    first one that no longer parses, with the branch payload hex, the
+    syscall list and the schedule list each salvaged down to their longest
+    complete prefix.  Succeeds when the identity fields (program, method,
+    crash site, input shape) survived; the branch log may come back
+    shorter than recorded — or empty — with the loss accounted in the
+    {!salvage} diagnosis.  Never raises. *)
 let deserialize_salvage (s : string) : (Report.t * salvage, error) result =
   let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   match lines with
@@ -488,248 +270,206 @@ let deserialize_salvage (s : string) : (Report.t * salvage, error) result =
       | None -> Error (Malformed "bad version in report header")
       | Some v when v < 1 || v > version -> Error (Unknown_version v)
       | Some ver ->
-          let p =
-            {
-              p_program = None; p_cohort = None; p_method = None;
-              p_crash = None;
-              p_arg_caps = None; p_conns = None; p_files = None;
-              p_filecap = None; p_nbits = None; p_bytes = None;
-              p_enc = None; p_enc_ok = false;
-              p_flushes = None; p_syscalls = None; p_sys_dropped = 0;
-              p_schedule = None; p_sched_dropped = false;
-              p_suppression = None; p_sup_bad = false;
-            }
+          let program = ref None and cohort = ref None in
+          let meth = ref None and crash = ref None in
+          let arg_caps = ref None and conns = ref None in
+          let files = ref None and file_cap = ref None in
+          let nbits = ref None and flushes = ref None in
+          let payload = ref None in
+          let syscalls = ref None and sys_dropped = ref 0 in
+          let schedule = ref None and sched_dropped = ref false in
+          let suppression = ref None and sup_bad = ref None in
+          let seen = ref [] in
+          (* the first damage wins: it names what the strict view rejects *)
+          let damage = ref None in
+          let damaged d = if !damage = None then damage := Some d in
+          (* [set k r v] stores a parsed value of field [k]; [None] is
+             damage to it *)
+          let set k r = function
+            | Some v ->
+                r := Some v;
+                `Ok
+            | None -> `Lost ("bad " ^ k)
           in
-          let dropped_lines = ref 0 in
-          (* Consume one field line; [false] means the line is damaged and
-             the scan must stop (prefix semantics: everything after a tear
-             is untrusted). *)
+          (* Consume one field line: [`Ok], or the damage that stops the
+             walk — [`Lost] drops the line, [`Cut] keeps its salvageable
+             head (prefix semantics: everything after the damage is
+             untrusted). *)
           let consume l =
             match String.index_opt l ':' with
-            | None -> false
+            | None ->
+                `Lost
+                  (Printf.sprintf "line %S after field %s has no ':'"
+                     (String.sub l 0 (min 24 (String.length l)))
+                     (match !seen with k :: _ -> k | [] -> "header"))
             | Some i -> (
                 let k = String.sub l 0 i in
                 let v =
                   String.trim (String.sub l (i + 1) (String.length l - i - 1))
                 in
-                match k with
-                | "program" ->
-                    p.p_program <- Some v;
-                    true
-                | "cohort" ->
-                    if v <> "" then p.p_cohort <- Some v;
-                    true
-                | "method" -> (
-                    match method_of_code v with
-                    | Ok m ->
-                        p.p_method <- Some m;
-                        true
-                    | Error _ -> false)
-                | "crash" -> (
-                    match parse_crash v with
-                    | Some c ->
-                        p.p_crash <- Some c;
-                        true
-                    | None -> false)
-                | "shape-args" -> (
-                    match ints_of_string v with
-                    | Ok caps ->
-                        p.p_arg_caps <- Some caps;
-                        true
-                    | Error _ -> false)
-                | "shape-conns" -> (
-                    match String.split_on_char ',' v with
-                    | [ a; b ] -> (
-                        match int_of_string_opt a, int_of_string_opt b with
-                        | Some a, Some b ->
-                            p.p_conns <- Some (a, b);
-                            true
-                        | _ -> false)
-                    | _ -> false)
-                | "shape-files" ->
-                    p.p_files <-
-                      Some (if v = "" then [] else String.split_on_char ',' v);
-                    true
-                | "shape-filecap" -> (
-                    match int_of_string_opt v with
-                    | Some n ->
-                        p.p_filecap <- Some n;
-                        true
-                    | None -> false)
-                | "branch-bits" -> (
-                    match int_of_string_opt v with
-                    | Some n ->
-                        p.p_nbits <- Some n;
-                        true
-                    | None -> false)
-                | "branch-log" ->
-                    let hex, torn = hex_prefix v in
-                    (match string_of_hex hex with
-                    | Ok bytes -> p.p_bytes <- Some bytes
-                    | Error _ -> p.p_bytes <- Some "");
-                    not torn
-                | "branch-enc" when ver >= 4 ->
-                    (* cut the encoded payload at the last complete token:
-                       the surviving prefix decodes to exactly the bits it
-                       carries (prefix-closed token grammar) *)
-                    let hex, torn = hex_prefix v in
-                    let bytes =
-                      match string_of_hex hex with Ok b -> b | Error _ -> ""
-                    in
-                    let cut, cut_bits = Codec.cut_prefix bytes in
-                    p.p_enc <- Some (cut, cut_bits);
-                    let ok =
-                      (not torn) && String.length cut = String.length bytes
-                    in
-                    p.p_enc_ok <- ok;
-                    ok
-                | "branch-flushes" -> (
-                    match int_of_string_opt v with
-                    | Some n ->
-                        p.p_flushes <- Some n;
-                        true
-                    | None -> false)
-                | "syscalls" ->
-                    let entries, dropped = syscall_prefix v in
-                    p.p_syscalls <- Some entries;
-                    p.p_sys_dropped <- dropped;
-                    dropped = 0
-                | "suppression" -> (
-                    (* fail-closed: no partial salvage of the elision
-                       table — an unknown rule code or torn entry poisons
-                       the whole report *)
-                    match suppression_of_string v with
-                    | Ok tbl ->
-                        p.p_suppression <- Some tbl;
-                        true
-                    | Error _ ->
-                        p.p_sup_bad <- true;
-                        false)
-                | "schedule" ->
-                    let tids, dropped = ints_prefix v in
-                    if dropped = 0 then (
-                      p.p_schedule <- Some tids;
-                      true)
-                    else (
-                      p.p_sched_dropped <- true;
-                      false)
-                | _ -> true (* unknown field: forward compatibility *))
+                if List.mem k !seen then `Lost ("repeated field " ^ k)
+                else (
+                  seen := k :: !seen;
+                  match k with
+                  | "program" -> set k program (Some v)
+                  | "cohort" ->
+                      if v <> "" then cohort := Some v;
+                      `Ok
+                  | "method" -> (
+                      match method_of_code v with
+                      | Ok m -> set k meth (Some m)
+                      | Error e -> `Lost e)
+                  | "crash" -> set k crash (parse_crash v)
+                  | "shape-args" -> (
+                      match ints_prefix v with
+                      | caps, 0 -> set k arg_caps (Some caps)
+                      | _ -> `Lost ("bad " ^ k))
+                  | "shape-conns" -> set k conns (parse_conns v)
+                  | "shape-files" ->
+                      set k files
+                        (Some
+                           (if v = "" then [] else String.split_on_char ',' v))
+                  | "shape-filecap" -> set k file_cap (int_of_string_opt v)
+                  | "branch-bits" ->
+                      set k nbits
+                        (Option.bind (int_of_string_opt v) (fun n ->
+                             if n >= 0 then Some n else None))
+                  | "branch-flushes" -> set k flushes (int_of_string_opt v)
+                  | ("branch-log" | "branch-enc") when !payload <> None ->
+                      `Lost "both branch-log and branch-enc present"
+                  | "branch-enc" when ver < 4 ->
+                      `Lost "branch-enc requires format version 4"
+                  | "branch-log" | "branch-enc" ->
+                      let bytes, torn = hex_prefix v in
+                      payload := Some (k, bytes);
+                      if torn then `Cut ("bad hex in " ^ k) else `Ok
+                  | "syscalls" ->
+                      let entries, dropped = syscall_prefix v in
+                      syscalls := Some entries;
+                      sys_dropped := dropped;
+                      if dropped = 0 then `Ok else `Cut "bad syscalls"
+                  | "suppression" -> (
+                      (* fail-closed: no partial salvage of the elision
+                         table — an unknown rule code or torn entry poisons
+                         the whole report *)
+                      match suppression_of_string v with
+                      | Ok tbl -> set k suppression (Some tbl)
+                      | Error e ->
+                          sup_bad := Some e;
+                          `Lost e)
+                  | "schedule" -> (
+                      match ints_prefix v with
+                      | tids, 0 -> set k schedule (Some tids)
+                      | _ ->
+                          sched_dropped := true;
+                          `Lost "bad schedule")
+                  | _ -> `Ok (* unknown field: forward compatibility *)))
           in
           let rec walk = function
-            | [] -> ()
-            | l :: ls ->
-                if consume l then walk ls
-                else begin
-                  (* the tear: this line is damaged (its own salvageable
-                     part, if any, was kept above); drop it and the rest *)
-                  dropped_lines := 1 + List.length ls;
-                  (* a damaged line's salvaged value still counts *)
-                  if
-                    (match String.index_opt l ':' with
-                    | Some i -> String.sub l 0 i = "branch-log" && p.p_bytes <> None
-                    | None -> false)
-                    || (match String.index_opt l ':' with
-                       | Some i -> String.sub l 0 i = "branch-enc" && p.p_enc <> None
-                       | None -> false)
-                    || (match String.index_opt l ':' with
-                       | Some i -> String.sub l 0 i = "syscalls"
-                       | None -> false)
-                  then dropped_lines := !dropped_lines - 1
-                end
+            | [] -> 0
+            | l :: ls -> (
+                match consume l with
+                | `Ok -> walk ls
+                | `Lost d ->
+                    damaged d;
+                    1 + List.length ls
+                | `Cut d ->
+                    damaged d;
+                    List.length ls)
           in
-          walk rest;
-          (* minimum viable report: identity + shape *)
-          let missing k = Error (Malformed ("unsalvageable: lost field " ^ k)) in
+          let dropped_lines = walk rest in
           let ( let* ) = Result.bind in
-          let req k = function Some v -> Ok v | None -> missing k in
           let* () =
-            if p.p_sup_bad then
-              Error (Malformed "suppression table damaged (fail-closed)")
-            else Ok ()
+            match !sup_bad with
+            | Some e ->
+                Error
+                  (Malformed ("suppression table damaged (fail-closed): " ^ e))
+            | None -> Ok ()
           in
-          let* program = req "program" p.p_program in
-          let* method_used = req "method" p.p_method in
-          let* crash = req "crash" p.p_crash in
-          let* arg_caps = req "shape-args" p.p_arg_caps in
-          let* n_conns, conn_cap = req "shape-conns" p.p_conns in
-          let* file_names = req "shape-files" p.p_files in
-          let* file_cap = req "shape-filecap" p.p_filecap in
-          let log_flushes = Option.value p.p_flushes ~default:0 in
-          (* [enc_degraded] marks an encoded payload that could not be
-             kept verbatim (tear, trailing damage, or a bit-count mismatch
-             the strict reader would reject): it decodes to a shorter raw
-             log, so [complete] must come back false even when no whole
-             line was dropped *)
-          let branch_log, lost_log_bits, enc_degraded =
-            match p.p_enc with
-            | Some (cut, cut_bits) ->
-                let claimed = Option.value p.p_nbits ~default:cut_bits in
-                if p.p_enc_ok && claimed = cut_bits then
-                  ( Report.Encoded
-                      { Codec.data = cut; nbits = cut_bits;
-                        flushes = log_flushes },
-                    0, false )
-                else
-                  let full =
-                    match
-                      Codec.decode
-                        { Codec.data = cut; nbits = cut_bits;
-                          flushes = log_flushes }
-                    with
-                    | Ok l -> l
-                    | Error _ ->
-                        { Branch_log.bytes = ""; nbits = 0;
-                          flushes = log_flushes }
-                  in
-                  let nbits = min claimed full.Branch_log.nbits in
-                  let bytes =
-                    String.sub full.Branch_log.bytes 0 ((nbits + 7) / 8)
-                  in
-                  ( Report.Raw
-                      { Branch_log.bytes; nbits; flushes = log_flushes },
-                    max 0 (claimed - nbits), true )
+          (* minimum viable report: identity + shape *)
+          let req k r =
+            match !r, !damage with
+            | Some v, _ -> Ok v
+            | None, None -> Error (Malformed ("missing field " ^ k))
+            | None, Some d ->
+                Error (Malformed (Printf.sprintf "missing field %s (%s)" k d))
+          in
+          let* program = req "program" program in
+          let* method_used = req "method" meth in
+          let* crash = req "crash" crash in
+          let* arg_caps = req "shape-args" arg_caps in
+          let* n_conns, conn_cap = req "shape-conns" conns in
+          let* file_names = req "shape-files" files in
+          let* file_cap = req "shape-filecap" file_cap in
+          if !nbits = None then damaged "missing field branch-bits";
+          (* without a claimed count no payload bit is trusted: raw padding
+             bits and encoded run lengths are both unbounded by the bytes *)
+          let claimed = Option.value !nbits ~default:0 in
+          let flushes = Option.value !flushes ~default:0 in
+          let branch_log =
+            match !payload with
             | None ->
-                let bytes = Option.value p.p_bytes ~default:"" in
-                let claimed =
-                  Option.value p.p_nbits ~default:(8 * String.length bytes)
-                in
-                let nbits = min claimed (8 * String.length bytes) in
-                ( Report.Raw
-                    { Branch_log.bytes; nbits; flushes = log_flushes },
-                  max 0 (claimed - nbits), false )
+                damaged "missing field branch-log";
+                Report.Raw { Branch_log.bytes = ""; nbits = 0; flushes }
+            | Some ("branch-log", bytes) ->
+                let n = min claimed (8 * String.length bytes) in
+                if n < claimed then damaged "bit count exceeds log bytes";
+                Report.Raw { Branch_log.bytes; nbits = n; flushes }
+            | Some (_, data) ->
+                (* cut at the last complete token and never past the claim:
+                   a corrupted MATCH length may count ~2^50 bits *)
+                let cut, n = Codec.cut_prefix ~max_bits:claimed data in
+                if n <> claimed || not (String.equal cut data) then
+                  damaged
+                    (match Codec.count_bits data with
+                    | Error e -> "bad branch-enc: " ^ e
+                    | Ok total ->
+                        Printf.sprintf
+                          "branch-enc decodes to %d bit(s) but branch-bits \
+                           claims %d"
+                          total claimed);
+                Report.Encoded { Codec.data = cut; nbits = n; flushes }
           in
           let report =
             {
               Report.program;
               method_used;
-              cohort = p.p_cohort;
+              cohort = !cohort;
               branch_log;
               syscall_log =
-                Option.map (fun e -> { Syscall_log.entries = Array.of_list e })
-                  p.p_syscalls;
+                Option.map
+                  (fun e -> { Syscall_log.entries = Array.of_list e })
+                  !syscalls;
               schedule_log =
-                Option.map (fun t -> { Schedule_log.tids = Array.of_list t })
-                  p.p_schedule;
+                Option.map
+                  (fun t -> { Schedule_log.tids = Array.of_list t })
+                  !schedule;
               crash;
               shape =
                 { Concolic.Scenario.arg_caps; n_conns; conn_cap; file_names;
                   file_cap };
-              suppression = Option.value p.p_suppression ~default:[];
+              suppression = Option.value !suppression ~default:[];
             }
           in
-          let diag =
-            {
-              complete =
-                !dropped_lines = 0 && lost_log_bits = 0
-                && p.p_sys_dropped = 0
-                && not p.p_sched_dropped
-                && not enc_degraded
-                && (p.p_bytes <> None || p.p_enc <> None);
-              dropped_lines = !dropped_lines;
-              lost_log_bits;
-              dropped_syscalls = p.p_sys_dropped;
-              dropped_schedule = p.p_sched_dropped;
-            }
-          in
-          Ok (report, diag))
+          Ok
+            ( report,
+              {
+                complete = !damage = None;
+                damage = !damage;
+                dropped_lines;
+                lost_log_bits = claimed - Report.nbits report;
+                dropped_syscalls = !sys_dropped;
+                dropped_schedule = !sched_dropped;
+              } ))
   | _ -> Error (Malformed "not a bugrepro report (bad magic)")
+
+(** The fail-closed reader: a report salvage found no damage in.
+    Tolerates unknown trailing fields within a known version (forward
+    compatibility inside a version); a well-formed header naming a version
+    outside [1 .. {!version}] is [Unknown_version]; anything else is
+    [Malformed], naming the first damage. *)
+let deserialize_v (s : string) : (Report.t, error) result =
+  match deserialize_salvage s with
+  | Ok (r, { damage = None; _ }) -> Ok r
+  | Ok (_, { damage = Some d; _ }) -> Error (Malformed d)
+  | Error e -> Error e

@@ -46,6 +46,7 @@ let write_record oc ~salvaged ~path ~raw =
 let synthetic_salvage : Instrument.Wire.salvage =
   {
     complete = false;
+    damage = Some "salvaged before a re-serialized copy was appended";
     dropped_lines = 0;
     lost_log_bits = 0;
     dropped_syscalls = 0;
@@ -141,8 +142,8 @@ let parse_shard ~file (text : string) : (Ingest.item list * int, error) result =
                             else
                               let path = String.sub text (hend + 1) plen in
                               let raw = String.sub text (path_end + 1) rlen in
-                              (* re-ingest the original bytes: strict first,
-                                 salvage on damage — identical to the live
+                              (* re-ingest the original bytes through the
+                                 one wire read — identical to the live
                                  submission path *)
                               match Ingest.of_string ~path raw with
                               | Error r ->

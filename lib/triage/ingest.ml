@@ -13,13 +13,10 @@ type rejected = { path : string; error : Wire.error }
 let salvaged (i : item) = i.salvage <> None
 
 let of_string ~path (s : string) : (item, rejected) result =
-  match Wire.deserialize_v s with
-  | Ok report -> Ok { path; report; salvage = None }
-  | Error (Wire.Unknown_version _ as e) -> Error { path; error = e }
-  | Error (Wire.Malformed _) -> (
-      match Wire.deserialize_salvage s with
-      | Ok (report, diag) -> Ok { path; report; salvage = Some diag }
-      | Error e -> Error { path; error = e })
+  match Wire.deserialize_salvage s with
+  | Ok (report, diag) ->
+      Ok { path; report; salvage = (if diag.complete then None else Some diag) }
+  | Error error -> Error { path; error }
 
 (* Read the whole file; any I/O failure (missing, EISDIR, a file that
    shrank between length and read) becomes an error string carrying the

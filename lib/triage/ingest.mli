@@ -1,17 +1,19 @@
-(** Report ingestion: strict first, salvage on damage.
+(** Report ingestion: one read, salvage on damage.
 
-    Every input is first offered to the fail-closed
-    {!Instrument.Wire.deserialize_v}; only when that reports [Malformed]
-    does ingestion fall back to {!Instrument.Wire.deserialize_salvage},
-    so an intact report is never silently reinterpreted.  An
-    [Unknown_version] stays a rejection on both paths — "upgrade your
-    tool" must not be laundered into a shorter log. *)
+    Every input is read once by {!Instrument.Wire.deserialize_salvage}.
+    A complete diagnosis is exactly what the fail-closed
+    {!Instrument.Wire.deserialize_v} would accept, so an intact report
+    comes through unsalvaged and is never silently reinterpreted; a
+    damaged one keeps its diagnosis.  An [Unknown_version] stays a
+    rejection — "upgrade your tool" must not be laundered into a shorter
+    log. *)
 
 type item = {
   path : string;  (** source file (or a synthetic label for in-memory) *)
   report : Instrument.Report.t;
   salvage : Instrument.Wire.salvage option;
-      (** [None] = strict parse accepted it; [Some d] = recovered prefix *)
+      (** [None] = intact (the strict reader accepts it); [Some d] =
+          recovered prefix *)
 }
 
 type rejected = { path : string; error : Instrument.Wire.error }

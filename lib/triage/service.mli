@@ -92,8 +92,8 @@ val open_ :
   (t, Index.error) result
 
 (** Submit one report as wire text ([path] is its provenance label).
-    Parsing (strict, then salvage) happens at submission; only parseable
-    reports occupy queue slots. *)
+    Parsing (one wire read, salvaging damage) happens at submission;
+    only parseable reports occupy queue slots. *)
 val submit : t -> path:string -> string -> outcome
 
 (** Submit an already-ingested item (the batch wrappers' path). *)

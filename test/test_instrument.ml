@@ -165,7 +165,7 @@ let test_codec_cut_prefix_total () =
   let arr = Array.of_list bits in
   for cut = 0 to String.length e.data do
     let torn = String.sub e.data 0 cut in
-    let kept, kbits = Codec.cut_prefix torn in
+    let kept, kbits = Codec.cut_prefix ~max_bits:max_int torn in
     (match Codec.count_bits kept with
     | Ok b when b = kbits -> ()
     | Ok b -> Alcotest.failf "cut %d: count %d <> cut bits %d" cut b kbits
@@ -180,6 +180,28 @@ let test_codec_cut_prefix_total () =
       got
   done
 
+let test_codec_cut_respects_max_bits () =
+  (* a bit limit cuts an intact stream to a valid prefix of at most that
+     many bits, shortening a literal to the limit and dropping a match
+     that would pass it *)
+  let bits = mixed_bits 300 in
+  let e = encode_bits bits in
+  let arr = Array.of_list bits in
+  for limit = 0 to e.nbits do
+    let kept, kbits = Codec.cut_prefix ~max_bits:limit e.data in
+    (match Codec.count_bits kept with
+    | Ok b when b = kbits -> ()
+    | Ok b -> Alcotest.failf "limit %d: count %d <> cut bits %d" limit b kbits
+    | Error m -> Alcotest.failf "limit %d: invalid prefix: %s" limit m);
+    if kbits > limit then Alcotest.failf "limit %d: kept %d bits" limit kbits;
+    List.iteri
+      (fun i b ->
+        if b <> arr.(i) then Alcotest.failf "limit %d: bit %d differs" limit i)
+      (decoded_bits { Codec.data = kept; nbits = kbits; flushes = 0 })
+  done;
+  check_int "no limit keeps every bit" e.nbits
+    (snd (Codec.cut_prefix ~max_bits:e.nbits e.data))
+
 let test_codec_cut_recovers_partial_literal () =
   (* an incompressible log encodes as one literal token; tearing inside
      its payload must still salvage every complete payload byte (8 bits
@@ -189,7 +211,9 @@ let test_codec_cut_recovers_partial_literal () =
   check_int "single literal token" (1 + ((36 + 7) / 8)) (Codec.size_bytes e);
   let arr = Array.of_list bits in
   for have = 1 to 4 do
-    let kept, kbits = Codec.cut_prefix (String.sub e.data 0 (1 + have)) in
+    let kept, kbits =
+      Codec.cut_prefix ~max_bits:max_int (String.sub e.data 0 (1 + have))
+    in
     check_int (Printf.sprintf "bytes %d salvage bits" have) (8 * have) kbits;
     (match Codec.count_bits kept with
     | Ok b -> check_int "salvaged stream validates" kbits b
@@ -201,7 +225,7 @@ let test_codec_cut_recovers_partial_literal () =
   done;
   (* header alone carries nothing *)
   check_int "bare header salvages 0" 0
-    (snd (Codec.cut_prefix (String.sub e.data 0 1)))
+    (snd (Codec.cut_prefix ~max_bits:max_int (String.sub e.data 0 1)))
 
 let test_codec_truncation_fails_closed () =
   let bits = mixed_bits 300 in
@@ -301,7 +325,9 @@ let prop_codec_cut_prefix =
     (fun (bits, cut) ->
       let e = encode_bits bits in
       let cut = min cut (String.length e.data) in
-      let kept, kbits = Codec.cut_prefix (String.sub e.data 0 cut) in
+      let kept, kbits =
+        Codec.cut_prefix ~max_bits:max_int (String.sub e.data 0 cut)
+      in
       Codec.count_bits kept = Ok kbits
       && kbits <= e.nbits
       && decoded_bits { Codec.data = kept; nbits = kbits; flushes = 0 }
@@ -517,9 +543,10 @@ let report_equal (a : Instrument.Report.t) (b : Instrument.Report.t) =
 
 let test_wire_roundtrip () =
   let rep = real_report () in
-  match Instrument.Wire.deserialize (Instrument.Wire.serialize rep) with
+  match Instrument.Wire.deserialize_v (Instrument.Wire.serialize rep) with
   | Ok rep' -> check_bool "roundtrip" true (report_equal rep rep')
-  | Error e -> Alcotest.fail ("deserialize failed: " ^ e)
+  | Error e ->
+      Alcotest.fail ("deserialize failed: " ^ Instrument.Wire.error_to_string e)
 
 let test_wire_roundtrip_mt () =
   (* a report with a schedule log *)
@@ -531,16 +558,17 @@ let test_wire_roundtrip_mt () =
   in
   let _, rep = Bugrepro.Pipeline.field_run_report ~plan sc in
   let rep = Option.get rep in
-  match Instrument.Wire.deserialize (Instrument.Wire.serialize rep) with
+  match Instrument.Wire.deserialize_v (Instrument.Wire.serialize rep) with
   | Ok rep' ->
       check_bool "schedule preserved" true (report_equal rep rep');
       check_bool "has schedule" true (rep'.schedule_log <> None)
-  | Error e -> Alcotest.fail ("deserialize failed: " ^ e)
+  | Error e ->
+      Alcotest.fail ("deserialize failed: " ^ Instrument.Wire.error_to_string e)
 
 let test_wire_rejects_garbage () =
   List.iter
     (fun s ->
-      match Instrument.Wire.deserialize s with
+      match Instrument.Wire.deserialize_v s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted garbage %S" s)
     [
@@ -560,7 +588,7 @@ let test_wire_rejects_bit_overrun () =
       (Str.regexp "branch-bits: [0-9]+")
       "branch-bits: 999999" s
   in
-  match Instrument.Wire.deserialize s with
+  match Instrument.Wire.deserialize_v s with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted overrun bit count"
 
@@ -615,11 +643,12 @@ let test_wire_unknown_version_distinct () =
   (match Instrument.Wire.deserialize_v (bump "x") with
   | Error (Instrument.Wire.Malformed _) -> ()
   | _ -> Alcotest.fail "expected Malformed on non-integer version");
-  (* the string interface reports the mismatch readably *)
-  match Instrument.Wire.deserialize (bump "99") with
-  | Error msg ->
-      check_bool "string error mentions version" true
-        (Str.string_match (Str.regexp ".*version.*") msg 0)
+  (* the error text reports the mismatch readably *)
+  match Instrument.Wire.deserialize_v (bump "99") with
+  | Error e ->
+      check_bool "error text mentions version" true
+        (Str.string_match (Str.regexp ".*version.*")
+           (Instrument.Wire.error_to_string e) 0)
   | Ok _ -> Alcotest.fail "accepted version 99"
 
 let prop_wire_roundtrip_synthetic =
@@ -662,7 +691,7 @@ let prop_wire_roundtrip_synthetic =
           suppression = [];
         }
       in
-      match Instrument.Wire.deserialize (Instrument.Wire.serialize rep) with
+      match Instrument.Wire.deserialize_v (Instrument.Wire.serialize rep) with
       | Ok rep' -> report_equal rep rep'
       | Error _ -> false)
 
@@ -772,47 +801,242 @@ let test_wire_v4_encoded_fixture () =
       | Ok raw -> check_bool "equal to the raw twin" true (report_equal rep raw)
       | Error _ -> Alcotest.fail "raw fixture rejected"
 
+let contains s sub =
+  match Str.search_forward (Str.regexp_string sub) s 0 with
+  | _ -> true
+  | exception Not_found -> false
+
+(* [s] is damaged: the strict reader fails [Malformed] naming [field],
+   and salvage keeps the report but diagnoses the same first damage *)
+let expect_damage ~field s =
+  match Instrument.Wire.deserialize_v s with
+  | Ok _ -> Alcotest.failf "strict reader accepted damage to %s" field
+  | Error (Instrument.Wire.Unknown_version v) ->
+      Alcotest.failf "damage to %s misread as version %d" field v
+  | Error (Instrument.Wire.Malformed m) -> (
+      if not (contains m field) then
+        Alcotest.failf "strict error %S does not name %s" m field;
+      match Instrument.Wire.deserialize_salvage s with
+      | Error e ->
+          Alcotest.failf "salvage rejected: %s"
+            (Instrument.Wire.error_to_string e)
+      | Ok (_, d) ->
+          check_bool "salvage does not call it intact" false
+            d.Instrument.Wire.complete;
+          Alcotest.(check (option string))
+            "salvage names the same damage" (Some m) d.Instrument.Wire.damage)
+
+let replace_in s ~sub ~by = Str.global_replace (Str.regexp_string sub) by s
+
 let test_wire_enc_rejected_below_v4 () =
   List.iter
     (fun v ->
-      let s =
-        Str.global_replace
-          (Str.regexp "^bugrepro-report/4$")
-          (Printf.sprintf "bugrepro-report/%d" v)
-          fixture_v4_encoded
-      in
-      match Instrument.Wire.deserialize_v s with
-      | Error (Instrument.Wire.Malformed _) -> ()
-      | Error e ->
-          Alcotest.failf "v%d: wrong error %s" v
-            (Instrument.Wire.error_to_string e)
-      | Ok _ -> Alcotest.failf "v%d accepted a branch-enc payload" v)
+      expect_damage ~field:"branch-enc"
+        (replace_in fixture_v4_encoded ~sub:"bugrepro-report/4"
+           ~by:(Printf.sprintf "bugrepro-report/%d" v)))
     [ 1; 2; 3 ]
 
 let test_wire_both_payloads_rejected () =
-  let s =
-    "bugrepro-report/4\n"
-    ^ Str.global_replace
-        (Str.regexp_string "branch-log: b505")
-        "branch-log: b505\nbranch-enc: 8cb505" fixture_body
-  in
-  match Instrument.Wire.deserialize_v s with
-  | Error (Instrument.Wire.Malformed _) -> ()
-  | _ -> Alcotest.fail "accepted a report with both payload kinds"
+  expect_damage ~field:"branch-enc"
+    (replace_in (fixture_v 4) ~sub:"branch-log: b505"
+       ~by:"branch-log: b505\nbranch-enc: 8cb505")
 
 let test_wire_enc_bit_count_strict () =
   (* claimed bits must match the decoded stream exactly, both directions *)
   List.iter
     (fun claim ->
-      let s =
-        Str.global_replace
-          (Str.regexp "branch-bits: 12")
-          ("branch-bits: " ^ claim) fixture_v4_encoded
-      in
-      match Instrument.Wire.deserialize_v s with
-      | Error (Instrument.Wire.Malformed _) -> ()
-      | _ -> Alcotest.failf "accepted branch-bits %s over a 12-bit stream" claim)
+      expect_damage ~field:"branch-bits"
+        (replace_in fixture_v4_encoded ~sub:"branch-bits: 12"
+           ~by:("branch-bits: " ^ claim)))
     [ "11"; "13"; "0" ]
+
+let test_wire_missing_bits_damaged () =
+  (* a corrupted key hides the claimed count: no payload bit is trusted *)
+  List.iter
+    (fun wire ->
+      let s = replace_in wire ~sub:"branch-bits" ~by:"0ranch-bits" in
+      expect_damage ~field:"branch-bits" s;
+      match Instrument.Wire.deserialize_salvage s with
+      | Ok (r, _) -> check_int "no bits kept" 0 (Instrument.Report.nbits r)
+      | Error _ -> Alcotest.fail "salvage rejected")
+    [ fixture_v 4; fixture_v4_encoded ]
+
+let test_wire_odd_nibble_damaged () =
+  (* a raw log may carry slack bytes: with 8 bits claimed over two bytes,
+     losing the last nibble loses no claimed bit, yet the hex is torn *)
+  let slack =
+    replace_in (fixture_v 4) ~sub:"branch-bits: 12" ~by:"branch-bits: 8"
+  in
+  (match Instrument.Wire.deserialize_v slack with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Instrument.Wire.error_to_string e));
+  let s = replace_in slack ~sub:"b505" ~by:"b50" in
+  expect_damage ~field:"branch-log" s;
+  (match Instrument.Wire.deserialize_salvage s with
+  | Ok (_, d) ->
+      check_int "no claimed bit lost" 0 d.Instrument.Wire.lost_log_bits
+  | Error _ -> Alcotest.fail "salvage rejected");
+  expect_damage ~field:"branch-enc"
+    (replace_in fixture_v4_encoded ~sub:"8cb505" ~by:"8cb50")
+
+let test_wire_repeated_key_damaged () =
+  expect_damage ~field:"shape-filecap"
+    (replace_in (fixture_v 4) ~sub:"shape-filecap: 32"
+       ~by:"shape-filecap: 32\nshape-filecap: 99")
+
+let test_wire_line_without_colon_damaged () =
+  (* a newline substituted into a value splits its line: the head still
+     parses (conn_cap 6, a shorter schedule), the tail has no key *)
+  expect_damage ~field:"schedule"
+    (replace_in (fixture_v 4) ~sub:"schedule: 0,1,0" ~by:"schedule: 0,1\n0");
+  (* before the shape is complete the damage costs an identity field, so
+     salvage rejects too; the error still names the split field *)
+  match
+    Instrument.Wire.deserialize_v
+      (replace_in (fixture_v 4) ~sub:"shape-conns: 2,64"
+         ~by:"shape-conns: 2,6\n4")
+  with
+  | Error (Instrument.Wire.Malformed m) when contains m "shape-conns" -> ()
+  | Error e -> Alcotest.fail (Instrument.Wire.error_to_string e)
+  | Ok _ -> Alcotest.fail "accepted a split shape-conns line"
+
+(* ------------------------------------------------------------------ *)
+(* One reader.  The strict view is exactly a clean salvage on the probe
+   input set — every prefix and every single-position substitution of
+   genuine wires — and neither reader raises. *)
+
+(* one wire per quick fleet base, with the online encoder on and off *)
+let quick_wires =
+  lazy
+    (List.concat_map
+       (fun encode ->
+         let config =
+           Bugrepro.Pipeline.Config.(default |> with_encode encode)
+         in
+         let gen = Workloads.Report_gen.make ~quick:true ~config () in
+         let bases = List.length (Workloads.Report_gen.bases gen) in
+         let wires =
+           Workloads.Report_gen.stream gen ~seed:1 ~clients:1 ~torn_pct:0.0 60
+           |> List.map (fun (r : Workloads.Report_gen.report) -> r.wire)
+           |> List.sort_uniq String.compare
+         in
+         check_int "every base recorded" bases (List.length wires);
+         wires)
+       [ true; false ])
+
+(* a crash report from a plan that elides probes, so it carries a
+   suppression table *)
+let suppressed_report () =
+  let prog =
+    Minic.Program.of_sources
+      ~app:
+        "int main() {\n\
+        \  int buf[8];\n\
+        \  int x;\n\
+        \  arg(0, buf, 8);\n\
+        \  x = buf[0];\n\
+        \  if (x > 0) { print_int(1); }\n\
+        \  if (x > 0) { print_int(2); }\n\
+        \  crash();\n\
+        \  return 0;\n\
+         }"
+      ~libs:[] ()
+  in
+  let instrumented = Array.make (Minic.Program.nbranches prog) true in
+  let plan =
+    Instrument.Plan.with_suppression
+      (Instrument.Plan.make
+         ~nbranches:(Minic.Program.nbranches prog)
+         Instrument.Methods.All_branches)
+      (Staticanalysis.Suppression.analyze ~instrumented prog)
+  in
+  let sc =
+    Concolic.Scenario.make ~name:"wire-sup" ~args:[ "q" ]
+      ~world:Osmodel.World.default_config prog
+  in
+  match Bugrepro.Pipeline.field_run_report ~plan sc with
+  | _, Some r when r.Instrument.Report.suppression <> [] -> r
+  | _ -> Alcotest.fail "no crash report with a suppression table"
+
+let iter_probe_inputs wire f =
+  let n = String.length wire in
+  for k = 0 to n do
+    f (String.sub wire 0 k)
+  done;
+  for pos = 0 to n - 1 do
+    List.iter
+      (fun c ->
+        if wire.[pos] <> c then (
+          let b = Bytes.of_string wire in
+          Bytes.set b pos c;
+          f (Bytes.to_string b)))
+      [ '0'; 'z'; '\n'; ':'; ','; ' ' ]
+  done
+
+let test_wire_one_reader () =
+  let sup = suppressed_report () in
+  let v3 =
+    replace_in
+      (Instrument.Wire.serialize (raw_twin sup))
+      ~sub:"bugrepro-report/4" ~by:"bugrepro-report/3"
+  in
+  let wires =
+    Lazy.force quick_wires
+    @ List.map fixture_v [ 1; 2; 3; 4 ]
+    @ [ fixture_v4_encoded; Instrument.Wire.serialize sup; v3 ]
+  in
+  let total = ref 0 and disagree = ref 0 and raised = ref 0 in
+  let first = ref None in
+  List.iter
+    (fun wire ->
+      iter_probe_inputs wire (fun s ->
+          incr total;
+          let bad counter =
+            incr counter;
+            if !first = None then first := Some s
+          in
+          match Fuzz.Oracle.reader_disagreement s with
+          | None -> ()
+          | Some _ -> bad disagree
+          | exception _ -> bad raised))
+    wires;
+  if !disagree + !raised > 0 then
+    Alcotest.failf "%d of %d inputs disagree, %d raise; first: %S" !disagree
+      !total !raised (Option.get !first);
+  check_bool "the probe set is the full sweep" true (!total > 10_000)
+
+let test_wire_salvage_bounded_by_claim () =
+  (* one corrupted byte turns a MATCH length into ~2^50 bits; salvage must
+     neither decode nor allocate past the claimed branch-bits *)
+  let wire =
+    List.find
+      (fun w ->
+        contains w "program: userver-exp1" && contains w "branch-enc: ")
+      (Lazy.force quick_wires)
+  in
+  let start =
+    Str.search_forward (Str.regexp_string "branch-enc: ") wire 0
+    + String.length "branch-enc: "
+  in
+  let byte24 = start + (2 * 24) in
+  Alcotest.(check string) "payload byte 24" "bf" (String.sub wire byte24 2);
+  let bad =
+    String.sub wire 0 byte24 ^ "0f"
+    ^ String.sub wire (byte24 + 2) (String.length wire - byte24 - 2)
+  in
+  let claimed =
+    match Instrument.Wire.deserialize_v wire with
+    | Ok r -> Instrument.Report.nbits r
+    | Error e -> Alcotest.fail (Instrument.Wire.error_to_string e)
+  in
+  expect_damage ~field:"branch-enc" bad;
+  match Instrument.Wire.deserialize_salvage bad with
+  | Ok (r, d) ->
+      check_bool "no bit past the claim" true
+        (Instrument.Report.nbits r <= claimed);
+      check_int "loss accounted" claimed
+        (Instrument.Report.nbits r + d.Instrument.Wire.lost_log_bits)
+  | Error e -> Alcotest.fail (Instrument.Wire.error_to_string e)
 
 let test_wire_v4_encoded_equals_raw_run () =
   (* the same deterministic run, encode on vs off: the two reports stream
@@ -861,8 +1085,8 @@ let test_wire_replay_from_deserialized () =
   in
   let _, rep = Bugrepro.Pipeline.field_run_report ~plan crash in
   let wire = Instrument.Wire.serialize (Option.get rep) in
-  match Instrument.Wire.deserialize wire with
-  | Error e -> Alcotest.fail e
+  match Instrument.Wire.deserialize_v wire with
+  | Error e -> Alcotest.fail (Instrument.Wire.error_to_string e)
   | Ok rep ->
       let result, _ =
         Bugrepro.Pipeline.reproduce
@@ -903,6 +1127,8 @@ let () =
             test_codec_flush_at_one_boundary_each;
           Alcotest.test_case "cut_prefix is total" `Quick
             test_codec_cut_prefix_total;
+          Alcotest.test_case "cut_prefix respects max_bits" `Quick
+            test_codec_cut_respects_max_bits;
           Alcotest.test_case "cut_prefix recovers partial literal" `Quick
             test_codec_cut_recovers_partial_literal;
           Alcotest.test_case "truncation fails closed" `Quick
@@ -952,6 +1178,18 @@ let () =
             test_wire_both_payloads_rejected;
           Alcotest.test_case "encoded bit count strict" `Quick
             test_wire_enc_bit_count_strict;
+          Alcotest.test_case "missing branch-bits is damage" `Quick
+            test_wire_missing_bits_damaged;
+          Alcotest.test_case "odd hex nibble is damage" `Quick
+            test_wire_odd_nibble_damaged;
+          Alcotest.test_case "repeated key is damage" `Quick
+            test_wire_repeated_key_damaged;
+          Alcotest.test_case "line without colon is damage" `Quick
+            test_wire_line_without_colon_damaged;
+          Alcotest.test_case "strict is a clean salvage" `Quick
+            test_wire_one_reader;
+          Alcotest.test_case "salvage bounded by the claim" `Quick
+            test_wire_salvage_bounded_by_claim;
           Alcotest.test_case "encoded run equals raw run" `Quick
             test_wire_v4_encoded_equals_raw_run;
           Alcotest.test_case "replay from wire form" `Quick
