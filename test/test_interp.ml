@@ -294,6 +294,170 @@ let test_abort_hook () =
   check_bool "aborted" true
     (match r.outcome with Interp.Crash.Aborted _ -> true | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Golden table: every workload scenario, concrete and symbolic *)
+
+(* One line per run pinning everything observable about it: outcome (crash
+   kind, location, function), steps, the five cost counters, a digest of the
+   output, and digests of the branch, concretization and checkpoint hook
+   sequences.  Pointer values carry block ids, so the digests also pin the
+   allocation order.  Recorded once; any semantic drift of the evaluator
+   changes a line. *)
+let golden_line ~mode (sc : Concolic.Scenario.t) =
+  let br = Buffer.create 4096 and cz = Buffer.create 256 and ck = Buffer.create 64 in
+  let sym_str = function
+    | None -> ""
+    | Some e -> Solver.Expr.to_string e
+  in
+  let hooks =
+    {
+      Interp.Eval.on_branch =
+        (fun ~bid ~iter ~taken ~(cond : Interp.Value.t) ->
+          Printf.bprintf br "%d,%d,%b,%s;" bid iter taken (sym_str cond.sym));
+      on_concretize =
+        (fun e n -> Printf.bprintf cz "%s=%d;" (Solver.Expr.to_string e) n);
+      on_checkpoint =
+        (fun access ->
+          List.iter
+            (fun (g, size) ->
+              Printf.bprintf ck "%s:%d:" g size;
+              for off = 0 to size - 1 do
+                match access.read_global g off with
+                | Some v -> Printf.bprintf ck "%s," (Interp.Value.to_string v)
+                | None -> Buffer.add_string ck "?,"
+              done)
+            (access.list_globals ()));
+    }
+  in
+  let world, handle = Osmodel.World.kernel sc.world in
+  let inputs, kernel =
+    match mode with
+    | `Concrete ->
+        (Interp.Inputs.of_strings sc.args, Interp.Kernel.of_world handle)
+    | `Symbolic ->
+        let vars = Solver.Symvars.create () in
+        let model = Solver.Model.empty in
+        let sk =
+          Concolic.Sym_kernel.create ~vars ~model ~world ~handle ~sym_results:true ()
+        in
+        ( Concolic.Sym_kernel.symbolic_args ~vars ~model sc
+            ~caps:(Concolic.Scenario.shape_of sc).arg_caps,
+          Concolic.Sym_kernel.kernel sk )
+  in
+  let picks = ref 0 in
+  let scheduler tids =
+    incr picks;
+    List.nth tids (!picks mod List.length tids)
+  in
+  let r =
+    Interp.Eval.run sc.prog
+      { inputs; kernel; hooks; max_steps = sc.max_steps; scheduler = Some scheduler }
+  in
+  let d b = String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 12 in
+  Printf.sprintf "%s %s | %s | %d | %d %d %d %d %d | %s %s %s %s"
+    sc.name
+    (match mode with `Concrete -> "conc" | `Symbolic -> "sym")
+    (Interp.Crash.outcome_to_string r.outcome)
+    r.steps r.cost.instr r.cost.branches r.cost.logged_branches r.cost.syscalls
+    r.cost.logged_syscalls
+    (String.sub (Digest.to_hex (Digest.string r.output)) 0 12)
+    (d br) (d cz) (d ck)
+
+let golden_runs () =
+  let module W = Workloads in
+  let coreutils =
+    List.concat_map
+      (fun (e : W.Coreutils.entry) ->
+        let named tag (sc : Concolic.Scenario.t) =
+          { sc with name = Printf.sprintf "%s-%s" e.util tag }
+        in
+        [
+          (`Concrete, named "benign" (W.Coreutils.benign_scenario e));
+          (`Concrete, named "crash" (W.Coreutils.crash_scenario e));
+          (`Concrete, named "analysis" (W.Coreutils.analysis_scenario e));
+          (`Symbolic, named "analysis" (W.Coreutils.analysis_scenario e));
+        ])
+      W.Coreutils.catalog
+  in
+  let ckpt =
+    W.Userver.checkpointed_scenario
+      (W.Http_gen.workload ~seed:3 12 @ (W.Userver.experiment 1).requests)
+  in
+  let userver =
+    List.map
+      (fun (x : W.Userver.experiment) -> (`Concrete, W.Userver.experiment_scenario x))
+      W.Userver.experiments
+    @ [
+        (`Symbolic, W.Userver.experiment_scenario (W.Userver.experiment 1));
+        (`Concrete, ckpt);
+        (`Symbolic, ckpt);
+      ]
+  in
+  let named name (sc : Concolic.Scenario.t) = { sc with name } in
+  let diff =
+    [
+      (`Concrete, named "diff-1" (W.Diffutil.experiment_1 ()));
+      (`Concrete, named "diff-2" (W.Diffutil.experiment_2 ()));
+      (`Symbolic, named "diff-1" (W.Diffutil.experiment_1 ()));
+    ]
+  in
+  let micro =
+    [
+      (`Concrete, named "counter" (W.Microbench.counter_loop ~iterations:2000 ()));
+      (`Symbolic, named "counter" (W.Microbench.counter_loop ~iterations:2000 ()));
+      (`Concrete, named "fib-a" (W.Microbench.fibonacci ~option:"a" ()));
+      (`Concrete, named "fib-b" (W.Microbench.fibonacci ~option:"b" ()));
+      (`Symbolic, named "fib-a" (W.Microbench.fibonacci ~option:"a" ()));
+      (`Concrete, named "mtrace" (W.Mtrace.scenario ()));
+      (`Concrete, named "mtrace-benign" (W.Mtrace.benign_scenario ()));
+      (`Symbolic, named "mtrace" (W.Mtrace.scenario ()));
+    ]
+  in
+  coreutils @ userver @ diff @ micro
+
+let golden_expected =
+  [
+    "mkdir-benign conc | exit(0) | 93 | 514 35 0 0 0 | a14adcbf7768 35c10e9cd702 d41d8cd98f00 d41d8cd98f00";
+    "mkdir-crash conc | CRASH: out-of-bounds at mkdir.c:8:5 (in apply_mode) | 99 | 570 36 0 0 0 | d41d8cd98f00 042aa11e7e4d d41d8cd98f00 d41d8cd98f00";
+    "mkdir-analysis conc | exit(0) | 221 | 1210 78 0 0 0 | cc5556588578 beaaf68f51b8 d41d8cd98f00 d41d8cd98f00";
+    "mkdir-analysis sym | exit(0) | 221 | 1210 78 0 0 0 | cc5556588578 7b17c4cdbf74 d41d8cd98f00 d41d8cd98f00";
+    "mknod-benign conc | exit(0) | 19 | 104 5 0 0 0 | e4748b725e23 97c1d8754e36 d41d8cd98f00 d41d8cd98f00";
+    "mknod-crash conc | CRASH: out-of-bounds at mknod.c:10:3 (in register_dev) | 107 | 527 48 0 0 0 | d41d8cd98f00 0fc6c91d8256 d41d8cd98f00 d41d8cd98f00";
+    "mknod-analysis conc | exit(1) | 28 | 157 11 0 0 0 | 180c02c8073e 3b2d3fe74711 d41d8cd98f00 d41d8cd98f00";
+    "mknod-analysis sym | exit(1) | 28 | 157 11 0 0 0 | 180c02c8073e 62445b1a638e d41d8cd98f00 d41d8cd98f00";
+    "mkfifo-benign conc | exit(0) | 86 | 486 32 0 0 0 | d0fbf4235f92 a92df1a06048 d41d8cd98f00 d41d8cd98f00";
+    "mkfifo-crash conc | CRASH: out-of-bounds at mkfifo.c:11:7 (in split_components) | 148 | 812 68 0 0 0 | d41d8cd98f00 77d151ea5d07 d41d8cd98f00 d41d8cd98f00";
+    "mkfifo-analysis conc | exit(0) | 208 | 1144 86 0 0 0 | 98d84c912505 c7460dd72066 d41d8cd98f00 d41d8cd98f00";
+    "mkfifo-analysis sym | exit(0) | 208 | 1144 86 0 0 0 | 98d84c912505 5541752ce6ce d41d8cd98f00 d41d8cd98f00";
+    "paste-benign conc | exit(0) | 231 | 1108 78 0 0 0 | dc7f1fa90f85 5bfb1052dc8f d41d8cd98f00 d41d8cd98f00";
+    "paste-crash conc | CRASH: out-of-bounds at paste.c:19:5 (in decode_delim) | 151 | 704 48 0 0 0 | d41d8cd98f00 beeaf02b4a90 d41d8cd98f00 d41d8cd98f00";
+    "paste-analysis conc | exit(0) | 348 | 1682 124 0 0 0 | f948d5599006 45988ab68f0f d41d8cd98f00 d41d8cd98f00";
+    "paste-analysis sym | exit(0) | 348 | 1682 124 0 0 0 | f948d5599006 c5789f5e9830 d41d8cd98f00 d41d8cd98f00";
+    "userver-exp1 conc | CRASH: out-of-bounds at userver.c:157:5 (in handle_request) | 3007 | 16054 1239 0 10 0 | d41d8cd98f00 35dcca183ee9 d41d8cd98f00 d41d8cd98f00";
+    "userver-exp2 conc | CRASH: div-by-zero at userver.c:210:9 (in handle_request) | 5678 | 30537 2371 0 29 0 | d41d8cd98f00 aa6a549525ad d41d8cd98f00 d41d8cd98f00";
+    "userver-exp3 conc | CRASH: out-of-bounds at userver.c:103:7 (in parse_cookie) | 19404 | 106659 9485 0 16 0 | d41d8cd98f00 edfc1ea233fb d41d8cd98f00 d41d8cd98f00";
+    "userver-exp4 conc | CRASH: out-of-bounds at userver.c:144:3 (in handle_request) | 2483 | 13420 980 0 25 0 | d41d8cd98f00 613de1def48b d41d8cd98f00 d41d8cd98f00";
+    "userver-exp5 conc | CRASH: out-of-bounds at userver.c:178:5 (in handle_request) | 4543 | 23551 1755 0 29 0 | d41d8cd98f00 f46abc0b2744 d41d8cd98f00 d41d8cd98f00";
+    "userver-exp1 sym | CRASH: out-of-bounds at userver.c:157:5 (in handle_request) | 3007 | 16054 1239 0 10 0 | d41d8cd98f00 8d4d8d6a3b9d 4fc885c2948f d41d8cd98f00";
+    "userver-ckpt conc | CRASH: out-of-bounds at userver-ckpt.c:158:5 (in handle_request) | 57585 | 320682 25818 0 205 0 | a73da5175a1c 49a904dfbbde d41d8cd98f00 6ce73f92f808";
+    "userver-ckpt sym | CRASH: out-of-bounds at userver-ckpt.c:158:5 (in handle_request) | 57585 | 320682 25818 0 205 0 | a73da5175a1c 71a3f82c3680 c7ea22d08b51 2ced06a353e8";
+    "diff-1 conc | CRASH: crash at diff.c:190:24 (in main) | 3519 | 21050 1711 0 8 0 | c24b18456b25 fc4b92f38e52 d41d8cd98f00 d41d8cd98f00";
+    "diff-2 conc | CRASH: crash at diff.c:190:24 (in main) | 9465 | 57532 4681 0 10 0 | feb28b3e8e86 934ad5cf959d d41d8cd98f00 d41d8cd98f00";
+    "diff-1 sym | CRASH: crash at diff.c:190:24 (in main) | 3519 | 21050 1711 0 8 0 | c24b18456b25 a2d69a2175cb 6fbba8b610b5 d41d8cd98f00";
+    "counter conc | exit(0) | 6006 | 28025 2001 0 0 0 | 08f90c1a4171 8ff3615bd70d d41d8cd98f00 d41d8cd98f00";
+    "counter sym | exit(0) | 6006 | 28025 2001 0 0 0 | 08f90c1a4171 8ff3615bd70d d41d8cd98f00 d41d8cd98f00";
+    "fib-a conc | exit(0) | 10013 | 36056 2002 0 0 0 | c931adfd5a85 8b286df847d6 d41d8cd98f00 d41d8cd98f00";
+    "fib-b conc | exit(0) | 20014 | 72062 4003 0 0 0 | 77daf99c5517 321d9ea676a6 d41d8cd98f00 d41d8cd98f00";
+    "fib-a sym | exit(0) | 10013 | 36056 2002 0 0 0 | c931adfd5a85 a0ee0c32dd8b d41d8cd98f00 d41d8cd98f00";
+    "mtrace conc | CRASH: out-of-bounds at mtrace.c:18:9 (in worker) | 1114 | 5602 462 0 0 0 | d41d8cd98f00 383a14d281c8 d41d8cd98f00 d41d8cd98f00";
+    "mtrace-benign conc | exit(0) | 235 | 1174 84 0 0 0 | 58189dc253ae 8c4e4bdb3e09 d41d8cd98f00 d41d8cd98f00";
+    "mtrace sym | CRASH: out-of-bounds at mtrace.c:18:9 (in worker) | 1114 | 5602 462 0 0 0 | d41d8cd98f00 ea9d0cfda803 d41d8cd98f00 d41d8cd98f00";
+  ]
+
+let test_golden_table () =
+  let actual = List.map (fun (mode, sc) -> golden_line ~mode sc) (golden_runs ()) in
+  Alcotest.(check (list string)) "golden table" golden_expected actual
+
 let () =
   Alcotest.run "interp"
     [
@@ -344,4 +508,5 @@ let () =
           Alcotest.test_case "cost monotone" `Quick test_cost_monotone_in_work;
           Alcotest.test_case "abort hook" `Quick test_abort_hook;
         ] );
+      ("golden", [ Alcotest.test_case "workload table" `Quick test_golden_table ]);
     ]
