@@ -337,10 +337,14 @@ module Reader = struct
       lit_bytes = 0;
     }
 
+  (* shared so delivering a bit never allocates *)
+  let some_true = Some true
+  let some_false = Some false
+
   let deliver t bit =
     t.hist <- ((t.hist lsl 1) lor bit) land 0xff;
     t.delivered <- t.delivered + 1;
-    Some (bit = 1)
+    if bit = 1 then some_true else some_false
 
   (* Next bit, or [None] when [nbits] bits were delivered — or on a
      malformed stream, which cannot happen on a payload the wire reader

@@ -69,6 +69,11 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
     | None -> None
   in
   let shadow_writer = if shadow then Some (Branch_log.Writer.create ()) else None in
+  let shadow_bit =
+    match shadow_writer with
+    | Some w -> Branch_log.Writer.add_bit w
+    | None -> ignore
+  in
   let n_elided = ref 0 and shadow_mismatches = ref 0 in
   let hooks =
     {
@@ -85,11 +90,6 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
                 Staticanalysis.Suppression.Recon.on_branch rc ~bid ~iter
           in
           if Plan.is_instrumented plan bid then begin
-            let shadow_bit b =
-              match shadow_writer with
-              | Some w -> Branch_log.Writer.add_bit w b
-              | None -> ()
-            in
             match action with
             | Staticanalysis.Suppression.Recon.Consume ->
                 log_bit taken;
@@ -140,11 +140,8 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
       scheduler = Some (Schedule_log.recording_scheduler ~rng:sched_rng sched_log);
     }
   in
-  (* The evaluator creates its own cost record; capture it via a wrapper so
-     the logging hooks can charge instrumentation overhead to the same
-     account.  We pre-create the state through Eval.run's result instead:
-     simplest correct approach is to charge into a side cost record and add
-     it afterwards. *)
+  (* Eval.run creates its own cost record, so probes charge a side record
+     that is folded into the run's afterwards. *)
   let side_cost = Interp.Cost.create () in
   cost_cell := Some side_cost;
   let r = Interp.Eval.run sc.prog cfg in

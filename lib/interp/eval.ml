@@ -12,8 +12,6 @@
 
 open Minic
 
-type loc_cell = { base : int; off : int; ty : Types.t }
-
 (** Access to a running program's global variables, handed to the
     checkpoint hook so checkpoint/restore machinery can snapshot or rewrite
     global state without reaching into evaluator internals. *)
@@ -65,26 +63,20 @@ type _ Effect.t +=
   | Join_eff : int -> Value.t Effect.t
   | My_tid_eff : int Effect.t
 
-type frame = {
-  fn : Ast.func;
-  var_blocks : (string, int) Hashtbl.t;
-  var_types : (string, Types.t) Hashtbl.t;
-  mutable owned : int list;  (** blocks to kill on return *)
-}
-
 type state = {
-  prog : Program.t;
+  code : Resolved.t;
   mem : Memory.t;
-  globals : (string, int) Hashtbl.t;
-  global_types : (string, Types.t) Hashtbl.t;
-  string_lits : (string, int) Hashtbl.t;
+  globals : int array;  (** block id of each global slot *)
+  lits : Value.t array;
+      (** pointer to each interned string literal; [Value.zero] until the
+          literal is first evaluated, so block ids follow evaluation order *)
   inputs : Inputs.t;
   kernel : Kernel.t;
   hooks : hooks;
   cost : Cost.t;
   max_steps : int;
   out : Buffer.t;
-  mutable frames : frame list;
+  mutable frame : int array;  (** block id of each slot of the running call *)
   mutable depth : int;
   mutable steps : int;
   mutable cur_loc : Loc.t;
@@ -102,48 +94,18 @@ let step st =
   Cost.charge st.cost Cost.stmt;
   if st.steps > st.max_steps then raise Budget_exc
 
-(* ------------------------------------------------------------------ *)
-(* Variable lookup *)
+let var_block st : Resolved.var -> int = function
+  | Local i -> st.frame.(i)
+  | Global i -> st.globals.(i)
+  | Unbound x -> invalid_arg ("unbound variable " ^ x)
 
-let var_block st x =
-  match st.frames with
-  | f :: _ when Hashtbl.mem f.var_blocks x -> Hashtbl.find f.var_blocks x
-  | _ -> (
-      match Hashtbl.find_opt st.globals x with
-      | Some b -> b
-      | None -> invalid_arg ("unbound variable " ^ x))
+let load st base off =
+  try Memory.load st.mem ~base ~off
+  with Memory.Fault f -> crash st (Memory.fault_to_crash_kind f)
 
-let var_type st x =
-  match st.frames with
-  | f :: _ when Hashtbl.mem f.var_types x -> Hashtbl.find f.var_types x
-  | _ -> (
-      match Hashtbl.find_opt st.global_types x with
-      | Some t -> t
-      | None -> invalid_arg ("unbound variable " ^ x))
-
-let rec type_of_lval st (lv : Ast.lval) : Types.t =
-  match lv with
-  | Var x -> var_type st x
-  | Index (b, _) -> (
-      match Types.element (type_of_lval st b) with Some t -> t | None -> Types.Tint)
-  | Star e -> (
-      match Types.element (type_of_expr st e) with Some t -> t | None -> Types.Tint)
-
-and type_of_expr st (e : Ast.expr) : Types.t =
-  match e with
-  | Cint _ -> Types.Tint
-  | Cstr _ -> Types.Tptr Types.Tint
-  | Lval lv -> Types.decay (type_of_lval st lv)
-  | Addr lv -> Types.Tptr (type_of_lval st lv)
-  | Unop _ -> Types.Tint
-  | Binop ((Add | Sub), a, b) ->
-      let ta = type_of_expr st a in
-      if Types.is_pointer ta then ta
-      else
-        let tb = type_of_expr st b in
-        if Types.is_pointer tb then tb else Types.Tint
-  | Binop _ -> Types.Tint
-  | Ecall _ -> Types.Tint
+let store st base off v =
+  try Memory.store st.mem ~base ~off v
+  with Memory.Fault f -> crash st (Memory.fault_to_crash_kind f)
 
 (* ------------------------------------------------------------------ *)
 (* Concretization of symbolic values used in concrete positions *)
@@ -155,23 +117,25 @@ let concretize st (v : Value.t) : int =
       n
   | Ptr _ -> crash st Crash.Invalid_pointer
 
+let expect_ptr st (v : Value.t) : int * int =
+  match v.conc with
+  | Ptr { base; off } -> (base, off)
+  | Int 0 -> crash st Crash.Null_deref
+  | Int _ -> crash st Crash.Invalid_pointer
+
 (* ------------------------------------------------------------------ *)
 (* String literals *)
 
-let intern_string st s =
-  match Hashtbl.find_opt st.string_lits s with
-  | Some b -> Value.ptr ~base:b ~off:0
-  | None ->
-      let n = String.length s in
-      let b = Memory.alloc st.mem ~name:(Printf.sprintf "%S" s) ~size:(n + 1) in
+let intern_string st i s =
+  match st.lits.(i).conc with
+  | Ptr _ -> st.lits.(i)
+  | Int _ ->
+      let b = Memory.alloc st.mem ~size:(String.length s + 1) in
       String.iteri
-        (fun i c ->
-          match Memory.store st.mem ~base:b ~off:i (Value.int_ (Char.code c)) with
-          | Ok () -> ()
-          | Error _ -> assert false)
+        (fun j c -> Memory.store st.mem ~base:b ~off:j (Value.int_ (Char.code c)))
         s;
-      Hashtbl.replace st.string_lits s b;
-      Value.ptr ~base:b ~off:0
+      st.lits.(i) <- Value.ptr ~base:b ~off:0;
+      st.lits.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation *)
@@ -208,17 +172,18 @@ let shadow_binop op (a : Value.t) (b : Value.t) : Solver.Expr.t option =
     | Some sa, Some sb -> Some (Solver.Expr.Binop (op_to_expr op, sa, sb))
     | _ -> None
 
-let rec eval_expr st (e : Ast.expr) : Value.t =
+let rec eval_expr st (e : Resolved.expr) : Value.t =
   Cost.charge st.cost Cost.expr_node;
   match e with
   | Cint n -> Value.int_ n
-  | Cstr s -> intern_string st s
-  | Lval lv ->
-      let l = resolve_lval st lv in
-      load_loc st l
+  | Cstr (i, s) -> intern_string st i s
+  | Load (Var x) -> load st (var_block st x) 0
+  | Load lv ->
+      let base, off = lval st lv in
+      load st base off
   | Addr lv ->
-      let l = resolve_lval st lv in
-      Value.ptr ~base:l.base ~off:l.off
+      let base, off = lval st lv in
+      Value.ptr ~base ~off
   | Unop (op, a) -> (
       let va = eval_expr st a in
       match va.conc with
@@ -239,12 +204,11 @@ let rec eval_expr st (e : Ast.expr) : Value.t =
           | Lognot -> Value.int_ 0
           | Neg | Bitnot -> crash st Crash.Invalid_pointer))
   | Binop (op, a, b) -> eval_binop st op a b
-  | Ecall (f, _) -> invalid_arg ("call to " ^ f ^ " in expression position")
+  | Ecall f -> invalid_arg ("call to " ^ f ^ " in expression position")
 
 and eval_binop st op a_e b_e : Value.t =
   let a = eval_expr st a_e in
   let b = eval_expr st b_e in
-  let shadow () = shadow_binop op a b in
   match a.conc, b.conc, op with
   (* pointer arithmetic *)
   | Ptr p, Int _, (Add | Sub) ->
@@ -284,85 +248,44 @@ and eval_binop st op a_e b_e : Value.t =
       Value.int_ (if r then 1 else 0)
   | Int x, Int y, _ -> (
       match Solver.Expr.eval_binop (op_to_expr op) x y with
-      | r -> { Value.conc = Int r; sym = shadow () }
+      | r -> { Value.conc = Int r; sym = shadow_binop op a b }
       | exception Solver.Expr.Undefined -> crash st Crash.Div_by_zero)
   | _ -> crash st Crash.Invalid_pointer
 
-and resolve_lval st (lv : Ast.lval) : loc_cell =
+(* The block and offset an lvalue designates. *)
+and lval st (lv : Resolved.lval) : int * int =
   match lv with
-  | Var x -> { base = var_block st x; off = 0; ty = var_type st x }
-  | Index (b, idx) -> (
-      let l = resolve_lval st b in
-      let iv = eval_expr st idx in
-      let n = concretize st iv in
-      match l.ty with
-      | Types.Tarr (el, _) -> { base = l.base; off = l.off + n; ty = el }
-      | Types.Tptr el -> (
-          let pv = load_raw st l in
-          match pv.conc with
-          | Ptr p -> { base = p.base; off = p.off + n; ty = el }
-          | Int 0 -> crash st Crash.Null_deref
-          | Int _ -> crash st Crash.Invalid_pointer)
-      | Types.Tvoid | Types.Tint -> crash st Crash.Invalid_pointer)
-  | Star e -> (
-      let ty =
-        match Types.element (type_of_expr st e) with
-        | Some t -> t
-        | None -> Types.Tint
-      in
-      let v = eval_expr st e in
-      match v.conc with
-      | Ptr p -> { base = p.base; off = p.off; ty }
-      | Int 0 -> crash st Crash.Null_deref
-      | Int _ -> crash st Crash.Invalid_pointer)
-
-and load_raw st (l : loc_cell) : Value.t =
-  match Memory.load st.mem ~base:l.base ~off:l.off with
-  | Ok v -> v
-  | Error f -> crash st (Memory.fault_to_crash_kind f)
-
-(* Load with array decay: an array-typed location evaluates to a pointer. *)
-and load_loc st (l : loc_cell) : Value.t =
-  match l.ty with
-  | Types.Tarr _ -> Value.ptr ~base:l.base ~off:l.off
-  | Types.Tvoid | Types.Tint | Types.Tptr _ -> load_raw st l
-
-let store_loc st (l : loc_cell) v =
-  match Memory.store st.mem ~base:l.base ~off:l.off v with
-  | Ok () -> ()
-  | Error f -> crash st (Memory.fault_to_crash_kind f)
+  | Var x -> (var_block st x, 0)
+  | Elem (b, idx) ->
+      let base, off = lval st b in
+      let n = concretize st (eval_expr st idx) in
+      (base, off + n)
+  | Ptr_elem (b, idx) ->
+      let base, off = lval st b in
+      let n = concretize st (eval_expr st idx) in
+      let pbase, poff = expect_ptr st (load st base off) in
+      (pbase, poff + n)
+  | Star e -> expect_ptr st (eval_expr st e)
 
 (* Read a NUL-terminated concrete string at [v]. *)
 let read_cstring st (v : Value.t) : string =
-  match v.conc with
-  | Int 0 -> crash st Crash.Null_deref
-  | Int _ -> crash st Crash.Invalid_pointer
-  | Ptr p ->
-      let buf = Buffer.create 32 in
-      let rec go off n =
-        if n > cstring_scan_limit then crash st Crash.Out_of_bounds
-        else
-          match Memory.load st.mem ~base:p.base ~off with
-          | Error f -> crash st (Memory.fault_to_crash_kind f)
-          | Ok cell -> (
-              match cell.conc with
-              | Int 0 -> ()
-              | Int c ->
-                  Buffer.add_char buf (Char.chr (c land 0xff));
-                  go (off + 1) (n + 1)
-              | Ptr _ -> crash st Crash.Invalid_pointer)
-      in
-      go p.off 0;
-      Buffer.contents buf
+  let base, off = expect_ptr st v in
+  let buf = Buffer.create 32 in
+  let rec go off n =
+    if n > cstring_scan_limit then crash st Crash.Out_of_bounds
+    else
+      match (load st base off).conc with
+      | Int 0 -> ()
+      | Int c ->
+          Buffer.add_char buf (Char.chr (c land 0xff));
+          go (off + 1) (n + 1)
+      | Ptr _ -> crash st Crash.Invalid_pointer
+  in
+  go off 0;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Builtins *)
-
-let expect_ptr st (v : Value.t) : int * int =
-  match v.conc with
-  | Ptr { base; off } -> (base, off)
-  | Int 0 -> crash st Crash.Null_deref
-  | Int _ -> crash st Crash.Invalid_pointer
 
 let do_syscall st (req : Osmodel.Sysreq.req) : Kernel.reply =
   (* system calls are scheduling points when other threads are ready *)
@@ -382,11 +305,9 @@ let builtin_call st name (args : Value.t list) : Value.t =
         let a = st.inputs.args.(i) in
         let n = min (Array.length a.bytes) (cap - 1) in
         for j = 0 to n - 1 do
-          store_loc st
-            { base = pbase; off = poff + j; ty = Types.Tint }
-            { Value.conc = Int a.bytes.(j); sym = a.syms.(j) }
+          store st pbase (poff + j) { Value.conc = Int a.bytes.(j); sym = a.syms.(j) }
         done;
-        store_loc st { base = pbase; off = poff + n; ty = Types.Tint } Value.zero;
+        store st pbase (poff + n) Value.zero;
         Value.int_ n
       end
   | "read", [ fd; buf; count ] ->
@@ -402,9 +323,7 @@ let builtin_call st name (args : Value.t list) : Value.t =
                 if j < Array.length reply.data_sym then reply.data_sym.(j)
                 else None
               in
-              store_loc st
-                { base = pbase; off = poff + j; ty = Types.Tint }
-                { Value.conc = Int data.(j); sym }
+              store st pbase (poff + j) { Value.conc = Int data.(j); sym }
             done;
             n
         | Osmodel.Sysreq.R_int n -> n
@@ -416,10 +335,7 @@ let builtin_call st name (args : Value.t list) : Value.t =
       let pbase, poff = expect_ptr st buf in
       let data =
         Array.init (max count 0) (fun j ->
-            let cell =
-              load_raw st { base = pbase; off = poff + j; ty = Types.Tint }
-            in
-            match cell.conc with
+            match (load st pbase (poff + j)).conc with
             | Int n -> n land 0xff
             | Ptr _ -> crash st Crash.Invalid_pointer)
       in
@@ -457,6 +373,11 @@ let builtin_call st name (args : Value.t list) : Value.t =
   | "exit", [ code ] -> raise (Exit_exc (concretize st code))
   | "crash", [] -> crash st Crash.Explicit_crash
   | "checkpoint", [] ->
+      (* snapshots list globals in this table's fold order *)
+      let by_name = Hashtbl.create 32 in
+      Array.iteri
+        (fun i (g : Resolved.global) -> Hashtbl.replace by_name g.gname st.globals.(i))
+        st.code.globals;
       let access =
         {
           list_globals =
@@ -466,23 +387,17 @@ let builtin_call st name (args : Value.t list) : Value.t =
                   match Memory.size st.mem b with
                   | Some n -> (name, n) :: acc
                   | None -> acc)
-                st.globals []);
+                by_name []);
           read_global =
             (fun name off ->
-              match Hashtbl.find_opt st.globals name with
-              | None -> None
-              | Some b -> (
-                  match Memory.load st.mem ~base:b ~off with
-                  | Ok v -> Some v
-                  | Error _ -> None));
+              match Memory.load st.mem ~base:(Hashtbl.find by_name name) ~off with
+              | v -> Some v
+              | exception (Not_found | Memory.Fault _) -> None);
           write_global =
             (fun name off v ->
-              match Hashtbl.find_opt st.globals name with
-              | None -> false
-              | Some b -> (
-                  match Memory.store st.mem ~base:b ~off v with
-                  | Ok () -> true
-                  | Error _ -> false));
+              match Memory.store st.mem ~base:(Hashtbl.find by_name name) ~off v with
+              | () -> true
+              | exception (Not_found | Memory.Fault _) -> false);
         }
       in
       st.hooks.on_checkpoint access;
@@ -504,107 +419,88 @@ let builtin_call st name (args : Value.t list) : Value.t =
 (* ------------------------------------------------------------------ *)
 (* Statements *)
 
-let rec exec_stmt st (s : Ast.stmt) : unit =
-  st.cur_loc <- s.sloc;
+let rec exec_stmt st (s : Resolved.stmt) : unit =
+  st.cur_loc <- s.loc;
   step st;
-  match s.sdesc with
-  | Sassign (lv, e) ->
+  match s.desc with
+  | Assign (lv, e) ->
       let v = eval_expr st e in
-      let l = resolve_lval st lv in
-      store_loc st l v
-  | Scall (lvo, f, args) -> (
+      let base, off = lval st lv in
+      store st base off v
+  | Call (lvo, callee, args) -> (
       let vs = List.map (eval_expr st) args in
-      let ret = call st f vs in
-      st.cur_loc <- s.sloc;
+      let ret = call st callee vs in
+      st.cur_loc <- s.loc;
       match lvo with
       | None -> ()
       | Some lv ->
-          let l = resolve_lval st lv in
-          store_loc st l ret)
-  | Sif (br, cond, then_b, else_b) ->
+          let base, off = lval st lv in
+          store st base off ret)
+  | If (bid, cond, then_b, else_b) ->
       let v = eval_expr st cond in
       let taken = Value.truthy v in
       Cost.charge_branch st.cost;
-      st.hooks.on_branch ~bid:br.bid ~iter:0 ~taken ~cond:v;
+      st.hooks.on_branch ~bid ~iter:0 ~taken ~cond:v;
       exec_block st (if taken then then_b else else_b)
-  | Swhile (br, cond, body) -> (
+  | While (bid, cond, body) -> (
       let rec loop iter =
-        st.cur_loc <- s.sloc;
+        st.cur_loc <- s.loc;
         step st;
         let v = eval_expr st cond in
         let taken = Value.truthy v in
         Cost.charge_branch st.cost;
-        st.hooks.on_branch ~bid:br.bid ~iter ~taken ~cond:v;
+        st.hooks.on_branch ~bid ~iter ~taken ~cond:v;
         if taken then begin
           (try exec_block st body with Continue_exc -> ());
           loop (iter + 1)
         end
       in
       try loop 0 with Break_exc -> ())
-  | Sreturn None -> raise (Return_exc Value.zero)
-  | Sreturn (Some e) -> raise (Return_exc (eval_expr st e))
-  | Sbreak -> raise Break_exc
-  | Scontinue -> raise Continue_exc
-  | Sblock b -> exec_block st b
+  | Return None -> raise (Return_exc Value.zero)
+  | Return (Some e) -> raise (Return_exc (eval_expr st e))
+  | Break -> raise Break_exc
+  | Continue -> raise Continue_exc
+  | Block b -> exec_block st b
 
-and exec_block st (b : Ast.block) = List.iter (exec_stmt st) b
+and exec_block st = function
+  | [] -> ()
+  | s :: rest ->
+      exec_stmt st s;
+      exec_block st rest
 
-and call st fname (args : Value.t list) : Value.t =
+and call st (callee : Resolved.callee) (args : Value.t list) : Value.t =
   Cost.charge st.cost Cost.call_overhead;
-  if Minic.Builtin.is_builtin fname then builtin_call st fname args
-  else
-    match Program.find_func st.prog fname with
-    | None -> invalid_arg ("call to unknown function " ^ fname)
-    | Some fn ->
-        st.depth <- st.depth + 1;
-        if st.depth > max_depth then crash st Crash.Stack_overflow;
-        let frame =
-          {
-            fn;
-            var_blocks = Hashtbl.create 16;
-            var_types = Hashtbl.create 16;
-            owned = [];
-          }
-        in
-        let alloc_var name ty init =
-          let size = match ty with Types.Tarr (_, n) -> n | _ -> 1 in
-          let b = Memory.alloc st.mem ~name:(fname ^ "." ^ name) ~size in
-          frame.owned <- b :: frame.owned;
-          Hashtbl.replace frame.var_blocks name b;
-          Hashtbl.replace frame.var_types name ty;
-          match init with
-          | Some v -> (
-              match Memory.store st.mem ~base:b ~off:0 v with
-              | Ok () -> ()
-              | Error _ -> assert false)
-          | None -> ()
-        in
-        if List.length args <> List.length fn.fparams then
-          invalid_arg (Printf.sprintf "arity mismatch calling %s" fname);
-        List.iter2 (fun (pname, pty) v -> alloc_var pname pty (Some v)) fn.fparams args;
-        List.iter
-          (fun (d : Ast.var_decl) -> alloc_var d.vname d.vtyp None)
-          fn.flocals;
-        let saved_func = st.cur_func in
-        st.frames <- frame :: st.frames;
-        st.cur_func <- fname;
-        let cleanup () =
-          st.frames <- (match st.frames with _ :: r -> r | [] -> []);
-          List.iter (Memory.kill st.mem) frame.owned;
-          st.depth <- st.depth - 1;
-          st.cur_func <- saved_func
-        in
-        (try
-           exec_block st fn.fbody;
-           cleanup ();
-           Value.zero
-         with
-        | Return_exc v ->
-            cleanup ();
-            v
-        | e ->
-            cleanup ();
-            raise e)
+  match callee with
+  | Builtin name -> builtin_call st name args
+  | Unknown name -> invalid_arg ("call to unknown function " ^ name)
+  | Func i -> (
+      let fn = st.code.funcs.(i) in
+      st.depth <- st.depth + 1;
+      if st.depth > max_depth then crash st Crash.Stack_overflow;
+      if List.length args <> fn.nparams then
+        invalid_arg (Printf.sprintf "arity mismatch calling %s" fn.name);
+      (* one block per slot, parameters first, in declaration order *)
+      let frame = Array.map (fun size -> Memory.alloc st.mem ~size) fn.sizes in
+      List.iteri (fun i v -> Memory.store st.mem ~base:frame.(i) ~off:0 v) args;
+      let saved_frame = st.frame and saved_func = st.cur_func in
+      st.frame <- frame;
+      st.cur_func <- fn.name;
+      let cleanup () =
+        st.frame <- saved_frame;
+        Array.iter (Memory.kill st.mem) frame;
+        st.depth <- st.depth - 1;
+        st.cur_func <- saved_func
+      in
+      match exec_block st fn.body with
+      | () ->
+          cleanup ();
+          Value.zero
+      | exception Return_exc v ->
+          cleanup ();
+          v
+      | exception e ->
+          cleanup ();
+          raise e)
 
 (* ------------------------------------------------------------------ *)
 (* Program entry *)
@@ -638,61 +534,54 @@ type result = {
   steps : int;
 }
 
-let init_state prog (cfg : config) : state =
-  let mem = Memory.create () in
-  let globals = Hashtbl.create 32 in
-  let global_types = Hashtbl.create 32 in
+let init_state (prog : Program.t) (cfg : config) : state =
+  let code = prog.code in
   let st =
     {
-      prog;
-      mem;
-      globals;
-      global_types;
-      string_lits = Hashtbl.create 32;
+      code;
+      mem = Memory.create ();
+      globals = Array.make (Array.length code.globals) 0;
+      lits = Array.make code.nlits Value.zero;
       inputs = cfg.inputs;
       kernel = cfg.kernel;
       hooks = cfg.hooks;
       cost = Cost.create ();
       max_steps = cfg.max_steps;
       out = Buffer.create 256;
-      frames = [];
+      frame = [||];
       depth = 0;
       steps = 0;
       cur_loc = Loc.none;
       cur_func = "<toplevel>";
     }
   in
-  List.iter
-    (fun (d : Ast.var_decl) ->
-      let size = match d.vtyp with Types.Tarr (_, n) -> n | _ -> 1 in
-      let b = Memory.alloc mem ~name:d.vname ~size in
-      Hashtbl.replace globals d.vname b;
-      Hashtbl.replace global_types d.vname d.vtyp;
-      match d.vinit with
+  Array.iteri
+    (fun i (g : Resolved.global) ->
+      let b = Memory.alloc st.mem ~size:g.size in
+      st.globals.(i) <- b;
+      let init v = try Memory.store st.mem ~base:b ~off:0 v with Memory.Fault _ -> () in
+      match g.init with
       | None -> ()
-      | Some (Ast.Cint n) -> ignore (Memory.store mem ~base:b ~off:0 (Value.int_ n))
-      | Some (Ast.Unop (Ast.Neg, Ast.Cint n)) ->
-          ignore (Memory.store mem ~base:b ~off:0 (Value.int_ (-n)))
-      | Some (Ast.Cstr s) ->
-          let v = intern_string st s in
-          ignore (Memory.store mem ~base:b ~off:0 v)
-      | Some _ -> invalid_arg ("unsupported global initialiser for " ^ d.vname))
-    prog.globals;
+      | Some (Cint n) -> init (Value.int_ n)
+      | Some (Unop (Neg, Cint n)) -> init (Value.int_ (-n))
+      | Some (Cstr (l, s)) -> init (intern_string st l s)
+      | Some _ -> invalid_arg ("unsupported global initialiser for " ^ g.gname))
+    code.globals;
   st
 
 (* Saved per-thread execution context, swapped at scheduling points. *)
 type saved_ctx = {
-  s_frames : frame list;
+  s_frame : int array;
   s_depth : int;
   s_func : string;
   s_loc : Loc.t;
 }
 
 let capture_ctx st =
-  { s_frames = st.frames; s_depth = st.depth; s_func = st.cur_func; s_loc = st.cur_loc }
+  { s_frame = st.frame; s_depth = st.depth; s_func = st.cur_func; s_loc = st.cur_loc }
 
 let restore_ctx st s =
-  st.frames <- s.s_frames;
+  st.frame <- s.s_frame;
   st.depth <- s.s_depth;
   st.cur_func <- s.s_func;
   st.cur_loc <- s.s_loc
@@ -769,14 +658,14 @@ let run (prog : Program.t) (cfg : config) : result =
                   (fun (k : (a, _) continuation) ->
                     let tid' = !next_tid in
                     incr next_tid;
-                    (match Program.find_func prog fname with
-                    | Some f when List.length f.fparams = 1 ->
+                    (match Resolved.find st.code fname with
+                    | Some i when st.code.funcs.(i).nparams = 1 ->
                         enqueue tid' (fun () ->
-                            st.frames <- [];
+                            st.frame <- [||];
                             st.depth <- 0;
                             st.cur_func <- fname;
-                            st.cur_loc <- f.floc;
-                            run_fiber tid' (fun () -> call st fname [ arg ]))
+                            st.cur_loc <- st.code.funcs.(i).floc;
+                            run_fiber tid' (fun () -> call st (Func i) [ arg ]))
                     | Some _ ->
                         invalid_arg
                           (Printf.sprintf "spawn: %s must take one int argument"
@@ -820,7 +709,8 @@ let run (prog : Program.t) (cfg : config) : result =
   in
   let outcome =
     match
-      enqueue 0 (fun () -> run_fiber 0 (fun () -> call st "main" []));
+      enqueue 0 (fun () ->
+          run_fiber 0 (fun () -> call st (Func (Option.get (Resolved.find st.code "main"))) []));
       spin ()
     with
     | () -> (

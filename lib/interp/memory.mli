@@ -3,16 +3,20 @@
     Every variable owns a block (scalars have size 1, arrays their declared
     size); pointers are (block, offset) pairs.  Out-of-bounds offsets,
     dangling blocks and unknown blocks fault, giving MiniC programs
-    memory-safety crashes at well-defined source locations. *)
+    memory-safety crashes at well-defined source locations.  Blocks are
+    indexed by id in a growable array; a dead block costs one word. *)
 
 type fault = Oob | Dead_block | Unknown_block
+
+(** Raised by {!load} and {!store} on a faulting access. *)
+exception Fault of fault
 
 type t
 
 val create : unit -> t
 
 (** Allocate a zero-initialised block; returns its id. *)
-val alloc : t -> name:string -> size:int -> int
+val alloc : t -> size:int -> int
 
 (** Mark a block dead; ids are never reused, so later accesses fault with
     [Dead_block] — a use-after-free detector for free. *)
@@ -21,6 +25,6 @@ val kill : t -> int -> unit
 (** Cell count of a live block. *)
 val size : t -> int -> int option
 
-val load : t -> base:int -> off:int -> (Value.t, fault) result
-val store : t -> base:int -> off:int -> Value.t -> (unit, fault) result
+val load : t -> base:int -> off:int -> Value.t
+val store : t -> base:int -> off:int -> Value.t -> unit
 val fault_to_crash_kind : fault -> Crash.kind

@@ -15,6 +15,7 @@ type t = {
   funcs : Ast.func list;
   fun_tbl : (string, Ast.func) Hashtbl.t;
   branches : Number.info array;
+  code : Resolved.t;
 }
 
 let nbranches p = Array.length p.branches
@@ -85,7 +86,7 @@ let link ?(name = "program") ~(app : Ast.unit_) ~(libs : Ast.unit_ list) () : t 
   let branches = Number.number funcs in
   let fun_tbl = Hashtbl.create 64 in
   List.iter (fun (f : Ast.func) -> Hashtbl.replace fun_tbl f.fname f) funcs;
-  { name; globals; funcs; fun_tbl; branches }
+  { name; globals; funcs; fun_tbl; branches; code = Resolved.resolve ~globals ~funcs }
 
 (** Convenience: parse and link from source strings. *)
 let of_sources ?(name = "program") ~app ~libs () : t =

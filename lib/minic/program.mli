@@ -5,16 +5,19 @@
     out of expressions, type checks, and numbers every branch location
     program-wide.  The result is the immutable artifact every later stage
     (static analysis, concolic execution, instrumentation, replay) works
-    on. *)
+    on.  Linking also resolves every body once into {!Resolved} code for
+    the evaluator; {!link} is the only constructor, so that code always
+    matches [funcs]. *)
 
 exception Link_error of string
 
-type t = {
+type t = private {
   name : string;
   globals : Ast.var_decl list;
   funcs : Ast.func list;
   fun_tbl : (string, Ast.func) Hashtbl.t;
   branches : Number.info array;  (** indexed by branch id *)
+  code : Resolved.t;  (** what the evaluator runs *)
 }
 
 (** Total number of branch locations. *)

@@ -941,23 +941,34 @@ module Recon = struct
       fresh = Array.make n true;
     }
 
+  (* shared so the per-branch answer never allocates *)
+  let elide_true = Elide true
+  let elide_false = Elide false
+  let elide b = if b then elide_true else elide_false
+
+  let rec mark_fresh fresh = function
+    | [] -> ()
+    | c :: rest ->
+        fresh.(c) <- true;
+        mark_fresh fresh rest
+
   let on_branch t ~bid ~iter : action =
     if bid < 0 || bid >= Array.length t.rules then Consume
     else begin
       (* a loop header evaluating its condition for the first time in this
          entry starts a fresh invariance window for its children (and for
          itself, via its own entry in [children]) *)
-      if iter = 0 then List.iter (fun c -> t.fresh.(c) <- true) t.children.(bid);
+      if iter = 0 then mark_fresh t.fresh t.children.(bid);
       match t.rules.(bid) with
       | None -> Consume
-      | Some (Forced { polarity }) -> Elide polarity
+      | Some (Forced { polarity }) -> elide polarity
       | Some (Implied_by { dom; polarity }) ->
           if t.valid.(dom) then
-            Elide (if polarity then t.last.(dom) else not t.last.(dom))
+            elide (if polarity then t.last.(dom) else not t.last.(dom))
           else Elide_unknown
       | Some (Invariant_of _) ->
           if t.fresh.(bid) then Consume
-          else if t.valid.(bid) then Elide t.last.(bid)
+          else if t.valid.(bid) then elide t.last.(bid)
           else Elide_unknown
     end
 
