@@ -38,9 +38,9 @@ type result = {
     logging charge (the probe compiles to nothing); [shadow] additionally
     rebuilds the suppression-free log from the reconstruction rules so
     callers can check bit-for-bit parity.  With [encode] (the default)
-    probes write through the zero-allocation streaming {!Codec} and the
-    result carries the encoded stream in [encoded_log]; [~encode:false]
-    is the A/B baseline writing the raw packed log. *)
+    probes write through the streaming {!Codec}, allocating nothing per
+    branch, and the result carries the encoded stream in [encoded_log];
+    [~encode:false] is the A/B baseline writing the raw packed log. *)
 let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
     ?(telemetry = Telemetry.disabled) ~(plan : Plan.t)
     (sc : Concolic.Scenario.t) : result =

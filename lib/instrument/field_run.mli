@@ -36,9 +36,11 @@ type result = {
     suppression table, elided probes skip both the log write and the
     logging charge; [shadow] additionally rebuilds the suppression-free
     log from the reconstruction rules for parity checks.  With [encode]
-    (the default) probes write through the zero-allocation streaming
-    {!Codec} and the result carries the encoded stream in [encoded_log];
-    [~encode:false] is the A/B baseline writing the raw packed log.
+    (the default) probes write through the streaming {!Codec} and the
+    result carries the encoded stream in [encoded_log]; [~encode:false]
+    is the A/B baseline writing the raw packed log.  A probe allocates
+    nothing per branch; what a run allocates beyond an uninstrumented one
+    is per-run setup and the run-end decode of the encoded stream.
     [telemetry] wraps the run in a [field_run] span (branches/syscalls
     logged, buffer flushes, log bytes as end attributes) and accumulates
     the [field.*] counters. *)

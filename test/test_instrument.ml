@@ -1095,6 +1095,24 @@ let test_wire_replay_from_deserialized () =
       in
       check_bool "reproduced from wire form" true (Replay.Guided.reproduced result)
 
+(* The probe path allocates nothing per logged branch: what an
+   all-branches run allocates beyond an uninstrumented one is per-run
+   setup and the run-end decode (one byte per eight bits). *)
+let test_probe_allocation () =
+  let sc = Workloads.Microbench.counter_loop ~iterations:20_000 () in
+  let plan meth = Instrument.Plan.make ~nbranches:(Minic.Program.nbranches sc.prog) meth in
+  let words meth =
+    let before = Gc.minor_words () in
+    let r = Instrument.Field_run.run ~plan:(plan meth) sc in
+    (Gc.minor_words () -. before, r.cost.logged_branches)
+  in
+  let none, _ = words Instrument.Methods.No_instrumentation in
+  let all, logged = words Instrument.Methods.All_branches in
+  let per_branch = (all -. none) /. float_of_int logged in
+  check_bool
+    (Printf.sprintf "%.3f minor words per logged branch < 0.1" per_branch)
+    true (per_branch < 0.1)
+
 let () =
   Alcotest.run "instrument"
     [
@@ -1200,6 +1218,7 @@ let () =
         [
           Alcotest.test_case "bit accounting" `Quick test_field_run_counts_bits;
           Alcotest.test_case "cost ordering" `Quick test_field_run_cost_ordering;
+          Alcotest.test_case "probe allocation" `Quick test_probe_allocation;
           Alcotest.test_case "report only on crash" `Quick
             test_field_run_report_only_on_crash;
           Alcotest.test_case "report carries shape, not content" `Quick

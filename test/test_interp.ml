@@ -458,6 +458,106 @@ let test_golden_table () =
   let actual = List.map (fun (mode, sc) -> golden_line ~mode sc) (golden_runs ()) in
   Alcotest.(check (list string)) "golden table" golden_expected actual
 
+(* ------------------------------------------------------------------ *)
+(* Resolution at link *)
+
+(* One linked program is shared read-only by every run: two domains
+   running it at once see exactly what a sequential run sees. *)
+let test_resolution_domain_safe () =
+  let prog = Workloads.Runtime_lib.link ~name:"userver" Workloads.Userver.source in
+  let scs =
+    List.map
+      (fun id ->
+        { (Workloads.Userver.experiment_scenario (Workloads.Userver.experiment id)) with
+          prog })
+      [ 2; 3 ]
+  in
+  let runs () =
+    List.concat_map
+      (fun sc -> [ golden_line ~mode:`Concrete sc; golden_line ~mode:`Symbolic sc ])
+      scs
+  in
+  let d1 = Domain.spawn runs and d2 = Domain.spawn runs in
+  let a = Domain.join d1 and b = Domain.join d2 in
+  let seq = runs () in
+  Alcotest.(check (list string)) "domain 1 = sequential" seq a;
+  Alcotest.(check (list string)) "domain 2 = sequential" seq b
+
+(* Every run-time guard of the evaluator is rejected (or normalised away)
+   at link, so resolved code never reaches it. *)
+let test_link_rejects_runtime_guards () =
+  let rejects what src =
+    match compile src with
+    | _ -> Alcotest.failf "link accepted %s" what
+    | exception Minic.Typecheck.Error _ -> ()
+  in
+  rejects "an unbound variable" "int main() { return y; }";
+  rejects "an unknown callee" "int main() { nosuch(1); return 0; }";
+  rejects "a function arity mismatch"
+    "int f(int a) { return a; }\nint main() { f(1, 2); return 0; }";
+  rejects "a builtin arity mismatch" "int main() { print_int(1, 2); return 0; }";
+  check_int "call in expression position is hoisted" 6
+    (exit_code (run "int f(int a) { return a + 1; }\nint main() { return f(1) * 3; }"));
+  let module R = Minic.Resolved in
+  let rec expr : R.expr -> bool = function
+    | Cint _ | Cstr _ -> true
+    | Load lv | Addr lv -> lval lv
+    | Unop (_, a) -> expr a
+    | Binop (_, a, b) -> expr a && expr b
+    | Ecall _ -> false
+  and lval : R.lval -> bool = function
+    | Var (Unbound _) -> false
+    | Var _ -> true
+    | Elem (b, i) | Ptr_elem (b, i) -> lval b && expr i
+    | Star e -> expr e
+  in
+  let rec stmt (s : R.stmt) =
+    match s.desc with
+    | Assign (l, e) -> lval l && expr e
+    | Call (_, Unknown _, _) -> false
+    | Call (lo, _, args) -> Option.fold ~none:true ~some:lval lo && List.for_all expr args
+    | If (_, c, t, e) -> expr c && List.for_all stmt t && List.for_all stmt e
+    | While (_, c, b) -> expr c && List.for_all stmt b
+    | Return e -> Option.fold ~none:true ~some:expr e
+    | Break | Continue -> true
+    | Block b -> List.for_all stmt b
+  in
+  List.iter
+    (fun (prog : Minic.Program.t) ->
+      Array.iter
+        (fun (f : R.func) ->
+          check_bool (prog.name ^ "." ^ f.name ^ " fully resolved") true
+            (List.for_all stmt f.body))
+        prog.code.funcs)
+    [
+      Lazy.force Workloads.Userver.prog;
+      Lazy.force Workloads.Userver.checkpointed_prog;
+      Lazy.force Workloads.Diffutil.prog;
+      Lazy.force Workloads.Mtrace.prog;
+      Lazy.force (Workloads.Coreutils.find "paste").prog;
+    ]
+
+let test_memory_faults () =
+  let m = Interp.Memory.create () in
+  let fault f = try f (); None with Interp.Memory.Fault k -> Some k in
+  let b = Interp.Memory.alloc m ~size:2 in
+  (* grow past the initial table *)
+  for _ = 1 to 1000 do
+    Interp.Memory.kill m (Interp.Memory.alloc m ~size:1)
+  done;
+  Interp.Memory.store m ~base:b ~off:1 Interp.Value.one;
+  check_bool "live cell survives growth" true
+    (Interp.Memory.load m ~base:b ~off:1 = Interp.Value.one);
+  check_bool "oob" true
+    (fault (fun () -> ignore (Interp.Memory.load m ~base:b ~off:2)) = Some Oob);
+  Interp.Memory.kill m b;
+  check_bool "dead" true
+    (fault (fun () -> ignore (Interp.Memory.load m ~base:b ~off:0)) = Some Dead_block);
+  check_bool "unknown" true
+    (fault (fun () -> Interp.Memory.store m ~base:5000 ~off:0 Interp.Value.zero)
+    = Some Unknown_block);
+  check_bool "dead block has no size" true (Interp.Memory.size m b = None)
+
 let () =
   Alcotest.run "interp"
     [
@@ -509,4 +609,11 @@ let () =
           Alcotest.test_case "abort hook" `Quick test_abort_hook;
         ] );
       ("golden", [ Alcotest.test_case "workload table" `Quick test_golden_table ]);
+      ( "resolution",
+        [
+          Alcotest.test_case "domain-safe" `Quick test_resolution_domain_safe;
+          Alcotest.test_case "link rejects run-time guards" `Quick
+            test_link_rejects_runtime_guards;
+          Alcotest.test_case "memory faults" `Quick test_memory_faults;
+        ] );
     ]
