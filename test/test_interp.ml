@@ -413,7 +413,23 @@ let golden_runs () =
       (`Symbolic, named "mtrace" (W.Mtrace.scenario ()));
     ]
   in
+  (* MiniC cannot print a pointer, but the checkpoint hook reads globals
+     holding pointers to locals, parameters and literals, so this line
+     pins block allocation order: slots per call, frames killed on
+     return, literals interned on first evaluation *)
+  let alloc_order =
+    Concolic.Scenario.make ~name:"alloc-order"
+      (compile
+         "int *gp; int *ga; int *gq; int *gs; int *gl = \"global\";\n\
+          int leaf(int a, int b) { int t[3]; int u; gp = &u; ga = t; gq = &b;\n\
+          gs = \"leaf\"; checkpoint(); return a + b; }\n\
+          int mid(int n) { int k; int r; r = leaf(n, 2); gs = \"mid\"; return r; }\n\
+          int main() { int i; int s = 0; i = 0;\n\
+          while (i < 2) { s = s + mid(i); i = i + 1; }\n\
+          gs = \"leaf\"; checkpoint(); return s; }")
+  in
   coreutils @ userver @ diff @ micro
+  @ [ (`Concrete, alloc_order); (`Symbolic, alloc_order) ]
 
 let golden_expected =
   [
@@ -452,6 +468,8 @@ let golden_expected =
     "mtrace conc | CRASH: out-of-bounds at mtrace.c:18:9 (in worker) | 1114 | 5602 462 0 0 0 | d41d8cd98f00 383a14d281c8 d41d8cd98f00 d41d8cd98f00";
     "mtrace-benign conc | exit(0) | 235 | 1174 84 0 0 0 | 58189dc253ae 8c4e4bdb3e09 d41d8cd98f00 d41d8cd98f00";
     "mtrace sym | CRASH: out-of-bounds at mtrace.c:18:9 (in worker) | 1114 | 5602 462 0 0 0 | d41d8cd98f00 ea9d0cfda803 d41d8cd98f00 d41d8cd98f00";
+    "alloc-order conc | exit(5) | 33 | 128 3 0 0 0 | d41d8cd98f00 1501be8a8198 d41d8cd98f00 dc549dedb599";
+    "alloc-order sym | exit(5) | 33 | 128 3 0 0 0 | d41d8cd98f00 1501be8a8198 d41d8cd98f00 dc549dedb599";
   ]
 
 let test_golden_table () =
