@@ -13,8 +13,8 @@ type conc =
 type t = { conc : conc; sym : Solver.Expr.t option }
 
 (* Byte-sized integers are shared, so evaluating them allocates nothing. *)
-let bytes = Array.init 256 (fun n -> { conc = Int n; sym = None })
-let int_ n = if n land 0xff = n then Array.unsafe_get bytes n else { conc = Int n; sym = None }
+let byte_values = Array.init 256 (fun n -> { conc = Int n; sym = None })
+let int_ n = if n land 0xff = n then Array.unsafe_get byte_values n else { conc = Int n; sym = None }
 let ptr ~base ~off = { conc = Ptr { base; off }; sym = None }
 let with_sym v sym = { v with sym }
 let zero = int_ 0

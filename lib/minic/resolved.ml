@@ -82,8 +82,8 @@ let resolve ~(globals : Ast.var_decl list) ~(funcs : Ast.func list) : t =
         Hashtbl.replace lits s i;
         i
   in
-  (* Each resolver returns the node and its static type, computed as the
-     name-walking evaluator did. *)
+  (* Each resolver returns the node and its static type; types decide
+     array decay and whether an index goes through a pointer. *)
   let rec lval locals (lv : Ast.lval) : lval * Types.t =
     match lv with
     | Var x -> (
