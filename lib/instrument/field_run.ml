@@ -140,8 +140,7 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
       scheduler = Some (Schedule_log.recording_scheduler ~rng:sched_rng sched_log);
     }
   in
-  (* Eval.run creates its own cost record, so probes charge a side record
-     that is folded into the run's afterwards. *)
+  (* Eval.run owns its cost record: probes charge this one, added after *)
   let side_cost = Interp.Cost.create () in
   cost_cell := Some side_cost;
   let r = Interp.Eval.run sc.prog cfg in
