@@ -652,6 +652,57 @@ let test_ingest_scanner_rescans_settled_write () =
       | [], [] -> ()
       | _ -> Alcotest.fail "a settled file must not be re-offered"))
 
+(* Golden summary of a seeded fleet batch: Report_gen duplicates across
+   three bases, a quarter of them torn mid-log, plus one garbage text
+   that only the rejected list carries.  The ladder is run-capped (its
+   time bounds never bind), so every verdict, model and member list is a
+   function of the batch alone; the digest was recorded with the one-shot
+   batch entry point and pins that every batch caller opening its own
+   service still triages to the same bytes. *)
+let fleet_batch_golden =
+  "6948edf7a57a678321d76ffa4db028b0"
+
+let test_fleet_batch_golden () =
+  let config = Bugrepro.Pipeline.Config.default in
+  let gen = Workloads.Report_gen.make ~quick:true ~config () in
+  let reports =
+    Workloads.Report_gen.stream gen ~seed:5 ~clients:4 ~torn_pct:0.25 16
+  in
+  check_bool "the batch has torn reports" true
+    (List.exists (fun (r : Workloads.Report_gen.report) -> r.torn) reports);
+  let texts =
+    List.map (fun (r : Workloads.Report_gen.report) -> (r.path, r.wire)) reports
+    @ [ ("garbage.report", "not a report\n") ]
+  in
+  let parsed = List.map (fun (path, s) -> Ingest.of_string ~path s) texts in
+  let items = List.filter_map Result.to_option parsed in
+  let rejected =
+    List.filter_map (function Error r -> Some r | Ok _ -> None) parsed
+  in
+  let resolve (c : Cluster.t) =
+    let r = c.Cluster.representative.Ingest.report in
+    Workloads.Report_gen.plan_for gen ~program:r.Report.program
+      ~meth:r.Report.method_used
+  in
+  let policy =
+    {
+      Sched.default_policy with
+      Sched.ladder =
+        [
+          { Concolic.Engine.max_runs = 60; max_time_s = 600.0 };
+          { Concolic.Engine.max_runs = 400; max_time_s = 600.0 };
+        ];
+      deadline_s = 1200.0;
+    }
+  in
+  let s = run_items ~policy ~resolve ~rejected items in
+  let json = Summary.to_json ~timing:false s in
+  check_bool "duplicates collapsed" true (s.Summary.dedup_ratio < 1.0);
+  check_bool "salvage path used" true (s.Summary.salvaged > 0);
+  check_int "the garbage text is listed" 1 (List.length s.Summary.rejected);
+  check_string "golden summary digest" fleet_batch_golden
+    (Digest.to_hex (Digest.string json))
+
 (* A rejected (garbage) file is also re-offered once its content moves —
    and a damaged persistent index is an [Error] from the batch wrapper,
    not an assertion failure. *)
@@ -901,6 +952,8 @@ let () =
             test_jobs_invariant_summary;
           Alcotest.test_case "mixed wire versions summarize like all-raw"
             `Quick test_mixed_version_batch_matches_all_raw;
+          Alcotest.test_case "fleet batch golden summary" `Quick
+            test_fleet_batch_golden;
         ] );
       ( "service",
         [
