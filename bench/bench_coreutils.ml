@@ -74,18 +74,17 @@ let e4 (c : Ctx.t) =
     "CPU time of mkdir, normalised to the non-instrumented version";
   let e = Workloads.Coreutils.find "mkdir" in
   let a = analysis c e in
+  let plan = Bugrepro.Pipeline.(Run.plan Config.default a) in
   let sc = Workloads.Coreutils.benign_scenario e in
   let baseline =
-    (Instrument.Field_run.run
-       ~plan:(Bugrepro.Pipeline.plan a Instrument.Methods.No_instrumentation)
-       sc)
+    (Instrument.Field_run.run ~plan:(plan Instrument.Methods.No_instrumentation) sc)
       .cost
       .instr
   in
   let rows =
     List.map
       (fun meth ->
-        let plan = Bugrepro.Pipeline.plan a meth in
+        let plan = plan meth in
         let r = Instrument.Field_run.run ~plan sc in
         [
           Instrument.Methods.to_string meth;
@@ -98,7 +97,7 @@ let e4 (c : Ctx.t) =
   in
   Util.table ([ "config"; "instrumented"; "cpu time"; "" ] :: rows);
   Util.elision_curve ~experiment:"E4" ~prog:(Lazy.force e.prog)
-    ~plan:(Bugrepro.Pipeline.plan a Instrument.Methods.Dynamic_static)
+    ~plan:(plan Instrument.Methods.Dynamic_static)
     sc;
   print_endline
     "expected shape: dynamic / dynamic+static / static nearly identical\n\
@@ -155,15 +154,19 @@ let e5 (c : Ctx.t) =
             ~nbranches:(Minic.Program.nbranches prog)
             Instrument.Methods.No_instrumentation
         in
-        let _, report = Bugrepro.Pipeline.field_run_report ~plan:none crash_sc in
+        let cfg =
+          Ctx.pipeline_config c
+          |> Bugrepro.Pipeline.Config.with_budget
+               ~replay:{ (Ctx.replay_budget c) with max_time_s = 3.0 *. c.replay_time_s }
+        in
+        let _, report =
+          Bugrepro.Pipeline.Run.field_run_report cfg ~plan:none crash_sc
+        in
         match report with
         | None -> [ e.util; "no crash" ]
         | Some report ->
             let result, _ =
-              Bugrepro.Pipeline.reproduce
-                ~budget:{ (Ctx.replay_budget c) with max_time_s = 3.0 *. c.replay_time_s }
-                ~jobs:c.jobs ~solver_cache:c.solver_cache ~prog ~plan:none
-                report
+              Bugrepro.Pipeline.Run.reproduce cfg ~prog ~plan:none report
             in
             [ e.util; Util.verdict_string (Util.replay_verdict result) ])
       Workloads.Coreutils.catalog

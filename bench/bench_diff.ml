@@ -106,14 +106,15 @@ let e13_e14 (c : Ctx.t) =
         let cells =
           List.map
             (fun (name, plan) ->
-              let _, report = Bugrepro.Pipeline.field_run_report ~plan crash_sc in
+              let cfg = Ctx.pipeline_config c in
+              let _, report =
+                Bugrepro.Pipeline.Run.field_run_report cfg ~plan crash_sc
+              in
               match report with
               | None -> "no crash"
               | Some report ->
                   let result, _ =
-                    Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c)
-                      ~jobs:c.jobs ~solver_cache:c.solver_cache ~prog:p ~plan
-                      report
+                    Bugrepro.Pipeline.Run.reproduce cfg ~prog:p ~plan report
                   in
                   let stats =
                     Bugrepro.Pipeline.measure_symbolic_logging ~plan crash_sc

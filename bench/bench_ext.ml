@@ -169,7 +169,8 @@ let a6 (c : Ctx.t) =
       ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let cfg = Ctx.pipeline_config c in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report cfg ~plan sc in
   match report with
   | None -> print_endline "the race did not fire under the field scheduler"
   | Some report ->
@@ -180,8 +181,7 @@ let a6 (c : Ctx.t) =
       in
       let replay rep =
         let result, stats =
-          Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c) ~jobs:c.jobs
-            ~solver_cache:c.solver_cache ~prog ~plan rep
+          Bugrepro.Pipeline.Run.reproduce cfg ~prog ~plan rep
         in
         ( Util.verdict_string (Util.replay_verdict result),
           stats.engine.runs )

@@ -68,11 +68,13 @@ let e2 (c : Ctx.t) =
     "Listing 1 (fibonacci): only the two option branches are symbolic";
   let sc = Workloads.Microbench.fibonacci ~option:"a" () in
   let prog = sc.prog in
-  let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 30; max_time_s = 10.0 }
-      ~test_scenario:sc prog
+  let cfg =
+    Bugrepro.Pipeline.Config.(
+      default
+      |> with_budget
+           ~dynamic:{ Concolic.Engine.max_runs = 30; max_time_s = 10.0 })
   in
+  let analysis = Bugrepro.Pipeline.Run.analyze cfg ~test_scenario:sc prog in
   let baseline =
     (Instrument.Field_run.run
        ~plan:
@@ -86,7 +88,7 @@ let e2 (c : Ctx.t) =
   let rows =
     List.map
       (fun meth ->
-        let plan = Bugrepro.Pipeline.plan analysis meth in
+        let plan = Bugrepro.Pipeline.Run.plan cfg analysis meth in
         let r = Instrument.Field_run.run ~plan sc in
         [
           Instrument.Methods.to_string meth;

@@ -46,7 +46,7 @@ let coreutils_case (c : Ctx.t) util =
       Instrument.Methods.No_instrumentation
   in
   let _, report =
-    Bugrepro.Pipeline.field_run_report ~plan:none
+    Bugrepro.Pipeline.Run.field_run_report (Ctx.pipeline_config c) ~plan:none
       (Workloads.Coreutils.crash_scenario e)
   in
   Option.map
@@ -100,7 +100,9 @@ let userver_case (c : Ctx.t) =
   let sc =
     Workloads.Userver.experiment_scenario (Workloads.Userver.experiment 1)
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report =
+    Bugrepro.Pipeline.Run.field_run_report (Ctx.pipeline_config c) ~plan sc
+  in
   Option.map
     (fun report ->
       { cname = "userver exp 1 (static)"; prog; plan; report;
@@ -456,11 +458,23 @@ let triage_section (c : Ctx.t) par_jobs =
       if Telemetry.enabled c.telemetry then c.telemetry else Telemetry.create ()
     in
     let before = Telemetry.Counters.of_core tel in
+    let config =
+      {
+        Triage.Service.default_config with
+        Triage.Service.policy;
+        queue_capacity = max 1 (List.length items);
+        wall_rungs = true;
+      }
+    in
     let summary, wall =
       Util.time_call (fun () ->
-          match Triage.run_items ~policy ~telemetry:tel ~resolve items with
-          | Ok s -> s
-          | Error e -> failwith (Triage.Index.error_to_string e))
+          match Triage.Service.open_ ~config ~telemetry:tel ~resolve () with
+          | Error e -> failwith (Triage.Index.error_to_string e)
+          | Ok svc ->
+              List.iter (fun i -> ignore (Triage.Service.submit_item svc i)) items;
+              let s = Triage.Service.drain svc in
+              Triage.Service.close svc;
+              s)
     in
     (* the batch's share of a counter the engine publishes per
        exploration *)

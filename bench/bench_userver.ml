@@ -231,14 +231,15 @@ let e9_e10 (c : Ctx.t) =
         let cells =
           List.map
             (fun (name, plan) ->
-              let _, report = Bugrepro.Pipeline.field_run_report ~plan crash_sc in
+              let cfg = Ctx.pipeline_config c in
+              let _, report =
+                Bugrepro.Pipeline.Run.field_run_report cfg ~plan crash_sc
+              in
               match report with
               | None -> "no crash"
               | Some report ->
                   let result, _ =
-                    Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c)
-                      ~jobs:c.jobs ~solver_cache:c.solver_cache ~prog:p ~plan
-                      report
+                    Bugrepro.Pipeline.Run.reproduce cfg ~prog:p ~plan report
                   in
                   let stats =
                     Bugrepro.Pipeline.measure_symbolic_logging ~plan crash_sc
@@ -287,16 +288,18 @@ let e11 (c : Ctx.t) =
         let crash_sc = Workloads.Userver.experiment_scenario e in
         List.filter_map
           (fun (name, plan) ->
+            let cfg =
+              Ctx.pipeline_config c
+              |> Bugrepro.Pipeline.Config.with_log_syscalls false
+            in
             let _, report =
-              Bugrepro.Pipeline.field_run_report ~log_syscalls:false ~plan crash_sc
+              Bugrepro.Pipeline.Run.field_run_report cfg ~plan crash_sc
             in
             match report with
             | None -> None
             | Some report ->
                 let result, stats =
-                  Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c)
-                    ~jobs:c.jobs ~solver_cache:c.solver_cache ~prog:p ~plan
-                    report
+                  Bugrepro.Pipeline.Run.reproduce cfg ~prog:p ~plan report
                 in
                 (* Table 8: without a syscall log, branches on syscall
                    results count as symbolic too *)
@@ -374,14 +377,14 @@ let a2 (c : Ctx.t) =
           Instrument.Plan.make ~nbranches:n ~dynamic:d.labels
             ~static:static.labels Instrument.Methods.Dynamic_static
         in
-        let _, report = Bugrepro.Pipeline.field_run_report ~plan exp1 in
+        let cfg = Ctx.pipeline_config c in
+        let _, report = Bugrepro.Pipeline.Run.field_run_report cfg ~plan exp1 in
         let verdict =
           match report with
           | None -> "no crash"
           | Some report ->
               let result, _ =
-                Bugrepro.Pipeline.reproduce ~budget:(Ctx.replay_budget c) ~jobs:c.jobs
-                  ~solver_cache:c.solver_cache ~prog:p ~plan report
+                Bugrepro.Pipeline.Run.reproduce cfg ~prog:p ~plan report
               in
               Util.verdict_string (Util.replay_verdict result)
         in

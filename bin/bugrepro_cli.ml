@@ -413,16 +413,31 @@ let triage_cmd dir jobs deadline timeout seed no_incremental index json trace
       { (Triage.Sched.policy_of_config cfg) with Triage.Sched.deadline_s = deadline }
     in
     let items, rejected = Triage.Ingest.load_dir dir in
+    (* one-shot service sized to the batch: nothing is shed, and nothing
+       is replayed before the drain.  Wall-clock rungs keep --deadline and
+       --timeout in seconds. *)
+    let config =
+      {
+        Triage.Service.default_config with
+        Triage.Service.policy;
+        queue_capacity = max 1 (List.length items);
+        wall_rungs = true;
+        index_dir = index;
+      }
+    in
     match
-      Triage.run_items ~policy ?index_dir:index ~telemetry:tel
-        ~resolve:(make_resolver cfg) ~rejected items
+      Triage.Service.open_ ~config ~telemetry:tel
+        ~resolve:(make_resolver cfg) ()
     with
     | Error e ->
         Printf.eprintf "triage: cannot open index: %s\n"
           (Triage.Index.error_to_string e);
         finish_telemetry ();
         6
-    | Ok summary ->
+    | Ok svc ->
+        List.iter (fun i -> ignore (Triage.Service.submit_item svc i)) items;
+        let summary = Triage.Service.drain ~rejected svc in
+        Triage.Service.close svc;
         print_string (Triage.Summary.to_text summary);
         (match json with
         | Some path ->
@@ -621,7 +636,7 @@ let serve_cmd dir generate clients torn_pct seed queue drop_s burst window
       | Error e ->
           Printf.eprintf "serve: cannot open index: %s\n"
             (Triage.Index.error_to_string e);
-          (match e with Triage.Index.Unknown_version _ -> 4 | _ -> 3)
+          6
       | Ok svc ->
           let recovered =
             (Triage.Service.snapshot svc).Triage.Service.processed

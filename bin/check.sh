@@ -12,6 +12,8 @@
 #                             # walkthrough program), a triage smoke
 #                             # over a generated batch with duplicates and
 #                             # torn tails (strict JSON summary validated),
+#                             # a damaged-index smoke (triage and serve
+#                             # exit 6 on an unreadable --index),
 #                             # an encoding smoke (the same loop-heavy demo
 #                             # saved with the wire-v4 online codec on and
 #                             # off: encoded strictly smaller, identical
@@ -153,6 +155,28 @@ EOF
   else
     echo "python3 not found; skipping JSON validation of $SUMMARY"
   fi
+
+  echo "== damaged-index smoke (triage and serve exit 6) =="
+  # an index directory whose shard is not an index must fail closed with
+  # the documented exit code 6 from both triage commands, never 3/4
+  # (those mean the reports themselves are corrupt / too new)
+  BADIDX=$(mktemp -d /tmp/triage-badindex.XXXXXX)
+  printf 'not an index\n' > "$BADIDX/shard-000.idx"
+  IDX_EXIT=0
+  dune exec bin/bugrepro_cli.exe -- triage "$BATCH" --index "$BADIDX" \
+    > /dev/null 2>&1 || IDX_EXIT=$?
+  if [ "$IDX_EXIT" -ne 6 ]; then
+    echo "error: triage --index <damaged> exited $IDX_EXIT, expected 6" >&2
+    exit 1
+  fi
+  IDX_EXIT=0
+  dune exec bin/bugrepro_cli.exe -- serve --generate 4 --index "$BADIDX" \
+    > /dev/null 2>&1 || IDX_EXIT=$?
+  if [ "$IDX_EXIT" -ne 6 ]; then
+    echo "error: serve --index <damaged> exited $IDX_EXIT, expected 6" >&2
+    exit 1
+  fi
+  echo "damaged-index smoke OK: triage and serve both exit 6"
 
   echo "== encoding smoke (wire-v4 online codec A/B) =="
   # the same loop-heavy demo run saved with the online encoder on and

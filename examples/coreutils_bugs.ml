@@ -3,6 +3,14 @@
 
    Run with:  dune exec examples/coreutils_bugs.exe *)
 
+(* one configuration for every stage: the analysis and replay budgets *)
+let config =
+  Bugrepro.Pipeline.Config.(
+    default
+    |> with_budget
+         ~dynamic:{ Concolic.Engine.max_runs = 120; max_time_s = 10.0 }
+         ~replay:{ Concolic.Engine.max_runs = 5000; max_time_s = 15.0 })
+
 let () =
   List.iter
     (fun (e : Workloads.Coreutils.entry) ->
@@ -11,8 +19,7 @@ let () =
       (* the developer's analysis uses a generic argv shape, not the
          (unknown) crashing input *)
       let analysis =
-        Bugrepro.Pipeline.analyze
-          ~dynamic_budget:{ Concolic.Engine.max_runs = 120; max_time_s = 10.0 }
+        Bugrepro.Pipeline.Run.analyze config
           ~test_scenario:(Workloads.Coreutils.analysis_scenario e)
           prog
       in
@@ -21,16 +28,14 @@ let () =
         (String.concat " " e.crashing_args);
       List.iter
         (fun meth ->
-          let plan = Bugrepro.Pipeline.plan analysis meth in
-          let _, report = Bugrepro.Pipeline.field_run_report ~plan crash_sc in
+          let plan = Bugrepro.Pipeline.Run.plan config analysis meth in
+          let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan crash_sc in
           match report with
           | None -> Printf.printf "  %-16s field run did not crash?!\n"
                       (Instrument.Methods.to_string meth)
           | Some report ->
               let result, _ =
-                Bugrepro.Pipeline.reproduce
-                  ~budget:{ Concolic.Engine.max_runs = 5000; max_time_s = 15.0 }
-                  ~prog ~plan report
+                Bugrepro.Pipeline.Run.reproduce config ~prog ~plan report
               in
               let verdict =
                 match result with

@@ -39,7 +39,13 @@ let () =
       Instrument.Methods.All_branches
   in
   let sc = Concolic.Scenario.make ~name:"vault" ~args:[ secret ] prog in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let config =
+    Bugrepro.Pipeline.Config.(
+      default
+      |> with_budget
+           ~replay:{ Concolic.Engine.max_runs = 3000; max_time_s = 15.0 })
+  in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan sc in
   let report = Option.get report in
 
   Printf.printf "user input (never shipped): %S\n" secret;
@@ -61,11 +67,7 @@ let () =
     (String.concat ", " (List.map string_of_int report.shape.arg_caps));
 
   (* the developer can still reproduce the crash *)
-  let result, stats =
-    Bugrepro.Pipeline.reproduce
-      ~budget:{ Concolic.Engine.max_runs = 3000; max_time_s = 15.0 }
-      ~prog ~plan report
-  in
+  let result, stats = Bugrepro.Pipeline.Run.reproduce config ~prog ~plan report in
   match result with
   | Replay.Guided.Reproduced r ->
       let synth = Buffer.create 16 in

@@ -33,6 +33,15 @@ int main() {
 }
 |}
 
+(* one configuration for every pipeline stage: here, the symbolic-execution
+   budget of the pre-deployment analysis and the developer's replay budget *)
+let config =
+  Bugrepro.Pipeline.Config.(
+    default
+    |> with_budget
+         ~dynamic:{ Concolic.Engine.max_runs = 50; max_time_s = 5.0 }
+         ~replay:{ Concolic.Engine.max_runs = 2000; max_time_s = 10.0 })
+
 let () =
   print_endline "== 1. developer: compile and analyse the program ==";
   let prog = Workloads.Runtime_lib.link ~name:"quickstart" source in
@@ -45,11 +54,7 @@ let () =
   let test_scenario =
     Concolic.Scenario.make ~name:"quickstart-test" ~args:[ "hello" ] prog
   in
-  let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 50; max_time_s = 5.0 }
-      ~test_scenario prog
-  in
+  let analysis = Bugrepro.Pipeline.Run.analyze config ~test_scenario prog in
   (match analysis.dynamic with
   | Some d ->
       Printf.printf "dynamic analysis: %d runs, %.0f%% branch coverage\n" d.runs
@@ -57,7 +62,7 @@ let () =
   | None -> ());
 
   print_endline "\n== 2. developer: choose a method and instrument ==";
-  let plan = Bugrepro.Pipeline.plan analysis Instrument.Methods.Dynamic_static in
+  let plan = Bugrepro.Pipeline.Run.plan config analysis Instrument.Methods.Dynamic_static in
   Printf.printf "dynamic+static instruments %d of %d branch locations\n"
     plan.n_instrumented
     (Minic.Program.nbranches prog);
@@ -66,7 +71,7 @@ let () =
   let user_scenario =
     Concolic.Scenario.make ~name:"quickstart" ~args:[ "ocaml" ] prog
   in
-  let field, report = Bugrepro.Pipeline.field_run_report ~plan user_scenario in
+  let field, report = Bugrepro.Pipeline.Run.field_run_report config ~plan user_scenario in
   Printf.printf "user run: %s\n" (Interp.Crash.outcome_to_string field.outcome);
   let report = Option.get report in
   Printf.printf "bug report shipped to the developer: %s\n"
@@ -75,11 +80,7 @@ let () =
     (Instrument.Report.transfer_bytes report);
 
   print_endline "\n== 4. developer: reproduce the bug from the report ==";
-  let result, stats =
-    Bugrepro.Pipeline.reproduce
-      ~budget:{ Concolic.Engine.max_runs = 2000; max_time_s = 10.0 }
-      ~prog ~plan report
-  in
+  let result, stats = Bugrepro.Pipeline.Run.reproduce config ~prog ~plan report in
   (match result with
   | Replay.Guided.Reproduced r ->
       Printf.printf "reproduced after %d guided runs in %.3fs at %s\n" r.runs

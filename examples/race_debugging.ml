@@ -21,8 +21,11 @@ let () =
       Instrument.Methods.All_branches
   in
 
+  let budget = { Concolic.Engine.max_runs = 20_000; max_time_s = 15.0 } in
+  let config = Bugrepro.Pipeline.Config.(default |> with_budget ~replay:budget) in
+
   print_endline "\n-- production run (pseudo-random scheduler) --";
-  let field, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let field, report = Bugrepro.Pipeline.Run.field_run_report config ~plan sc in
   Printf.printf "outcome: %s\n" (Interp.Crash.outcome_to_string field.outcome);
   let report = Option.get report in
   let sched =
@@ -35,10 +38,8 @@ let () =
     sched
     (Instrument.Report.transfer_bytes report);
 
-  let budget = { Concolic.Engine.max_runs = 20_000; max_time_s = 15.0 } in
-
   print_endline "\n-- replay WITH the recorded schedule --";
-  (let result, _ = Bugrepro.Pipeline.reproduce ~budget ~prog ~plan report in
+  (let result, _ = Bugrepro.Pipeline.Run.reproduce config ~prog ~plan report in
    match result with
    | Replay.Guided.Reproduced r ->
        Printf.printf "reproduced in %.3fs after %d runs at %s\n" r.elapsed_s r.runs
@@ -48,8 +49,9 @@ let () =
   print_endline "\n-- replay WITHOUT the schedule (what a branch-only log gives you) --";
   let stripped = { report with Instrument.Report.schedule_log = None } in
   let result, _ =
-    Bugrepro.Pipeline.reproduce
-      ~budget:{ budget with max_time_s = 5.0 }
+    Bugrepro.Pipeline.Run.reproduce
+      (Bugrepro.Pipeline.Config.with_budget
+         ~replay:{ budget with max_time_s = 5.0 } config)
       ~prog ~plan stripped
   in
   match result with

@@ -1,4 +1,5 @@
-(** The end-to-end pipeline of the paper, as one API.
+(** The end-to-end pipeline of the paper, as one API: each stage is a
+    {!Run} function taking one {!Config.t}.
 
     Developer site, pre-deployment:
     {ol {- [analyze]: run dynamic (time-budgeted concolic) and/or static
@@ -25,9 +26,9 @@ type analysis = {
   static : Staticanalysis.Static.result option;
 }
 
-(** One value carrying every pipeline knob.  Replaces the optional-argument
-    sprawl of the stage functions: build one with {!Config.default} and the
-    [with_*] setters, hand it to every {!Run} stage. *)
+(** One value carrying every pipeline knob: build one with
+    {!Config.default} and the [with_*] setters, hand it to every {!Run}
+    stage. *)
 module Config = struct
   type t = {
     dynamic_budget : Concolic.Engine.budget;
@@ -178,26 +179,6 @@ module Run = struct
       ~telemetry:c.telemetry ~prog ~plan report
 end
 
-(** Pre-deployment analysis.  [test_scenario] is the developer's test
-    environment for dynamic analysis (the paper leverages the testing
-    effort); [dynamic_budget] is the symbolic-execution time knob (LC vs
-    HC); [analyze_lib = false] reproduces the uServer setup where the
-    merged source was too large for points-to analysis.
-
-    Deprecated entry point: thin wrapper over {!Run.analyze}, kept so
-    pre-[Config] callers compile unchanged.  New code should build a
-    {!Config.t}. *)
-let analyze ?(dynamic_budget = Concolic.Engine.default_budget)
-    ?(analyze_lib = true) ?(refine = true) ?(jobs = 1) ?test_scenario
-    (prog : Program.t) : analysis =
-  let c =
-    Config.default
-    |> Config.with_budget ~dynamic:dynamic_budget
-    |> Config.with_analyze_lib analyze_lib
-    |> Config.with_refine refine |> Config.with_jobs jobs
-  in
-  Run.analyze c ?test_scenario prog
-
 (** Precision report of the static labels against the dynamic ground
     truth; [None] unless both analyses ran. *)
 let precision (a : analysis) : Staticanalysis.Precision.report option =
@@ -205,33 +186,6 @@ let precision (a : analysis) : Staticanalysis.Precision.report option =
   | Some s, Some d ->
       Some (Staticanalysis.Static.precision s a.prog ~dynamic:d.labels)
   | (Some _ | None), _ -> None
-
-(** Instrumentation plan for a method, from the available analyses.
-    Deprecated entry point: wrapper over {!Run.plan} with the default
-    config (no telemetry). *)
-let plan (a : analysis) (meth : Instrument.Methods.t) : Instrument.Plan.t =
-  Run.plan Config.default a meth
-
-(** User-site execution (re-exported from {!Instrument.Field_run}).
-    Deprecated entry point: new code should use {!Run.field_run}. *)
-let field_run ?log_syscalls ~plan sc =
-  Instrument.Field_run.run ?log_syscalls ~plan sc
-
-(** Full user-site step: run and, if it crashed, build the report.
-    Deprecated entry point: wrapper over {!Run.field_run_report}. *)
-let field_run_report ?(log_syscalls = true) ~plan:p
-    (sc : Concolic.Scenario.t) :
-    Instrument.Field_run.result * Instrument.Report.t option =
-  Run.field_run_report
-    (Config.default |> Config.with_log_syscalls log_syscalls)
-    ~plan:p sc
-
-(** Developer-site bug reproduction (re-exported from {!Replay}).
-    Deprecated entry point: new code should use {!Run.reproduce}. *)
-let reproduce ?budget ?seed ?max_steps ?restore ?jobs ?solver_cache ~prog
-    ~plan report =
-  Replay.Guided.reproduce ?budget ?seed ?max_steps ?restore ?jobs
-    ?solver_cache ~prog ~plan report
 
 (* ------------------------------------------------------------------ *)
 (* Measurement oracle for Table 4 / Table 7 style statistics *)

@@ -1,10 +1,12 @@
-(** The end-to-end pipeline of the paper, as one API.
+(** The end-to-end pipeline of the paper, as one API: every stage is a
+    {!Run} function taking one {!Config.t}.
 
-    Developer site, pre-deployment: {!analyze} (dynamic and/or static
-    branch labelling) then {!plan} (pick a §2.3 instrumentation method).
-    User site: {!field_run} / {!field_run_report} (bit-per-branch logging;
-    a crash yields a {!Instrument.Report.t}).  Developer site, post-report:
-    {!reproduce} (guided symbolic replay). *)
+    Developer site, pre-deployment: {!Run.analyze} (dynamic and/or static
+    branch labelling) then {!Run.plan} (pick a §2.3 instrumentation
+    method).  User site: {!Run.field_run} / {!Run.field_run_report}
+    (bit-per-branch logging; a crash yields a {!Instrument.Report.t}).
+    Developer site, post-report: {!Run.reproduce} (guided symbolic
+    replay). *)
 
 type analysis = {
   prog : Minic.Program.t;
@@ -12,9 +14,8 @@ type analysis = {
   static : Staticanalysis.Static.result option;
 }
 
-(** One value carrying every pipeline knob, replacing the stage functions'
-    optional-argument sprawl.  Build with {!Config.default} and chain the
-    setters:
+(** One value carrying every pipeline knob.  Build with {!Config.default}
+    and chain the setters:
     {[
       Config.default |> Config.with_jobs 4 |> Config.with_telemetry tel
     ]} *)
@@ -118,63 +119,9 @@ module Run : sig
     Replay.Guided.result * Replay.Guided.stats
 end
 
-(** Pre-deployment analysis.  [test_scenario] is the developer's test
-    environment for dynamic analysis; [dynamic_budget] is the
-    symbolic-execution time knob (LC vs HC); [analyze_lib = false]
-    reproduces the uServer setup where the merged source was too large for
-    points-to analysis; [refine = false] runs the seed (unrefined) static
-    pipeline; [jobs] > 1 runs the dynamic exploration on a parallel worker
-    pool.
-
-    Deprecated: thin wrapper over {!Run.analyze}, kept so pre-[Config]
-    callers compile unchanged.  New code should build a {!Config.t}. *)
-val analyze :
-  ?dynamic_budget:Concolic.Engine.budget ->
-  ?analyze_lib:bool ->
-  ?refine:bool ->
-  ?jobs:int ->
-  ?test_scenario:Concolic.Scenario.t ->
-  Minic.Program.t ->
-  analysis
-
 (** Precision report of the static labels against the dynamic ground
     truth; [None] unless both analyses ran. *)
 val precision : analysis -> Staticanalysis.Precision.report option
-
-(** Instrumentation plan for a method, from the available analyses.
-    Deprecated: wrapper over {!Run.plan} with the default config. *)
-val plan : analysis -> Instrument.Methods.t -> Instrument.Plan.t
-
-(** Deprecated: wrapper over {!Run.field_run} (no telemetry). *)
-val field_run :
-  ?log_syscalls:bool ->
-  plan:Instrument.Plan.t ->
-  Concolic.Scenario.t ->
-  Instrument.Field_run.result
-
-(** Full user-site step: run and, if it crashed, build the report.
-    Deprecated: wrapper over {!Run.field_run_report}. *)
-val field_run_report :
-  ?log_syscalls:bool ->
-  plan:Instrument.Plan.t ->
-  Concolic.Scenario.t ->
-  Instrument.Field_run.result * Instrument.Report.t option
-
-(** Developer-site bug reproduction.  [jobs] parallelizes the pending
-    frontier; [solver_cache] (default on) memoizes solver queries — see
-    {!Replay.Guided.reproduce}.  Deprecated: wrapper over {!Run.reproduce}
-    (no telemetry). *)
-val reproduce :
-  ?budget:Concolic.Engine.budget ->
-  ?seed:int ->
-  ?max_steps:int ->
-  ?restore:Replay.Guided.restore_fn ->
-  ?jobs:int ->
-  ?solver_cache:bool ->
-  prog:Minic.Program.t ->
-  plan:Instrument.Plan.t ->
-  Instrument.Report.t ->
-  Replay.Guided.result * Replay.Guided.stats
 
 (** {1 Measurement oracles (benchmarks)} *)
 

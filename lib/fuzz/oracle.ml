@@ -641,14 +641,16 @@ let replay_check (cfg : cfg) (case : Gen.case) (plan : Instrument.Plan.t)
                 c.case3b
             else ""))
 
-(* Oracle (i): streaming-vs-batch equivalence.  Build a small report set
-   from the first crashing method — duplicates with distinct provenance
-   paths plus one torn copy — and triage it twice: once through the
-   batch entry point in canonical path order, once through a live
-   {!Triage.Service} fed the same items in a seeded shuffle with a tiny
-   queue burst (many ticks, eager rung climbs between them).  The two
-   timing-stripped summaries must be byte-identical: arrival order,
-   tick boundaries and eager replay must never change what triage
+(* Oracle (i): restart equivalence.  Build a small report set from the
+   first crashing method — duplicates with distinct provenance paths plus
+   one torn copy — and triage it twice through a {!Triage.Service}.  The
+   uninterrupted run submits the items in canonical path order and drains
+   once.  The interrupted run submits a seeded shuffle one report per
+   tick with eager rung climbs, persists its buckets to an index in a
+   fresh temporary directory, closes after half the items, reopens over
+   the same index, submits the rest, ticks and drains.  The two
+   timing-stripped summaries must be byte-identical: arrival order, tick
+   boundaries, eager replay and a restart must never change what triage
    concludes. *)
 
 let streaming_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
@@ -685,59 +687,78 @@ let streaming_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
           texts
       in
       let resolve _ = Ok (case.Gen.prog, plan) in
+      (* run-bounded rungs (the service default), so a verdict never
+         depends on wall time; the replay-budget rung is left off the
+         ladder because a hard case climbs it three times here *)
+      let rung max_runs = { Concolic.Engine.max_runs; max_time_s = infinity } in
       let policy =
         { (Triage.Sched.policy_of_config cfg.config) with
-          Triage.Sched.deadline_s = 30.0 }
+          Triage.Sched.ladder = [ rung 60; rung 250 ] }
+      in
+      let config =
+        {
+          Triage.Service.default_config with
+          Triage.Service.policy;
+          queue_capacity = max 1 (List.length items);
+          burst = 1;
+          window = 8;
+        }
+      in
+      (* one service incarnation fed [items], a tick after each
+         submission when [tick] (burst 1: the queue is empty after it) *)
+      let incarnation ?index_dir ~tick items =
+        let config = { config with Triage.Service.index_dir } in
+        match Triage.Service.open_ ~config ~resolve () with
+        | Error e -> failwith (Triage.Index.error_to_string e)
+        | Ok svc ->
+            List.iter
+              (fun item ->
+                ignore (Triage.Service.submit_item svc item);
+                if tick then ignore (Triage.Service.tick svc))
+              items;
+            svc
+      in
+      let drain svc =
+        let s = Triage.Service.drain svc in
+        Triage.Service.close svc;
+        s
+      in
+      let dir = Filename.temp_dir "fuzz-triage" "" in
+      let rm_dir () =
+        Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+        Sys.rmdir dir
       in
       try
-        let batch =
-          match Triage.run_items ~policy ~resolve items with
-          | Ok s -> s
-          | Error e -> failwith (Triage.Index.error_to_string e)
-        in
+        Fun.protect ~finally:rm_dir @@ fun () ->
+        let whole = drain (incarnation ~tick:false items) in
         let shuffled = Array.of_list items in
         Osmodel.Rng.shuffle
           (Osmodel.Rng.create (cfg.config.Bugrepro.Pipeline.Config.seed + 1))
           shuffled;
-        let config =
-          {
-            Triage.Service.default_config with
-            Triage.Service.policy;
-            queue_capacity = max 1 (Array.length shuffled);
-            burst = 1;
-            window = 8;
-            eager = true;
-          }
+        let half = Array.length shuffled / 2 in
+        let part lo n = Array.to_list (Array.sub shuffled lo n) in
+        Triage.Service.close
+          (incarnation ~index_dir:dir ~tick:true (part 0 half));
+        let restarted =
+          drain
+            (incarnation ~index_dir:dir ~tick:true
+               (part half (Array.length shuffled - half)))
         in
-        let svc =
-          match Triage.Service.open_ ~config ~resolve () with
-          | Ok svc -> svc
-          | Error e -> failwith (Triage.Index.error_to_string e)
-        in
-        Array.iter
-          (fun item -> ignore (Triage.Service.submit_item svc item))
-          shuffled;
-        while Triage.Service.queue_depth svc > 0 do
-          ignore (Triage.Service.tick svc)
-        done;
-        let streamed = Triage.Service.drain svc in
-        Triage.Service.close svc;
         let canon s = Triage.Summary.to_json ~timing:false s in
-        let b = canon batch and s = canon streamed in
-        if String.equal b s then
-          (* timeout-status flips are wall-clock noise, not divergence;
-             only equal-status summaries are comparable, like the
-             determinism oracle's exhausted-only comparison *)
-          Pass
+        let w = canon whole and r = canon restarted in
+        if String.equal w r then Pass
         else if
-          batch.Triage.Summary.timed_out <> streamed.Triage.Summary.timed_out
-        then Skip "replay budget expired in one mode"
+          (* only equal-status summaries are comparable, like the
+             determinism oracle's exhausted-only comparison: a budget
+             that ran out in one run only is a skip *)
+          whole.Triage.Summary.timed_out <> restarted.Triage.Summary.timed_out
+        then Skip "replay budget expired in one run"
         else
           Fail
             (Printf.sprintf
-               "streaming summary diverged from batch:\n--- batch\n%s\n--- \
-                streaming\n%s"
-               b s)
+               "restarted summary diverged from uninterrupted:\n\
+                --- uninterrupted\n%s\n--- restarted\n%s"
+               w r)
       with exn -> Fail ("streaming triage raised " ^ Printexc.to_string exn))
 
 (* Oracle (j): online-encoding equivalence.  Per method, the same

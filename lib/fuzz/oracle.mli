@@ -56,12 +56,14 @@
       come back [Reproduced] at the recorded site or a clean
       [Not_reproduced] — never an exception.
     - {b streaming}: a small report set (duplicates under distinct
-      provenance paths plus one torn copy) triaged through the batch
-      entry point and through a live {!Triage.Service} — same items,
-      seeded-shuffled arrival, tiny ingest bursts with eager replay
-      between ticks — must render byte-identical timing-stripped
-      summaries ([Summary.to_json ~timing:false]); a timeout-status flip
-      between the two modes is wall-clock noise and skips.
+      provenance paths plus one torn copy) triaged by a
+      {!Triage.Service} twice — once uninterrupted (canonical order, one
+      drain), once interrupted (seeded-shuffled arrival, one report per
+      tick with eager replay, buckets persisted to a fresh index, closed
+      after half the items and reopened over that index for the rest) —
+      must render byte-identical timing-stripped summaries
+      ([Summary.to_json ~timing:false]) under run-bounded ladder rungs;
+      a timeout-status flip between the two runs skips.
     - {b encoding}: per method, the same field run with the streaming
       {!Instrument.Codec} on and off agrees on outcome, output and the
       exact bit log; the shipped token stream validates and carries

@@ -36,10 +36,17 @@ let error_to_string = function
         version
   | Malformed msg -> msg
 
+let hex_digits = "0123456789abcdef"
+
 let hex_of_string s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code s.[i] in
+    Bytes.set b (2 * i) hex_digits.[c lsr 4];
+    Bytes.set b ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string b
 
 let method_code = function
   | Methods.No_instrumentation -> "none"

@@ -33,6 +33,10 @@ type error =
 val error_to_string : error -> string
 val serialize : Report.t -> string
 
+(** Lower-case hex, two digits per byte: the encoding of the payload
+    lines. *)
+val hex_of_string : string -> string
+
 (** {2 Reading}
 
     One field walk, {!deserialize_salvage}, reads every report; it

@@ -28,7 +28,7 @@ let better (a : Ingest.item) (b : Ingest.item) =
 (* Incremental builder: the same buckets as a one-shot [group], grown one
    item at a time.  Snapshots re-sort members and re-elect from scratch,
    so the rendered clusters depend only on the item *set*, never the
-   insertion order — the property the streaming-vs-batch oracle locks. *)
+   insertion order — the property the restart oracle locks. *)
 
 type builder = {
   tbl : (string, Fingerprint.t * Ingest.item list ref) Hashtbl.t;

@@ -109,7 +109,7 @@ let cluster_one ?raw ~persist (t : t) (item : Ingest.item) =
       if Cluster.better item head then begin
         Hashtbl.replace t.reps key item;
         (* the elected head changed: rungs climbed for the old head are
-           void — batch would have replayed the new head *)
+           void — a drain replays the new head *)
         Hashtbl.remove t.courses key
       end);
   if persist then

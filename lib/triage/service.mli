@@ -1,26 +1,28 @@
 (** Streaming triage service: long-running ingestion, incremental
     clustering, eager budgeted replay, restart-safe crash buckets.
 
-    The batch entry points ({!Triage.run_items} / {!Triage.run_dir})
-    triage a directory once and exit; a fleet does not crash in batches.
-    A {!t} is instead a long-lived handle: reports are {!submit}ted as
-    they arrive, buffered in a bounded ingest queue, clustered
-    incrementally ({!Cluster.builder}) on every {!tick}, appended to a
-    persistent fingerprint index ({!Index}) so buckets survive restarts,
-    observed by sliding-window analytics ({!Window}), and — while the
-    queue is shallow — replayed eagerly, a ladder rung or two at a time
-    ({!Sched.course_step}), so answers are already in hand when the
-    operator finally {!drain}s.
+    A fleet does not crash in batches, so a {!t} is a long-lived handle:
+    reports are {!submit}ted as they arrive, buffered in a bounded
+    ingest queue, clustered incrementally ({!Cluster.builder}) on every
+    {!tick}, appended to a persistent fingerprint index ({!Index}) so
+    buckets survive restarts, observed by sliding-window analytics
+    ({!Window}), and — while the queue is shallow — replayed eagerly, a
+    ladder rung or two at a time ({!Sched.course_step}), so answers are
+    already in hand when the operator finally {!drain}s.  A one-shot
+    batch (the CLI's [triage] command) uses the same handle once: open it
+    with a queue sized to the batch, {!submit_item} every report,
+    {!drain}, {!close}.
 
     {b Determinism.}  The summary a {!drain} renders is byte-identical
-    (in the [~timing:false] form) to {!Triage.run_items} over the same
-    accepted report set: clustering is insertion-order independent,
-    per-cluster replay seeds derive from (policy seed, fingerprint), and
-    splitting a ladder climb across ticks does not change its outcome
-    (see {!Sched.course_step}).  Overload shedding is the one sanctioned
-    divergence — and it is itself deterministic for a given submission
-    sequence, because {!Sample} draws from an {!Osmodel.Rng} seeded by
-    the policy seed.
+    (in the [~timing:false] form) for the same accepted report set
+    whatever its arrival order, wherever the ticks fall, and across a
+    {!close} and a re-{!open_} over the same index: clustering is
+    insertion-order independent, per-cluster replay seeds derive from
+    (policy seed, fingerprint), and splitting a ladder climb across
+    ticks does not change its outcome (see {!Sched.course_step}).
+    Overload shedding is the one sanctioned divergence — and it is
+    itself deterministic for a given submission sequence, because
+    {!Sample} draws from an {!Osmodel.Rng} seeded by the policy seed.
 
     {b Backpressure.}  The ingest queue holds at most
     [config.queue_capacity] parsed reports.  A submission that finds it
@@ -54,8 +56,8 @@ type config = {
           cluster's reproduced-vs-timed_out verdict depends only on its
           replay-run budget, never on a shared core being slow during an
           eager tick.  [true] restores the wall-clock ladder and bounds
-          each climb by [policy.deadline_s] (the batch wrappers opt in,
-          keeping the CLI's --deadline/--timeout semantics). *)
+          each climb by [policy.deadline_s] (the CLI's one-shot
+          batches opt in, keeping --deadline/--timeout in seconds). *)
   index_dir : string option;  (** persistent index directory, if any *)
   index_shards : int;  (** shard count for a {e fresh} index *)
 }
@@ -96,7 +98,7 @@ val open_ :
     only parseable reports occupy queue slots. *)
 val submit : t -> path:string -> string -> outcome
 
-(** Submit an already-ingested item (the batch wrappers' path). *)
+(** Submit an already-ingested item (e.g. from {!Ingest.load_dir}). *)
 val submit_item : t -> Ingest.item -> outcome
 
 (** Read and submit one report file ({!Ingest.of_file}). *)
@@ -136,8 +138,8 @@ val snapshot_to_json : snapshot -> string
 (** Flush the queue completely (no burst bound), finish every cluster's
     replay course on the policy's worker pool under a fresh
     [policy.deadline_s] window, and render the batch-compatible summary.
-    [rejected] adds rejections that never went through {!submit} (the
-    batch wrappers' pre-ingested ones).  The service stays open: later
+    [rejected] adds rejections that never went through {!submit} (e.g.
+    the ones {!Ingest.load_dir} returned).  The service stays open: later
     submissions extend the same buckets, and a later drain re-renders
     (re-emitting per-cluster status counters for every cluster). *)
 val drain : ?rejected:Ingest.rejected list -> t -> Summary.t

@@ -7,9 +7,9 @@
     backed by [Wire.deserialize_salvage]), clustered by crash-site
     fingerprint ({!Fingerprint}, {!Cluster}), replayed one
     representative per cluster under escalating budgets ({!Sched}), and
-    rendered as a deterministic summary ({!Summary}).  The primary entry
-    point is the long-running {!Service}; {!run_items} / {!run_dir} wrap
-    it for one-shot batches. *)
+    rendered as a deterministic summary ({!Summary}).  The one entry point
+    is the long-running {!Service}; a one-shot batch opens a service sized
+    to the batch, submits, drains and closes it. *)
 
 module Fingerprint = Fingerprint
 module Ingest = Ingest
@@ -21,59 +21,3 @@ module Index = Index
 module Service = Service
 
 type resolve = Sched.resolve
-
-let run_items ?policy ?index_dir ?(telemetry = Telemetry.disabled)
-    ~(resolve : resolve) ?(rejected : Ingest.rejected list = [])
-    (items : Ingest.item list) : (Summary.t, Index.error) result =
-  Telemetry.Span.with_ telemetry ~name:"triage"
-    ~attrs:[ ("reports", Telemetry.Event.Int (List.length items)) ]
-  @@ fun sp ->
-  (* one-shot service: every item fits the queue, no overload shedding,
-     no eager climbing — drain does all the replaying, exactly like the
-     old batch scheduler did.  Batches keep wall-clock ladder rungs so
-     the CLI's --deadline/--timeout semantics are unchanged. *)
-  let config =
-    {
-      Service.default_config with
-      Service.policy =
-        (match policy with Some p -> p | None -> Sched.default_policy);
-      queue_capacity = max 1 (List.length items);
-      drop = Service.Reject_new;
-      eager = false;
-      wall_rungs = true;
-      index_dir;
-    }
-  in
-  match Service.open_ ~config ~telemetry ~resolve () with
-  | Error e -> Error e
-  | Ok svc ->
-      List.iter (fun i -> ignore (Service.submit_item svc i)) items;
-      Telemetry.Metrics.incr_named telemetry ~by:(List.length items)
-        "triage.reports";
-      Telemetry.Metrics.incr_named telemetry
-        ~by:(List.length (List.filter Ingest.salvaged items))
-        "triage.salvaged";
-      Telemetry.Metrics.incr_named telemetry ~by:(List.length rejected)
-        "triage.rejected";
-      let summary = Service.drain ~rejected svc in
-      Service.close svc;
-      Telemetry.Metrics.incr_named telemetry
-        ~by:(List.length summary.Summary.clusters)
-        "triage.clusters";
-      Telemetry.Span.addi sp "clusters" (List.length summary.Summary.clusters);
-      Telemetry.Span.addi sp "reproduced"
-        (summary.Summary.reproduced + summary.Summary.salvaged_reproduced);
-      Ok summary
-
-let run_dir ?policy ?index_dir ?(telemetry = Telemetry.disabled)
-    ~(resolve : resolve) (dir : string) : (Summary.t, Index.error) result =
-  let items, rejected =
-    Telemetry.Span.with_ telemetry ~name:"triage.ingest"
-      ~attrs:[ ("dir", Telemetry.Event.Str dir) ]
-      (fun isp ->
-        let items, rejected = Ingest.load_dir dir in
-        Telemetry.Span.addi isp "accepted" (List.length items);
-        Telemetry.Span.addi isp "rejected" (List.length rejected);
-        (items, rejected))
-  in
-  run_items ?policy ?index_dir ~telemetry ~resolve ~rejected items

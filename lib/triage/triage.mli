@@ -8,23 +8,26 @@
     ladder, and {!Summary} renders the outcome deterministically in text
     and strict JSON.
 
-    The primary entry point is {!Service}: a long-running handle that
+    The one entry point is {!Service}: a long-running handle that
     ingests reports as they arrive through a bounded backpressured
     queue, clusters them incrementally, persists crash buckets across
     restarts ({!Index}), tracks sliding-window fleet analytics
     ({!Window}) and replays eagerly while ingestion is quiet.
 
-    {b Determinism model.}  For the same accepted report {e set} (any
-    arrival order) and the same policy seed, the service and the batch
-    wrappers render byte-identical summaries in the timing-stripped form
-    ([Summary.to_json ~timing:false]): clustering and representative
-    election are insertion-order independent, per-cluster replay seeds
-    derive from (seed, fingerprint), and pausing/resuming a replay
-    ladder between ticks does not change its outcome.  Overload shedding
-    ({!Service.drop_policy}) is the one way streaming diverges from
-    batch — deliberately, boundedly, and itself deterministically for a
-    given submission sequence (the {!Service.Sample} policy draws from a
-    seeded {!Osmodel.Rng}). *)
+    {b Determinism model.}  For the same accepted report {e set} and the
+    same policy seed, a service renders byte-identical summaries in the
+    timing-stripped form ([Summary.to_json ~timing:false]) whatever the
+    arrival order, wherever its ticks and eager rung climbs fall, and
+    across a restart over its persistent index: clustering and
+    representative election are insertion-order independent, the index
+    reloads every record through the same clustering path, per-cluster
+    replay seeds derive from (seed, fingerprint), and pausing/resuming a
+    replay ladder between ticks does not change its outcome.  Overload
+    shedding ({!Service.drop_policy}) is the one way two submission
+    sequences may diverge — deliberately, boundedly, and itself
+    deterministically for a given sequence (the {!Service.Sample} policy
+    draws from a seeded {!Osmodel.Rng}).  A one-shot batch is a service
+    sized to the batch, opened, filled, drained and closed. *)
 
 module Fingerprint = Fingerprint
 module Ingest = Ingest
@@ -36,35 +39,3 @@ module Index = Index
 module Service = Service
 
 type resolve = Sched.resolve
-
-(** Triage pre-ingested items (plus already-known rejections); opens the
-    [triage] span and bumps the [triage.*] counters on [telemetry].
-
-    Thin wrapper over {!Service} — opens a one-shot service sized to the
-    batch (no shedding, no eager replay; wall-clock ladder rungs, so the
-    CLI's deadline semantics hold), submits every item, drains, closes.
-    [index_dir], when given, persists crash buckets exactly as the
-    long-running service would; an index that cannot be opened (damaged
-    shard, newer format) is an [Error], never an assertion.  New code
-    should hold a {!Service.t}. *)
-val run_items :
-  ?policy:Sched.policy ->
-  ?index_dir:string ->
-  ?telemetry:Telemetry.t ->
-  resolve:resolve ->
-  ?rejected:Ingest.rejected list ->
-  Ingest.item list ->
-  (Summary.t, Index.error) result
-
-(** Triage every [*.report] file under a directory.
-
-    Thin wrapper over {!Ingest.load_dir} + {!run_items} (and through it
-    the {!Service}); kept for one-shot CLI batches.  A long-running
-    ingester should pair {!Service} with {!Ingest.scanner}. *)
-val run_dir :
-  ?policy:Sched.policy ->
-  ?index_dir:string ->
-  ?telemetry:Telemetry.t ->
-  resolve:resolve ->
-  string ->
-  (Summary.t, Index.error) result

@@ -4,8 +4,12 @@
 
 let check_bool = Alcotest.(check bool)
 
-let dynamic_budget = { Concolic.Engine.max_runs = 60; max_time_s = 8.0 }
-let replay_budget = { Concolic.Engine.max_runs = 3000; max_time_s = 30.0 }
+let config =
+  Bugrepro.Pipeline.Config.(
+    default
+    |> with_budget
+         ~dynamic:{ Concolic.Engine.max_runs = 60; max_time_s = 8.0 }
+         ~replay:{ Concolic.Engine.max_runs = 3000; max_time_s = 30.0 })
 
 (* analyse once per program, cached across methods *)
 let analyses : (string, Bugrepro.Pipeline.analysis) Hashtbl.t = Hashtbl.create 8
@@ -15,7 +19,9 @@ let analysis_for ~key ~analyze_lib ~(test_scenario : Concolic.Scenario.t) prog =
   | Some a -> a
   | None ->
       let a =
-        Bugrepro.Pipeline.analyze ~dynamic_budget ~analyze_lib ~test_scenario prog
+        Bugrepro.Pipeline.Run.analyze
+          (Bugrepro.Pipeline.Config.with_analyze_lib analyze_lib config)
+          ~test_scenario prog
       in
       Hashtbl.replace analyses key a;
       a
@@ -24,13 +30,13 @@ let run_pipeline ?(analyze_lib = true) ~key ~(test_sc : Concolic.Scenario.t)
     ~(crash_sc : Concolic.Scenario.t) meth =
   let prog = crash_sc.prog in
   let analysis = analysis_for ~key ~analyze_lib ~test_scenario:test_sc prog in
-  let plan = Bugrepro.Pipeline.plan analysis meth in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan crash_sc in
+  let plan = Bugrepro.Pipeline.Run.plan config analysis meth in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan crash_sc in
   match report with
   | None -> Alcotest.failf "%s: field run did not crash" key
   | Some report ->
       let result, stats =
-        Bugrepro.Pipeline.reproduce ~budget:replay_budget ~prog ~plan report
+        Bugrepro.Pipeline.Run.reproduce config ~prog ~plan report
       in
       (result, stats, plan, report)
 
@@ -118,7 +124,7 @@ let test_overhead_ordering_invariant () =
     analysis_for ~key:"userver" ~analyze_lib:false ~test_scenario:(userver_test_sc ())
       prog
   in
-  let count meth = (Bugrepro.Pipeline.plan analysis meth).n_instrumented in
+  let count meth = (Bugrepro.Pipeline.Run.plan config analysis meth).n_instrumented in
   let d = count Instrument.Methods.Dynamic in
   let ds = count Instrument.Methods.Dynamic_static in
   let s = count Instrument.Methods.Static in
@@ -135,7 +141,7 @@ let test_plan_nesting () =
     analysis_for ~key:"userver" ~analyze_lib:false ~test_scenario:(userver_test_sc ())
       prog
   in
-  let plan m = Bugrepro.Pipeline.plan analysis m in
+  let plan m = Bugrepro.Pipeline.Run.plan config analysis m in
   let d = plan Instrument.Methods.Dynamic in
   let ds = plan Instrument.Methods.Dynamic_static in
   let st = plan Instrument.Methods.Static in

@@ -250,7 +250,7 @@ let test_mtrace_crashes_and_replays_with_schedule () =
     Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan sc in
   match report with
   | None -> Alcotest.fail "race did not fire under the field scheduler"
   | Some report ->
@@ -258,9 +258,9 @@ let test_mtrace_crashes_and_replays_with_schedule () =
         (match report.schedule_log with
         | Some l -> Instrument.Schedule_log.length l > 0
         | None -> false);
+      let budget = { Concolic.Engine.max_runs = 20_000; max_time_s = 20.0 } in
       let result, _ =
-        Bugrepro.Pipeline.reproduce
-          ~budget:{ Concolic.Engine.max_runs = 20_000; max_time_s = 20.0 }
+        Bugrepro.Pipeline.(Run.reproduce (Config.with_budget ~replay:budget Config.default))
           ~prog ~plan report
       in
       check_bool "reproduced with schedule" true (Replay.Guided.reproduced result)
@@ -273,12 +273,12 @@ let test_mtrace_fails_without_schedule () =
     Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan sc in
   let report = Option.get report in
   let stripped = { report with Instrument.Report.schedule_log = None } in
+  let budget = { Concolic.Engine.max_runs = 600; max_time_s = 5.0 } in
   let result, _ =
-    Bugrepro.Pipeline.reproduce
-      ~budget:{ Concolic.Engine.max_runs = 600; max_time_s = 5.0 }
+    Bugrepro.Pipeline.(Run.reproduce (Config.with_budget ~replay:budget Config.default))
       ~prog ~plan stripped
   in
   check_bool "not reproduced without schedule" false

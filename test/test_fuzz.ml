@@ -151,7 +151,7 @@ let suppressed_report () =
     Concolic.Scenario.make ~name:"wire-sup" ~args:[ "q" ]
       ~world:Osmodel.World.default_config prog
   in
-  let _run, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _run, report = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan sc in
   match report with
   | Some r when r.Instrument.Report.suppression <> [] -> r
   | Some _ -> Alcotest.fail "report carries no suppression table"

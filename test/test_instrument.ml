@@ -405,12 +405,16 @@ let test_syscall_log_kind_mismatch () =
 
 let field_run ?(meth = Instrument.Methods.All_branches) ?analysis_sc sc =
   let prog = (sc : Concolic.Scenario.t).prog in
-  let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
-      ?test_scenario:analysis_sc prog
+  let config =
+    Bugrepro.Pipeline.Config.(
+      default
+      |> with_budget
+           ~dynamic:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 })
   in
-  let plan = Bugrepro.Pipeline.plan analysis meth in
+  let analysis =
+    Bugrepro.Pipeline.Run.analyze config ?test_scenario:analysis_sc prog
+  in
+  let plan = Bugrepro.Pipeline.Run.plan config analysis meth in
   (plan, Instrument.Field_run.run ~plan sc)
 
 let paste = Workloads.Coreutils.find "paste"
@@ -446,8 +450,8 @@ let test_field_run_report_only_on_crash () =
       ~nbranches:(Minic.Program.nbranches benign.prog)
       Instrument.Methods.All_branches
   in
-  let _, rep_ok = Bugrepro.Pipeline.field_run_report ~plan benign in
-  let _, rep_crash = Bugrepro.Pipeline.field_run_report ~plan crash in
+  let _, rep_ok = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan benign in
+  let _, rep_crash = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan crash in
   check_bool "no report for clean run" true (rep_ok = None);
   check_bool "report for crash" true (rep_crash <> None)
 
@@ -459,7 +463,7 @@ let test_report_has_no_input_content () =
       ~nbranches:(Minic.Program.nbranches crash.prog)
       Instrument.Methods.All_branches
   in
-  let _, rep = Bugrepro.Pipeline.field_run_report ~plan crash in
+  let _, rep = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan crash in
   match rep with
   | None -> Alcotest.fail "expected a report"
   | Some rep ->
@@ -507,7 +511,7 @@ let real_report () =
       ~nbranches:(Minic.Program.nbranches crash.prog)
       Instrument.Methods.All_branches
   in
-  let _, rep = Bugrepro.Pipeline.field_run_report ~plan crash in
+  let _, rep = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan crash in
   Option.get rep
 
 (* The full bit sequence a report's payload streams, raw or encoded. *)
@@ -541,6 +545,17 @@ let report_equal (a : Instrument.Report.t) (b : Instrument.Report.t) =
   | None, None -> true
   | Some x, None | None, Some x -> Instrument.Schedule_log.length x = 0
 
+(* The payload hex encoder agrees with [Printf "%02x"] on every byte
+   value, alone and concatenated. *)
+let test_wire_hex_every_byte () =
+  for i = 0 to 255 do
+    Alcotest.(check string) (Printf.sprintf "byte %d" i) (Printf.sprintf "%02x" i)
+      (Instrument.Wire.hex_of_string (String.make 1 (Char.chr i)))
+  done;
+  Alcotest.(check string) "all 256 bytes in a row"
+    (String.concat "" (List.init 256 (Printf.sprintf "%02x")))
+    (Instrument.Wire.hex_of_string (String.init 256 Char.chr))
+
 let test_wire_roundtrip () =
   let rep = real_report () in
   match Instrument.Wire.deserialize_v (Instrument.Wire.serialize rep) with
@@ -556,7 +571,7 @@ let test_wire_roundtrip_mt () =
       ~nbranches:(Minic.Program.nbranches sc.prog)
       Instrument.Methods.All_branches
   in
-  let _, rep = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, rep = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan sc in
   let rep = Option.get rep in
   match Instrument.Wire.deserialize_v (Instrument.Wire.serialize rep) with
   | Ok rep' ->
@@ -954,7 +969,7 @@ let suppressed_report () =
     Concolic.Scenario.make ~name:"wire-sup" ~args:[ "q" ]
       ~world:Osmodel.World.default_config prog
   in
-  match Bugrepro.Pipeline.field_run_report ~plan sc with
+  match Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan sc with
   | _, Some r when r.Instrument.Report.suppression <> [] -> r
   | _ -> Alcotest.fail "no crash report with a suppression table"
 
@@ -1038,6 +1053,12 @@ let test_wire_salvage_bounded_by_claim () =
         (Instrument.Report.nbits r + d.Instrument.Wire.lost_log_bits)
   | Error e -> Alcotest.fail (Instrument.Wire.error_to_string e)
 
+let replay_config =
+  Bugrepro.Pipeline.Config.(
+    default
+    |> with_budget
+         ~replay:{ Concolic.Engine.max_runs = 2000; max_time_s = 15.0 })
+
 let test_wire_v4_encoded_equals_raw_run () =
   (* the same deterministic run, encode on vs off: the two reports stream
      identical bits and both reproduce the crash from their wire forms *)
@@ -1066,9 +1087,8 @@ let test_wire_v4_encoded_equals_raw_run () =
             ("wire roundtrip failed: " ^ Instrument.Wire.error_to_string e)
       | Ok rep' ->
           let result, _ =
-            Bugrepro.Pipeline.reproduce
-              ~budget:{ Concolic.Engine.max_runs = 2000; max_time_s = 15.0 }
-              ~prog:crash.prog ~plan rep'
+            Bugrepro.Pipeline.Run.reproduce replay_config ~prog:crash.prog
+              ~plan rep'
           in
           check_bool "reproduced" true (Replay.Guided.reproduced result))
     [ enc; raw ]
@@ -1083,15 +1103,13 @@ let test_wire_replay_from_deserialized () =
       ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, rep = Bugrepro.Pipeline.field_run_report ~plan crash in
+  let _, rep = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan crash in
   let wire = Instrument.Wire.serialize (Option.get rep) in
   match Instrument.Wire.deserialize_v wire with
   | Error e -> Alcotest.fail (Instrument.Wire.error_to_string e)
   | Ok rep ->
       let result, _ =
-        Bugrepro.Pipeline.reproduce
-          ~budget:{ Concolic.Engine.max_runs = 2000; max_time_s = 15.0 }
-          ~prog ~plan rep
+        Bugrepro.Pipeline.Run.reproduce replay_config ~prog ~plan rep
       in
       check_bool "reproduced from wire form" true (Replay.Guided.reproduced result)
 
@@ -1178,6 +1196,7 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
+          Alcotest.test_case "hex of every byte" `Quick test_wire_hex_every_byte;
           Alcotest.test_case "roundtrip with schedule" `Quick test_wire_roundtrip_mt;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
           Alcotest.test_case "rejects bit overrun" `Quick test_wire_rejects_bit_overrun;

@@ -9,6 +9,13 @@ let compile src = Workloads.Runtime_lib.link ~name:"t" src
 
 let budget = { Concolic.Engine.max_runs = 400; max_time_s = 15.0 }
 
+let config =
+  Bugrepro.Pipeline.Config.(
+    default
+    |> with_budget
+         ~dynamic:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
+         ~replay:budget)
+
 (* full pipeline on a small program: returns (plan, report, prog) *)
 let record ?(meth = Instrument.Methods.All_branches) ?(args = []) ?world src =
   let prog = compile src in
@@ -17,17 +24,15 @@ let record ?(meth = Instrument.Methods.All_branches) ?(args = []) ?world src =
       ?world:(Option.map Fun.id world)
       prog
   in
-  let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
-      ~test_scenario:sc prog
-  in
-  let plan = Bugrepro.Pipeline.plan analysis meth in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let analysis = Bugrepro.Pipeline.Run.analyze config ~test_scenario:sc prog in
+  let plan = Bugrepro.Pipeline.Run.plan config analysis meth in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan sc in
   (prog, plan, report)
 
 let reproduce ?(budget = budget) prog plan report =
-  Bugrepro.Pipeline.reproduce ~budget ~prog ~plan report
+  Bugrepro.Pipeline.Run.reproduce
+    (Bugrepro.Pipeline.Config.with_budget ~replay:budget config)
+    ~prog ~plan report
 
 (* ------------------------------------------------------------------ *)
 
@@ -84,7 +89,7 @@ let test_reproduce_without_any_instrumentation () =
       Instrument.Methods.No_instrumentation
   in
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "BUG" ] prog in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan:none_plan sc in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan:none_plan sc in
   match report with
   | None -> Alcotest.fail "no crash"
   | Some report ->
@@ -185,7 +190,8 @@ let test_reproduce_file_input_without_syscall_log () =
     Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~log_syscalls:false ~plan sc in
+  let config = Bugrepro.Pipeline.Config.with_log_syscalls false config in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan sc in
   let report = Option.get report in
   check_bool "no syscall log" true (report.syscall_log = None);
   let result, _ = reproduce prog plan report in
@@ -213,11 +219,11 @@ let prop_full_log_reproduces =
         Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
           Instrument.Methods.All_branches
       in
-      let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+      let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan sc in
       match report with
       | None -> false
       | Some report ->
-          let result, _ = Bugrepro.Pipeline.reproduce ~budget ~prog ~plan report in
+          let result, _ = reproduce prog plan report in
           Replay.Guided.reproduced result)
 
 (* ------------------------------------------------------------------ *)
@@ -234,7 +240,9 @@ let test_reproduce_parallel_matches_sequential () =
         List.map
           (fun (jobs, cache) ->
             let result, stats =
-              Bugrepro.Pipeline.reproduce ~budget ~jobs ~solver_cache:cache
+              Bugrepro.Pipeline.(
+                Run.reproduce
+                  Config.(config |> with_jobs jobs |> with_solver_cache cache))
                 ~prog ~plan report
             in
             (match cache, stats.cache with
@@ -257,12 +265,13 @@ let test_reproduce_parallel_no_log_search () =
       Instrument.Methods.No_instrumentation
   in
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "BUG" ] prog in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan:none sc in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan:none sc in
   match report with
   | None -> Alcotest.fail "field run did not crash"
   | Some report ->
       let result, stats =
-        Bugrepro.Pipeline.reproduce ~budget ~jobs:4 ~prog ~plan:none report
+        Bugrepro.Pipeline.(
+          Run.reproduce (Config.with_jobs 4 config) ~prog ~plan:none report)
       in
       check_bool "reproduced by parallel search" true
         (Replay.Guided.reproduced result);

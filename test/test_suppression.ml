@@ -527,7 +527,7 @@ let test_replay_rejects_forged_table () =
       ~nbranches:(Minic.Program.nbranches prog)
       Instrument.Methods.All_branches
   in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let _, report = Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan sc in
   match report with
   | None -> Alcotest.fail "field run did not crash"
   | Some report ->
@@ -540,7 +540,7 @@ let test_replay_rejects_forged_table () =
       in
       let raised =
         try
-          let _ = Bugrepro.Pipeline.reproduce ~prog ~plan forged in
+          let _ = Bugrepro.Pipeline.(Run.reproduce Config.default) ~prog ~plan forged in
           false
         with Invalid_argument _ -> true
       in

@@ -14,25 +14,40 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* batch wrapper, unwrapped: none of these tests pass an index_dir, so an
+(* a one-shot batch, the way the CLI's triage command runs one: a service
+   sized to the batch, every item submitted, one drain.  No index, so an
    [Error] is a test failure, not a condition to handle *)
-let run_items ?policy ~resolve ?rejected items =
-  match Triage.run_items ?policy ~resolve ?rejected items with
-  | Ok s -> s
-  | Error e -> Alcotest.failf "run_items: %s" (Triage.Index.error_to_string e)
+let run_batch ?(policy = Sched.default_policy) ~resolve ?rejected items =
+  let config =
+    {
+      Triage.Service.default_config with
+      Triage.Service.policy;
+      queue_capacity = max 1 (List.length items);
+      wall_rungs = true;
+    }
+  in
+  match Triage.Service.open_ ~config ~resolve () with
+  | Error e -> Alcotest.failf "open: %s" (Triage.Index.error_to_string e)
+  | Ok svc ->
+      List.iter (fun i -> ignore (Triage.Service.submit_item svc i)) items;
+      let s = Triage.Service.drain ?rejected svc in
+      Triage.Service.close svc;
+      s
 
 (* full pipeline on a small program: returns (prog, plan, report) *)
 let record ?(name = "t") ?(meth = Instrument.Methods.All_branches)
     ?(args = []) ?world src =
   let prog = Workloads.Runtime_lib.link ~name:"t" src in
   let sc = Concolic.Scenario.make ~name ~args ?world prog in
-  let analysis =
-    Bugrepro.Pipeline.analyze
-      ~dynamic_budget:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 }
-      ~test_scenario:sc prog
+  let config =
+    Bugrepro.Pipeline.Config.(
+      default
+      |> with_budget
+           ~dynamic:{ Concolic.Engine.max_runs = 40; max_time_s = 5.0 })
   in
-  let plan = Bugrepro.Pipeline.plan analysis meth in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan sc in
+  let analysis = Bugrepro.Pipeline.Run.analyze config ~test_scenario:sc prog in
+  let plan = Bugrepro.Pipeline.Run.plan config analysis meth in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan sc in
   (prog, plan, Option.get report)
 
 let magic_src =
@@ -255,7 +270,9 @@ let test_escalation_accumulates_elapsed () =
       Instrument.Methods.No_instrumentation
   in
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "BUG" ] prog in
-  let _, report = Bugrepro.Pipeline.field_run_report ~plan:none sc in
+  let _, report =
+    Bugrepro.Pipeline.(Run.field_run_report Config.default) ~plan:none sc
+  in
   let report = Option.get report in
   let item =
     match Ingest.of_string ~path:"r0" (Wire.serialize report) with
@@ -294,7 +311,9 @@ let test_escalation_accumulates_elapsed () =
 (* ------------------------------------------------------------------ *)
 (* Worker count must not change the summary (timing fields aside) *)
 
-let test_jobs_invariant_summary () =
+(* five reports over two distinct crashes, one torn; shared with the
+   service tests *)
+let service_fixture () =
   let progA, planA, ra = record ~name:"alpha" ~args:[ "BUG" ] magic_src in
   let progB, planB, rb = record ~name:"beta" ~world:(file_world "Xyz") file_src in
   let wa = Wire.serialize ra and wb = Wire.serialize rb in
@@ -317,9 +336,13 @@ let test_jobs_invariant_summary () =
     | "beta" -> Ok (progB, planB)
     | p -> Error ("unknown program " ^ p)
   in
+  (items, wa, resolve)
+
+let test_jobs_invariant_summary () =
+  let items, _, resolve = service_fixture () in
   let summarize jobs =
     let policy = { Sched.default_policy with jobs; deadline_s = 120.0 } in
-    run_items ~policy ~resolve items
+    run_batch ~policy ~resolve items
   in
   let s1 = summarize 1 in
   check_bool "duplicates collapsed" true (s1.Summary.dedup_ratio < 1.0);
@@ -375,8 +398,8 @@ let test_mixed_version_batch_matches_all_raw () =
     | p -> Error ("unknown program " ^ p)
   in
   let policy = { Sched.default_policy with Sched.deadline_s = 120.0 } in
-  let sm = run_items ~policy ~resolve (items mixed) in
-  let sr = run_items ~policy ~resolve (items all_raw) in
+  let sm = run_batch ~policy ~resolve (items mixed) in
+  let sr = run_batch ~policy ~resolve (items all_raw) in
   check_int "two clusters" 2 (List.length sm.Summary.clusters);
   check_string "mixed-version batch summarizes like all-raw"
     (Summary.to_json ~timing:false sr)
@@ -389,33 +412,6 @@ let test_mixed_version_batch_matches_all_raw () =
 module Service = Triage.Service
 
 let service_policy = { Sched.default_policy with Sched.deadline_s = 120.0 }
-
-(* the jobs-invariant fixture, shared by the service tests: five reports
-   over two distinct crashes, one torn *)
-let service_fixture () =
-  let progA, planA, ra = record ~name:"alpha" ~args:[ "BUG" ] magic_src in
-  let progB, planB, rb = record ~name:"beta" ~world:(file_world "Xyz") file_src in
-  let wa = Wire.serialize ra and wb = Wire.serialize rb in
-  let torn = String.sub wb 0 (Option.get (find_sub wb "syscalls: ") + 12) in
-  let texts =
-    [ ("r0.report", wa); ("r1.report", wa); ("r2.report", wb);
-      ("r3.report", torn); ("r4.report", wa) ]
-  in
-  let items =
-    List.map
-      (fun (p, s) ->
-        match Ingest.of_string ~path:p s with
-        | Ok i -> i
-        | Error _ -> Alcotest.failf "ingest %s failed" p)
-      texts
-  in
-  let resolve (c : Cluster.t) =
-    match c.Cluster.fp.Fingerprint.program with
-    | "alpha" -> Ok (progA, planA)
-    | "beta" -> Ok (progB, planB)
-    | p -> Error ("unknown program " ^ p)
-  in
-  (items, wa, resolve)
 
 let open_service ?telemetry ~config resolve =
   match Service.open_ ?telemetry ~config ~resolve () with
@@ -441,7 +437,7 @@ let write_file path s =
 
 let test_service_matches_batch () =
   let items, _, resolve = service_fixture () in
-  let batch = run_items ~policy:service_policy ~resolve items in
+  let batch = run_batch ~policy:service_policy ~resolve items in
   let shuffled = Array.of_list items in
   Osmodel.Rng.shuffle (Osmodel.Rng.create 7) shuffled;
   let config =
@@ -475,7 +471,7 @@ let test_service_matches_batch () =
 
 let test_service_restart_survival () =
   let items, _, resolve = service_fixture () in
-  let batch = run_items ~policy:service_policy ~resolve items in
+  let batch = run_batch ~policy:service_policy ~resolve items in
   let dir = fresh_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
@@ -659,8 +655,7 @@ let test_ingest_scanner_rescans_settled_write () =
    function of the batch alone; the digest was recorded with the one-shot
    batch entry point and pins that every batch caller opening its own
    service still triages to the same bytes. *)
-let fleet_batch_golden =
-  "6948edf7a57a678321d76ffa4db028b0"
+let fleet_batch_golden = "6948edf7a57a678321d76ffa4db028b0"
 
 let test_fleet_batch_golden () =
   let config = Bugrepro.Pipeline.Config.default in
@@ -668,13 +663,13 @@ let test_fleet_batch_golden () =
   let reports =
     Workloads.Report_gen.stream gen ~seed:5 ~clients:4 ~torn_pct:0.25 16
   in
-  check_bool "the batch has torn reports" true
-    (List.exists (fun (r : Workloads.Report_gen.report) -> r.torn) reports);
-  let texts =
-    List.map (fun (r : Workloads.Report_gen.report) -> (r.path, r.wire)) reports
-    @ [ ("garbage.report", "not a report\n") ]
+  let parsed =
+    Ingest.of_string ~path:"garbage.report" "not a report\n"
+    :: List.map
+         (fun (r : Workloads.Report_gen.report) ->
+           Ingest.of_string ~path:r.path r.wire)
+         reports
   in
-  let parsed = List.map (fun (path, s) -> Ingest.of_string ~path s) texts in
   let items = List.filter_map Result.to_option parsed in
   let rejected =
     List.filter_map (function Error r -> Some r | Ok _ -> None) parsed
@@ -684,39 +679,34 @@ let test_fleet_batch_golden () =
     Workloads.Report_gen.plan_for gen ~program:r.Report.program
       ~meth:r.Report.method_used
   in
+  let rung max_runs = { Concolic.Engine.max_runs; max_time_s = 600.0 } in
   let policy =
-    {
-      Sched.default_policy with
-      Sched.ladder =
-        [
-          { Concolic.Engine.max_runs = 60; max_time_s = 600.0 };
-          { Concolic.Engine.max_runs = 400; max_time_s = 600.0 };
-        ];
-      deadline_s = 1200.0;
-    }
+    { Sched.default_policy with
+      Sched.ladder = [ rung 60; rung 400 ]; deadline_s = 1200.0 }
   in
-  let s = run_items ~policy ~resolve ~rejected items in
-  let json = Summary.to_json ~timing:false s in
-  check_bool "duplicates collapsed" true (s.Summary.dedup_ratio < 1.0);
+  let s = run_batch ~policy ~resolve ~rejected items in
   check_bool "salvage path used" true (s.Summary.salvaged > 0);
-  check_int "the garbage text is listed" 1 (List.length s.Summary.rejected);
   check_string "golden summary digest" fleet_batch_golden
-    (Digest.to_hex (Digest.string json))
+    (Digest.to_hex (Digest.string (Summary.to_json ~timing:false s)))
 
-(* A rejected (garbage) file is also re-offered once its content moves —
-   and a damaged persistent index is an [Error] from the batch wrapper,
-   not an assertion failure. *)
-let test_run_items_damaged_index_error () =
-  let items, _, resolve = service_fixture () in
+(* A damaged persistent index is an [Error] from [Service.open_], not an
+   assertion failure. *)
+let test_damaged_index_error () =
+  let _, _, resolve = service_fixture () in
   let dir = fresh_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       Sys.mkdir dir 0o755;
       write_file (Filename.concat dir "shard-000.idx") "not an index\n";
-      match
-        Triage.run_items ~policy:service_policy ~index_dir:dir ~resolve items
-      with
+      let config =
+        {
+          Service.default_config with
+          Service.policy = service_policy;
+          index_dir = Some dir;
+        }
+      in
+      match Service.open_ ~config ~resolve () with
       | Error (Triage.Index.Malformed _) -> ()
       | Error (Triage.Index.Unknown_version _) ->
           Alcotest.fail "bad magic must be Malformed, not Unknown_version"
@@ -964,7 +954,7 @@ let () =
           Alcotest.test_case "overload shedding is deterministic" `Quick
             test_service_overload_determinism;
           Alcotest.test_case "damaged index is an error, not an assert"
-            `Quick test_run_items_damaged_index_error;
+            `Quick test_damaged_index_error;
           Alcotest.test_case "rungs are run-bounded by default" `Quick
             test_service_rungs_run_bounded;
           Alcotest.test_case "run-bounded rungs are jobs-invariant" `Quick
