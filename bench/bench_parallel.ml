@@ -458,23 +458,9 @@ let triage_section (c : Ctx.t) par_jobs =
       if Telemetry.enabled c.telemetry then c.telemetry else Telemetry.create ()
     in
     let before = Telemetry.Counters.of_core tel in
-    let config =
-      {
-        Triage.Service.default_config with
-        Triage.Service.policy;
-        queue_capacity = max 1 (List.length items);
-        wall_rungs = true;
-      }
-    in
     let summary, wall =
       Util.time_call (fun () ->
-          match Triage.Service.open_ ~config ~telemetry:tel ~resolve () with
-          | Error e -> failwith (Triage.Index.error_to_string e)
-          | Ok svc ->
-              List.iter (fun i -> ignore (Triage.Service.submit_item svc i)) items;
-              let s = Triage.Service.drain svc in
-              Triage.Service.close svc;
-              s)
+          Util.triage_batch ~policy ~telemetry:tel ~resolve items)
     in
     (* the batch's share of a counter the engine publishes per
        exploration *)

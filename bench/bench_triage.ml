@@ -278,22 +278,8 @@ let e16 (c : Ctx.t) =
         Triage.Sched.jobs;
         deadline_s = 12.0 *. c.replay_time_s }
     in
-    let config =
-      {
-        Triage.Service.default_config with
-        Triage.Service.policy;
-        queue_capacity = max 1 (List.length items);
-        wall_rungs = true;
-      }
-    in
     Util.time_call (fun () ->
-        match Triage.Service.open_ ~config ~telemetry:c.telemetry ~resolve () with
-        | Error e -> failwith (Triage.Index.error_to_string e)
-        | Ok svc ->
-            List.iter (fun i -> ignore (Triage.Service.submit_item svc i)) items;
-            let s = Triage.Service.drain svc in
-            Triage.Service.close svc;
-            s)
+        Util.triage_batch ~policy ~telemetry:c.telemetry ~resolve items)
   in
   let s1, seq_s = triage 1 in
   let sp, par_s = triage par_jobs in

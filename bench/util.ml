@@ -89,6 +89,26 @@ let replay_verdict (result : Replay.Guided.result) =
   | Replay.Guided.Reproduced r -> Done r.elapsed_s
   | Replay.Guided.Not_reproduced _ -> Timeout
 
+(* A one-shot triage batch, the way the CLI's triage command runs one: a
+   service sized to the batch with the wall-clock ladder, every item
+   submitted, one drain. *)
+let triage_batch ~policy ~telemetry ~resolve items =
+  let config =
+    {
+      Triage.Service.default_config with
+      Triage.Service.policy;
+      queue_capacity = max 1 (List.length items);
+      wall_rungs = true;
+    }
+  in
+  match Triage.Service.open_ ~config ~telemetry ~resolve () with
+  | Error e -> failwith (Triage.Index.error_to_string e)
+  | Ok svc ->
+      List.iter (fun i -> ignore (Triage.Service.submit_item svc i)) items;
+      let s = Triage.Service.drain svc in
+      Triage.Service.close svc;
+      s
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable summary (--json): experiments record named numeric
    metrics here; the driver dumps everything at exit.  CI's bench smoke job

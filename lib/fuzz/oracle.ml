@@ -687,18 +687,12 @@ let streaming_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
           texts
       in
       let resolve _ = Ok (case.Gen.prog, plan) in
-      (* run-bounded rungs (the service default), so a verdict never
-         depends on wall time; the replay-budget rung is left off the
-         ladder because a hard case climbs it three times here *)
-      let rung max_runs = { Concolic.Engine.max_runs; max_time_s = infinity } in
-      let policy =
-        { (Triage.Sched.policy_of_config cfg.config) with
-          Triage.Sched.ladder = [ rung 60; rung 250 ] }
-      in
+      (* the service's default run-bounded rungs: a verdict never
+         depends on wall time *)
       let config =
         {
           Triage.Service.default_config with
-          Triage.Service.policy;
+          Triage.Service.policy = Triage.Sched.policy_of_config cfg.config;
           queue_capacity = max 1 (List.length items);
           burst = 1;
           window = 8;
@@ -746,13 +740,9 @@ let streaming_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
         in
         let canon s = Triage.Summary.to_json ~timing:false s in
         let w = canon whole and r = canon restarted in
+        (* both runs are run-bounded, so even a timed_out count that
+           differs is a divergence, not wall-clock noise *)
         if String.equal w r then Pass
-        else if
-          (* only equal-status summaries are comparable, like the
-             determinism oracle's exhausted-only comparison: a budget
-             that ran out in one run only is a skip *)
-          whole.Triage.Summary.timed_out <> restarted.Triage.Summary.timed_out
-        then Skip "replay budget expired in one run"
         else
           Fail
             (Printf.sprintf

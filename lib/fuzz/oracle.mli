@@ -62,8 +62,9 @@
       tick with eager replay, buckets persisted to a fresh index, closed
       after half the items and reopened over that index for the rest) —
       must render byte-identical timing-stripped summaries
-      ([Summary.to_json ~timing:false]) under run-bounded ladder rungs;
-      a timeout-status flip between the two runs skips.
+      ([Summary.to_json ~timing:false]) under the run-bounded ladder of
+      {!Triage.Sched.policy_of_config}; both runs are deterministic, so
+      a differing timed_out count fails like any other divergence.
     - {b encoding}: per method, the same field run with the streaming
       {!Instrument.Codec} on and off agrees on outcome, output and the
       exact bit log; the shipped token stream validates and carries
