@@ -7,7 +7,10 @@
 #                             # --jobs 4) and validate its JSON summary,
 #                             # plus a seeded 200-case differential fuzz
 #                             # smoke (bugrepro fuzz), the checked-in
-#                             # corpus replay, a probe-elision smoke
+#                             # corpus replay, a resume smoke (the
+#                             # paste demo's guided replay must resume
+#                             # at case-2b mismatches: engine.resumes >
+#                             # 0), a probe-elision smoke
 #                             # (elided > 0 + reconstruction parity on the
 #                             # walkthrough program), a triage smoke
 #                             # over a generated batch with duplicates and
@@ -113,6 +116,21 @@ if [ "$QUICK" = 1 ]; then
   echo "== corpus replay (test/corpus + known repros) =="
   dune exec bin/bugrepro_cli.exe -- fuzz --corpus test/corpus --thorough
   dune exec bin/bugrepro_cli.exe -- fuzz --corpus test/corpus/known --thorough
+
+  echo "== resume smoke (paste demo, engine.resumes > 0) =="
+  # guided replay continues a run at a case-2b mismatch instead of
+  # restarting it (DESIGN.md §5m); a change that silently stops resuming
+  # still reproduces, so only the counter shows it
+  METRICS=$(mktemp /tmp/resume-metrics.XXXXXX)
+  dune exec bin/bugrepro_cli.exe -- demo paste --method dynamic --metrics \
+    > "$METRICS"
+  RESUMES=$(awk '$1 == "engine.resumes" { print $2 }' "$METRICS")
+  if [ "${RESUMES:-0}" -le 0 ]; then
+    echo "error: the paste demo resumed no run" \
+         "(engine.resumes = ${RESUMES:-missing})" >&2
+    exit 1
+  fi
+  echo "resume smoke OK: engine.resumes = $RESUMES"
 
   echo "== suppression smoke (elision + reconstruction parity) =="
   # the probe-elision walkthrough must elide probes AND reconstruct the

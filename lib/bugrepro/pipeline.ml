@@ -222,8 +222,9 @@ let measure_symbolic_logging ?(syscall_results_symbolic = false)
     {
       Interp.Eval.no_hooks with
       Interp.Eval.on_branch =
-        (fun ~bid ~iter:_ ~taken:_ ~cond ->
-          if Interp.Value.is_symbolic cond then sym_execs.(bid) <- sym_execs.(bid) + 1);
+        (fun ~bid ~iter:_ ~taken ~cond ->
+          if Interp.Value.is_symbolic cond then sym_execs.(bid) <- sym_execs.(bid) + 1;
+          taken);
     }
   in
   let caps = (Concolic.Scenario.shape_of sc).arg_caps in
@@ -278,9 +279,10 @@ let measure_branch_behaviour (sc : Concolic.Scenario.t) : branch_exec_stats =
     {
       Interp.Eval.no_hooks with
       Interp.Eval.on_branch =
-        (fun ~bid ~iter:_ ~taken:_ ~cond ->
+        (fun ~bid ~iter:_ ~taken ~cond ->
           total.(bid) <- total.(bid) + 1;
-          if Interp.Value.is_symbolic cond then sym.(bid) <- sym.(bid) + 1);
+          if Interp.Value.is_symbolic cond then sym.(bid) <- sym.(bid) + 1;
+          taken);
     }
   in
   let caps = (Concolic.Scenario.shape_of sc).arg_caps in

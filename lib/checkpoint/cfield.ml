@@ -37,7 +37,8 @@ let run ?(log_syscalls = true) ~(plan : Instrument.Plan.t)
           if Instrument.Plan.is_instrumented plan bid then begin
             Instrument.Branch_log.Writer.add_bit !writer taken;
             Interp.Cost.charge_logged_branch side_cost
-          end);
+          end;
+          taken);
       on_checkpoint =
         (fun access ->
           discarded := !discarded + Instrument.Branch_log.Writer.nbits !writer;

@@ -37,7 +37,7 @@ let make_run ?(max_steps = 2_000_000) (sc : Scenario.t) ~vars
       Interp.Eval.on_branch =
         (fun ~bid ~iter:_ ~taken ~cond ->
           on_branch_observed bid (Interp.Value.is_symbolic cond);
-          ignore taken);
+          taken);
     }
   in
   let caps = (Scenario.shape_of sc).arg_caps in

@@ -45,8 +45,12 @@ type run_result = {
           the negated constraint's variables need new values *)
 }
 
+(* A resume offer, handed to every run (see engine.mli). *)
+type offer = run_result -> resume:(Solver.Model.t -> bool) -> bool
+
 type stats = {
   mutable runs : int;
+  mutable resumes : int;  (** runs that continued a live run, not from [main] *)
   mutable sat : int;
   mutable unsat : int;
   mutable unknown : int;
@@ -97,14 +101,17 @@ let monotonic () = Unix.gettimeofday ()
    log-forced direction.  Routed through the memoizing cache when one is
    supplied (Unknowns are not cached, so the escalated call always reaches
    the real solver).  [telemetry] records the hit/miss/solve time split
-   (through the cache when present, as [solver.solve_s] otherwise). *)
+   (through the cache when present, as [solver.solve_s] otherwise — the
+   incremental path always as [solver.solve_s]). *)
 let solve_pending ?cache ?session ~telemetry ~vars ~hint cs =
   let solve ?budget () =
     match session with
     (* incremental path: learned-core pruning, scope re-sync, cache probe
        on the slice, portfolio search — all inside {!Solver.Incr.solve}.
        Same slice soundness argument as below. *)
-    | Some s -> Solver.Incr.solve s ?budget ?cache ~hint cs
+    | Some s ->
+        Telemetry.Metrics.time telemetry "solver.solve_s" (fun () ->
+            Solver.Incr.solve s ?budget ?cache ~hint cs)
     | None -> (
         match cache with
         (* [slice] is sound here: a pending's hint satisfies every constraint
@@ -131,23 +138,50 @@ let solve_pending ?cache ?session ~telemetry ~vars ~hint cs =
    - every field of [stats], the frontier, [found] and [failed] are only
      touched with [m] held;
    - [run] and the solver execute with [m] released (that is the whole
-     point); [on_run]/[should_stop] are called with [m] held, so user
-     callbacks are serialized and may keep plain mutable state;
+     point); [on_run]/[stop] are called with [m] held, so user callbacks
+     are serialized and may keep plain mutable state;
    - [active] counts workers between a successful pop and the push of that
      pending's children.  Termination: frontier empty AND [active] = 0 —
      the racy "frontier empty but a worker may still push children" case
      parks waiters on [cv] until the in-flight worker either pushes (then
      broadcasts) or retires;
-   - [stats.runs] is reserved under the lock *before* a run executes, so
-     the [max_runs] budget is an exact bound. *)
+   - [stats.runs] is reserved under the lock *before* a run executes (or
+     resumes), so the [max_runs] budget is an exact bound.
+
+   Resume offers.  A run that is about to abort may offer its result (see
+   {!offer}).  The engine then does, under the lock, exactly what the run's
+   end and the next pop would do: account the result and push its
+   children; if the pending the frontier would hand out next is the last
+   child just pushed — the one forcing the other direction at the abort
+   point — pop it, solve it as a worker's pop would and, on Sat, let the run
+   take the new model.  Every counter, pending and model is the one the
+   abort-and-restart schedule produces; only the re-executed prefix is
+   saved. *)
+
+(* What one executed pending runs under: its model, the trace position
+   from which it may fork, the flip it was created to satisfy, and the
+   lineage of negations it inherits. *)
+type launch = {
+  model : Solver.Model.t;
+  bound : int;
+  flipped : (int * Solver.Expr.t) option;
+  negations : Solver.Expr.t list;
+}
 
 let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
-    ~run ~should_stop ~on_run (stats : stats) :
-    (Solver.Model.t * run_result) option =
+    ~run ~stop ~on_run (stats : stats) : (Solver.Model.t * 'a) option =
   let deadline = monotonic () +. budget.max_time_s in
   let forks = Telemetry.Metrics.counter telemetry "engine.forks" in
+  let timed = Telemetry.enabled telemetry in
   (* per-worker run counts feed the [worker_runs] parity invariant *)
   let wruns = Array.make jobs 0 in
+  let wpops = Array.make jobs 0 in
+  (* one private incremental session per worker, opened before the seeding
+     run: its resume offers solve in worker 0's session *)
+  let sessions =
+    Array.init jobs (fun _ ->
+        Option.map (fun i -> Solver.Incr.session i ~vars) isolver)
+  in
   let m = Mutex.create () in
   let cv = Condition.create () in
   (* the pending list: LIFO for DFS, FIFO for BFS *)
@@ -158,6 +192,9 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
   in
   let frontier_pop () =
     match strategy with Dfs -> Stack.pop_opt stack | Bfs -> Queue.take_opt queue
+  in
+  let frontier_peek () =
+    match strategy with Dfs -> Stack.top_opt stack | Bfs -> Queue.peek_opt queue
   in
   let frontier_size () =
     match strategy with Dfs -> Stack.length stack | Bfs -> Queue.length queue
@@ -172,79 +209,175 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
      for another flip — with the lineage remembering the exclusions.  A
      branch entry re-records exactly the negated constraint, so branches are
      never flip-flopped.  Children are pushed shallow-to-deep so the DFS
-     pops the deepest first.  Called with [m] held. *)
-  let push_children (model : Solver.Model.t) (result : run_result) bound flipped
-      lineage =
+     pops the deepest first.  Returns the trace array the children share.
+     Called with [m] held. *)
+  let push_children (l : launch) (result : run_result) =
     let trace = Array.of_list result.trace in
-    let hint = Solver.Model.union_prefer_left model result.observed in
+    let hint = Solver.Model.union_prefer_left l.model result.observed in
     let before = frontier_size () in
     Array.iteri
       (fun i (e : Path.entry) ->
         let reflip =
-          match flipped with Some (j, c) -> i = j && e.cons <> c | None -> false
+          match l.flipped with
+          | Some (j, c) -> i = j && e.cons <> c
+          | None -> false
         in
-        if e.negatable && (i >= bound || reflip) then
+        if e.negatable && (i >= l.bound || reflip) then
           (* the exclusion lineage matters only along a re-flip chain (the
              re-pinned entry would otherwise cycle through old values); an
              ordinary child's prefix already implies every past decision,
              and a divergent run must not inherit constraints about a path
              it no longer follows *)
           frontier_push
-            { trace; upto = i; hint; lineage = (if reflip then lineage else []) })
+            { trace; upto = i; hint;
+              lineage = (if reflip then l.negations else []) })
       trace;
     let after = frontier_size () in
     Telemetry.Metrics.incr ~by:(after - before) forks;
     Telemetry.Metrics.sample telemetry "engine.frontier" (float_of_int after);
     stats.forks <- stats.forks + (after - before);
-    stats.pending_peak <- max stats.pending_peak after
+    stats.pending_peak <- max stats.pending_peak after;
+    trace
   in
-  (* execute one run; called with [m] held, releases it around [run] *)
-  let do_run_locked k model bound flipped lineage =
-    stats.runs <- stats.runs + 1;
-    wruns.(k) <- wruns.(k) + 1;
-    Mutex.unlock m;
-    let result = try Ok (run model) with e -> Error e in
-    Mutex.lock m;
-    match result with
-    | Error e -> fail e
-    | Ok result -> (
-        match
-          on_run model result;
-          should_stop model result
-        with
-        | true -> if !found = None then found := Some (model, result)
-        | false -> push_children model result bound flipped lineage
-        | exception e -> fail e)
+  (* end-of-run accounting: the callbacks, then the children; [None] when
+     the search stops here or a callback raised.  Called with [m] held. *)
+  let finish (l : launch) result =
+    match
+      on_run l.model result;
+      stop l.model result
+    with
+    | Some w ->
+        if !found = None then found := Some (l.model, w);
+        None
+    | None -> Some (push_children l result)
+    | exception e ->
+        fail e;
+        None
   in
-  (* process one pending; called with [m] held, releases it around solving *)
-  let process k session (p : pending) =
+  (* solve a popped pending; called with [m] held, releases it around the
+     solver.  [Some] is the launch of a Sat pending the search still has
+     budget for. *)
+  let solve_locked k (p : pending) =
     Mutex.unlock m;
     let solved =
       try
         let hint id = Solver.Model.find_opt id p.hint in
-        Ok (solve_pending ?cache ?session ~telemetry ~vars ~hint (constraints_of p))
+        Ok
+          (solve_pending ?cache ?session:sessions.(k) ~telemetry ~vars ~hint
+             (constraints_of p))
       with e -> Error e
     in
     Mutex.lock m;
     match solved with
-    | Error e -> fail e
+    | Error e ->
+        fail e;
+        None
     | Ok (Solver.Solve.Sat model) ->
         stats.sat <- stats.sat + 1;
         (* a sibling may have stopped the search or spent the budget while
            this worker was solving *)
-        if !found = None && stats.runs < budget.max_runs then begin
+        if !found = None && stats.runs < budget.max_runs then
           (* keep the parent's values for variables the solver left free *)
-          let model = Solver.Model.union_prefer_left model p.hint in
-          do_run_locked k model (p.upto + 1)
-            (Some (p.upto, negated_of p))
-            (negated_of p :: p.lineage)
-        end
-    | Ok Solver.Solve.Unsat -> stats.unsat <- stats.unsat + 1
-    | Ok Solver.Solve.Unknown -> stats.unknown <- stats.unknown + 1
+          Some
+            {
+              model = Solver.Model.union_prefer_left model p.hint;
+              bound = p.upto + 1;
+              flipped = Some (p.upto, negated_of p);
+              negations = negated_of p :: p.lineage;
+            }
+        else None
+    | Ok Solver.Solve.Unsat ->
+        stats.unsat <- stats.unsat + 1;
+        None
+    | Ok Solver.Solve.Unknown ->
+        stats.unknown <- stats.unknown + 1;
+        None
+  in
+  (* A run's offer, after [finish] pushed [trace]'s children: the checks a
+     worker's next pop makes, then that pop and its solve.  [cur] is the
+     run's launch, moved on when [resume] accepts the model; a model it
+     declines is left in [next] to run from [main].  Called with [m]
+     held. *)
+  let try_resume k trace ~resume ~cur ~next =
+    if !found <> None || !failed <> None || stats.runs >= budget.max_runs then
+      false
+    else
+      match frontier_peek () with
+      | Some p
+        when p.trace == trace
+             && p.upto = Array.length trace - 1
+             && monotonic () <= deadline -> (
+          ignore (frontier_pop ());
+          wpops.(k) <- wpops.(k) + 1;
+          match solve_locked k p with
+          | None -> false
+          | Some l -> (
+              match resume l.model with
+              | true ->
+                  stats.runs <- stats.runs + 1;
+                  stats.resumes <- stats.resumes + 1;
+                  wruns.(k) <- wruns.(k) + 1;
+                  cur := l;
+                  true
+              | false ->
+                  next := Some l;
+                  false
+              | exception e ->
+                  fail e;
+                  false))
+      | _ -> false
+  in
+  (* execute [l] and, whenever the run declined a resume whose pending
+     solved Sat, that pending from [main]; called with [m] held, releases
+     it around [run] *)
+  let rec do_run_locked k (l : launch) =
+    stats.runs <- stats.runs + 1;
+    wruns.(k) <- wruns.(k) + 1;
+    let cur = ref l and next = ref None in
+    (* the engine's own time inside offers (accounting, pop, solve): it is
+       not run time *)
+    let offers_s = ref 0.0 in
+    (* set once an offer is refused: the run's result is accounted and the
+       run must abort *)
+    let closed = ref false in
+    let offer seg ~resume =
+      let t0 = monotonic () and resume_s = ref 0.0 in
+      let resume model =
+        let t = monotonic () in
+        let accepted = resume model in
+        resume_s := monotonic () -. t;
+        accepted
+      in
+      Mutex.lock m;
+      let continues =
+        (not !closed)
+        &&
+        match finish !cur seg with
+        | None -> false
+        | Some trace -> try_resume k trace ~resume ~cur ~next
+      in
+      if not continues then closed := true;
+      Mutex.unlock m;
+      offers_s := !offers_s +. (monotonic () -. t0 -. !resume_s);
+      continues
+    in
+    Mutex.unlock m;
+    let t0 = monotonic () in
+    let result = try Ok (run offer l.model) with e -> Error e in
+    if timed then
+      Telemetry.Metrics.observe telemetry "engine.run_s"
+        (monotonic () -. t0 -. !offers_s);
+    Mutex.lock m;
+    (match result with
+    | Error e -> fail e
+    | Ok result -> if not !closed then ignore (finish !cur result));
+    match !next with
+    | Some l when !found = None && !failed = None && stats.runs < budget.max_runs
+      ->
+        do_run_locked k l
+    | _ -> ()
   in
   let worker k wsp =
-    let session = Option.map (fun i -> Solver.Incr.session i ~vars) isolver in
-    let pops = ref 0 in
     Mutex.lock m;
     let rec loop () =
       if !found <> None || !failed <> None || stats.runs >= budget.max_runs
@@ -261,8 +394,10 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
         | Some _ when monotonic () > deadline -> stats.timed_out <- true
         | Some p ->
             incr active;
-            incr pops;
-            process k session p;
+            wpops.(k) <- wpops.(k) + 1;
+            (match solve_locked k p with
+            | Some l -> do_run_locked k l
+            | None -> ());
             decr active;
             Condition.broadcast cv;
             loop ()
@@ -270,12 +405,13 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
     loop ();
     Condition.broadcast cv;
     Mutex.unlock m;
-    Telemetry.Span.addi wsp "pendings" !pops
+    Telemetry.Span.addi wsp "pendings" wpops.(k)
   in
   (* seed the frontier with the initial run (empty model — concrete inputs
      come from the scenario), then drain it *)
   Mutex.lock m;
-  do_run_locked 0 Solver.Model.empty 0 None [];
+  do_run_locked 0
+    { model = Solver.Model.empty; bound = 0; flipped = None; negations = [] };
   Mutex.unlock m;
   if jobs = 1 then worker 0 Telemetry.Span.noop
   else
@@ -293,16 +429,16 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
 
 (* ------------------------------------------------------------------ *)
 
-let explore ~(vars : Solver.Symvars.t) ?(budget = default_budget)
+let search ~(vars : Solver.Symvars.t) ?(budget = default_budget)
     ?(strategy = Dfs) ?(jobs = 1) ?cache ?incr
     ?(telemetry = Telemetry.disabled)
-    ~(run : Solver.Model.t -> run_result)
-    ?(should_stop = fun _ _ -> false)
+    ~(run : offer -> Solver.Model.t -> run_result)
+    ~(stop : Solver.Model.t -> run_result -> 'a option)
     ?(on_run = fun (_ : Solver.Model.t) (_ : run_result) -> ()) () :
-    stats * (Solver.Model.t * run_result) option =
+    stats * (Solver.Model.t * 'a) option =
   let jobs = max 1 jobs in
   let stats =
-    { runs = 0; sat = 0; unsat = 0; unknown = 0; pending_peak = 0;
+    { runs = 0; resumes = 0; sat = 0; unsat = 0; unknown = 0; pending_peak = 0;
       elapsed_s = 0.0; timed_out = false; forks = 0; core_pruned = 0;
       solved_incremental = 0; solver_calls = 0; steals = 0;
       worker_runs = [||] }
@@ -315,11 +451,6 @@ let explore ~(vars : Solver.Symvars.t) ?(budget = default_budget)
         ("max_runs", Telemetry.Event.Int budget.max_runs);
       ]
     (fun sp ->
-      let run =
-        if Telemetry.enabled telemetry then fun model ->
-          Telemetry.Metrics.time telemetry "engine.run_s" (fun () -> run model)
-        else run
-      in
       (* delta of the incremental layer's counters attributable to this
          exploration (the [Incr.t] may be shared across sequential explores
          of a triage ladder, but never across concurrent ones) *)
@@ -327,7 +458,7 @@ let explore ~(vars : Solver.Symvars.t) ?(budget = default_budget)
       let started = monotonic () in
       let found =
         drain ~vars ~budget ~strategy ~jobs ?cache ?incr ~telemetry ~span:sp
-          ~run ~should_stop ~on_run stats
+          ~run ~stop ~on_run stats
       in
       (match (incr, incr_before) with
       | Some i, Some b ->
@@ -350,13 +481,23 @@ let explore ~(vars : Solver.Symvars.t) ?(budget = default_budget)
         stats.timed_out <- true;
       stats.elapsed_s <- monotonic () -. started;
       Telemetry.Metrics.incr_named ~by:stats.runs telemetry "engine.runs";
+      Telemetry.Metrics.incr_named ~by:stats.resumes telemetry "engine.resumes";
       Telemetry.Metrics.incr_named ~by:stats.sat telemetry "engine.sat";
       Telemetry.Metrics.incr_named ~by:stats.unsat telemetry "engine.unsat";
       Telemetry.Metrics.incr_named ~by:stats.unknown telemetry "engine.unknown";
       Telemetry.Span.addi sp "runs" stats.runs;
+      Telemetry.Span.addi sp "resumes" stats.resumes;
       Telemetry.Span.addi sp "pending_peak" stats.pending_peak;
       Telemetry.Span.addf sp "elapsed_s" stats.elapsed_s;
       (stats, found))
+
+let explore ~vars ?budget ?strategy ?jobs ?cache ?incr ?telemetry
+    ~(run : Solver.Model.t -> run_result)
+    ?(should_stop = fun _ _ -> false) ?on_run () =
+  search ~vars ?budget ?strategy ?jobs ?cache ?incr ?telemetry
+    ~run:(fun _ model -> run model)
+    ~stop:(fun model r -> if should_stop model r then Some r else None)
+    ?on_run ()
 
 (** An {!Engine.stats} in the unified counter view (scope ["engine"]).
     The record stays for the bench tables. *)
@@ -366,7 +507,7 @@ let counters (s : stats) : Telemetry.Counters.snapshot =
       [ ("elapsed_s", s.elapsed_s);
         ("timed_out", if s.timed_out then 1.0 else 0.0) ]
     [
-      ("runs", s.runs); ("sat", s.sat); ("unsat", s.unsat);
+      ("runs", s.runs); ("resumes", s.resumes); ("sat", s.sat); ("unsat", s.unsat);
       ("unknown", s.unknown); ("pending_peak", s.pending_peak);
       ("forks", s.forks); ("core_pruned", s.core_pruned);
       ("solved_incremental", s.solved_incremental);

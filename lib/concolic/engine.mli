@@ -44,8 +44,33 @@ type run_result = {
           touched; seeds the solver for child pendings *)
 }
 
+(** A resume offer, handed to every run.  A run that is about to abort
+    (guided replay's case 2b) may call [offer result ~resume], where
+    [result] is exactly what it would return by aborting there.  The
+    engine accounts [result] as a finished run (callbacks, children).  If
+    the pending the frontier would hand out next is the last child just
+    pushed — the one that negates the final trace entry — and the search
+    still has budget and time, the engine pops and solves it as a worker
+    would.  On Sat it calls [resume model] with the model the next run
+    would execute under:
+    - [true]: the run has moved its live state onto [model] and continues
+      as that run (it counts in [runs] and [resumes]); the offer returns
+      [true];
+    - [false]: the offer returns [false] and the engine runs the solved
+      pending from [main] next, without solving it again.
+    Unsat, Unknown, a different next pending or a spent budget also return
+    [false].  After [false] the run must abort at once: its result has
+    been accounted already and is discarded.  [resume] is called with the
+    engine's lock held. *)
+type offer = run_result -> resume:(Solver.Model.t -> bool) -> bool
+
 type stats = {
   mutable runs : int;
+      (** executed pendings: runs from [main] plus resumes; bounded by
+          [max_runs] *)
+  mutable resumes : int;
+      (** pendings executed by continuing a live run at a resume offer;
+          runs from [main] = [runs - resumes] *)
   mutable sat : int;
   mutable unsat : int;
   mutable unknown : int;
@@ -67,26 +92,49 @@ type stats = {
           toward worker 0); the sum always equals [runs] *)
 }
 
-(** Explore paths until the budget is exhausted or [should_stop] returns
-    true for a run.  Returns the statistics and, if stopped early, the
-    model and result of the stopping run.
+(** Explore paths until the budget is exhausted or [stop] returns a
+    witness for a run.  Returns the statistics and, if stopped early, the
+    stopping run's model and witness.
 
-    [jobs] (default 1) sets the number of worker domains; with several
-    workers the {!strategy} order becomes a priority hint and [run] must
-    tolerate concurrent calls.  [on_run] and [should_stop] are always
-    called with the engine's internal lock held, i.e. serialized, so they
-    may keep plain mutable state.  [cache] memoizes solver queries across
-    pendings (and is shared by all workers).  [incr] enables incremental
-    solving (each worker opens a private session).
+    [run] receives the {!offer} of the run it executes.  [jobs] (default
+    1) sets the number of worker domains; with several workers the
+    {!strategy} order becomes a priority hint and [run] must tolerate
+    concurrent calls.  [on_run] and [stop] are always called with the
+    engine's internal lock held, i.e. serialized, so they may keep plain
+    mutable state; a run that continues through resumes reaches them once
+    per executed pending.  [cache] memoizes solver queries across pendings
+    (and is shared by all workers).  [incr] enables incremental solving
+    (each worker opens a private session).
+
+    At [jobs] = 1 a run that resumes wherever it is offered executes the
+    same pendings in the same order, with the same solver calls, counters
+    and models, as one that declines every offer.
 
     [telemetry] (default disabled) wraps the exploration in an
     [engine.explore] span with one [engine.worker] child span per domain
-    when [jobs] > 1, times runs ([engine.run_s]) and the solver split,
+    when [jobs] > 1, times runs ([engine.run_s], without the engine's own
+    accounting, pop and solve inside an offer) and the solver split,
     samples the frontier depth over time ([engine.frontier]) and
-    accumulates the [engine.runs]/[sat]/[unsat]/[unknown]/[forks]
-    counters; with [incr] also this exploration's share of the incremental
-    solver's work as [engine.solver_calls]/[solved_incremental]/
-    [core_pruned]/[cores_learned]. *)
+    accumulates the [engine.runs]/[resumes]/[sat]/[unsat]/[unknown]/
+    [forks] counters; with [incr] also this exploration's share of the
+    incremental solver's work as [engine.solver_calls]/
+    [solved_incremental]/[core_pruned]/[cores_learned]. *)
+val search :
+  vars:Solver.Symvars.t ->
+  ?budget:budget ->
+  ?strategy:strategy ->
+  ?jobs:int ->
+  ?cache:Solver.Cache.t ->
+  ?incr:Solver.Incr.t ->
+  ?telemetry:Telemetry.t ->
+  run:(offer -> Solver.Model.t -> run_result) ->
+  stop:(Solver.Model.t -> run_result -> 'a option) ->
+  ?on_run:(Solver.Model.t -> run_result -> unit) ->
+  unit ->
+  stats * (Solver.Model.t * 'a) option
+
+(** {!search} with runs that never take an offer, stopping at the first
+    run [should_stop] accepts (default: never). *)
 val explore :
   vars:Solver.Symvars.t ->
   ?budget:budget ->

@@ -39,6 +39,14 @@ let record_concretize ?(negatable = false) t (sym : Solver.Expr.t) (value : int)
       negatable;
     }
 
+(** Remove the most recent entry (no-op on an empty trace). *)
+let drop_last t =
+  match t.rev_entries with
+  | [] -> ()
+  | _ :: rest ->
+      t.rev_entries <- rest;
+      t.length <- t.length - 1
+
 (** Entries in execution order. *)
 let entries t = List.rev t.rev_entries
 
@@ -50,10 +58,11 @@ let hooks ?(inner = Interp.Eval.no_hooks) (t : t) : Interp.Eval.hooks =
     inner with
     Interp.Eval.on_branch =
       (fun ~bid ~iter ~taken ~cond ->
-        inner.Interp.Eval.on_branch ~bid ~iter ~taken ~cond;
-        match cond.Interp.Value.sym with
-        | Some sym -> record_branch t ~bid ~taken sym
+        let dir = inner.Interp.Eval.on_branch ~bid ~iter ~taken ~cond in
+        (match cond.Interp.Value.sym with
+        | Some sym -> record_branch t ~bid ~taken:dir sym
         | None -> ());
+        dir);
     on_concretize =
       (fun sym value ->
         inner.Interp.Eval.on_concretize sym value;

@@ -24,6 +24,9 @@ val branch_constraint : taken:bool -> Solver.Expr.t -> Solver.Expr.t
 val record_branch : ?negatable:bool -> t -> bid:int -> taken:bool -> Solver.Expr.t -> unit
 val record_concretize : ?negatable:bool -> t -> Solver.Expr.t -> int -> unit
 
+(** Remove the most recent entry (no-op on an empty trace). *)
+val drop_last : t -> unit
+
 (** Entries in execution order. *)
 val entries : t -> entry list
 

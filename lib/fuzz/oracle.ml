@@ -622,7 +622,20 @@ let replay_check (cfg : cfg) (case : Gen.case) (plan : Instrument.Plan.t)
      witness lives in test/corpus/known/.  The oracle therefore only
      condemns contradictions when they killed the whole search. *)
   match result with
-  | Replay.Guided.Reproduced _ -> Pass
+  | Replay.Guided.Reproduced { model; seed; _ } -> (
+      let rerun =
+        Replay.Guided.reexecute ~prog:case.Gen.prog
+          ~vars:stats.Replay.Guided.vars ~seed report model
+      in
+      match rerun.outcome with
+      | Interp.Crash.Crash c when Interp.Crash.equal_site c report.crash -> Pass
+      | _ ->
+          Fail
+            (Printf.sprintf
+               "the reproduced input (method %s) does not reach %s when run \
+                from main without replay hooks"
+               (Instrument.Methods.to_string meth)
+               (Interp.Crash.to_string report.crash)))
   | Replay.Guided.Not_reproduced { timed_out = true; runs; _ } ->
       Skip (Printf.sprintf "replay budget exhausted after %d runs" runs)
   | Replay.Guided.Not_reproduced { runs; _ } ->

@@ -5,7 +5,13 @@
     case ever reaches this module):
 
     - {b replay}: for each instrumentation method, a crashing field run's
-      report must be reproduced by guided replay; a search that exhausts
+      report must be reproduced by guided replay, and every [Reproduced]
+      model must crash at the recorded site again when the program is
+      re-executed from [main] by a hook-free {!Interp.Eval.run} over the
+      replay kernel (the attempt's seed supplying the bytes the model
+      leaves free) — so a run that resumed at a case-2b mismatch is
+      checked against the from-scratch execution it stands for (DESIGN.md
+      §5m); a search that exhausts
       its space without reproducing is a violation, and the failure
       message flags searches killed purely by concrete-log contradictions
       ([case3b]) on the logged prefix.  (Contradiction dead ends that are

@@ -112,7 +112,8 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
                 incr n_elided;
                 incr shadow_mismatches;
                 shadow_bit taken
-          end);
+          end;
+          taken);
     }
   in
   let kernel req =

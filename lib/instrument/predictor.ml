@@ -69,6 +69,7 @@ let hooks ?(inner = Interp.Eval.no_hooks) (t : t) ~(plan : Plan.t) :
     inner with
     Interp.Eval.on_branch =
       (fun ~bid ~iter ~taken ~cond ->
-        inner.Interp.Eval.on_branch ~bid ~iter ~taken ~cond;
-        if Plan.is_instrumented plan bid then ignore (observe t bid ~taken));
+        let dir = inner.Interp.Eval.on_branch ~bid ~iter ~taken ~cond in
+        if Plan.is_instrumented plan bid then ignore (observe t bid ~taken:dir);
+        dir);
   }

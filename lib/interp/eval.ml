@@ -21,25 +21,43 @@ type global_access = {
   write_global : string -> int -> Value.t -> bool;
 }
 
+(** Access to a running program's live input-derived state, handed to
+    the hooks that ask for it when the run starts, so guided replay can
+    move a run onto a new solver model in place (DESIGN.md §5m). *)
+type live_access = {
+  unpinned : unit -> (Solver.Expr.t * int) list;
+      (** input-derived values the run used concretely without pinning them
+          through [on_concretize], newest first, each with the value it had *)
+  reconcretize : old:(int -> int) -> fresh:(int -> int) -> bool;
+      (** move every shadowed memory cell and argv byte from the variable
+          assignment [old] to [fresh] *)
+}
+
 type hooks = {
-  on_branch : bid:int -> iter:int -> taken:bool -> cond:Value.t -> unit;
-      (** called at every executed branch, before entering the arm; may raise
-          {!Abort_run}.  [iter] counts condition evaluations of the current
-          execution of the enclosing statement: always [0] for [if], and
-          [0, 1, 2, ...] across one run of a [while] (so [iter = 0] marks a
-          fresh loop entry — the suppression reconstruction keys on it) *)
+  on_branch : bid:int -> iter:int -> taken:bool -> cond:Value.t -> bool;
+      (** called at every executed branch, before entering the arm; returns
+          the direction to follow ([taken] unless the hook moved the run
+          onto a new model) and may raise {!Abort_run}.  [iter] counts
+          condition evaluations of the current execution of the enclosing
+          statement: always [0] for [if], and [0, 1, 2, ...] across one run
+          of a [while] (so [iter = 0] marks a fresh loop entry — the
+          suppression reconstruction keys on it) *)
   on_concretize : Solver.Expr.t -> int -> unit;
       (** a symbolic value was forced to its concrete value (array index,
           pointer arithmetic, syscall argument) *)
   on_checkpoint : global_access -> unit;
       (** the program executed the [checkpoint()] builtin *)
+  on_start : (live_access -> unit) option;
+      (** called once, as the run is about to enter [main]; only a run
+          that asks for its live state records unpinned uses *)
 }
 
 let no_hooks =
   {
-    on_branch = (fun ~bid:_ ~iter:_ ~taken:_ ~cond:_ -> ());
+    on_branch = (fun ~bid:_ ~iter:_ ~taken ~cond:_ -> taken);
     on_concretize = (fun _ _ -> ());
     on_checkpoint = (fun _ -> ());
+    on_start = None;
   }
 
 exception Abort_run of string
@@ -81,6 +99,10 @@ type state = {
   mutable steps : int;
   mutable cur_loc : Loc.t;
   mutable cur_func : string;
+  live : bool;  (** the hooks asked for the live state ([on_start]) *)
+  mutable unpinned : (Solver.Expr.t * int) list;
+      (** see {!live_access}: recorded only when [live], and only for
+          values with a shadow *)
 }
 
 let max_depth = 2000
@@ -116,6 +138,23 @@ let concretize st (v : Value.t) : int =
       (match v.sym with Some e -> st.hooks.on_concretize e n | None -> ());
       n
   | Ptr _ -> crash st Crash.Invalid_pointer
+
+(* An input-derived value whose concrete value the run used without a
+   constraint pinning it.  A plain run carries no shadows, and a run whose
+   hooks did not ask for its live state keeps no record. *)
+let[@inline] unpinned st (v : Value.t) =
+  match v with
+  | { sym = Some e; conc = Int n } when st.live ->
+      st.unpinned <- (e, n) :: st.unpinned
+  | _ -> ()
+
+(* A truth test the run made on [v] without a branch. *)
+let unpinned_truth st (v : Value.t) =
+  match v.sym with
+  | Some e when st.live ->
+      let truth = Solver.Expr.Binop (Ne, e, Const 0) in
+      st.unpinned <- (truth, if Value.truthy v then 1 else 0) :: st.unpinned
+  | _ -> ()
 
 let expect_ptr st (v : Value.t) : int * int =
   match v.conc with
@@ -165,12 +204,30 @@ let unop_to_expr : Ast.unop -> Solver.Expr.unop = function
   | Lognot -> Solver.Expr.Lognot
   | Bitnot -> Solver.Expr.Bitnot
 
-let shadow_binop op (a : Value.t) (b : Value.t) : Solver.Expr.t option =
+(* A partial operation on an input-derived right operand [sb]: its
+   definedness is a fact about the input that no constraint records. *)
+let partial_operand st (op : Ast.binop) sb =
+  let defined e = st.unpinned <- (e, 1) :: st.unpinned in
+  match op with
+  | Div | Mod -> defined (Solver.Expr.Binop (Ne, sb, Const 0))
+  | Shl | Shr ->
+      defined
+        (Solver.Expr.Binop
+           (Land, Binop (Ge, sb, Const 0), Binop (Le, sb, Const 62)))
+  | _ -> ()
+
+(* The shadow of a defined integer operation.  A partial one's
+   definedness is recorded here, off the concrete-only path. *)
+let shadow_binop st op (a : Value.t) (b : Value.t) : Solver.Expr.t option =
   if not (Value.is_symbolic a || Value.is_symbolic b) then None
-  else
+  else begin
+    (match b.sym with
+    | Some sb when st.live -> partial_operand st op sb
+    | _ -> ());
     match Value.sym_or_const a, Value.sym_or_const b with
     | Some sa, Some sb -> Some (Solver.Expr.Binop (op_to_expr op, sa, sb))
     | _ -> None
+  end
 
 let rec eval_expr st (e : Resolved.expr) : Value.t =
   Cost.charge st.cost Cost.expr_node;
@@ -234,10 +291,14 @@ and eval_binop st op a_e b_e : Value.t =
       in
       Value.int_ r
   | Ptr _, Int n, (Eq | Ne) | Int n, Ptr _, (Eq | Ne) ->
+      unpinned st a;
+      unpinned st b;
       if n = 0 then Value.int_ (if op = Eq then 0 else 1)
       else crash st Crash.Invalid_pointer
   (* pointers as booleans *)
   | Ptr _, _, (Land | Lor) | _, Ptr _, (Land | Lor) ->
+      unpinned_truth st a;
+      unpinned_truth st b;
       let tr v = Value.truthy v in
       let r =
         match op with
@@ -248,7 +309,7 @@ and eval_binop st op a_e b_e : Value.t =
       Value.int_ (if r then 1 else 0)
   | Int x, Int y, _ -> (
       match Solver.Expr.eval_binop (op_to_expr op) x y with
-      | r -> { Value.conc = Int r; sym = shadow_binop op a b }
+      | r -> { Value.conc = Int r; sym = shadow_binop st op a b }
       | exception Solver.Expr.Undefined -> crash st Crash.Div_by_zero)
   | _ -> crash st Crash.Invalid_pointer
 
@@ -274,7 +335,9 @@ let read_cstring st (v : Value.t) : string =
   let rec go off n =
     if n > cstring_scan_limit then crash st Crash.Out_of_bounds
     else
-      match (load st base off).conc with
+      let v = load st base off in
+      unpinned st v;
+      match v.conc with
       | Int 0 -> ()
       | Int c ->
           Buffer.add_char buf (Char.chr (c land 0xff));
@@ -335,7 +398,9 @@ let builtin_call st name (args : Value.t list) : Value.t =
       let pbase, poff = expect_ptr st buf in
       let data =
         Array.init (max count 0) (fun j ->
-            match (load st pbase (poff + j)).conc with
+            let v = load st pbase (poff + j) in
+            unpinned st v;
+            match v.conc with
             | Int n -> n land 0xff
             | Ptr _ -> crash st Crash.Invalid_pointer)
       in
@@ -403,9 +468,12 @@ let builtin_call st name (args : Value.t list) : Value.t =
       st.hooks.on_checkpoint access;
       Value.zero
   | "assert", [ v ] ->
+      unpinned_truth st v;
       if Value.truthy v then Value.zero else crash st Crash.Assert_failure
   | "spawn", [ name; arg ] ->
       let fname = read_cstring st name in
+      (* held in the new thread's closure until it first runs *)
+      unpinned st arg;
       Value.int_ (Effect.perform (Spawn_eff (fname, arg)))
   | "yield", [] ->
       Effect.perform Yield_eff;
@@ -440,8 +508,9 @@ let rec exec_stmt st (s : Resolved.stmt) : unit =
       let v = eval_expr st cond in
       let taken = Value.truthy v in
       Cost.charge_branch st.cost;
-      st.hooks.on_branch ~bid ~iter:0 ~taken ~cond:v;
-      exec_block st (if taken then then_b else else_b)
+      exec_block st
+        (if st.hooks.on_branch ~bid ~iter:0 ~taken ~cond:v then then_b
+         else else_b)
   | While (bid, cond, body) -> (
       let rec loop iter =
         st.cur_loc <- s.loc;
@@ -449,8 +518,7 @@ let rec exec_stmt st (s : Resolved.stmt) : unit =
         let v = eval_expr st cond in
         let taken = Value.truthy v in
         Cost.charge_branch st.cost;
-        st.hooks.on_branch ~bid ~iter ~taken ~cond:v;
-        if taken then begin
+        if st.hooks.on_branch ~bid ~iter ~taken ~cond:v then begin
           (try exec_block st body with Continue_exc -> ());
           loop (iter + 1)
         end
@@ -553,6 +621,8 @@ let init_state (prog : Program.t) (cfg : config) : state =
       steps = 0;
       cur_loc = Loc.none;
       cur_func = "<toplevel>";
+      live = Option.is_some cfg.hooks.on_start;
+      unpinned = [];
     }
   in
   Array.iteri
@@ -568,6 +638,37 @@ let init_state (prog : Program.t) (cfg : config) : state =
       | Some _ -> invalid_arg ("unsupported global initialiser for " ^ g.gname))
     code.globals;
   st
+
+(* Every input-derived value of a run lives in a shadowed memory cell or
+   argv byte, or was recorded as an unpinned use: MiniC is CIL-normalised,
+   so at a branch no half-evaluated operand sits on the evaluator's stack.
+   [reconcretize] checks every cell before it writes any. *)
+let live_access st =
+  let eval env e =
+    match Solver.Expr.eval env e with
+    | v -> Some v
+    | exception (Solver.Expr.Undefined | Not_found) -> None
+  in
+  let reconcretize ~old ~fresh =
+    let moves = ref [] and consistent = ref true in
+    Memory.iter_symbolic st.mem (fun ~base ~off (v : Value.t) ->
+        match v with
+        | { sym = Some e; conc = Int n } when !consistent -> (
+            match eval fresh e with
+            | Some f when f = n -> ()
+            | Some f when eval old e = Some n ->
+                moves := (base, off, { v with conc = Int f }) :: !moves
+            | _ -> consistent := false)
+        | _ -> ());
+    !consistent
+    &&
+    match Inputs.reconcretize st.inputs (Solver.Expr.eval fresh) with
+    | () ->
+        List.iter (fun (base, off, v) -> Memory.store st.mem ~base ~off v) !moves;
+        true
+    | exception (Solver.Expr.Undefined | Not_found) -> false
+  in
+  { unpinned = (fun () -> st.unpinned); reconcretize }
 
 (* Saved per-thread execution context, swapped at scheduling points. *)
 type saved_ctx = {
@@ -594,6 +695,7 @@ let restore_ctx st s =
     crash in any thread crashes the program (as a signal would). *)
 let run (prog : Program.t) (cfg : config) : result =
   let st = init_state prog cfg in
+  Option.iter (fun f -> f (live_access st)) cfg.hooks.on_start;
   let open Effect.Deep in
   let ready : (int * (unit -> unit)) list ref = ref [] in
   let results : (int, Value.t) Hashtbl.t = Hashtbl.create 8 in
@@ -636,6 +738,8 @@ let run (prog : Program.t) (cfg : config) : result =
       {
         retc =
           (fun v ->
+            (* a thread's result waits outside memory for its joiner *)
+            unpinned st v;
             Hashtbl.replace results tid v;
             if tid = 0 then main_value := Some v;
             wake tid v);

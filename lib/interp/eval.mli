@@ -14,17 +14,48 @@ type global_access = {
   write_global : string -> int -> Value.t -> bool;
 }
 
+(** Access to a running program's live input-derived state, handed to the
+    {!hooks.on_start} hook so guided replay can move a run onto a new
+    solver model in place instead of restarting it (DESIGN.md §5m).  At a
+    branch every input-derived value of the run sits in a shadowed memory
+    cell or argv byte, or has been recorded as an unpinned use. *)
+type live_access = {
+  unpinned : unit -> (Solver.Expr.t * int) list;
+      (** input-derived values the run used concretely without pinning them
+          through [on_concretize], newest first, each with the value it
+          had: C-string bytes ([open] paths, [print_str], [spawn] names),
+          [write] data, integer operands mixed with pointers, [assert] and
+          pointer-[&&]/[||] truth values ([e <> 0]), thread arguments and
+          results, and the definedness of every [/], [%] and shift whose
+          right operand is input-derived ([e <> 0], resp. [0 <= e <= 62],
+          with value 1).  Only values with a shadow are recorded, so a plain
+          run records nothing. *)
+  reconcretize : old:(int -> int) -> fresh:(int -> int) -> bool;
+      (** move every shadowed memory cell and argv byte from the variable
+          assignment [old] to [fresh]: each cell whose shadow evaluates
+          differently takes its value under [fresh].  Returns [false] and
+          changes nothing when a shadow is undefined (or mentions an unbound
+          variable) under [fresh], or a changing cell's value disagrees with
+          its shadow under [old]. *)
+}
+
 type hooks = {
-  on_branch : bid:int -> iter:int -> taken:bool -> cond:Value.t -> unit;
-      (** called at every executed branch, before entering the arm; may
-          raise {!Abort_run}.  [iter] is [0] for [if] branches and counts
-          condition evaluations across one execution of a [while]
+  on_branch : bid:int -> iter:int -> taken:bool -> cond:Value.t -> bool;
+      (** called at every executed branch, before entering the arm; returns
+          the direction to follow — [taken], unless the hook moved the run
+          onto a new model under which [cond] evaluates the other way — and
+          may raise {!Abort_run}.  [iter] is [0] for [if] branches and
+          counts condition evaluations across one execution of a [while]
           statement ([0] marks a fresh loop entry) *)
   on_concretize : Solver.Expr.t -> int -> unit;
       (** a symbolic value was forced to its concrete value (array index,
           pointer arithmetic, syscall argument) *)
   on_checkpoint : global_access -> unit;
       (** the program executed the [checkpoint()] builtin *)
+  on_start : (live_access -> unit) option;
+      (** called once, before [main] starts, with the run's live state.
+          Only a run whose hooks set it records unpinned uses; [None] (as
+          in {!no_hooks}) keeps no record *)
 }
 
 val no_hooks : hooks

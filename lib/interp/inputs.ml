@@ -47,3 +47,15 @@ let symbolic ?(observe = fun (_ : int) (_ : int) -> ()) ~(vars : Solver.Symvars.
     }
   in
   { args = Array.of_list (List.mapi mk caps) }
+
+(** Set every shadowed byte to [f] of its shadow.  Every shadow is
+    evaluated before any byte is written, so an exception from [f] leaves
+    [t] unchanged. *)
+let reconcretize t f =
+  let fresh = Array.map (fun a -> Array.map (Option.map f) a.syms) t.args in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j -> function Some v -> a.bytes.(j) <- v | None -> ())
+        fresh.(i))
+    t.args

@@ -27,3 +27,8 @@ val symbolic :
   concrete_byte:(arg:int -> pos:int -> int) ->
   unit ->
   t
+
+(** [reconcretize t f] sets every shadowed byte to [f] of its shadow (a run
+    moved onto a new solver model).  Every shadow is evaluated before any
+    byte is written, so an exception from [f] leaves [t] unchanged. *)
+val reconcretize : t -> (Solver.Expr.t -> int) -> unit

@@ -50,6 +50,18 @@ let store t ~base ~off v =
   let b = cells t base in
   if off < 0 || off >= Array.length b then raise (Fault Oob) else Array.unsafe_set b off v
 
+(** [iter_symbolic t f] calls [f] on every cell of a live block whose value
+    carries a symbolic shadow. *)
+let iter_symbolic t f =
+  for base = 1 to t.next - 1 do
+    let b = t.blocks.(base) in
+    if b != dead then
+      for off = 0 to Array.length b - 1 do
+        let v = Array.unsafe_get b off in
+        match v.Value.sym with Some _ -> f ~base ~off v | None -> ()
+      done
+  done
+
 let fault_to_crash_kind = function
   | Oob -> Crash.Out_of_bounds
   | Dead_block -> Crash.Use_after_free

@@ -27,4 +27,9 @@ val size : t -> int -> int option
 
 val load : t -> base:int -> off:int -> Value.t
 val store : t -> base:int -> off:int -> Value.t -> unit
+
+(** [iter_symbolic t f] calls [f ~base ~off v] on every cell of a live
+    block whose value [v] carries a symbolic shadow. *)
+val iter_symbolic : t -> (base:int -> off:int -> Value.t -> unit) -> unit
+
 val fault_to_crash_kind : fault -> Crash.kind

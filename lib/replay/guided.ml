@@ -103,6 +103,7 @@ type result =
   | Reproduced of {
       model : Solver.Model.t;
       crash : Interp.Crash.t;
+      seed : int;
       runs : int;
       elapsed_s : float;
     }
@@ -164,16 +165,20 @@ type restore_fn =
   Interp.Eval.global_access ->
   unit
 
+let case2b_abort = "2b: log contradicts symbolic branch"
+
 (* One guided replay run under input [model].  [record_cases] receives the
    run's own case counters once the run is over; with a parallel engine the
    callback must be thread-safe (reproduce merges with atomic adds).
    [sup_rules] is the decoded, verified suppression table; each run gets
-   its own reconstruction cursor state. *)
+   its own reconstruction cursor state.  At a case-2b mismatch the run
+   offers itself to the engine for a resume (DESIGN.md §5m). *)
 let run_once ?(restore : restore_fn option)
     ?(sup_rules : Staticanalysis.Suppression.rule option array option)
     ~(prog : Minic.Program.t) ~(plan : Plan.t) ~(report : Report.t) ~vars
     ~seed ~max_steps ~(record_cases : case_stats -> unit)
-    (model : Solver.Model.t) : Concolic.Engine.run_result =
+    (offer : Concolic.Engine.offer) (model : Solver.Model.t) :
+    Concolic.Engine.run_result =
   let cases = new_case_stats () in
   let observed = ref Solver.Model.empty in
   let observe id v = observed := Solver.Model.add id v !observed in
@@ -183,6 +188,50 @@ let run_once ?(restore : restore_fn option)
   let rk =
     Rkernel.create ~observe ~active:!gate ~vars ~model ~shape:report.shape
       ~syscall_log:report.syscall_log ~seed ()
+  in
+  let scheduler =
+    match report.schedule_log with
+    | Some l when Instrument.Schedule_log.length l > 0 ->
+        Some (Instrument.Schedule_log.replaying_scheduler l)
+    | _ -> None
+  in
+  let live = ref None in
+  (* The resume guard.  A run from [main] on [model'] retraces this run's
+     path: [model'] satisfies every constraint recorded so far.  What no
+     constraint records must not move: the values used without a pin, and
+     the system-call results the kernel's stream and fd state grew from.
+     Restored globals and replayed schedules are outside the argument. *)
+  let resume model' =
+    match !live with
+    | Some (live : Interp.Eval.live_access)
+      when Option.is_none restore && Option.is_none scheduler -> (
+        match Rkernel.changed_inputs rk model' ~observed:!observed with
+        | None -> false
+        | Some changes ->
+            let observed' =
+              List.fold_left
+                (fun m (id, v) -> Solver.Model.add id v m)
+                !observed changes
+            in
+            let env m id =
+              match Solver.Model.find_opt id m with
+              | Some v -> v
+              | None -> raise Not_found
+            in
+            let fresh = env observed' in
+            let same (e, v) =
+              match Solver.Expr.eval fresh e with
+              | v' -> v' = v
+              | exception (Solver.Expr.Undefined | Not_found) -> false
+            in
+            List.for_all same (live.unpinned ())
+            && live.reconcretize ~old:(env !observed) ~fresh
+            && begin
+                 Rkernel.set_model rk model';
+                 observed := observed';
+                 true
+               end)
+    | _ -> false
   in
   let reader = Report.reader report in
   let recon = Option.map Staticanalysis.Suppression.Recon.create sup_rules in
@@ -196,7 +245,7 @@ let run_once ?(restore : restore_fn option)
     | _ -> ()
   in
   let on_branch ~bid ~iter ~taken ~(cond : Interp.Value.t) =
-    if not !gate then ()
+    if not !gate then taken
     else begin
       (* the reconstruction cursor sees every executed branch: iteration 0
          of a loop resets the freshness of its invariant children even when
@@ -229,38 +278,61 @@ let run_once ?(restore : restore_fn option)
       match cond.sym, instrumented with
       | Some sym, false ->
           cases.case1 <- cases.case1 + 1;
-          Concolic.Path.record_branch trace ~bid ~taken sym
+          Concolic.Path.record_branch trace ~bid ~taken sym;
+          taken
       | Some sym, true -> (
           match logged_bit () with
           | None ->
               cases.log_exhausted <- cases.log_exhausted + 1;
-              Concolic.Path.record_branch trace ~bid ~taken sym
+              Concolic.Path.record_branch trace ~bid ~taken sym;
+              taken
           | Some logged ->
               if logged = taken then begin
                 cases.case2a <- cases.case2a + 1;
                 Concolic.Path.record_branch ~negatable:false trace ~bid ~taken
-                  sym
+                  sym;
+                taken
               end
               else begin
                 (* record the (wrong) taken direction as negatable: the
                    engine turns it into a pending set forcing the logged
-                   direction *)
+                   direction, and may hand that pending straight back *)
                 cases.case2b <- cases.case2b + 1;
                 Concolic.Path.record_branch trace ~bid ~taken sym;
-                raise
-                  (Interp.Eval.Abort_run "2b: log contradicts symbolic branch")
+                let aborted =
+                  { Concolic.Engine.outcome = Interp.Crash.Aborted case2b_abort;
+                    trace = Concolic.Path.entries trace;
+                    observed = !observed }
+                in
+                if offer aborted ~resume then begin
+                  (* the live run is now the forced pending's run: record
+                     the branch as a run from [main] on the new model would *)
+                  Concolic.Path.drop_last trace;
+                  cases.case2a <- cases.case2a + 1;
+                  Concolic.Path.record_branch ~negatable:false trace ~bid
+                    ~taken:logged sym;
+                  logged
+                end
+                else raise (Interp.Eval.Abort_run case2b_abort)
               end)
       | None, true -> (
           match logged_bit () with
-          | None -> cases.log_exhausted <- cases.log_exhausted + 1
+          | None ->
+              cases.log_exhausted <- cases.log_exhausted + 1;
+              taken
           | Some logged ->
-              if logged = taken then cases.case3a <- cases.case3a + 1
+              if logged = taken then begin
+                cases.case3a <- cases.case3a + 1;
+                taken
+              end
               else begin
                 cases.case3b <- cases.case3b + 1;
                 raise
                   (Interp.Eval.Abort_run "3b: log contradicts concrete branch")
               end)
-      | None, false -> cases.case4 <- cases.case4 + 1
+      | None, false ->
+          cases.case4 <- cases.case4 + 1;
+          taken
     end
   in
   let cfg =
@@ -278,13 +350,10 @@ let run_once ?(restore : restore_fn option)
               if !gate then
                 Concolic.Path.record_concretize ~negatable:true trace sym v);
           on_checkpoint;
+          on_start = Some (fun l -> live := Some l);
         };
       max_steps;
-      scheduler =
-        (match report.schedule_log with
-        | Some l when Instrument.Schedule_log.length l > 0 ->
-            Some (Instrument.Schedule_log.replaying_scheduler l)
-        | _ -> None);
+      scheduler;
     }
   in
   let r =
@@ -303,6 +372,58 @@ let run_once ?(restore : restore_fn option)
     trace = Concolic.Path.entries trace;
     observed = !observed;
   }
+
+(* Fail-closed gate on the report's suppression table: decode it and
+   re-derive every claimed proof against the program before any
+   reconstructed bit is trusted.  A table that does not decode or does not
+   verify aborts reproduction — replaying with unproven rules could
+   silently pin wrong directions. *)
+let suppression_rules ~prog ~(plan : Plan.t) (report : Report.t) =
+  match report.suppression with
+  | [] -> None
+  | table -> (
+      match
+        Staticanalysis.Suppression.of_table
+          ~nbranches:(Minic.Program.nbranches prog) table
+      with
+      | Error msg ->
+          invalid_arg ("Replay.Guided: suppression table rejected: " ^ msg)
+      | Ok rules -> (
+          match
+            Staticanalysis.Suppression.verify ~instrumented:plan.Plan.instrumented
+              prog table
+          with
+          | Error msg ->
+              invalid_arg ("Replay.Guided: suppression proof rejected: " ^ msg)
+          | Ok () -> Some rules))
+
+let run ?restore ?(max_steps = 5_000_000) ?(record_cases = ignore) ~prog ~plan
+    ~vars ~seed report =
+  let sup_rules = suppression_rules ~prog ~plan report in
+  run_once ?restore ?sup_rules ~prog ~plan ~report ~vars ~seed ~max_steps
+    ~record_cases
+
+let crash_site (report : Report.t) (r : Concolic.Engine.run_result) =
+  match r.outcome with
+  | Interp.Crash.Crash c when Interp.Crash.equal_site c report.crash -> Some c
+  | _ -> None
+
+let reexecute ~prog ~vars ~seed (report : Report.t) model =
+  let rk =
+    Rkernel.create ~vars ~model ~shape:report.shape
+      ~syscall_log:report.syscall_log ~seed ()
+  in
+  Interp.Eval.run prog
+    {
+      Interp.Eval.default_config with
+      inputs = Rkernel.symbolic_args rk;
+      kernel = Rkernel.kernel rk;
+      scheduler =
+        (match report.schedule_log with
+        | Some l when Instrument.Schedule_log.length l > 0 ->
+            Some (Instrument.Schedule_log.replaying_scheduler l)
+        | _ -> None);
+    }
 
 (** Reproduce the bug described by [report].  [budget] is the developer's
     patience (the paper's one-hour limit, scaled).  [jobs] > 1 drains the
@@ -356,36 +477,9 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
      When the frontier exhausts with budget left, restart with a different
      seed: the initial random input changes and so do the pins — the
      paper's engine enjoys the same freedom in choosing fresh inputs. *)
-  (* Fail-closed gate on the report's suppression table: decode it and
-     re-derive every claimed proof against the program before any
-     reconstructed bit is trusted.  A table that does not decode or does
-     not verify aborts reproduction — replaying with unproven rules could
-     silently pin wrong directions. *)
-  let sup_rules =
-    match report.suppression with
-    | [] -> None
-    | table -> (
-        match
-          Staticanalysis.Suppression.of_table
-            ~nbranches:(Minic.Program.nbranches prog) table
-        with
-        | Error msg ->
-            invalid_arg
-              ("Replay.Guided.reproduce: suppression table rejected: " ^ msg)
-        | Ok rules -> (
-            match
-              Staticanalysis.Suppression.verify
-                ~instrumented:plan.Plan.instrumented prog table
-            with
-            | Error msg ->
-                invalid_arg
-                  ("Replay.Guided.reproduce: suppression proof rejected: "
-                 ^ msg)
-            | Ok () ->
-                Telemetry.Span.addi rsp "suppressed_rules"
-                  (List.length table);
-                Some rules))
-  in
+  let sup_rules = suppression_rules ~prog ~plan report in
+  if sup_rules <> None then
+    Telemetry.Span.addi rsp "suppressed_rules" (List.length report.suppression);
   let started = Unix.gettimeofday () in
   let deadline = started +. budget.Concolic.Engine.max_time_s in
   let total_runs = ref 0 in
@@ -415,13 +509,6 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
       run_once ?restore ?sup_rules ~prog ~plan ~report ~vars
         ~seed:attempt_seed ~max_steps ~record_cases
     in
-    let should_stop _model (r : Concolic.Engine.run_result) =
-      match r.outcome with
-      | Interp.Crash.Crash c -> Interp.Crash.equal_site c report.crash
-      | Interp.Crash.Exit _ | Interp.Crash.Budget_exhausted
-      | Interp.Crash.Aborted _ ->
-          false
-    in
     let remaining_time = deadline -. Unix.gettimeofday () in
     let remaining_runs = budget.Concolic.Engine.max_runs - !total_runs in
     let engine_stats, found =
@@ -429,11 +516,12 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
         ~attrs:[ ("seed", Telemetry.Event.Int attempt_seed) ]
         (fun asp ->
           let r, found =
-            Concolic.Engine.explore ~vars
+            Concolic.Engine.search ~vars
               ~budget:
                 { Concolic.Engine.max_runs = max 1 remaining_runs;
                   max_time_s = max 0.1 remaining_time }
-              ~jobs ?cache ?incr:isolver ~telemetry ~run ~should_stop ()
+              ~jobs ?cache ?incr:isolver ~telemetry ~run
+              ~stop:(fun _ r -> crash_site report r) ()
           in
           Telemetry.Span.addi asp "runs" r.Concolic.Engine.runs;
           (r, found))
@@ -451,14 +539,12 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
         engine_stats.runs <- !total_runs
     | None -> ());
     match found with
-    | Some (model, r) ->
-        let crash =
-          match r.outcome with Interp.Crash.Crash c -> c | _ -> assert false
-        in
+    | Some (model, crash) ->
         ( Reproduced
             {
               model;
               crash;
+              seed = attempt_seed;
               runs = !total_runs;
               elapsed_s = Unix.gettimeofday () -. started;
             },

@@ -33,6 +33,9 @@ type result =
   | Reproduced of {
       model : Solver.Model.t;  (** the synthesised crashing input *)
       crash : Interp.Crash.t;
+      seed : int;
+          (** the attempt's default-input seed: variables the model leaves
+              free take {!Rkernel}'s defaults for it *)
       runs : int;
       elapsed_s : float;
     }
@@ -66,6 +69,52 @@ type restore_fn =
   observe:(int -> int -> unit) ->
   Interp.Eval.global_access ->
   unit
+
+(** The guided-replay run function {!reproduce} drives the engine with,
+    for one attempt under the variable registry [vars] and the default-input
+    [seed] (see {!Concolic.Engine.search}).  Decodes and verifies the
+    report's suppression table once, when applied to [report] (raising
+    [Invalid_argument] as {!reproduce} does).  [record_cases] receives each
+    run's §3.1 case counters when it ends.
+
+    At a case-2b mismatch the run takes the engine's resume offer: if the
+    forcing pending solves Sat and the guard accepts its model, the run
+    re-concretizes its live state in place, records the branch as case 2a
+    and continues along the logged direction (DESIGN.md §5m).  The guard
+    declines under a checkpoint [restore] or a replayed schedule, when a
+    system-call result variable already created would change, when a value
+    used without a pin (see {!Interp.Eval.live_access}) would change or a
+    partial operation would become undefined. *)
+val run :
+  ?restore:restore_fn ->
+  ?max_steps:int ->
+  ?record_cases:(case_stats -> unit) ->
+  prog:Minic.Program.t ->
+  plan:Instrument.Plan.t ->
+  vars:Solver.Symvars.t ->
+  seed:int ->
+  Instrument.Report.t ->
+  Concolic.Engine.offer ->
+  Solver.Model.t ->
+  Concolic.Engine.run_result
+
+(** The crash of a run that reached the report's crash site: the stop test
+    of reproduction. *)
+val crash_site :
+  Instrument.Report.t -> Concolic.Engine.run_result -> Interp.Crash.t option
+
+(** Run [prog] from [main] on a reproduced input with no hooks at all: the
+    replay kernel supplies [model]'s bytes (the defaults of the attempt
+    [seed] for the rest), the report's logged system-call results and
+    schedule.  A reproduction without a checkpoint [restore], resumed or
+    not, stands for exactly this execution. *)
+val reexecute :
+  prog:Minic.Program.t ->
+  vars:Solver.Symvars.t ->
+  seed:int ->
+  Instrument.Report.t ->
+  Solver.Model.t ->
+  Interp.Eval.result
 
 (** Reproduce the bug described by [report].  [budget] is the developer's
     patience (the paper's one-hour limit, scaled); [seed] varies the random

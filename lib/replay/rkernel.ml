@@ -12,7 +12,10 @@ type stream = { name : string; cap : int; mutable pos : int }
 
 type t = {
   vars : Solver.Symvars.t;
-  model : Solver.Model.t;
+  mutable model : Solver.Model.t;
+      (** replaced when a guided run resumes under a new model *)
+  sys_vars : (int, unit) Hashtbl.t;
+      (** every system-call result variable created so far *)
   shape : Concolic.Scenario.shape;
   sys_reader : Instrument.Syscall_log.Reader.t option;
   seed : int;
@@ -34,6 +37,7 @@ let create ?(observe = fun (_ : int) (_ : int) -> ()) ?(active = true) ~vars
   {
     vars;
     model;
+    sys_vars = Hashtbl.create 8;
     shape;
     sys_reader = Option.map Instrument.Syscall_log.Reader.create syscall_log;
     seed;
@@ -81,6 +85,7 @@ let syscall_result t ~kind ~lo ~hi ~default : int * Solver.Expr.t option =
             | Some v -> v
             | None -> default
           in
+          Hashtbl.replace t.sys_vars id ();
           t.observe id conc;
           (conc, Some (Solver.Expr.Var id))
       | Error msg -> raise (Log_mismatch msg))
@@ -93,6 +98,7 @@ let syscall_result t ~kind ~lo ~hi ~default : int * Solver.Expr.t option =
         match Solver.Model.find_opt id t.model with Some v -> v | None -> default
       in
       let conc = max lo (min hi conc) in
+      Hashtbl.replace t.sys_vars id ();
       t.observe id conc;
       (conc, Some (Solver.Expr.Var id))
 
@@ -243,3 +249,20 @@ let symbolic_args (t : t) : Interp.Inputs.t =
   in
   Interp.Inputs.symbolic ~observe:t.observe ~vars:t.vars ~caps:t.shape.arg_caps
     ~concrete_byte ()
+
+(* Every variable the kernel creates is an input byte (argv or stream,
+   read as [v land 0xff]) or a system-call result. *)
+let changed_inputs t model ~observed =
+  let exception Sys_result_moves in
+  let change (id, v) =
+    match Solver.Model.find_opt id model with
+    | None -> None
+    | Some v' when v' = v -> None
+    | Some _ when Hashtbl.mem t.sys_vars id -> raise Sys_result_moves
+    | Some v' -> if v' land 0xff <> v then Some (id, v' land 0xff) else None
+  in
+  match List.filter_map change (Solver.Model.bindings observed) with
+  | changes -> Some changes
+  | exception Sys_result_moves -> None
+
+let set_model t model = t.model <- model

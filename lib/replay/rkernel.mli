@@ -35,3 +35,17 @@ val kernel : t -> Interp.Kernel.t
 (** Symbolic argv for replay: capacities from the report's shape; concrete
     bytes from the model, else seeded defaults. *)
 val symbolic_args : t -> Interp.Inputs.t
+
+(** [changed_inputs t model ~observed] lists the variables of [observed] —
+    the effective value of every variable this kernel created so far — whose
+    effective value moves under [model], each with its new value: an input
+    byte takes its [model] value [land 0xff].  [None] when a system-call
+    result variable already created would change under [model]: stream
+    positions, fd tables and the program's view of read counts were built
+    from the results the run saw. *)
+val changed_inputs :
+  t -> Solver.Model.t -> observed:Solver.Model.t -> (int * int) list option
+
+(** Replace the model that variables created from now on read their values
+    from (a guided run resuming under a new model). *)
+val set_model : t -> Solver.Model.t -> unit

@@ -256,7 +256,7 @@ let test_branch_hook_fires_per_execution () =
   let hooks =
     {
       Interp.Eval.no_hooks with
-      Interp.Eval.on_branch = (fun ~bid:_ ~iter:_ ~taken:_ ~cond:_ -> incr count);
+      Interp.Eval.on_branch = (fun ~bid:_ ~iter:_ ~taken ~cond:_ -> incr count; taken);
     }
   in
   let _ =
@@ -271,7 +271,7 @@ let test_branch_hook_taken_direction () =
   let hooks =
     {
       Interp.Eval.no_hooks with
-      Interp.Eval.on_branch = (fun ~bid:_ ~iter:_ ~taken ~cond:_ -> dirs := taken :: !dirs);
+      Interp.Eval.on_branch = (fun ~bid:_ ~iter:_ ~taken ~cond:_ -> dirs := taken :: !dirs; taken);
     }
   in
   let _ = run ~hooks "int main() { if (1) { } if (0) { } return 0; }" in
@@ -313,7 +313,8 @@ let golden_line ~mode (sc : Concolic.Scenario.t) =
     {
       Interp.Eval.on_branch =
         (fun ~bid ~iter ~taken ~(cond : Interp.Value.t) ->
-          Printf.bprintf br "%d,%d,%b,%s;" bid iter taken (sym_str cond.sym));
+          Printf.bprintf br "%d,%d,%b,%s;" bid iter taken (sym_str cond.sym);
+          taken);
       on_concretize =
         (fun e n -> Printf.bprintf cz "%s=%d;" (Solver.Expr.to_string e) n);
       on_checkpoint =
@@ -327,6 +328,7 @@ let golden_line ~mode (sc : Concolic.Scenario.t) =
                 | None -> Buffer.add_string ck "?,"
               done)
             (access.list_globals ()));
+      on_start = None;
     }
   in
   let world, handle = Osmodel.World.kernel sc.world in

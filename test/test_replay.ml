@@ -341,6 +341,220 @@ let test_parallel_engine_counters_reconcile () =
       check_int (tag ^ " nothing stolen from one frontier") 0 e.steals)
     [ 1; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* Resume at a case-2b mismatch (DESIGN.md §5m).  At jobs=1 a run that
+   takes the engine's offer must leave everything a run that aborts and
+   restarts from [main] leaves: the same pendings, counters and models. *)
+
+type searched = {
+  stats : Concolic.Engine.stats;
+  found : (Solver.Model.t * Interp.Crash.t) option;
+  case2b : int;
+  accepted : int;  (** models the run's guard took *)
+  declined : int;  (** Sat models the guard turned down *)
+  vars : Solver.Symvars.t;
+}
+
+(* [`Take] passes the engine's offers through to the run's guard;
+   [`Decline] refuses every solved model, so the engine runs it from
+   [main]; [`Restart] never offers: the paper's abort-and-restart. *)
+let search mode ~prog ~plan report =
+  let vars = Solver.Symvars.create () in
+  let case2b = ref 0 and accepted = ref 0 and declined = ref 0 in
+  let guided =
+    Replay.Guided.run ~prog ~plan ~vars ~seed:1
+      ~record_cases:(fun c -> case2b := !case2b + c.Replay.Guided.case2b)
+      report
+  in
+  let run offer =
+    match mode with
+    | `Restart -> guided (fun _ ~resume:_ -> false)
+    | `Decline | `Take ->
+        guided (fun r ~resume ->
+            offer r ~resume:(fun model ->
+                let ok = mode = `Take && resume model in
+                incr (if ok then accepted else declined);
+                ok))
+  in
+  let stats, found =
+    Concolic.Engine.search ~vars
+      ~budget:{ Concolic.Engine.max_runs = 3_000; max_time_s = 600.0 }
+      ~jobs:1 ~cache:(Solver.Cache.create ()) ~run
+      ~stop:(fun _ r -> Replay.Guided.crash_site report r)
+      ()
+  in
+  { stats; found; case2b = !case2b; accepted = !accepted;
+    declined = !declined; vars }
+
+(* every engine counter a resume must leave alone: all but [resumes],
+   [elapsed_s] and [worker_runs] *)
+let engine_view (s : Concolic.Engine.stats) =
+  Printf.sprintf
+    "runs=%d sat=%d unsat=%d unknown=%d peak=%d timed_out=%b forks=%d \
+     core_pruned=%d incremental=%d solver_calls=%d steals=%d"
+    s.runs s.sat s.unsat s.unknown s.pending_peak s.timed_out s.forks
+    s.core_pruned s.solved_incremental s.solver_calls s.steals
+
+let found_view = function
+  | None -> "not found"
+  | Some (model, crash) ->
+      String.concat " "
+        (List.map (fun (id, v) -> Printf.sprintf "%d=%d" id v)
+           (Solver.Model.bindings model))
+      ^ " @ " ^ Interp.Crash.to_string crash
+
+(* Search [report] resuming, declining and restarting; all three must
+   agree.  Returns the resuming search. *)
+let check_resume_matches_restart label ~prog ~plan report =
+  let take = search `Take ~prog ~plan report in
+  let decline = search `Decline ~prog ~plan report in
+  let restart = search `Restart ~prog ~plan report in
+  List.iter
+    (fun (side, (s : searched)) ->
+      let tag what = Printf.sprintf "%s: %s %s" label side what in
+      Alcotest.(check string) (tag "engine counters")
+        (engine_view restart.stats) (engine_view s.stats);
+      Alcotest.(check string) (tag "found model and site")
+        (found_view restart.found) (found_view s.found);
+      check_int (tag "case 2b count") restart.case2b s.case2b)
+    [ ("resumed", take); ("declined", decline) ];
+  check_int (label ^ ": resumes counted") take.accepted take.stats.resumes;
+  check_int (label ^ ": no resume when declined") 0 decline.stats.resumes;
+  check_int (label ^ ": no resume on restart") 0 restart.stats.resumes;
+  (match take.found with
+  | Some (model, _) ->
+      check_bool (label ^ ": found input crashes from main") true
+        (match
+           (Replay.Guided.reexecute ~prog ~vars:take.vars ~seed:1 report model)
+             .outcome
+         with
+        | Interp.Crash.Crash c -> Interp.Crash.equal_site c report.crash
+        | _ -> false)
+  | None -> ());
+  take
+
+let resume_config =
+  Bugrepro.Pipeline.Config.(
+    default
+    |> with_budget ~dynamic:{ Concolic.Engine.max_runs = 40; max_time_s = 30.0 }
+         ~replay:budget
+    |> with_incremental false)
+
+(* (name, analyze the runtime library?, program, developer test, crash) *)
+let resume_workloads () =
+  List.map
+    (fun (e : Workloads.Coreutils.entry) ->
+      ( e.util, true, Lazy.force e.prog,
+        Workloads.Coreutils.analysis_scenario e,
+        Workloads.Coreutils.crash_scenario e ))
+    Workloads.Coreutils.catalog
+  @ [
+      ( "userver-exp1", false, Lazy.force Workloads.Userver.prog,
+        Workloads.Userver.scenario ~name:"userver-test"
+          [ Workloads.Http_gen.tiny_get ],
+        Workloads.Userver.experiment_scenario (Workloads.Userver.experiment 1) );
+      ( "diff-pair", true, Lazy.force Workloads.Diffutil.prog,
+        (let same = "alpha\nbeta\ngamma\n" in
+         Workloads.Diffutil.scenario ~name:"diff-test" ~file_a:same
+           ~file_b:same ()),
+        (let file_a, file_b =
+           Workloads.Diffutil.file_pair ~seed:1 ~lines:6 ~width:8 ~edits:1 ()
+         in
+         Workloads.Diffutil.scenario ~name:"diff-pair" ~ignore_case:true
+           ~file_a ~file_b ()) );
+    ]
+
+let test_resume_matches_restart_on_workloads () =
+  let resumes = ref 0 in
+  List.iter
+    (fun (name, analyze_lib, prog, test, crash) ->
+      let cfg = Bugrepro.Pipeline.Config.with_analyze_lib analyze_lib resume_config in
+      let analysis = Bugrepro.Pipeline.Run.analyze cfg ~test_scenario:test prog in
+      List.iter
+        (fun meth ->
+          let plan = Bugrepro.Pipeline.Run.plan cfg analysis meth in
+          match Bugrepro.Pipeline.Run.field_run_report cfg ~plan crash with
+          | _, None -> Alcotest.failf "%s: crash scenario did not crash" name
+          | _, Some report ->
+              let label =
+                Printf.sprintf "%s/%s" name (Instrument.Methods.to_string meth)
+              in
+              let take = check_resume_matches_restart label ~prog ~plan report in
+              resumes := !resumes + take.stats.resumes)
+        Instrument.Methods.[ Dynamic; Dynamic_static ])
+    (resume_workloads ());
+  check_bool "some run resumed" true (!resumes > 0)
+
+(* The guard (Guided.run): values the run used without a pin must keep
+   their value under the new model, or the run restarts from [main]. *)
+let guard_case ?(args = []) ?world ?(log_syscalls = true) src =
+  let prog = compile src in
+  let sc = Concolic.Scenario.make ~name:"t" ~args ?world prog in
+  let plan =
+    Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
+      Instrument.Methods.All_branches
+  in
+  let cfg = Bugrepro.Pipeline.Config.with_log_syscalls log_syscalls config in
+  match Bugrepro.Pipeline.Run.field_run_report cfg ~plan sc with
+  | _, None -> Alcotest.fail "field run did not crash"
+  | _, Some report -> (prog, plan, report)
+
+let test_guard_open_path_from_input () =
+  (* the path names the stream the bytes are read from; a from-scratch run
+     on the forced model opens another file *)
+  let prog, plan, report =
+    guard_case ~args:[ "f" ]
+      ~world:{ Osmodel.World.default_config with files = [ ("f", "zz") ] }
+      "int main() {\n\
+      \  int b[8]; int p[4]; int d[4];\n\
+      \  arg(0, b, 8);\n\
+      \  p[0] = b[0]; p[1] = 0;\n\
+      \  int fd = open(p, 0);\n\
+      \  int n = read(fd, d, 2);\n\
+      \  if (b[0] == 'f') { if (d[0] == 'z') { crash(); } }\n\
+      \  return n;\n\
+       }"
+  in
+  let take = check_resume_matches_restart "open path" ~prog ~plan report in
+  check_bool "open path: the guard declined the moved path" true
+    (take.declined > 0)
+
+let test_guard_dead_division () =
+  (* a dead [1000 / b[0]] pins nothing; the forcing model sets b[0] = 0,
+     on which a from-scratch run crashes at the division *)
+  let prog, plan, report =
+    guard_case ~args:[ "\001z" ]
+      "int main() {\n\
+      \  int b[8];\n\
+      \  arg(0, b, 8);\n\
+      \  int t = 1000 / b[0];\n\
+      \  t = 0;\n\
+      \  if (b[0] < 2) { if (b[1] == 'z') { crash(); } }\n\
+      \  return t;\n\
+       }"
+  in
+  let take = check_resume_matches_restart "dead division" ~prog ~plan report in
+  check_bool "dead division: the guard declined the zero divisor" true
+    (take.declined > 0)
+
+let test_guard_symbolic_read_count () =
+  (* without a syscall log the read count is a variable, and the stream
+     position already advanced by it: forcing [n == 3] must restart *)
+  let prog, plan, report =
+    guard_case ~log_syscalls:false ~world:(file_world "Xyz")
+      "int main() {\n\
+      \  int b[16];\n\
+      \  int fd = open(\"data\", 0);\n\
+      \  int n = read(fd, b, 16);\n\
+      \  if (n == 3) { if (b[0] == 'X') { crash(); } }\n\
+      \  return 0;\n\
+       }"
+  in
+  check_bool "no syscall log" true (report.syscall_log = None);
+  let take = check_resume_matches_restart "read count" ~prog ~plan report in
+  check_bool "read count: the guard declined the moved count" true
+    (take.declined > 0)
+
 let () =
   Alcotest.run "replay"
     [
@@ -377,6 +591,17 @@ let () =
             test_parallel_case_totals_match_sequential;
           Alcotest.test_case "engine counters reconcile" `Quick
             test_parallel_engine_counters_reconcile;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "matches restart on workloads" `Quick
+            test_resume_matches_restart_on_workloads;
+          Alcotest.test_case "guard: open path from input" `Quick
+            test_guard_open_path_from_input;
+          Alcotest.test_case "guard: dead division" `Quick
+            test_guard_dead_division;
+          Alcotest.test_case "guard: symbolic read count" `Quick
+            test_guard_symbolic_read_count;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_full_log_reproduces ] );

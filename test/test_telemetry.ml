@@ -226,7 +226,7 @@ let test_stats_conversions () =
   (* Engine.stats / Cache.snapshot / Guided.stats share one snapshot view *)
   let es =
     {
-      Concolic.Engine.runs = 3; sat = 2; unsat = 1; unknown = 0;
+      Concolic.Engine.runs = 3; resumes = 0; sat = 2; unsat = 1; unknown = 0;
       pending_peak = 5; elapsed_s = 0.25; timed_out = false; forks = 3;
       core_pruned = 0; solved_incremental = 0; solver_calls = 0; steals = 0;
       worker_runs = [| 3 |];
