@@ -15,7 +15,6 @@ type t = {
   only : string list;  (* experiment ids to run; [] = all *)
   jobs : int;  (* worker domains for exploration/replay; 1 = sequential *)
   solver_cache : bool;  (* memoizing solver cache on replay solves *)
-  incremental : bool;  (* scoped incremental solver (cores + portfolio) *)
   telemetry : Telemetry.t;
       (* handle for the --trace artifact; Telemetry.disabled (every probe a
          no-op) unless the driver installed a sink *)
@@ -34,7 +33,6 @@ let default =
     only = [];
     jobs = 1;
     solver_cache = true;
-    incremental = true;
     telemetry = Telemetry.disabled;
   }
 
@@ -75,5 +73,4 @@ let pipeline_config (c : t) =
     |> with_budget ~dynamic:(hc_budget c) ~replay:(replay_budget c)
     |> with_jobs c.jobs
     |> with_solver_cache c.solver_cache
-    |> with_incremental c.incremental
     |> with_telemetry c.telemetry)

@@ -32,7 +32,7 @@ let experiments : (string * string * (Ctx.t -> unit)) list =
     ("A6", "extension: multithreading + schedule log (§6)", Bench_ext.a6);
     ("E12", "Figure 5: diff CPU time", Bench_diff.e12);
     ("E13", "Tables 6 and 7: diff replay", Bench_diff.e13_e14);
-    ("E15", "extension: incremental solving + parallel replay",
+    ("E15", "extension: solver cache + parallel replay",
      Bench_parallel.e15);
     ("E16", "extension: batch triage (salvage + dedup + scheduler)",
      Bench_triage.e16);
@@ -49,7 +49,7 @@ let parse_args () : Ctx.t * string option * string option * string option =
   let trace = ref None in
   let compare = ref None in
   (* scale presets replace the budget knobs but must keep the explicit
-     selections (--only/--jobs/--no-solver-cache/--no-incremental) already
+     selections (--only/--jobs/--no-solver-cache) already
      parsed *)
   let rescale preset =
     ctx :=
@@ -58,7 +58,6 @@ let parse_args () : Ctx.t * string option * string option * string option =
         Ctx.only = !ctx.only;
         jobs = !ctx.jobs;
         solver_cache = !ctx.solver_cache;
-        incremental = !ctx.incremental;
         telemetry = !ctx.telemetry;
       }
   in
@@ -85,9 +84,6 @@ let parse_args () : Ctx.t * string option * string option * string option =
     | "--no-solver-cache" :: rest ->
         ctx := { !ctx with solver_cache = false };
         go rest
-    | "--no-incremental" :: rest ->
-        ctx := { !ctx with incremental = false };
-        go rest
     | "--json" :: path :: rest ->
         json := Some path;
         go rest
@@ -100,7 +96,7 @@ let parse_args () : Ctx.t * string option * string option * string option =
     | "--help" :: _ ->
         print_endline
           "options: --quick | --full | --only <ids> | --jobs <n> | \
-           --no-solver-cache | --no-incremental | --json <file> | \
+           --no-solver-cache | --json <file> | \
            --compare <baseline.json> | --trace <file> | --requests <n> | \
            --replay-timeout <s>";
         print_endline "experiments:";
@@ -127,11 +123,10 @@ let () =
      Instrumentation and Debugging Time\" (EuroSys 2011)\n";
   Printf.printf
     "scale: %s | %d requests | replay budget %.0fs | LC/HC = %d/%d analysis \
-     runs | jobs %d | solver cache %s | incremental %s\n"
+     runs | jobs %d | solver cache %s\n"
     (if ctx.quick then "quick" else "default/full")
     ctx.requests ctx.replay_time_s ctx.lc_runs ctx.hc_runs ctx.jobs
-    (if ctx.solver_cache then "on" else "off")
-    (if ctx.incremental then "on" else "off");
+    (if ctx.solver_cache then "on" else "off");
   let t0 = Unix.gettimeofday () in
   let durations = ref [] in
   List.iter
@@ -180,7 +175,6 @@ let () =
             ("scale", if ctx.quick then "quick" else "default/full");
             ("jobs", string_of_int ctx.jobs);
             ("solver_cache", if ctx.solver_cache then "on" else "off");
-            ("incremental", if ctx.incremental then "on" else "off");
             ("requests", string_of_int ctx.requests);
             ("replay_budget_s", Printf.sprintf "%.0f" ctx.replay_time_s);
             ("trace", match trace with Some t -> t | None -> "");

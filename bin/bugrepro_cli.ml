@@ -197,11 +197,10 @@ let demo_pipeline w meth experiment timeout save jobs no_solver_cache cfg =
           3
       | Ok report ->
       Printf.printf
-        "== guided replay (budget %.0fs, %d job%s, cache %s, incremental %s) ==\n%!"
+        "== guided replay (budget %.0fs, %d job%s, cache %s) ==\n%!"
         timeout jobs
         (if jobs = 1 then "" else "s")
-        (if no_solver_cache then "off" else "on")
-        (if cfg.Bugrepro.Pipeline.Config.incremental then "on" else "off");
+        (if no_solver_cache then "off" else "on");
       let result, stats = Bugrepro.Pipeline.Run.reproduce cfg ~prog ~plan report in
       Printf.printf
         "cases: %d pinned (2a), %d forced (2b), %d free symbolic (1), %d concrete-mismatch (3b)\n"
@@ -264,7 +263,7 @@ let make_telemetry trace metrics =
   (tel, finish)
 
 let demo_cmd name meth_s experiment timeout save jobs no_solver_cache
-    no_incremental no_encode trace metrics =
+    no_encode trace metrics =
   match find_workload name, method_of_string meth_s with
   | Error e, _ | _, Error e ->
       prerr_endline e;
@@ -281,7 +280,6 @@ let demo_cmd name meth_s experiment timeout save jobs no_solver_cache
           |> with_analyze_lib (not (String.equal w.wname "userver"))
           |> with_jobs jobs
           |> with_solver_cache (not no_solver_cache)
-          |> with_incremental (not no_incremental)
           |> with_encode (not no_encode)
           |> with_telemetry tel)
       in
@@ -391,8 +389,7 @@ let make_resolver cfg : Triage.resolve =
         in
         Ok (analysis.Bugrepro.Pipeline.prog, plan)
 
-let triage_cmd dir jobs deadline timeout seed no_incremental index json trace
-    metrics =
+let triage_cmd dir jobs deadline timeout seed index json trace metrics =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Printf.eprintf "no such directory: %s\n" dir;
     2
@@ -406,7 +403,6 @@ let triage_cmd dir jobs deadline timeout seed no_incremental index json trace
         |> with_seed seed
         |> with_budget
              ~replay:{ Concolic.Engine.max_runs = 50_000; max_time_s = timeout }
-        |> with_incremental (not no_incremental)
         |> with_telemetry tel)
     in
     let policy =
@@ -846,15 +842,6 @@ let demo_t =
       & info [ "no-solver-cache" ]
           ~doc:"Disable the memoizing solver cache during replay.")
   in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:
-            "Disable incremental solving (scoped contexts, learned-core \
-             pruning, strategy portfolio); every pending is solved from \
-             scratch.")
-  in
   let no_encode =
     Arg.(
       value & flag
@@ -882,7 +869,7 @@ let demo_t =
   in
   Term.(
     const demo_cmd $ workload_arg $ meth $ exp $ timeout $ save $ jobs
-    $ no_solver_cache $ no_incremental $ no_encode $ trace $ metrics)
+    $ no_solver_cache $ no_encode $ trace $ metrics)
 
 let fuzz_t =
   let seed =
@@ -985,14 +972,6 @@ let triage_t =
       & info [ "seed"; "s" ] ~docv:"SEED"
           ~doc:"Batch seed; per-cluster replay seeds derive from it.")
   in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:
-            "Disable the per-cluster incremental solver (scoped contexts, \
-             learned-core pruning, strategy portfolio).")
-  in
   let json =
     Arg.(
       value
@@ -1024,8 +1003,8 @@ let triage_t =
              the index cannot be opened).")
   in
   Term.(
-    const triage_cmd $ dir $ jobs $ deadline $ timeout $ seed
-    $ no_incremental $ index $ json $ trace $ metrics)
+    const triage_cmd $ dir $ jobs $ deadline $ timeout $ seed $ index $ json
+    $ trace $ metrics)
 
 let serve_t =
   let dir =

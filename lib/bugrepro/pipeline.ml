@@ -48,9 +48,6 @@ module Config = struct
             redundant instrumented branches ship a reconstruction rule
             instead of log bits *)
     solver_cache : bool;  (** memoize solver queries during replay *)
-    incremental : bool;
-        (** solve pendings through a scoped incremental solver (core
-            pruning, scope reuse, strategy portfolio) *)
     seed : int;  (** replay's initial random input *)
     replay_max_steps : int;  (** interpreter step cap per replay run *)
     telemetry : Telemetry.t;
@@ -69,7 +66,6 @@ module Config = struct
       encode = true;
       suppression = false;
       solver_cache = true;
-      incremental = true;
       seed = 1;
       replay_max_steps = 5_000_000;
       telemetry = Telemetry.disabled;
@@ -91,7 +87,6 @@ module Config = struct
   let with_encode encode c = { c with encode }
   let with_suppression suppression c = { c with suppression }
   let with_solver_cache solver_cache c = { c with solver_cache }
-  let with_incremental incremental c = { c with incremental }
   let with_seed seed c = { c with seed }
   let with_replay_max_steps replay_max_steps c = { c with replay_max_steps }
 end
@@ -105,7 +100,7 @@ module Run = struct
     let dynamic =
       Option.map
         (Concolic.Dynamic.analyze ~budget:c.dynamic_budget ~jobs:c.jobs
-           ~incremental:c.incremental ~telemetry:c.telemetry)
+           ~telemetry:c.telemetry)
         test_scenario
     in
     let static =
@@ -175,8 +170,7 @@ module Run = struct
       Replay.Guided.result * Replay.Guided.stats =
     Replay.Guided.reproduce ~budget:c.replay_budget ~seed:c.seed
       ~max_steps:c.replay_max_steps ?restore ~jobs:c.jobs
-      ~solver_cache:c.solver_cache ~incremental:c.incremental
-      ~telemetry:c.telemetry ~prog ~plan report
+      ~solver_cache:c.solver_cache ~telemetry:c.telemetry ~prog ~plan report
 end
 
 (** Precision report of the static labels against the dynamic ground

@@ -39,11 +39,6 @@ module Config : sig
             instrumented branches ship a reconstruction rule instead of
             log bits.  Off by default (the paper's raw configuration). *)
     solver_cache : bool;  (** memoize solver queries during replay *)
-    incremental : bool;
-        (** solve pendings through a scoped incremental solver
-            ({!Solver.Incr}): learned-core pruning, scope reuse, strategy
-            portfolio.  On by default; verdicts match the from-scratch
-            solver, found models may differ. *)
     seed : int;  (** replay's initial random input *)
     replay_max_steps : int;  (** interpreter step cap per replay run *)
     telemetry : Telemetry.t;
@@ -52,8 +47,7 @@ module Config : sig
   }
 
   (** Paper defaults: sequential, refined static pipeline, syscall log,
-      online log encoding, solver cache and incremental solving on,
-      telemetry disabled. *)
+      online log encoding, solver cache on, telemetry disabled. *)
   val default : t
 
   (** Setters take the config last so they chain with [|>]. *)
@@ -71,7 +65,6 @@ module Config : sig
   val with_encode : bool -> t -> t
   val with_suppression : bool -> t -> t
   val with_solver_cache : bool -> t -> t
-  val with_incremental : bool -> t -> t
   val with_seed : int -> t -> t
   val with_replay_max_steps : int -> t -> t
 end

@@ -58,10 +58,9 @@ let make_run ?(max_steps = 2_000_000) (sc : Scenario.t) ~vars
     explores with a parallel worker pool; label updates are then serialized
     through a mutex (the sticky rule commutes, so the resulting label map
     does not depend on worker scheduling).  [cache] memoizes solver queries
-    across pendings.  [incremental] (default true) solves through a private
-    {!Solver.Incr.t} — scope reuse, learned cores, portfolio. *)
+    across pendings; without one the analysis opens a private cache. *)
 let analyze ?(budget = Engine.default_budget) ?max_steps ?(jobs = 1) ?cache
-    ?(incremental = true) ?(telemetry = Telemetry.disabled)
+    ?(telemetry = Telemetry.disabled)
     (sc : Scenario.t) : result =
   Telemetry.Span.with_ telemetry ~name:"analyze.dynamic"
     ~attrs:[ ("scenario", Telemetry.Event.Str sc.name) ]
@@ -78,9 +77,11 @@ let analyze ?(budget = Engine.default_budget) ?max_steps ?(jobs = 1) ?cache
           Mutex.unlock label_mu
       in
       let run = make_run ?max_steps sc ~vars ~on_branch_observed in
-      let incr = if incremental then Some (Solver.Incr.create ()) else None in
+      let cache =
+        match cache with Some c -> c | None -> Solver.Cache.create ()
+      in
       let stats, _ =
-        Engine.explore ~vars ~budget ~strategy:Engine.Bfs ~jobs ?cache ?incr
+        Engine.explore ~vars ~budget ~strategy:Engine.Bfs ~jobs ~cache
           ~telemetry ~run ()
       in
       let visited = n - Label.count labels Label.Unvisited in

@@ -31,9 +31,8 @@ val make_run :
     one-hour/two-hour symbolic-execution cut-offs (LC vs HC).  [jobs] > 1
     explores with a parallel worker pool (the sticky labelling rule
     commutes, so the label map does not depend on worker scheduling);
-    [cache] memoizes solver queries across pendings; [incremental] (default
-    true) routes pendings through a private {!Solver.Incr.t} (scope reuse,
-    learned-core pruning, strategy portfolio); [telemetry] wraps the
+    [cache] memoizes solver queries across pendings (a private one when
+    omitted); [telemetry] wraps the
     exploration in an [analyze.dynamic] span (runs/visited/coverage end
     attributes) over the {!Engine.explore} instrumentation. *)
 val analyze :
@@ -41,7 +40,6 @@ val analyze :
   ?max_steps:int ->
   ?jobs:int ->
   ?cache:Solver.Cache.t ->
-  ?incremental:bool ->
   ?telemetry:Telemetry.t ->
   Scenario.t ->
   result

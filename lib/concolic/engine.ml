@@ -58,11 +58,9 @@ type stats = {
   mutable elapsed_s : float;
   mutable timed_out : bool;
   mutable forks : int;  (** pendings pushed onto the frontier *)
-  mutable core_pruned : int;
-      (** pendings answered Unsat by a learned core, no solver call *)
-  mutable solved_incremental : int;
-      (** solver calls that reused >= 1 scope frame *)
-  mutable solver_calls : int;  (** calls that reached the incremental solver *)
+  mutable core_pruned : int;  (** always 0, like [steals] *)
+  mutable solved_incremental : int;  (** always 0, like [steals] *)
+  mutable solver_calls : int;  (** always 0, like [steals] *)
   mutable steals : int;
       (** always 0: the single shared frontier has nothing to steal from;
           kept so readers of the record keep compiling *)
@@ -101,27 +99,17 @@ let monotonic () = Unix.gettimeofday ()
    log-forced direction.  Routed through the memoizing cache when one is
    supplied (Unknowns are not cached, so the escalated call always reaches
    the real solver).  [telemetry] records the hit/miss/solve time split
-   (through the cache when present, as [solver.solve_s] otherwise — the
-   incremental path always as [solver.solve_s]). *)
-let solve_pending ?cache ?session ~telemetry ~vars ~hint cs =
+   (through the cache when present, as [solver.solve_s] otherwise). *)
+let solve_pending ?cache ~telemetry ~vars ~hint cs =
   let solve ?budget () =
-    match session with
-    (* incremental path: learned-core pruning, scope re-sync, cache probe
-       on the slice, portfolio search — all inside {!Solver.Incr.solve}.
-       Same slice soundness argument as below. *)
-    | Some s ->
+    match cache with
+    (* [slice] is sound here: a pending's hint satisfies every constraint
+       outside the focus component, and the exploration loop merges the
+       returned model over the hint (union_prefer_left) before running *)
+    | Some c -> Solver.Cache.solve c ?budget ~telemetry ~vars ~hint ~slice:true cs
+    | None ->
         Telemetry.Metrics.time telemetry "solver.solve_s" (fun () ->
-            Solver.Incr.solve s ?budget ?cache ~hint cs)
-    | None -> (
-        match cache with
-        (* [slice] is sound here: a pending's hint satisfies every constraint
-           outside the focus component, and the exploration loop merges the
-           returned model over the hint (union_prefer_left) before running *)
-        | Some c ->
-            Solver.Cache.solve c ?budget ~telemetry ~vars ~hint ~slice:true cs
-        | None ->
-            Telemetry.Metrics.time telemetry "solver.solve_s" (fun () ->
-                Solver.Solve.solve ?budget ~vars ~hint cs))
+            Solver.Solve.solve ?budget ~vars ~hint cs)
   in
   match solve () with
   | Solver.Solve.Unknown ->
@@ -168,7 +156,7 @@ type launch = {
   negations : Solver.Expr.t list;
 }
 
-let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
+let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
     ~run ~stop ~on_run (stats : stats) : (Solver.Model.t * 'a) option =
   let deadline = monotonic () +. budget.max_time_s in
   let forks = Telemetry.Metrics.counter telemetry "engine.forks" in
@@ -176,12 +164,6 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
   (* per-worker run counts feed the [worker_runs] parity invariant *)
   let wruns = Array.make jobs 0 in
   let wpops = Array.make jobs 0 in
-  (* one private incremental session per worker, opened before the seeding
-     run: its resume offers solve in worker 0's session *)
-  let sessions =
-    Array.init jobs (fun _ ->
-        Option.map (fun i -> Solver.Incr.session i ~vars) isolver)
-  in
   let m = Mutex.create () in
   let cv = Condition.create () in
   (* the pending list: LIFO for DFS, FIFO for BFS *)
@@ -257,14 +239,13 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
   (* solve a popped pending; called with [m] held, releases it around the
      solver.  [Some] is the launch of a Sat pending the search still has
      budget for. *)
-  let solve_locked k (p : pending) =
+  let solve_locked (p : pending) =
     Mutex.unlock m;
     let solved =
       try
         let hint id = Solver.Model.find_opt id p.hint in
         Ok
-          (solve_pending ?cache ?session:sessions.(k) ~telemetry ~vars ~hint
-             (constraints_of p))
+          (solve_pending ?cache ~telemetry ~vars ~hint (constraints_of p))
       with e -> Error e
     in
     Mutex.lock m;
@@ -309,7 +290,7 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
              && monotonic () <= deadline -> (
           ignore (frontier_pop ());
           wpops.(k) <- wpops.(k) + 1;
-          match solve_locked k p with
+          match solve_locked p with
           | None -> false
           | Some l -> (
               match resume l.model with
@@ -395,7 +376,7 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
         | Some p ->
             incr active;
             wpops.(k) <- wpops.(k) + 1;
-            (match solve_locked k p with
+            (match solve_locked p with
             | Some l -> do_run_locked k l
             | None -> ());
             decr active;
@@ -430,8 +411,7 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ?incr:isolver ~telemetry ~span
 (* ------------------------------------------------------------------ *)
 
 let search ~(vars : Solver.Symvars.t) ?(budget = default_budget)
-    ?(strategy = Dfs) ?(jobs = 1) ?cache ?incr
-    ?(telemetry = Telemetry.disabled)
+    ?(strategy = Dfs) ?(jobs = 1) ?cache ?(telemetry = Telemetry.disabled)
     ~(run : offer -> Solver.Model.t -> run_result)
     ~(stop : Solver.Model.t -> run_result -> 'a option)
     ?(on_run = fun (_ : Solver.Model.t) (_ : run_result) -> ()) () :
@@ -451,32 +431,11 @@ let search ~(vars : Solver.Symvars.t) ?(budget = default_budget)
         ("max_runs", Telemetry.Event.Int budget.max_runs);
       ]
     (fun sp ->
-      (* delta of the incremental layer's counters attributable to this
-         exploration (the [Incr.t] may be shared across sequential explores
-         of a triage ladder, but never across concurrent ones) *)
-      let incr_before = Option.map Solver.Incr.snapshot incr in
       let started = monotonic () in
       let found =
-        drain ~vars ~budget ~strategy ~jobs ?cache ?incr ~telemetry ~span:sp
+        drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span:sp
           ~run ~stop ~on_run stats
       in
-      (match (incr, incr_before) with
-      | Some i, Some b ->
-          let a = Solver.Incr.snapshot i in
-          stats.core_pruned <- a.Solver.Incr.core_pruned - b.Solver.Incr.core_pruned;
-          stats.solved_incremental <-
-            a.Solver.Incr.incremental - b.Solver.Incr.incremental;
-          stats.solver_calls <- a.Solver.Incr.solver_calls - b.Solver.Incr.solver_calls;
-          Telemetry.Metrics.incr_named ~by:stats.solver_calls telemetry
-            "engine.solver_calls";
-          Telemetry.Metrics.incr_named ~by:stats.solved_incremental telemetry
-            "engine.solved_incremental";
-          Telemetry.Metrics.incr_named ~by:stats.core_pruned telemetry
-            "engine.core_pruned";
-          Telemetry.Metrics.incr_named
-            ~by:(a.Solver.Incr.cores_learned - b.Solver.Incr.cores_learned)
-            telemetry "engine.cores_learned"
-      | _ -> ());
       if stats.runs >= budget.max_runs && found = None then
         stats.timed_out <- true;
       stats.elapsed_s <- monotonic () -. started;
@@ -491,10 +450,10 @@ let search ~(vars : Solver.Symvars.t) ?(budget = default_budget)
       Telemetry.Span.addf sp "elapsed_s" stats.elapsed_s;
       (stats, found))
 
-let explore ~vars ?budget ?strategy ?jobs ?cache ?incr ?telemetry
-    ~(run : Solver.Model.t -> run_result)
+let explore ~vars ?budget ?strategy ?jobs ?cache ?incr:(_ : Solver.Incr.t option)
+    ?telemetry ~(run : Solver.Model.t -> run_result)
     ?(should_stop = fun _ _ -> false) ?on_run () =
-  search ~vars ?budget ?strategy ?jobs ?cache ?incr ?telemetry
+  search ~vars ?budget ?strategy ?jobs ?cache ?telemetry
     ~run:(fun _ model -> run model)
     ~stop:(fun model r -> if should_stop model r then Some r else None)
     ?on_run ()
@@ -509,7 +468,5 @@ let counters (s : stats) : Telemetry.Counters.snapshot =
     [
       ("runs", s.runs); ("resumes", s.resumes); ("sat", s.sat); ("unsat", s.unsat);
       ("unknown", s.unknown); ("pending_peak", s.pending_peak);
-      ("forks", s.forks); ("core_pruned", s.core_pruned);
-      ("solved_incremental", s.solved_incremental);
-      ("solver_calls", s.solver_calls);
+      ("forks", s.forks);
     ]

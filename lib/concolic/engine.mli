@@ -15,13 +15,7 @@
     call concurrently — each call must build its own interpreter state);
     result *sets* on exhausted frontiers are jobs-invariant, visit order is
     not.  An optional shared {!Solver.Cache} memoizes solver queries across
-    pendings.
-
-    Passing [~incr] (a shared {!Solver.Incr.t}) turns on incremental
-    solving: learned-core pruning, scope reuse across sibling pendings and
-    the two-strategy portfolio.  Verdicts are unchanged (fuzz-enforced);
-    models — and therefore which of several equivalent witnesses is found
-    first — may differ from the from-scratch solver's. *)
+    pendings; without one every pending goes to {!Solver.Solve.solve}. *)
 
 type budget = {
   max_runs : int;
@@ -77,13 +71,14 @@ type stats = {
   mutable pending_peak : int;
   mutable elapsed_s : float;
   mutable timed_out : bool;
-  mutable forks : int;  (** pendings pushed onto the frontier *)
+  mutable forks : int;
+      (** pendings pushed onto the frontier.  On an exhausted frontier
+          [sat + unsat + unknown = forks]. *)
   mutable core_pruned : int;
-      (** pendings answered Unsat by a learned core, no solver call.  On an
-          exhausted frontier [sat + unsat + unknown + core_pruned = forks]. *)
-  mutable solved_incremental : int;
-      (** solver calls that reused >= 1 scope frame *)
-  mutable solver_calls : int;  (** calls that reached the incremental solver *)
+      (** always 0, like [steals]: the incremental solver that pruned
+          pendings by learned cores is retired *)
+  mutable solved_incremental : int;  (** always 0, like [core_pruned] *)
+  mutable solver_calls : int;  (** always 0, like [core_pruned] *)
   mutable steals : int;
       (** always 0: the single shared frontier has nothing to steal from;
           kept so readers of the record keep compiling *)
@@ -103,8 +98,7 @@ type stats = {
     engine's internal lock held, i.e. serialized, so they may keep plain
     mutable state; a run that continues through resumes reaches them once
     per executed pending.  [cache] memoizes solver queries across pendings
-    (and is shared by all workers).  [incr] enables incremental solving
-    (each worker opens a private session).
+    (and is shared by all workers).
 
     At [jobs] = 1 a run that resumes wherever it is offered executes the
     same pendings in the same order, with the same solver calls, counters
@@ -116,16 +110,13 @@ type stats = {
     accounting, pop and solve inside an offer) and the solver split,
     samples the frontier depth over time ([engine.frontier]) and
     accumulates the [engine.runs]/[resumes]/[sat]/[unsat]/[unknown]/
-    [forks] counters; with [incr] also this exploration's share of the
-    incremental solver's work as [engine.solver_calls]/
-    [solved_incremental]/[core_pruned]/[cores_learned]. *)
+    [forks] counters. *)
 val search :
   vars:Solver.Symvars.t ->
   ?budget:budget ->
   ?strategy:strategy ->
   ?jobs:int ->
   ?cache:Solver.Cache.t ->
-  ?incr:Solver.Incr.t ->
   ?telemetry:Telemetry.t ->
   run:(offer -> Solver.Model.t -> run_result) ->
   stop:(Solver.Model.t -> run_result -> 'a option) ->
@@ -134,7 +125,7 @@ val search :
   stats * (Solver.Model.t * 'a) option
 
 (** {!search} with runs that never take an offer, stopping at the first
-    run [should_stop] accepts (default: never). *)
+    run [should_stop] accepts (default: never).  [incr] is ignored. *)
 val explore :
   vars:Solver.Symvars.t ->
   ?budget:budget ->

@@ -65,7 +65,6 @@ let oracle_cfg (opts : opts) ~index : Oracle.cfg =
     check_cache = opts.thorough || index mod 2 = 0;
     check_salvage = opts.thorough || index mod 3 = 1;
     check_suppression = opts.thorough || index mod 3 = 2;
-    check_incremental = opts.thorough || index mod 4 = 2;
     check_streaming = opts.thorough || index mod 4 = 3;
     check_encoding = opts.thorough || index mod 4 = 1;
     det_jobs = max 2 opts.config.Config.jobs;

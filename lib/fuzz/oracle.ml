@@ -13,7 +13,6 @@ type cfg = {
   check_cache : bool;
   check_salvage : bool;
   check_suppression : bool;
-  check_incremental : bool;
   check_streaming : bool;
   check_encoding : bool;
   det_jobs : int;
@@ -33,7 +32,6 @@ let default_cfg =
     check_cache = true;
     check_salvage = true;
     check_suppression = true;
-    check_incremental = true;
     check_streaming = true;
     check_encoding = true;
     det_jobs = 4;
@@ -218,104 +216,6 @@ let cache_oracle (cfg : cfg) (base : explo) : verdict =
           match check_cached () with
           | Some e -> Some e
           | None -> check_cached ())
-        queries
-    in
-    match mismatch with None -> Pass | Some e -> Fail e
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Oracle (h): incremental-solver transparency.  For each collected path
-   constraint set (and its negated-tail variant) the scoped solver must
-   agree with the from-scratch solve on satisfiability — across a plain
-   scoped solve, a pop-half/re-push re-sync (the trail-undo path), the
-   enumeration-first portfolio strategy, and two passes of the full
-   Incr pipeline on one session (the second pass runs against whatever
-   cores the first learned: a learned core must never flip a fresh Sat
-   to Unsat).  Any Sat model on the incremental side must satisfy the
-   query.  Unknown is tolerated on either side: the strategies bound
-   their search differently, so one giving up is not a disagreement. *)
-
-let incremental_oracle (base : explo) : verdict =
-  if base.queries = [] then Skip "no symbolic path constraints collected"
-  else begin
-    let vars = base.vars in
-    let negate_tail cs =
-      match List.rev cs with
-      | [] -> []
-      | last :: pre -> List.rev (Solver.Expr.negate last :: pre)
-    in
-    let queries =
-      List.concat_map (fun cs -> [ cs; negate_tail cs ]) base.queries
-    in
-    let incr = Solver.Incr.create () in
-    let session = Solver.Incr.session incr ~vars in
-    let status = function
-      | Solver.Solve.Sat _ -> "sat"
-      | Solver.Solve.Unsat -> "unsat"
-      | Solver.Solve.Unknown -> "unknown"
-    in
-    let check name fresh got cs =
-      match fresh, got with
-      | Solver.Solve.Unknown, _ | _, Solver.Solve.Unknown -> None
-      | Solver.Solve.Sat _, Solver.Solve.Sat m ->
-          if Solver.Model.satisfies_all m cs then None
-          else Some (name ^ ": Sat model does not satisfy the query")
-      | Solver.Solve.Unsat, Solver.Solve.Unsat -> None
-      | _ ->
-          Some
-            (Printf.sprintf "%s: status differs (fresh %s, incremental %s)"
-               name (status fresh) (status got))
-    in
-    let rec drop n l =
-      if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
-    in
-    let mismatch =
-      List.find_map
-        (fun cs ->
-          let fresh = Solver.Solve.solve ~vars cs in
-          let scope = Solver.Scope.create ~vars () in
-          List.iter (Solver.Scope.push scope) cs;
-          match check "scoped" fresh (Solver.Scope.solve scope cs) cs with
-          | Some e -> Some e
-          | None -> (
-              (* undo the innermost half and re-push it: verdict must
-                 survive the trail restore *)
-              let n = List.length cs in
-              let half = n / 2 in
-              for _ = 1 to half do
-                Solver.Scope.pop scope
-              done;
-              List.iter (Solver.Scope.push scope) (drop (n - half) cs);
-              match
-                check "re-synced scope" fresh (Solver.Scope.solve scope cs) cs
-              with
-              | Some e -> Some e
-              | None -> (
-                  match
-                    check "enum-first scope" fresh
-                      (Solver.Scope.solve ~order:`Smallest_dom ~prop_rounds:4
-                         scope cs)
-                      cs
-                  with
-                  | Some e -> Some e
-                  | None -> (
-                      (* the full pipeline slices to the independence
-                         component of the last constraint (the engine
-                         merges its model over the pending's hint), so
-                         its Sat models are only accountable to the
-                         slice; the verdict still answers for all of
-                         [cs] *)
-                      let slice = Solver.Cache.slice_focus cs in
-                      match
-                        check "incr pipeline" fresh
-                          (Solver.Incr.solve session cs)
-                          slice
-                      with
-                      | Some e -> Some e
-                      | None ->
-                          check "incr pipeline (learned cores)" fresh
-                            (Solver.Incr.solve session cs)
-                            slice))))
         queries
     in
     match mismatch with None -> Pass | Some e -> Fail e
@@ -902,7 +802,6 @@ let run ?only (cfg : cfg) (case : Gen.case) : outcome list =
   let sc = Gen.scenario ~max_steps:cfg.max_steps case in
   let need_explore =
     want "labels" || want "determinism" || want "cache"
-    || (cfg.check_incremental && want "incremental")
     || (cfg.check_suppression && want "suppression")
     || (cfg.check_streaming && want "streaming")
     || List.exists
@@ -933,12 +832,6 @@ let run ?only (cfg : cfg) (case : Gen.case) : outcome list =
   (if cfg.check_cache && want "cache" then
      match base with
      | Some b -> record "cache" (span "cache" (fun () -> cache_oracle cfg b))
-     | None -> ());
-  (if cfg.check_incremental && want "incremental" then
-     match base with
-     | Some b ->
-         record "incremental"
-           (span "incremental" (fun () -> incremental_oracle b))
      | None -> ());
   (* static labels for the plans, computed once *)
   let static_labels =

@@ -1,8 +1,8 @@
 (** The differential oracles, spanning every pipeline stage.
 
-    Five cross-stage invariants, checked per generated case (the sixth —
-    the print/parse round trip — is enforced by {!Gen.elaborate} before a
-    case ever reaches this module):
+    Cross-stage invariants, checked per generated case (the print/parse
+    round trip is enforced by {!Gen.elaborate} before a case ever reaches
+    this module):
 
     - {b replay}: for each instrumentation method, a crashing field run's
       report must be reproduced by guided replay, and every [Reproduced]
@@ -41,16 +41,6 @@
       at every cut, as in {b salvage}) and guided replay from the
       suppressed report reaches the same verdict — with the same §3.1
       case counters absent timeouts — as replay from the raw report.
-    - {b incremental}: for the collected path constraint sets (and their
-      negated-tail variants), the scoped incremental solver must agree
-      with the from-scratch solver on satisfiability — across a plain
-      scoped solve, a pop-half/re-push re-sync, the enumeration-first
-      portfolio strategy, and two passes of the full {!Solver.Incr}
-      pipeline (the second exercises learned cores: a learned core must
-      never flip a fresh [Sat] to [Unsat]); every [Sat] model must
-      satisfy the query — for the sliced full pipeline, its independence
-      slice, the part a model answers for.  [Unknown] is tolerated on
-      both sides.
     - {b salvage}: truncating the wire form at every byte boundary and
       salvaging ({!Instrument.Wire.deserialize_salvage}) never raises,
       never misreads a truncation as an unknown version, preserves the
@@ -97,7 +87,6 @@ type cfg = {
   check_cache : bool;
   check_salvage : bool;
   check_suppression : bool;
-  check_incremental : bool;
   check_streaming : bool;
   check_encoding : bool;
   det_jobs : int;  (** worker count for the parallel half of determinism *)

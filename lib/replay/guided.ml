@@ -432,18 +432,14 @@ let reexecute ~prog ~vars ~seed (report : Report.t) model =
     [solver_cache] (default on) memoizes solver queries across pendings and
     across restarts — alpha-renaming makes the cache survive the fresh
     variable registry of a restart.  [cache] supplies an external cache to
-    use instead (shared across a triage batch); [incr] likewise supplies an
-    external incremental solver (one per triage cluster), while
-    [incremental] (default true) just enables a private one; learned cores
-    are registry-scoped, so a restart's fresh registry drops them but keeps
-    the portfolio statistics.  [max_attempts] caps the restart count,
-    after which a clean frontier exhaustion returns
+    use instead (shared across a triage batch).  [max_attempts] caps the
+    restart count, after which a clean frontier exhaustion returns
     [Not_reproduced { timed_out = false; _ }]. *)
 let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
     ?(max_steps = 5_000_000) ?restore ?(jobs = 1) ?(solver_cache = true)
-    ?cache ?incr:ext_incr ?(incremental = true) ?max_attempts
-    ?(telemetry = Telemetry.disabled) ~(prog : Minic.Program.t)
-    ~(plan : Plan.t) (report : Report.t) : result * stats =
+    ?cache ?max_attempts ?(telemetry = Telemetry.disabled)
+    ~(prog : Minic.Program.t) ~(plan : Plan.t) (report : Report.t) :
+    result * stats =
   Telemetry.Span.with_ telemetry ~name:"reproduce"
     ~attrs:
       [
@@ -489,14 +485,6 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
     | Some c -> Some c
     | None -> if solver_cache then Some (Solver.Cache.create ()) else None
   in
-  (* shared across restart attempts, like the cache: each attempt's fresh
-     registry resets the learned cores but the portfolio keeps its
-     cross-attempt strategy statistics *)
-  let isolver =
-    match ext_incr with
-    | Some i -> Some i
-    | None -> if incremental then Some (Solver.Incr.create ()) else None
-  in
   let rec attempt attempt_seed acc_stats =
     incr attempts;
     let vars = Solver.Symvars.create () in
@@ -520,7 +508,7 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
               ~budget:
                 { Concolic.Engine.max_runs = max 1 remaining_runs;
                   max_time_s = max 0.1 remaining_time }
-              ~jobs ?cache ?incr:isolver ~telemetry ~run
+              ~jobs ?cache ~telemetry ~run
               ~stop:(fun _ r -> crash_site report r) ()
           in
           Telemetry.Span.addi asp "runs" r.Concolic.Engine.runs;

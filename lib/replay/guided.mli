@@ -122,13 +122,8 @@ val reexecute :
     draining the pending frontier; [solver_cache] (default true) memoizes
     solver queries across pendings and restarts, and [cache] supplies an
     external {!Solver.Cache.t} to use instead — the triage batch scheduler
-    shares one across a whole batch.  [incremental] (default true) solves
-    pendings through a {!Solver.Incr.t} (scope reuse, learned-core pruning,
-    strategy portfolio); [incr] supplies an external one instead — the
-    triage scheduler opens one per cluster.  Learned cores are
-    registry-scoped and reset on each restart's fresh registry; portfolio
-    statistics survive.  [max_attempts] caps the restart-with-a-fresh-seed
-    loop; once hit, a clean frontier exhaustion
+    shares one across a whole batch.  [max_attempts] caps the
+    restart-with-a-fresh-seed loop; once hit, a clean frontier exhaustion
     returns [Not_reproduced] with [timed_out = false] (a [true] there
     always means the clock or the run budget ran out, never mere
     exhaustion).  [elapsed_s] is wall-clock time inside this call; callers
@@ -158,8 +153,6 @@ val reproduce :
   ?jobs:int ->
   ?solver_cache:bool ->
   ?cache:Solver.Cache.t ->
-  ?incr:Solver.Incr.t ->
-  ?incremental:bool ->
   ?max_attempts:int ->
   ?telemetry:Telemetry.t ->
   prog:Minic.Program.t ->

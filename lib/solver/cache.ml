@@ -222,30 +222,18 @@ let store t key entry =
         t.stores <- t.stores + 1
       end)
 
-(* ------------------------------------------------------------------ *)
-(* Split lookup/store API: the incremental layer ({!Incr}) interposes its
-   own solving strategy between the cache probe and the store, so the
-   canonicalization work is shared across both halves. *)
-
-type prepared = { pkey : key; pinv : int array; pfwd : (int, int) Hashtbl.t }
-
-let prepare ~vars cs =
-  let pkey, pinv, pfwd = canonicalize ~vars cs in
-  { pkey; pinv; pfwd }
-
-let lookup t (p : prepared) : Solve.outcome option =
-  match find t p.pkey with
+let lookup t ~inv key : Solve.outcome option =
+  match find t key with
   | Some Unsat_c -> Some Solve.Unsat
   | Some (Sat_c pairs) ->
-      let m =
-        List.fold_left
-          (fun m (c, v) -> Model.add p.pinv.(c) v m)
-          Model.empty pairs
-      in
-      Some (Solve.Sat m)
+      Some
+        (Solve.Sat
+           (List.fold_left
+              (fun m (c, v) -> Model.add inv.(c) v m)
+              Model.empty pairs))
   | None -> None
 
-let remember t (p : prepared) (r : Solve.outcome) =
+let remember t ~fwd key (r : Solve.outcome) =
   match r with
   | Solve.Sat m ->
       let pairs =
@@ -254,10 +242,10 @@ let remember t (p : prepared) (r : Solve.outcome) =
             match Model.find_opt actual m with
             | Some v -> (c, v) :: acc
             | None -> acc)
-          p.pfwd []
+          fwd []
       in
-      store t p.pkey (Sat_c pairs)
-  | Solve.Unsat -> store t p.pkey Unsat_c
+      store t key (Sat_c pairs)
+  | Solve.Unsat -> store t key Unsat_c
   | Solve.Unknown -> locked t (fun () -> t.uncacheable <- t.uncacheable + 1)
 
 (** Drop-in replacement for {!Solve.solve} that consults the cache first.
@@ -289,35 +277,15 @@ let solve t ?budget ?(telemetry = Telemetry.disabled) ~(vars : Symvars.t)
   in
   let cs = if slice then slice_focus cs else cs in
   let key, inv, fwd = canonicalize ~vars cs in
-  match find t key with
-  | Some Unsat_c ->
+  match lookup t ~inv key with
+  | Some r ->
       record "hit";
-      Solve.Unsat
-  | Some (Sat_c pairs) ->
-      let m =
-        List.fold_left
-          (fun m (c, v) -> Model.add inv.(c) v m)
-          Model.empty pairs
-      in
-      record "hit";
-      Solve.Sat m
-  | None -> (
+      r
+  | None ->
       let r = Solve.solve ?budget ~vars ~hint cs in
       record "miss_solve";
-      (match r with
-      | Solve.Sat m ->
-          let pairs =
-            Hashtbl.fold
-              (fun actual c acc ->
-                match Model.find_opt actual m with
-                | Some v -> (c, v) :: acc
-                | None -> acc)
-              fwd []
-          in
-          store t key (Sat_c pairs)
-      | Solve.Unsat -> store t key Unsat_c
-      | Solve.Unknown -> locked t (fun () -> t.uncacheable <- t.uncacheable + 1));
-      r)
+      remember t ~fwd key r;
+      r
 
 (* ------------------------------------------------------------------ *)
 

@@ -42,21 +42,6 @@ val clear : t -> unit
     solver's model over the pending's hint, which already satisfies them. *)
 val slice_focus : Expr.t list -> Expr.t list
 
-(** A canonicalized query: the key plus both variable renamings, shared by
-    {!lookup} and {!remember} so the alpha-renaming work is paid once. *)
-type prepared
-
-val prepare : vars:Symvars.t -> Expr.t list -> prepared
-
-(** Probe the cache; a [Sat] hit's model is renamed back to the query's
-    variables.  Counts a hit or a miss. *)
-val lookup : t -> prepared -> Solve.outcome option
-
-(** Store the outcome computed for a {!prepare}d query ([Unknown] only
-    bumps the uncacheable counter).  Lets the incremental layer ({!Incr})
-    interpose its own solving strategy between probe and store. *)
-val remember : t -> prepared -> Solve.outcome -> unit
-
 (** Drop-in replacement for {!Solve.solve} that consults the cache first.
     On a [Sat] hit the cached model is renamed back to the query's
     variables; it satisfies the conjunction but may differ from the model a

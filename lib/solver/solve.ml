@@ -16,37 +16,6 @@ type budget = {
 
 let default_budget = { max_nodes = 400_000; max_enum = 4096 }
 
-type stats = {
-  mutable calls : int;
-  mutable sat : int;
-  mutable unsat : int;
-  mutable unknown : int;
-  mutable nodes : int;
-}
-
-let stats = { calls = 0; sat = 0; unsat = 0; unknown = 0; nodes = 0 }
-
-(* The global counters are shared by every domain of a parallel exploration
-   ({!Concolic.Engine.explore} [~jobs]); updates go through a mutex.  Node
-   counts are accumulated locally during the search and added once per
-   call, so the hot backtracking loop takes no lock. *)
-let stats_mu = Mutex.create ()
-
-let bump f =
-  Mutex.lock stats_mu;
-  f stats;
-  Mutex.unlock stats_mu
-
-let debug_unknown = ref false
-
-let reset_stats () =
-  bump (fun s ->
-      s.calls <- 0;
-      s.sat <- 0;
-      s.unsat <- 0;
-      s.unknown <- 0;
-      s.nodes <- 0)
-
 (* ------------------------------------------------------------------ *)
 (* Interval propagation *)
 
@@ -151,23 +120,12 @@ let rec subst_repr uf (e : Expr.t) : Expr.t =
 
 exception Found of Model.t
 
-(* [init_dom] seeds per-variable starting intervals (met with the registry
-   domain) — the incremental layer ({!Scope}) passes its already-propagated
-   domains here so a child query does not re-derive the parent's fixpoint.
-   [prop_rounds] bounds the propagation loop and [order] picks the search
-   variable order; the defaults reproduce the historical behaviour exactly. *)
-let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) option)
-    ?(order : [ `Path | `Smallest_dom ] = `Path) ?(prop_rounds = 30)
-    ~(vars : Symvars.t) ?(hint : int -> int option = fun _ -> None)
-    (constraints : Expr.t list) : outcome =
-  bump (fun s -> s.calls <- s.calls + 1);
+let solve ?(budget = default_budget) ~(vars : Symvars.t)
+    ?(hint : int -> int option = fun _ -> None) (constraints : Expr.t list) :
+    outcome =
   match Simplify.conjuncts constraints with
-  | None ->
-      bump (fun s -> s.unsat <- s.unsat + 1);
-      Unsat
-  | Some [] ->
-      bump (fun s -> s.sat <- s.sat + 1);
-      Sat Model.empty
+  | None -> Unsat
+  | Some [] -> Sat Model.empty
   | Some cs -> (
       (* Loop-heavy traces repeat the same constraint thousands of times;
          dedupe — order-preserving, because path order groups the variables
@@ -209,10 +167,7 @@ let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) opt
             cs
       in
       (* substitution can expose a contradiction (x == y with x != y) *)
-      if List.exists (fun c -> c = Expr.Const 0) cs then begin
-        bump (fun s -> s.unsat <- s.unsat + 1);
-        Unsat
-      end
+      if List.exists (fun c -> c = Expr.Const 0) cs then Unsat
       else if
         (* negation pairs: a loop re-checks the same condition with unchanged
            operands, so a conjunction often contains both [c] and [not c]
@@ -222,10 +177,7 @@ let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) opt
         let seen = Hashtbl.create 64 in
         List.iter (fun c -> Hashtbl.replace seen c ()) cs;
         List.exists (fun c -> Hashtbl.mem seen (Simplify.simplify (Expr.negate c))) cs
-      then begin
-        bump (fun s -> s.unsat <- s.unsat + 1);
-        Unsat
-      end
+      then Unsat
       else begin
       (* class representatives take the meet of their members' domains *)
       let class_dom = Hashtbl.create 32 in
@@ -256,22 +208,14 @@ let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) opt
       let doms = Hashtbl.create 64 in
       List.iter
         (fun v ->
-          let base =
+          let dom =
             match Hashtbl.find_opt class_dom v with
             | Some i -> i
             | None ->
                 let d = Symvars.domain vars v in
                 Interval.of_bounds d.lo d.hi
           in
-          let seeded =
-            match init_dom with
-            | None -> base
-            | Some f -> (
-                match f v with
-                | Some warm -> Interval.meet base warm
-                | None -> base)
-          in
-          Hashtbl.replace doms v seeded)
+          Hashtbl.replace doms v dom)
         var_ids;
       let dom_of v =
         match Hashtbl.find_opt doms v with Some i -> i | None -> Interval.top
@@ -282,12 +226,6 @@ let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) opt
          sees (e.g. an atoi result checked in a loop) *)
       let edoms : (Expr.t, Interval.t) Hashtbl.t = Hashtbl.create 32 in
       let contradiction = ref false in
-      (* a warm start may already be empty (the scope proved the conjunction
-         unsat by propagation); the loop below only flags *changes* *)
-      if Option.is_some init_dom then
-        List.iter
-          (fun v -> if Interval.is_empty (dom_of v) then contradiction := true)
-          var_ids;
       let tighten_expr e (i : Interval.t) =
         match e with
         | Expr.Var _ | Expr.Const _ -> ()
@@ -333,7 +271,7 @@ let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) opt
       in
       (* propagation to fixpoint (bounded rounds) *)
       let rounds = ref 0 in
-      while !changed && (not !contradiction) && !rounds < prop_rounds do
+      while !changed && (not !contradiction) && !rounds < 30 do
         changed := false;
         incr rounds;
         List.iter
@@ -345,26 +283,12 @@ let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) opt
             | _ -> ())
           cs
       done;
-      if !contradiction then begin
-        bump (fun s -> s.unsat <- s.unsat + 1);
-        Unsat
-      end
+      if !contradiction then Unsat
       else begin
         (* variable order: singleton domains first (free), then first
            occurrence along the path (keeps coupled variables adjacent) *)
         let singles, rest =
           List.partition (fun v -> Interval.size (dom_of v) <= 1) var_ids
-        in
-        (* enumeration-first strategy: attack the tightest domains first so
-           forward checking fails fast; `Path keeps the historical order *)
-        let rest =
-          match order with
-          | `Path -> rest
-          | `Smallest_dom ->
-              List.stable_sort
-                (fun a b ->
-                  Int.compare (Interval.size (dom_of a)) (Interval.size (dom_of b)))
-                rest
         in
         let order = Array.of_list (singles @ rest) in
         let nvars = Array.length order in
@@ -488,37 +412,8 @@ let solve ?(budget = default_budget) ?(init_dom : (int -> Interval.t option) opt
         in
         let search () = try assign 0 with Backjump.E _ -> () in
         match search () with
-        | () ->
-            if !complete then begin
-              bump (fun s -> s.unsat <- s.unsat + 1; s.nodes <- s.nodes + !nodes);
-              Unsat
-            end
-            else begin
-              if !debug_unknown then begin
-                Printf.eprintf "UNKNOWN(search done, incomplete): nvars=%d nodes=%d ncs=%d\n"
-                  nvars !nodes (List.length cs);
-                List.iter (fun v ->
-                  let d = dom_of v in
-                  if Interval.size d > budget.max_enum then
-                    Printf.eprintf "  sampled var v%d dom=%s (%s)\n" v
-                      (Format.asprintf "%a" Interval.pp d) (Symvars.name vars v))
-                  var_ids
-              end;
-              bump (fun s -> s.unknown <- s.unknown + 1; s.nodes <- s.nodes + !nodes);
-              Unknown
-            end
-        | exception Found m ->
-            bump (fun s -> s.sat <- s.sat + 1; s.nodes <- s.nodes + !nodes);
-            Sat m
-        | exception Exit ->
-            if !debug_unknown then begin
-              Printf.eprintf "UNKNOWN(node budget): nvars=%d nodes=%d ncs=%d\n" nvars
-                !nodes (List.length cs);
-              let oc = open_out "/tmp/unknown_cs.txt" in
-              List.iter (fun c -> output_string oc (Expr.to_string c ^ "\n")) cs;
-              close_out oc
-            end;
-            bump (fun s -> s.unknown <- s.unknown + 1; s.nodes <- s.nodes + !nodes);
-            Unknown
+        | () -> if !complete then Unsat else Unknown
+        | exception Found m -> Sat m
+        | exception Exit -> Unknown
       end
       end)

@@ -10,7 +10,6 @@ type policy = {
   final_rung_jobs : int;
   max_attempts : int;
   solver_cache : bool;
-  incremental : bool;
   seed : int;
 }
 
@@ -27,7 +26,6 @@ let default_policy =
     final_rung_jobs = 1;
     max_attempts = 1;
     solver_cache = true;
-    incremental = true;
     seed = 1;
   }
 
@@ -44,7 +42,6 @@ let policy_of_config (c : Bugrepro.Pipeline.Config.t) =
     ladder = [ rung 60 2.0; rung 250 10.0; full ];
     jobs = c.jobs;
     solver_cache = c.solver_cache;
-    incremental = c.incremental;
     seed = c.seed;
   }
 
@@ -95,8 +92,8 @@ let cluster_seed policy (c : Cluster.t) =
    one go; the streaming service climbs a rung or two per tick (eagerly,
    pressure permitting) and finishes the remainder at drain.  Splitting a
    climb across ticks cannot change its outcome: each rung's replay is
-   deterministic given (budget, seed), the seed is pinned per cluster,
-   and the solver scope/portfolio state rides inside the course. *)
+   deterministic given (budget, seed) and the seed is pinned per
+   cluster. *)
 
 type course = {
   policy : policy;
@@ -105,11 +102,6 @@ type course = {
   plan : Instrument.Plan.t;
   seed : int;
   cases : Guided.case_stats;
-  (* one scoped solver per cluster: climbing a rung re-explores the same
-     report, so the portfolio statistics gathered on the cheap rung steer
-     strategy choice on the expensive one (cores are registry-scoped and
-     each rung opens a fresh registry, so only the statistics carry) *)
-  incr : Solver.Incr.t option;
   mutable ladder : Engine.budget list;  (** rungs not yet climbed *)
   mutable rungs : int;
   mutable runs : int;
@@ -126,7 +118,6 @@ let course ~policy ~prog ~plan (c : Cluster.t) : course =
     plan;
     seed = cluster_seed policy c;
     cases = zero_cases ();
-    incr = (if policy.incremental then Some (Solver.Incr.create ()) else None);
     ladder = policy.ladder;
     rungs = 0;
     runs = 0;
@@ -183,9 +174,7 @@ let course_step ?(telemetry = Telemetry.disabled) ?cache ~deadline ~max_rungs
             let jobs = if rest = [] then max 1 k.policy.final_rung_jobs else 1 in
             let result, stats =
               Guided.reproduce ~budget ~seed:k.seed ~jobs
-                ~solver_cache:k.policy.solver_cache ?cache ?incr:k.incr
-                ~incremental:k.policy.incremental
-                ~max_attempts:k.policy.max_attempts ~telemetry ~prog:k.prog
+                ~solver_cache:k.policy.solver_cache ?cache ~max_attempts:k.policy.max_attempts ~telemetry ~prog:k.prog
                 ~plan:k.plan report
             in
             add_cases ~into:k.cases stats.Guided.cases;

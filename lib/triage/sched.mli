@@ -34,15 +34,11 @@ type policy = {
           see the determinism note above) *)
   max_attempts : int;  (** reseed restarts within one ladder rung *)
   solver_cache : bool;  (** share one memoizing cache across the batch *)
-  incremental : bool;
-      (** open one {!Solver.Incr.t} per cluster, shared across its ladder
-          rungs (scope reuse, core pruning, portfolio statistics) *)
   seed : int;  (** batch seed; per-cluster seeds derive from it *)
 }
 
 (** 2 s / 10 s / full {!Concolic.Engine.default_budget}, 60 s deadline,
-    sequential, one attempt per rung, cache and incremental solving on,
-    seed 1. *)
+    sequential, one attempt per rung, cache on, seed 1. *)
 val default_policy : policy
 
 (** Derive a policy from the pipeline config: [replay_budget] caps the
@@ -98,15 +94,12 @@ val run :
     climbs a rung or two per ingestion tick — eagerly, while the queue is
     shallow — and finishes whatever remains at drain time.  Splitting a
     climb across ticks cannot change its outcome: each rung's replay is
-    deterministic given (budget, seed), the seed is a pure function of
-    the batch seed and the cluster's fingerprint, and the per-cluster
-    solver scope rides inside the course. *)
+    deterministic given (budget, seed) and the seed is a pure function of
+    the batch seed and the cluster's fingerprint. *)
 
 type course
 
-(** Fresh course over the cluster's representative, ladder untouched.
-    Opens the per-cluster {!Solver.Incr} scope when
-    [policy.incremental]. *)
+(** Fresh course over the cluster's representative, ladder untouched. *)
 val course :
   policy:policy ->
   prog:Minic.Program.t ->

@@ -346,7 +346,7 @@ let crash_corpus_src =
   \  return 0;\n\
    }"
 
-let explore_crashes ?incr ~jobs src =
+let explore_crashes ?(cache = true) ~jobs src =
   let prog = Workloads.Runtime_lib.link ~name:"t" src in
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "aaa" ] prog in
   let vars = Solver.Symvars.create () in
@@ -360,10 +360,10 @@ let explore_crashes ?incr ~jobs src =
         if not (List.mem s !crashes) then crashes := s :: !crashes
     | _ -> ()
   in
-  let cache = Solver.Cache.create () in
+  let cache = if cache then Some (Solver.Cache.create ()) else None in
   let stats, _ =
-    Concolic.Engine.explore ~vars ~budget:(budget 400) ~jobs ~cache ?incr ~run
-      ~on_run ()
+    Concolic.Engine.explore ~vars ~budget:(budget 400) ~jobs ?cache ~run ~on_run
+      ()
   in
   (List.sort compare !crashes, stats)
 
@@ -373,21 +373,20 @@ let test_parallel_determinism () =
   check_bool "found some crash sites" true (List.length seq >= 3);
   Alcotest.(check (list string)) "jobs=1 and jobs=4 find the same crash set" seq par
 
-let test_parallel_determinism_incr_matrix () =
+let test_parallel_determinism_cache_matrix () =
   (* the exhausted frontier's crash set is invariant across the worker
-     count and the incremental solver *)
+     count and the solver cache, and every pushed pending is solved *)
   let seq, _ = explore_crashes ~jobs:1 crash_corpus_src in
   check_bool "found some crash sites" true (List.length seq >= 3);
   List.iter
-    (fun (jobs, incremental) ->
-      let incr = if incremental then Some (Solver.Incr.create ()) else None in
-      let found, stats = explore_crashes ~jobs ?incr crash_corpus_src in
-      let tag = Printf.sprintf "jobs=%d incr=%b" jobs incremental in
+    (fun (jobs, cache) ->
+      let found, stats = explore_crashes ~jobs ~cache crash_corpus_src in
+      let tag = Printf.sprintf "jobs=%d cache=%b" jobs cache in
+      check_bool (tag ^ " frontier exhausted") true (stats.runs < 400);
       Alcotest.(check (list string)) (tag ^ " crash set") seq found;
-      check_bool (tag ^ " frontier accounting") true
-        (stats.sat + stats.unsat + stats.unknown + stats.core_pruned
-        = stats.forks))
-    [ (1, true); (4, false); (4, true) ]
+      check_int (tag ^ " sat + unsat + unknown = forks") stats.forks
+        (stats.sat + stats.unsat + stats.unknown))
+    [ (1, true); (1, false); (4, true); (4, false) ]
 
 let test_worker_runs_sum_to_runs () =
   (* 4-domain stress on the widest frontier: per-worker run counts must
@@ -403,20 +402,6 @@ let test_worker_runs_sum_to_runs () =
       check_bool (tag ^ " pending_peak positive") true (stats.pending_peak >= 1);
       check_int (tag ^ " nothing stolen from one frontier") 0 stats.steals)
     [ 1; 4 ]
-
-let test_core_pruning_spares_sat_siblings () =
-  (* with the incremental solver on, every pending is accounted for
-     (sat + unsat + unknown + core_pruned = forks on an exhausted
-     frontier) and pruning never loses a crash the plain engine finds *)
-  let plain, pstats = explore_crashes ~jobs:1 crash_corpus_src in
-  let incr = Solver.Incr.create () in
-  let pruned, stats = explore_crashes ~jobs:1 ~incr crash_corpus_src in
-  check_bool "frontier exhausted" true (pstats.runs < 400 && stats.runs < 400);
-  Alcotest.(check (list string))
-    "crash set unchanged by core pruning" plain pruned;
-  check_int "pruned + solved = forks"
-    stats.forks
-    (stats.sat + stats.unsat + stats.unknown + stats.core_pruned)
 
 let test_parallel_respects_run_budget () =
   let sc =
@@ -444,8 +429,7 @@ let test_parallel_respects_run_budget () =
    deterministic explorations, recorded from the dedicated sequential loop
    the shared-frontier worker pool replaced.  At jobs=1 the pool must pop
    in the same order and check the same budget, so every value here is
-   exact.  The incremental solver stays off: its portfolio picks strategies
-   by measured time, which may change models between runs. *)
+   exact. *)
 
 type golden = {
   g_runs : int;
@@ -507,8 +491,7 @@ let golden_reproduce name () =
     Bugrepro.Pipeline.Config.(
       default
       |> with_budget ~dynamic:(budget 40)
-           ~replay:{ Concolic.Engine.max_runs = 20_000; max_time_s = 600.0 }
-      |> with_incremental false)
+           ~replay:{ Concolic.Engine.max_runs = 20_000; max_time_s = 600.0 })
   in
   let analysis =
     Bugrepro.Pipeline.Run.analyze cfg
@@ -599,12 +582,10 @@ let () =
         [
           Alcotest.test_case "jobs=1 = jobs=4 crash set" `Quick
             test_parallel_determinism;
-          Alcotest.test_case "jobs/incr matrix determinism" `Quick
-            test_parallel_determinism_incr_matrix;
+          Alcotest.test_case "jobs/cache matrix determinism" `Quick
+            test_parallel_determinism_cache_matrix;
           Alcotest.test_case "worker runs sum to runs" `Quick
             test_worker_runs_sum_to_runs;
-          Alcotest.test_case "core pruning spares sat siblings" `Quick
-            test_core_pruning_spares_sat_siblings;
           Alcotest.test_case "parallel respects budget" `Quick
             test_parallel_respects_run_budget;
         ] );

@@ -390,10 +390,8 @@ let search mode ~prog ~plan report =
    [elapsed_s] and [worker_runs] *)
 let engine_view (s : Concolic.Engine.stats) =
   Printf.sprintf
-    "runs=%d sat=%d unsat=%d unknown=%d peak=%d timed_out=%b forks=%d \
-     core_pruned=%d incremental=%d solver_calls=%d steals=%d"
+    "runs=%d sat=%d unsat=%d unknown=%d peak=%d timed_out=%b forks=%d"
     s.runs s.sat s.unsat s.unknown s.pending_peak s.timed_out s.forks
-    s.core_pruned s.solved_incremental s.solver_calls s.steals
 
 let found_view = function
   | None -> "not found"
@@ -437,8 +435,7 @@ let resume_config =
   Bugrepro.Pipeline.Config.(
     default
     |> with_budget ~dynamic:{ Concolic.Engine.max_runs = 40; max_time_s = 30.0 }
-         ~replay:budget
-    |> with_incremental false)
+         ~replay:budget)
 
 (* (name, analyze the runtime library?, program, developer test, crash) *)
 let resume_workloads () =
@@ -555,6 +552,51 @@ let test_guard_symbolic_read_count () =
   check_bool "read count: the guard declined the moved count" true
     (take.declined > 0)
 
+(* The same seed must give the same search: with the default config (solver
+   cache on) two reproductions of one report agree on every engine counter
+   but the wall clock and on the crashing input they find. *)
+let test_default_config_reproduces_identically () =
+  let cfg = Bugrepro.Pipeline.Config.default in
+  let e = Workloads.Coreutils.find "paste" in
+  let prog = Lazy.force e.prog in
+  let analysis =
+    Bugrepro.Pipeline.Run.analyze cfg
+      ~test_scenario:(Workloads.Coreutils.analysis_scenario e)
+      prog
+  in
+  let plan =
+    Bugrepro.Pipeline.Run.plan cfg analysis Instrument.Methods.Dynamic_static
+  in
+  match
+    Bugrepro.Pipeline.Run.field_run_report cfg ~plan
+      (Workloads.Coreutils.crash_scenario e)
+  with
+  | _, None -> Alcotest.fail "paste: crash scenario did not crash"
+  | _, Some report ->
+      let reproduce () =
+        match Bugrepro.Pipeline.Run.reproduce cfg ~prog ~plan report with
+        | Replay.Guided.Reproduced r, stats ->
+            let s = stats.Replay.Guided.engine in
+            let hits, misses =
+              match stats.cache with
+              | Some c -> (c.Solver.Cache.hits, c.Solver.Cache.misses)
+              | None -> Alcotest.fail "the default config caches solves"
+            in
+            ( engine_view s
+              ^ Printf.sprintf " resumes=%d worker_runs=%s hits=%d misses=%d"
+                  s.resumes
+                  (String.concat ","
+                     (Array.to_list (Array.map string_of_int s.worker_runs)))
+                  hits misses,
+              found_view (Some (r.model, r.crash)) )
+        | Replay.Guided.Not_reproduced _, _ ->
+            Alcotest.fail "paste: report not reproduced"
+      in
+      let counters1, model1 = reproduce () in
+      let counters2, model2 = reproduce () in
+      Alcotest.(check string) "engine counters" counters1 counters2;
+      Alcotest.(check string) "found model and site" model1 model2
+
 let () =
   Alcotest.run "replay"
     [
@@ -602,6 +644,11 @@ let () =
             test_guard_dead_division;
           Alcotest.test_case "guard: symbolic read count" `Quick
             test_guard_symbolic_read_count;
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "default config reproduces identically" `Quick
+            test_default_config_reproduces_identically;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_full_log_reproduces ] );
