@@ -14,7 +14,6 @@ type t = {
   replay_runs : int;
   only : string list;  (* experiment ids to run; [] = all *)
   jobs : int;  (* worker domains for exploration/replay; 1 = sequential *)
-  solver_cache : bool;  (* memoizing solver cache on replay solves *)
   telemetry : Telemetry.t;
       (* handle for the --trace artifact; Telemetry.disabled (every probe a
          no-op) unless the driver installed a sink *)
@@ -32,7 +31,6 @@ let default =
     replay_runs = 20_000;
     only = [];
     jobs = 1;
-    solver_cache = true;
     telemetry = Telemetry.disabled;
   }
 
@@ -72,5 +70,4 @@ let pipeline_config (c : t) =
     default
     |> with_budget ~dynamic:(hc_budget c) ~replay:(replay_budget c)
     |> with_jobs c.jobs
-    |> with_solver_cache c.solver_cache
     |> with_telemetry c.telemetry)

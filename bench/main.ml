@@ -49,15 +49,13 @@ let parse_args () : Ctx.t * string option * string option * string option =
   let trace = ref None in
   let compare = ref None in
   (* scale presets replace the budget knobs but must keep the explicit
-     selections (--only/--jobs/--no-solver-cache) already
-     parsed *)
+     selections (--only/--jobs) already parsed *)
   let rescale preset =
     ctx :=
       {
         preset with
         Ctx.only = !ctx.only;
         jobs = !ctx.jobs;
-        solver_cache = !ctx.solver_cache;
         telemetry = !ctx.telemetry;
       }
   in
@@ -81,9 +79,6 @@ let parse_args () : Ctx.t * string option * string option * string option =
     | ("--jobs" | "-j") :: n :: rest ->
         ctx := { !ctx with jobs = max 1 (int_of_string n) };
         go rest
-    | "--no-solver-cache" :: rest ->
-        ctx := { !ctx with solver_cache = false };
-        go rest
     | "--json" :: path :: rest ->
         json := Some path;
         go rest
@@ -96,9 +91,8 @@ let parse_args () : Ctx.t * string option * string option * string option =
     | "--help" :: _ ->
         print_endline
           "options: --quick | --full | --only <ids> | --jobs <n> | \
-           --no-solver-cache | --json <file> | \
-           --compare <baseline.json> | --trace <file> | --requests <n> | \
-           --replay-timeout <s>";
+           --json <file> | --compare <baseline.json> | --trace <file> | \
+           --requests <n> | --replay-timeout <s>";
         print_endline "experiments:";
         List.iter (fun (id, d, _) -> Printf.printf "  %-4s %s\n" id d) experiments;
         exit 0
@@ -123,10 +117,9 @@ let () =
      Instrumentation and Debugging Time\" (EuroSys 2011)\n";
   Printf.printf
     "scale: %s | %d requests | replay budget %.0fs | LC/HC = %d/%d analysis \
-     runs | jobs %d | solver cache %s\n"
+     runs | jobs %d\n"
     (if ctx.quick then "quick" else "default/full")
-    ctx.requests ctx.replay_time_s ctx.lc_runs ctx.hc_runs ctx.jobs
-    (if ctx.solver_cache then "on" else "off");
+    ctx.requests ctx.replay_time_s ctx.lc_runs ctx.hc_runs ctx.jobs;
   let t0 = Unix.gettimeofday () in
   let durations = ref [] in
   List.iter
@@ -174,7 +167,6 @@ let () =
           [
             ("scale", if ctx.quick then "quick" else "default/full");
             ("jobs", string_of_int ctx.jobs);
-            ("solver_cache", if ctx.solver_cache then "on" else "off");
             ("requests", string_of_int ctx.requests);
             ("replay_budget_s", Printf.sprintf "%.0f" ctx.replay_time_s);
             ("trace", match trace with Some t -> t | None -> "");

@@ -150,7 +150,7 @@ let run_cmd name args =
 
 (* The analyse -> plan -> field-run -> report -> replay pipeline of the
    demo command, driven by one [Pipeline.Config.t]. *)
-let demo_pipeline w meth experiment timeout save jobs no_solver_cache cfg =
+let demo_pipeline w meth experiment timeout save jobs cfg =
   let prog = w.prog () in
   Printf.printf "== analysing %s ==\n%!" w.wname;
   let analysis =
@@ -196,24 +196,20 @@ let demo_pipeline w meth experiment timeout save jobs no_solver_cache cfg =
           Printf.eprintf "malformed report: %s\n" e;
           3
       | Ok report ->
-      Printf.printf
-        "== guided replay (budget %.0fs, %d job%s, cache %s) ==\n%!"
-        timeout jobs
-        (if jobs = 1 then "" else "s")
-        (if no_solver_cache then "off" else "on");
+      Printf.printf "== guided replay (budget %.0fs, %d job%s) ==\n%!" timeout
+        jobs
+        (if jobs = 1 then "" else "s");
       let result, stats = Bugrepro.Pipeline.Run.reproduce cfg ~prog ~plan report in
       Printf.printf
         "cases: %d pinned (2a), %d forced (2b), %d free symbolic (1), %d concrete-mismatch (3b)\n"
         stats.cases.case2a stats.cases.case2b stats.cases.case1
         stats.cases.case3b;
-      (match stats.cache with
-      | Some c ->
-          Printf.printf
-            "solver cache: %d hits / %d misses (%.0f%% hit rate), %d evictions\n"
-            c.hits c.misses
-            (100.0 *. Solver.Cache.hit_rate c)
-            c.evictions
-      | None -> ());
+      let c = stats.cache in
+      Printf.printf
+        "solver cache: %d hits / %d misses (%.0f%% hit rate), %d evictions\n"
+        c.hits c.misses
+        (100.0 *. Solver.Cache.hit_rate c)
+        c.evictions;
       match result with
       | Replay.Guided.Reproduced r ->
           Printf.printf "REPRODUCED in %.3fs after %d runs at %s\n" r.elapsed_s
@@ -262,8 +258,7 @@ let make_telemetry trace metrics =
   in
   (tel, finish)
 
-let demo_cmd name meth_s experiment timeout save jobs no_solver_cache
-    no_encode trace metrics =
+let demo_cmd name meth_s experiment timeout save jobs no_encode trace metrics =
   match find_workload name, method_of_string meth_s with
   | Error e, _ | _, Error e ->
       prerr_endline e;
@@ -279,13 +274,10 @@ let demo_cmd name meth_s experiment timeout save jobs no_solver_cache
                ~replay:{ Concolic.Engine.max_runs = 50_000; max_time_s = timeout }
           |> with_analyze_lib (not (String.equal w.wname "userver"))
           |> with_jobs jobs
-          |> with_solver_cache (not no_solver_cache)
           |> with_encode (not no_encode)
           |> with_telemetry tel)
       in
-      let code = demo_pipeline w meth experiment timeout save jobs
-          no_solver_cache cfg
-      in
+      let code = demo_pipeline w meth experiment timeout save jobs cfg in
       finish_telemetry ();
       code
 
@@ -836,12 +828,6 @@ let demo_t =
             "Worker domains for analysis and replay (1 = deterministic \
              sequential search).")
   in
-  let no_solver_cache =
-    Arg.(
-      value & flag
-      & info [ "no-solver-cache" ]
-          ~doc:"Disable the memoizing solver cache during replay.")
-  in
   let no_encode =
     Arg.(
       value & flag
@@ -869,7 +855,7 @@ let demo_t =
   in
   Term.(
     const demo_cmd $ workload_arg $ meth $ exp $ timeout $ save $ jobs
-    $ no_solver_cache $ no_encode $ trace $ metrics)
+    $ no_encode $ trace $ metrics)
 
 let fuzz_t =
   let seed =

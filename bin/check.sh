@@ -10,7 +10,8 @@
 #                             # corpus replay, a resume smoke (the
 #                             # paste demo's guided replay must resume
 #                             # at case-2b mismatches: engine.resumes >
-#                             # 0), a probe-elision smoke
+#                             # 0, and solve through the memoizing cache:
+#                             # its miss count > 0), a probe-elision smoke
 #                             # (elided > 0 + reconstruction parity on the
 #                             # walkthrough program), a triage smoke
 #                             # over a generated batch with duplicates and
@@ -117,10 +118,11 @@ if [ "$QUICK" = 1 ]; then
   dune exec bin/bugrepro_cli.exe -- fuzz --corpus test/corpus --thorough
   dune exec bin/bugrepro_cli.exe -- fuzz --corpus test/corpus/known --thorough
 
-  echo "== resume smoke (paste demo, engine.resumes > 0) =="
+  echo "== resume smoke (paste demo, engine.resumes > 0, cache misses > 0) =="
   # guided replay continues a run at a case-2b mismatch instead of
-  # restarting it (DESIGN.md §5m); a change that silently stops resuming
-  # still reproduces, so only the counter shows it
+  # restarting it (DESIGN.md §5m), and solves every pending through the
+  # memoizing cache (§5c); a change that silently stops resuming or
+  # bypasses the cache still reproduces, so only the counters show it
   METRICS=$(mktemp /tmp/resume-metrics.XXXXXX)
   dune exec bin/bugrepro_cli.exe -- demo paste --method dynamic --metrics \
     > "$METRICS"
@@ -130,7 +132,13 @@ if [ "$QUICK" = 1 ]; then
          "(engine.resumes = ${RESUMES:-missing})" >&2
     exit 1
   fi
-  echo "resume smoke OK: engine.resumes = $RESUMES"
+  MISSES=$(awk '$1 == "solver" && $2 == "cache:" { print $6 }' "$METRICS")
+  if [ "${MISSES:-0}" -le 0 ]; then
+    echo "error: the paste demo's replay solved nothing through the cache" \
+         "(solver cache misses = ${MISSES:-missing})" >&2
+    exit 1
+  fi
+  echo "resume smoke OK: engine.resumes = $RESUMES, cache misses = $MISSES"
 
   echo "== suppression smoke (elision + reconstruction parity) =="
   # the probe-elision walkthrough must elide probes AND reconstruct the

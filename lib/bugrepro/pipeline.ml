@@ -47,7 +47,6 @@ module Config = struct
         (** refine plans with the probe-elision analysis: statically
             redundant instrumented branches ship a reconstruction rule
             instead of log bits *)
-    solver_cache : bool;  (** memoize solver queries during replay *)
     seed : int;  (** replay's initial random input *)
     replay_max_steps : int;  (** interpreter step cap per replay run *)
     telemetry : Telemetry.t;
@@ -65,7 +64,6 @@ module Config = struct
       log_syscalls = true;
       encode = true;
       suppression = false;
-      solver_cache = true;
       seed = 1;
       replay_max_steps = 5_000_000;
       telemetry = Telemetry.disabled;
@@ -86,7 +84,6 @@ module Config = struct
   let with_log_syscalls log_syscalls c = { c with log_syscalls }
   let with_encode encode c = { c with encode }
   let with_suppression suppression c = { c with suppression }
-  let with_solver_cache solver_cache c = { c with solver_cache }
   let with_seed seed c = { c with seed }
   let with_replay_max_steps replay_max_steps c = { c with replay_max_steps }
 end
@@ -169,8 +166,8 @@ module Run = struct
       ~(plan : Instrument.Plan.t) (report : Instrument.Report.t) :
       Replay.Guided.result * Replay.Guided.stats =
     Replay.Guided.reproduce ~budget:c.replay_budget ~seed:c.seed
-      ~max_steps:c.replay_max_steps ?restore ~jobs:c.jobs
-      ~solver_cache:c.solver_cache ~telemetry:c.telemetry ~prog ~plan report
+      ~max_steps:c.replay_max_steps ?restore ~jobs:c.jobs ~telemetry:c.telemetry
+      ~prog ~plan report
 end
 
 (** Precision report of the static labels against the dynamic ground

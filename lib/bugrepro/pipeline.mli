@@ -38,7 +38,6 @@ module Config : sig
             ({!Staticanalysis.Suppression}): statically redundant
             instrumented branches ship a reconstruction rule instead of
             log bits.  Off by default (the paper's raw configuration). *)
-    solver_cache : bool;  (** memoize solver queries during replay *)
     seed : int;  (** replay's initial random input *)
     replay_max_steps : int;  (** interpreter step cap per replay run *)
     telemetry : Telemetry.t;
@@ -47,7 +46,7 @@ module Config : sig
   }
 
   (** Paper defaults: sequential, refined static pipeline, syscall log,
-      online log encoding, solver cache on, telemetry disabled. *)
+      online log encoding, telemetry disabled. *)
   val default : t
 
   (** Setters take the config last so they chain with [|>]. *)
@@ -64,7 +63,6 @@ module Config : sig
   val with_log_syscalls : bool -> t -> t
   val with_encode : bool -> t -> t
   val with_suppression : bool -> t -> t
-  val with_solver_cache : bool -> t -> t
   val with_seed : int -> t -> t
   val with_replay_max_steps : int -> t -> t
 end

@@ -79,9 +79,9 @@ type outcome = { oracle : string; verdict : verdict }
 
 type cfg = {
   config : Bugrepro.Pipeline.Config.t;
-      (** budgets ([dynamic_budget]/[replay_budget]), [solver_cache],
-          [seed] and [telemetry] are read from here — the fuzz stage
-          consumes the same knob record as every other pipeline stage *)
+      (** budgets ([dynamic_budget]/[replay_budget]), [seed] and
+          [telemetry] are read from here — the fuzz stage consumes the
+          same knob record as every other pipeline stage *)
   methods : Instrument.Methods.t list;  (** replay methods for this case *)
   check_determinism : bool;
   check_cache : bool;

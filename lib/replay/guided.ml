@@ -113,8 +113,7 @@ type stats = {
   engine : Concolic.Engine.stats;
   cases : case_stats;
   vars : Solver.Symvars.t;
-  cache : Solver.Cache.snapshot option;
-      (** solver-cache counters, when the memoizing cache was enabled *)
+  cache : Solver.Cache.snapshot;
 }
 
 let reproduced = function Reproduced _ -> true | Not_reproduced _ -> false
@@ -135,20 +134,15 @@ let case_counters (c : case_stats) : (string * int) list =
   ]
 
 (** [stats] in the unified counter view: the [engine] scope, the [replay]
-    §3.1 case counters, and the [solver.cache] scope when the cache ran —
-    flattened under scope [reproduce]. *)
+    §3.1 case counters, and the [solver.cache] scope — flattened under
+    scope [reproduce]. *)
 let counters (s : stats) : Telemetry.Counters.snapshot =
-  let parts =
+  Telemetry.Counters.union ~scope:"reproduce"
     [
       Concolic.Engine.counters s.engine;
       Telemetry.Counters.make ~scope:"replay" (case_counters s.cases);
+      Solver.Cache.counters s.cache;
     ]
-    @
-    match s.cache with
-    | Some c -> [ Solver.Cache.counters c ]
-    | None -> []
-  in
-  Telemetry.Counters.union ~scope:"reproduce" parts
 
 let elapsed = function
   | Reproduced r -> r.elapsed_s
@@ -429,23 +423,18 @@ let reexecute ~prog ~vars ~seed (report : Report.t) model =
     patience (the paper's one-hour limit, scaled).  [jobs] > 1 drains the
     pending frontier with a pool of worker domains; the forced-chain DFS
     order then becomes a priority hint (see DESIGN.md §"Parallel replay").
-    [solver_cache] (default on) memoizes solver queries across pendings and
-    across restarts — alpha-renaming makes the cache survive the fresh
-    variable registry of a restart.  [cache] supplies an external cache to
-    use instead (shared across a triage batch).  [max_attempts] caps the
-    restart count, after which a clean frontier exhaustion returns
+    Solver queries are memoized across pendings and across restarts —
+    alpha-renaming makes the cache survive the fresh variable registry of a
+    restart — in [cache] when supplied (shared across a triage batch),
+    otherwise in a private one.  [max_attempts] caps the restart count,
+    after which a clean frontier exhaustion returns
     [Not_reproduced { timed_out = false; _ }]. *)
 let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
-    ?(max_steps = 5_000_000) ?restore ?(jobs = 1) ?(solver_cache = true)
-    ?cache ?max_attempts ?(telemetry = Telemetry.disabled)
-    ~(prog : Minic.Program.t) ~(plan : Plan.t) (report : Report.t) :
-    result * stats =
+    ?(max_steps = 5_000_000) ?restore ?(jobs = 1) ?cache ?max_attempts
+    ?(telemetry = Telemetry.disabled) ~(prog : Minic.Program.t)
+    ~(plan : Plan.t) (report : Report.t) : result * stats =
   Telemetry.Span.with_ telemetry ~name:"reproduce"
-    ~attrs:
-      [
-        ("jobs", Telemetry.Event.Int jobs);
-        ("solver_cache", Telemetry.Event.Bool solver_cache);
-      ]
+    ~attrs:[ ("jobs", Telemetry.Event.Int jobs) ]
   @@ fun rsp ->
   (* §3.1 replay-case counters, bumped per run inside record_cases (each run
      counts locally, so this is one registry update per run, not per
@@ -481,9 +470,7 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
   let total_runs = ref 0 in
   let attempts = ref 0 in
   let cache =
-    match cache with
-    | Some c -> Some c
-    | None -> if solver_cache then Some (Solver.Cache.create ()) else None
+    match cache with Some c -> c | None -> Solver.Cache.create ()
   in
   let rec attempt attempt_seed acc_stats =
     incr attempts;
@@ -508,7 +495,7 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
               ~budget:
                 { Concolic.Engine.max_runs = max 1 remaining_runs;
                   max_time_s = max 0.1 remaining_time }
-              ~jobs ?cache ~telemetry ~run
+              ~jobs ~cache ~telemetry ~run
               ~stop:(fun _ r -> crash_site report r) ()
           in
           Telemetry.Span.addi asp "runs" r.Concolic.Engine.runs;
@@ -518,7 +505,7 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
     let cases = acc_snapshot acc in
     let stats =
       { engine = engine_stats; cases; vars;
-        cache = Option.map Solver.Cache.snapshot cache }
+        cache = Solver.Cache.snapshot cache }
     in
     (match acc_stats with
     | Some (prev : stats) ->

@@ -45,8 +45,9 @@ type stats = {
   engine : Concolic.Engine.stats;
   cases : case_stats;
   vars : Solver.Symvars.t;  (** variable registry, for decoding the model *)
-  cache : Solver.Cache.snapshot option;
-      (** solver-cache counters, when the memoizing cache was enabled *)
+  cache : Solver.Cache.snapshot;
+      (** counters of the cache the search solved through — cumulative
+          over every search that shared it *)
 }
 
 val reproduced : result -> bool
@@ -56,8 +57,7 @@ val elapsed : result -> float
     scope, the §3.1 case counters under [replay]
     ([forked]/[completed]/[forced]/[pinned_concrete]/
     [aborted_contradiction]/[concrete_unlogged]/[log_exhausted]) and the
-    [solver.cache] scope when the memoizing cache ran.  The record types
-    stay for the bench tables. *)
+    [solver.cache] scope.  The record types stay for the bench tables. *)
 val counters : stats -> Telemetry.Counters.snapshot
 
 (** Checkpointed replay (§6): rewrites global state symbolically at the
@@ -119,10 +119,10 @@ val reexecute :
 (** Reproduce the bug described by [report].  [budget] is the developer's
     patience (the paper's one-hour limit, scaled); [seed] varies the random
     initial input.  [jobs] (default 1) sets the number of worker domains
-    draining the pending frontier; [solver_cache] (default true) memoizes
-    solver queries across pendings and restarts, and [cache] supplies an
-    external {!Solver.Cache.t} to use instead — the triage batch scheduler
-    shares one across a whole batch.  [max_attempts] caps the
+    draining the pending frontier.  Solver queries are memoized across
+    pendings and restarts in [cache] when supplied — the triage batch
+    scheduler shares one {!Solver.Cache.t} across a whole batch — and
+    otherwise in a private cache.  [max_attempts] caps the
     restart-with-a-fresh-seed loop; once hit, a clean frontier exhaustion
     returns [Not_reproduced] with [timed_out = false] (a [true] there
     always means the clock or the run budget ran out, never mere
@@ -151,7 +151,6 @@ val reproduce :
   ?max_steps:int ->
   ?restore:restore_fn ->
   ?jobs:int ->
-  ?solver_cache:bool ->
   ?cache:Solver.Cache.t ->
   ?max_attempts:int ->
   ?telemetry:Telemetry.t ->

@@ -9,7 +9,6 @@ type policy = {
   jobs : int;
   final_rung_jobs : int;
   max_attempts : int;
-  solver_cache : bool;
   seed : int;
 }
 
@@ -25,7 +24,6 @@ let default_policy =
     jobs = 1;
     final_rung_jobs = 1;
     max_attempts = 1;
-    solver_cache = true;
     seed = 1;
   }
 
@@ -41,7 +39,6 @@ let policy_of_config (c : Bugrepro.Pipeline.Config.t) =
     default_policy with
     ladder = [ rung 60 2.0; rung 250 10.0; full ];
     jobs = c.jobs;
-    solver_cache = c.solver_cache;
     seed = c.seed;
   }
 
@@ -88,12 +85,11 @@ let cluster_seed policy (c : Cluster.t) =
 
 (* ------------------------------------------------------------------ *)
 (* Resumable courses: one cluster's climb up the escalating-budget
-   ladder, pausable between rungs.  The batch path climbs each course in
-   one go; the streaming service climbs a rung or two per tick (eagerly,
-   pressure permitting) and finishes the remainder at drain.  Splitting a
-   climb across ticks cannot change its outcome: each rung's replay is
-   deterministic given (budget, seed) and the seed is pinned per
-   cluster. *)
+   ladder, pausable between rungs.  The streaming service climbs a rung
+   or two per tick (eagerly, pressure permitting) and finishes the
+   remainder at drain ({!run_courses}).  Splitting a climb across ticks
+   cannot change its outcome: each rung's replay is deterministic given
+   (budget, seed) and the seed is pinned per cluster. *)
 
 type course = {
   policy : policy;
@@ -143,7 +139,7 @@ let course_interrupt (k : course) =
    elapsed sums every rung, so a retried report never reports less
    elapsed time than its predecessor attempts (the restart-accounting
    bug this subsystem's tests lock down). *)
-let course_step ?(telemetry = Telemetry.disabled) ?cache ~deadline ~max_rungs
+let course_step ?(telemetry = Telemetry.disabled) ~cache ~deadline ~max_rungs
     (k : course) : bool =
   let report = k.cluster.Cluster.representative.Ingest.report in
   let rec climb budget_rungs =
@@ -173,8 +169,8 @@ let course_step ?(telemetry = Telemetry.disabled) ?cache ~deadline ~max_rungs
                clock. *)
             let jobs = if rest = [] then max 1 k.policy.final_rung_jobs else 1 in
             let result, stats =
-              Guided.reproduce ~budget ~seed:k.seed ~jobs
-                ~solver_cache:k.policy.solver_cache ?cache ~max_attempts:k.policy.max_attempts ~telemetry ~prog:k.prog
+              Guided.reproduce ~budget ~seed:k.seed ~jobs ~cache
+                ~max_attempts:k.policy.max_attempts ~telemetry ~prog:k.prog
                 ~plan:k.plan report
             in
             add_cases ~into:k.cases stats.Guided.cases;
@@ -249,7 +245,7 @@ let finish_course ~telemetry ~cache ~deadline (k : course) : cluster_result =
     ~attrs:
       [ ("fingerprint", Telemetry.Event.Str (Fingerprint.key k.cluster.Cluster.fp)) ]
   @@ fun sp ->
-  if not (course_step ~telemetry ?cache ~deadline ~max_rungs:max_int k) then
+  if not (course_step ~telemetry ~cache ~deadline ~max_rungs:max_int k) then
     course_interrupt k;
   let r = course_result k in
   Telemetry.Span.adds sp "status" (status_name r.status);
@@ -259,39 +255,7 @@ let finish_course ~telemetry ~cache ~deadline (k : course) : cluster_result =
   r
 
 let run_courses ?(policy = default_policy) ?(telemetry = Telemetry.disabled)
-    ?cache ~deadline (courses : course list) : cluster_result list =
+    ~cache ~deadline (courses : course list) : cluster_result list =
   let arr = Array.of_list courses in
   pool_map ~jobs:policy.jobs (Array.length arr) (fun i ->
       finish_course ~telemetry ~cache ~deadline arr.(i))
-
-let run ?(policy = default_policy) ?(telemetry = Telemetry.disabled)
-    ~(resolve : resolve) (clusters : Cluster.t list) : cluster_result list =
-  Telemetry.Span.with_ telemetry ~name:"triage.sched"
-    ~attrs:
-      [
-        ("clusters", Telemetry.Event.Int (List.length clusters));
-        ("jobs", Telemetry.Event.Int policy.jobs);
-      ]
-  @@ fun _sp ->
-  let deadline = Unix.gettimeofday () +. policy.deadline_s in
-  let cache =
-    if policy.solver_cache then Some (Solver.Cache.create ()) else None
-  in
-  (* resolve in the scheduling domain: resolver closures (workload
-     registries, analysis caches) need not be thread-safe *)
-  let prepared =
-    List.map
-      (fun c ->
-        match resolve c with
-        | Error msg ->
-            Either.Left
-              { cluster = c; status = Failed msg; rungs = 0; runs = 0;
-                elapsed_s = 0.0; rung_elapsed_s = []; cases = zero_cases () }
-        | Ok (prog, plan) -> Either.Right (course ~policy ~prog ~plan c))
-      clusters
-    |> Array.of_list
-  in
-  pool_map ~jobs:policy.jobs (Array.length prepared) (fun i ->
-      match prepared.(i) with
-      | Either.Left failed -> failed
-      | Either.Right k -> finish_course ~telemetry ~cache ~deadline k)

@@ -4,8 +4,8 @@
     ([policy.jobs]); each representative is replayed under an
     escalating-budget ladder (default 2 s → 10 s → the full replay
     budget), so one pathological report can never starve the batch, and
-    the whole batch is bounded by a global wall-clock deadline.  One
-    {!Solver.Cache} is shared across every replay of the batch.
+    the whole batch is bounded by a global wall-clock deadline.  The
+    caller's {!Solver.Cache} is shared across every replay of the batch.
 
     Determinism: each cluster's replay runs with [jobs = 1] inside the
     worker and a seed derived from the batch seed and the cluster's
@@ -33,16 +33,15 @@ type policy = {
       (** worker domains *inside* the final rung's replay (default 1;
           see the determinism note above) *)
   max_attempts : int;  (** reseed restarts within one ladder rung *)
-  solver_cache : bool;  (** share one memoizing cache across the batch *)
   seed : int;  (** batch seed; per-cluster seeds derive from it *)
 }
 
 (** 2 s / 10 s / full {!Concolic.Engine.default_budget}, 60 s deadline,
-    sequential, one attempt per rung, cache on, seed 1. *)
+    sequential, one attempt per rung, seed 1. *)
 val default_policy : policy
 
 (** Derive a policy from the pipeline config: [replay_budget] caps the
-    ladder's last rung, [jobs], [solver_cache] and [seed] carry over. *)
+    ladder's last rung, [jobs] and [seed] carry over. *)
 val policy_of_config : Bugrepro.Pipeline.Config.t -> policy
 
 type status =
@@ -78,24 +77,15 @@ val zero_cases : unit -> Replay.Guided.case_stats
 type resolve =
   Cluster.t -> (Minic.Program.t * Instrument.Plan.t, string) result
 
-(** Replay every cluster's representative; results come back in cluster
-    order regardless of worker scheduling. *)
-val run :
-  ?policy:policy ->
-  ?telemetry:Telemetry.t ->
-  resolve:resolve ->
-  Cluster.t list ->
-  cluster_result list
-
 (** {2 Resumable courses}
 
     A [course] is one cluster's ladder climb, pausable between rungs.
-    {!run} climbs each course in one go; the streaming service instead
-    climbs a rung or two per ingestion tick — eagerly, while the queue is
-    shallow — and finishes whatever remains at drain time.  Splitting a
-    climb across ticks cannot change its outcome: each rung's replay is
-    deterministic given (budget, seed) and the seed is a pure function of
-    the batch seed and the cluster's fingerprint. *)
+    The streaming service climbs a rung or two per ingestion tick —
+    eagerly, while the queue is shallow — and finishes whatever remains
+    at drain time ({!run_courses}).  Splitting a climb across ticks
+    cannot change its outcome: each rung's replay is deterministic given
+    (budget, seed) and the seed is a pure function of the batch seed and
+    the cluster's fingerprint. *)
 
 type course
 
@@ -119,10 +109,11 @@ val course_done : course -> bool
     rung tried and timed out.  Returns [false] when merely paused: the
     rung allotment ran out or the deadline has under 50 ms left.  A
     paused course resumes exactly where it stopped; deadline expiry is
-    the {e caller's} decision, via {!course_interrupt}. *)
+    the {e caller's} decision, via {!course_interrupt}.  [cache] is the
+    batch-shared solver cache. *)
 val course_step :
   ?telemetry:Telemetry.t ->
-  ?cache:Solver.Cache.t ->
+  cache:Solver.Cache.t ->
   deadline:float ->
   max_rungs:int ->
   course ->
@@ -143,13 +134,13 @@ val course_result : course -> cluster_result
 val rungs_for_pressure : float -> int
 
 (** Finish a batch of courses on the policy's worker pool — climb each to
-    completion before [deadline] (interrupting stragglers), with the same
-    per-cluster spans and status counters {!run} emits.  Results in input
-    order.  [cache] is the batch-shared solver cache, if any. *)
+    completion before [deadline] (interrupting stragglers), with one
+    [triage.replay] span and one [triage.<status>] counter per cluster.
+    Results in input order.  [cache] is the batch-shared solver cache. *)
 val run_courses :
   ?policy:policy ->
   ?telemetry:Telemetry.t ->
-  ?cache:Solver.Cache.t ->
+  cache:Solver.Cache.t ->
   deadline:float ->
   course list ->
   cluster_result list

@@ -65,7 +65,7 @@ type t = {
   reps : (string, Ingest.item) Hashtbl.t;  (** fp key → elected head *)
   courses : (string, Sched.course) Hashtbl.t;  (** fp key → climb state *)
   failures : (string, string) Hashtbl.t;  (** fp key → resolve error *)
-  cache : Solver.Cache.t option;  (** shared across every replay, like a batch *)
+  cache : Solver.Cache.t;  (** shared across every replay, like a batch *)
   window : Window.t;
   started : float;
   mutable index : Index.t option;
@@ -155,10 +155,7 @@ let open_ ?(config = default_config) ?(telemetry = Telemetry.disabled)
           reps = Hashtbl.create 64;
           courses = Hashtbl.create 64;
           failures = Hashtbl.create 8;
-          cache =
-            (if config.policy.Sched.solver_cache then
-               Some (Solver.Cache.create ())
-             else None);
+          cache = Solver.Cache.create ();
           window = Window.make ~k:config.window_k ~size:config.window ();
           started = Unix.gettimeofday ();
           index;
@@ -303,7 +300,7 @@ let eager_climb (t : t) =
         | None -> ()
         | Some k ->
             ignore
-              (Sched.course_step ~telemetry:t.telemetry ?cache:t.cache
+              (Sched.course_step ~telemetry:t.telemetry ~cache:t.cache
                  ~deadline:(rung_deadline t) ~max_rungs:allot k))
 
 let process_queue (t : t) ~limit : int =
@@ -455,7 +452,7 @@ let drain ?(rejected = []) (t : t) : Summary.t =
   let deadline = rung_deadline t in
   let finished =
     Sched.run_courses ~policy:t.config.policy ~telemetry:t.telemetry
-      ?cache:t.cache ~deadline
+      ~cache:t.cache ~deadline
       (List.map snd todo)
   in
   (* rebind each result to its *final* cluster (a reused course may still

@@ -227,37 +227,31 @@ let prop_full_log_reproduces =
           Replay.Guided.reproduced result)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel replay: whatever the worker count or cache setting, the
-   verdict (reproduced at the recorded site) must match the sequential
-   engine's, and the model shipped back must actually crash. *)
+(* Parallel replay: whatever the worker count, the verdict (reproduced at
+   the recorded site) must match the sequential engine's, and every solve
+   goes through the memoizing cache. *)
 
 let test_reproduce_parallel_matches_sequential () =
   let prog, plan, report = record ~args:[ "BUG" ] magic_src in
   match report with
   | None -> Alcotest.fail "field run did not crash"
   | Some report ->
-      let verdicts =
-        List.map
-          (fun (jobs, cache) ->
-            let result, stats =
-              Bugrepro.Pipeline.(
-                Run.reproduce
-                  Config.(config |> with_jobs jobs |> with_solver_cache cache))
-                ~prog ~plan report
-            in
-            (match cache, stats.cache with
-            | true, None -> Alcotest.fail "cache stats missing"
-            | false, Some _ -> Alcotest.fail "cache stats despite --no-cache"
-            | _ -> ());
-            Replay.Guided.reproduced result)
-          [ (1, false); (1, true); (4, true); (4, false) ]
-      in
-      check_bool "all configurations reproduce" true
-        (List.for_all Fun.id verdicts)
+      List.iter
+        (fun jobs ->
+          let result, stats =
+            Bugrepro.Pipeline.(
+              Run.reproduce (Config.with_jobs jobs config) ~prog ~plan report)
+          in
+          let tag what = Printf.sprintf "jobs=%d: %s" jobs what in
+          let cache : Solver.Cache.snapshot = stats.cache in
+          check_bool (tag "reproduced") true (Replay.Guided.reproduced result);
+          check_bool (tag "cache consulted") true
+            (cache.hits + cache.misses > 0))
+        [ 1; 4 ]
 
 let test_reproduce_parallel_no_log_search () =
-  (* the widest frontier: no branch log at all, drained by 4 workers with
-     the memoizing cache on *)
+  (* the widest frontier: no branch log at all, drained by 4 workers
+     through the memoizing cache *)
   let prog, _, _ = record ~args:[ "BUG" ] magic_src in
   let none =
     Instrument.Plan.make
@@ -276,9 +270,7 @@ let test_reproduce_parallel_no_log_search () =
       check_bool "reproduced by parallel search" true
         (Replay.Guided.reproduced result);
       check_bool "cache was consulted" true
-        (match stats.cache with
-        | Some s -> s.hits + s.misses > 0
-        | None -> false)
+        (stats.cache.hits + stats.cache.misses > 0)
 
 let test_parallel_case_totals_match_sequential () =
   (* point the report at a site no input reaches: every worker count must
@@ -552,8 +544,8 @@ let test_guard_symbolic_read_count () =
   check_bool "read count: the guard declined the moved count" true
     (take.declined > 0)
 
-(* The same seed must give the same search: with the default config (solver
-   cache on) two reproductions of one report agree on every engine counter
+(* The same seed must give the same search: with the default config two
+   reproductions of one report agree on every engine counter
    but the wall clock and on the crashing input they find. *)
 let test_default_config_reproduces_identically () =
   let cfg = Bugrepro.Pipeline.Config.default in
@@ -577,11 +569,7 @@ let test_default_config_reproduces_identically () =
         match Bugrepro.Pipeline.Run.reproduce cfg ~prog ~plan report with
         | Replay.Guided.Reproduced r, stats ->
             let s = stats.Replay.Guided.engine in
-            let hits, misses =
-              match stats.cache with
-              | Some c -> (c.Solver.Cache.hits, c.Solver.Cache.misses)
-              | None -> Alcotest.fail "the default config caches solves"
-            in
+            let { Solver.Cache.hits; misses; _ } = stats.cache in
             ( engine_view s
               ^ Printf.sprintf " resumes=%d worker_runs=%s hits=%d misses=%d"
                   s.resumes
@@ -596,6 +584,42 @@ let test_default_config_reproduces_identically () =
       let counters2, model2 = reproduce () in
       Alcotest.(check string) "engine counters" counters1 counters2;
       Alcotest.(check string) "found model and site" model1 model2
+
+(* A cache handed to [reproduce] is the one the search solves through:
+   a second jobs=1 search of the same report answers every query from
+   it, and finds the same crashing input. *)
+let test_supplied_cache_is_used () =
+  let prog, _, _ = record ~args:[ "BUG" ] magic_src in
+  let none =
+    Instrument.Plan.make
+      ~nbranches:(Minic.Program.nbranches prog)
+      Instrument.Methods.No_instrumentation
+  in
+  let sc = Concolic.Scenario.make ~name:"t" ~args:[ "BUG" ] prog in
+  let _, report = Bugrepro.Pipeline.Run.field_run_report config ~plan:none sc in
+  let report = Option.get report in
+  let cache = Solver.Cache.create () in
+  let reproduce () =
+    let result, stats =
+      Replay.Guided.reproduce ~budget ~jobs:1 ~cache ~prog ~plan:none report
+    in
+    let found =
+      match result with
+      | Replay.Guided.Reproduced r -> found_view (Some (r.model, r.crash))
+      | Replay.Guided.Not_reproduced _ -> found_view None
+    in
+    (Replay.Guided.reproduced result, found, stats.cache)
+  in
+  let verdict1, found1, first = reproduce () in
+  let verdict2, found2, second = reproduce () in
+  check_bool "reproduced" true verdict1;
+  check_bool "same verdict" verdict1 verdict2;
+  Alcotest.(check string) "same model and site" found1 found2;
+  check_bool "first search solved" true (first.misses > 0);
+  check_int "second search adds no miss" first.misses second.misses;
+  check_bool "second search hits" true (second.hits > first.hits);
+  check_int "stats read the supplied cache" (Solver.Cache.snapshot cache).hits
+    second.hits
 
 let () =
   Alcotest.run "replay"
@@ -649,6 +673,8 @@ let () =
         [
           Alcotest.test_case "default config reproduces identically" `Quick
             test_default_config_reproduces_identically;
+          Alcotest.test_case "supplied cache is the one used" `Quick
+            test_supplied_cache_is_used;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_full_log_reproduces ] );

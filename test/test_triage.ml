@@ -292,8 +292,13 @@ let test_escalation_accumulates_elapsed () =
       deadline_s = 120.0;
     }
   in
+  let courses =
+    List.map (Sched.course ~policy ~prog ~plan:none) (Cluster.group [ item ])
+  in
   match
-    Sched.run ~policy ~resolve:(fun _ -> Ok (prog, none)) (Cluster.group [ item ])
+    Sched.run_courses ~policy ~cache:(Solver.Cache.create ())
+      ~deadline:(Unix.gettimeofday () +. policy.deadline_s)
+      courses
   with
   | [ r ] ->
       check_bool "reproduced on the second rung" true
