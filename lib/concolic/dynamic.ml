@@ -51,7 +51,7 @@ let make_run ?(max_steps = 2_000_000) (sc : Scenario.t) ~vars
     }
   in
   let r = Interp.Eval.run sc.prog cfg in
-  { Engine.outcome = r.outcome; trace = Path.entries trace; observed = !observed }
+  { Engine.outcome = r.outcome; trace = Path.view trace; observed = !observed }
 
 (** Run the analysis.  The budget plays the role of the paper's
     one-hour/two-hour symbolic execution cut-offs (LC vs HC).  [jobs] > 1

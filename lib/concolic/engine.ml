@@ -6,9 +6,12 @@
     constraint sets (exactly the structure reused by guided replay in §3.1);
     selection is depth-first, the heuristic the paper says it uses.
 
-    Pending sets share their parent run's trace array and materialise the
-    constraint list only when popped, so a run with thousands of symbolic
-    branch executions costs O(1) memory per pending alternative.
+    Pending sets share their parent run's trace view ({!Path.view}) and
+    materialise only their slice when popped: the constraints transitively
+    connected to the negated one through shared variables, found by walking
+    the path's variable index from the focus.  A run with thousands of
+    symbolic branch executions costs O(1) memory per pending alternative,
+    and the work per pending scales with its slice, not with the trace.
 
     The engine is generic over the actual run function, so dynamic analysis
     and bug replay share it.
@@ -38,7 +41,7 @@ let default_budget = { max_runs = 500; max_time_s = 10.0 }
 
 type run_result = {
   outcome : Interp.Crash.outcome;
-  trace : Path.entry list;  (** in execution order *)
+  trace : Path.view;  (** in execution order *)
   observed : Solver.Model.t;
       (** effective concrete value of every symbolic input variable the run
           touched; used to seed the solver for child pendings so that only
@@ -78,19 +81,29 @@ type stats = {
    cycle between two values.  [upto + 1] is the bound from which the next
    run may generate children (inherited constraints are never re-negated). *)
 type pending = {
-  trace : Path.entry array;
+  trace : Path.view;
   upto : int;
   hint : Solver.Model.t;
   lineage : Solver.Expr.t list;
 }
 
-let negated_of (p : pending) = Solver.Expr.negate p.trace.(p.upto).Path.cons
+let negated_of (p : pending) =
+  Solver.Expr.negate (Path.get p.trace p.upto).Path.cons
 
+(* The full constraint set, for the uncached reference path. *)
 let constraints_of (p : pending) : Solver.Expr.t list =
   let rec build i acc =
-    if i < 0 then acc else build (i - 1) (p.trace.(i).Path.cons :: acc)
+    if i < 0 then acc else build (i - 1) ((Path.get p.trace i).Path.cons :: acc)
   in
   p.lineage @ build (p.upto - 1) [ negated_of p ]
+
+(* The slice of [constraints_of p] connected to the negated constraint,
+   which is what the cache keys and solves.  Sound because a pending's hint
+   satisfies every constraint outside it (they are path constraints of the
+   parent run) and the exploration loop merges the solver's model over the
+   hint (union_prefer_left) before running. *)
+let slice_of (p : pending) : Solver.Expr.t list =
+  Path.slice p.trace ~upto:p.upto ~lineage:p.lineage (negated_of p)
 
 let monotonic () = Unix.gettimeofday ()
 
@@ -99,14 +112,12 @@ let monotonic () = Unix.gettimeofday ()
    log-forced direction.  Routed through the memoizing cache when one is
    supplied (Unknowns are not cached, so the escalated call always reaches
    the real solver).  [telemetry] records the hit/miss/solve time split
-   (through the cache when present, as [solver.solve_s] otherwise). *)
+   (through the cache when present, as [solver.solve_s] otherwise).  [cs] is
+   the pending's slice with a cache and its full constraint set without. *)
 let solve_pending ?cache ~telemetry ~vars ~hint cs =
   let solve ?budget () =
     match cache with
-    (* [slice] is sound here: a pending's hint satisfies every constraint
-       outside the focus component, and the exploration loop merges the
-       returned model over the hint (union_prefer_left) before running *)
-    | Some c -> Solver.Cache.solve c ?budget ~telemetry ~vars ~hint ~slice:true cs
+    | Some c -> Solver.Cache.solve c ?budget ~telemetry ~vars ~hint cs
     | None ->
         Telemetry.Metrics.time telemetry "solver.solve_s" (fun () ->
             Solver.Solve.solve ?budget ~vars ~hint cs)
@@ -191,29 +202,33 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
      for another flip — with the lineage remembering the exclusions.  A
      branch entry re-records exactly the negated constraint, so branches are
      never flip-flopped.  Children are pushed shallow-to-deep so the DFS
-     pops the deepest first.  Returns the trace array the children share.
+     pops the deepest first; no position below [min bound flipped] can fork,
+     so the walk starts there.  Returns the trace view the children share.
      Called with [m] held. *)
   let push_children (l : launch) (result : run_result) =
-    let trace = Array.of_list result.trace in
+    let trace = result.trace in
     let hint = Solver.Model.union_prefer_left l.model result.observed in
     let before = frontier_size () in
-    Array.iteri
-      (fun i (e : Path.entry) ->
-        let reflip =
-          match l.flipped with
-          | Some (j, c) -> i = j && e.cons <> c
-          | None -> false
-        in
-        if e.negatable && (i >= l.bound || reflip) then
-          (* the exclusion lineage matters only along a re-flip chain (the
-             re-pinned entry would otherwise cycle through old values); an
-             ordinary child's prefix already implies every past decision,
-             and a divergent run must not inherit constraints about a path
-             it no longer follows *)
-          frontier_push
-            { trace; upto = i; hint;
-              lineage = (if reflip then l.negations else []) })
-      trace;
+    let from =
+      match l.flipped with Some (j, _) -> min l.bound j | None -> l.bound
+    in
+    for i = from to Path.view_length trace - 1 do
+      let e = Path.get trace i in
+      let reflip =
+        match l.flipped with
+        | Some (j, c) -> i = j && e.cons <> c
+        | None -> false
+      in
+      if e.negatable && (i >= l.bound || reflip) then
+        (* the exclusion lineage matters only along a re-flip chain (the
+           re-pinned entry would otherwise cycle through old values); an
+           ordinary child's prefix already implies every past decision,
+           and a divergent run must not inherit constraints about a path
+           it no longer follows *)
+        frontier_push
+          { trace; upto = i; hint;
+            lineage = (if reflip then l.negations else []) }
+    done;
     let after = frontier_size () in
     Telemetry.Metrics.incr ~by:(after - before) forks;
     Telemetry.Metrics.sample telemetry "engine.frontier" (float_of_int after);
@@ -237,15 +252,20 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
         None
   in
   (* solve a popped pending; called with [m] held, releases it around the
-     solver.  [Some] is the launch of a Sat pending the search still has
-     budget for. *)
+     solver.  The slice is taken before the release: it extends the path's
+     variable index, which several workers may reach through pendings of
+     one run, so only the holder of [m] touches it.  [Some] is the launch
+     of a Sat pending the search still has budget for. *)
   let solve_locked (p : pending) =
+    let sliced = Option.map (fun _ -> slice_of p) cache in
     Mutex.unlock m;
     let solved =
       try
         let hint id = Solver.Model.find_opt id p.hint in
-        Ok
-          (solve_pending ?cache ~telemetry ~vars ~hint (constraints_of p))
+        let cs =
+          match sliced with Some cs -> cs | None -> constraints_of p
+        in
+        Ok (solve_pending ?cache ~telemetry ~vars ~hint cs)
       with e -> Error e
     in
     Mutex.lock m;
@@ -286,7 +306,7 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
       match frontier_peek () with
       | Some p
         when p.trace == trace
-             && p.upto = Array.length trace - 1
+             && p.upto = Path.view_length trace - 1
              && monotonic () <= deadline -> (
           ignore (frontier_pop ());
           wpops.(k) <- wpops.(k) + 1;

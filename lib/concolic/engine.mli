@@ -32,7 +32,7 @@ type strategy =
 
 type run_result = {
   outcome : Interp.Crash.outcome;
-  trace : Path.entry list;  (** in execution order *)
+  trace : Path.view;  (** in execution order *)
   observed : Solver.Model.t;
       (** effective concrete value of every symbolic input variable the run
           touched; seeds the solver for child pendings *)

@@ -88,7 +88,7 @@ let explore ~(cfg : cfg) ~jobs ?cache (sc : Concolic.Scenario.t) : explo =
             List.filter_map
               (fun (e : Concolic.Path.entry) ->
                 if e.negatable then Some e.cons else None)
-              r.trace
+              (Concolic.Path.entries r.trace)
           in
           if cs <> [] then begin
             incr n_queries;

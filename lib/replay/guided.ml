@@ -295,7 +295,7 @@ let run_once ?(restore : restore_fn option)
                 Concolic.Path.record_branch trace ~bid ~taken sym;
                 let aborted =
                   { Concolic.Engine.outcome = Interp.Crash.Aborted case2b_abort;
-                    trace = Concolic.Path.entries trace;
+                    trace = Concolic.Path.view trace;
                     observed = !observed }
                 in
                 if offer aborted ~resume then begin
@@ -363,7 +363,7 @@ let run_once ?(restore : restore_fn option)
   record_cases cases;
   {
     Concolic.Engine.outcome = r.outcome;
-    trace = Concolic.Path.entries trace;
+    trace = Concolic.Path.view trace;
     observed = !observed;
   }
 

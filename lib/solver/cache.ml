@@ -24,7 +24,9 @@
 
     The table is bounded (FIFO eviction) and every operation is
     mutex-protected: the cache is shared by all domains of a parallel
-    exploration. *)
+    exploration.  A key being solved is marked in flight, so domains that
+    miss on it together solve it once: the others wait for the result and
+    count as hits. *)
 
 type snapshot = {
   hits : int;
@@ -43,9 +45,16 @@ type entry =
   | Sat_c of (int * int) list  (** canonical variable -> value *)
   | Unsat_c
 
+(* A key one domain is solving.  [result] is set when the solve lands:
+   [Some] for a stored entry, [None] for [Unknown] or an exception (the
+   waiters then solve it themselves). *)
+type flight = { mutable landed : bool; mutable result : entry option }
+
 type t = {
   mu : Mutex.t;
+  landed : Condition.t;  (** broadcast whenever a flight lands *)
   tbl : (key, entry) Hashtbl.t;
+  inflight : (key, flight) Hashtbl.t;
   fifo : key Queue.t;
   capacity : int;
   mutable hits : int;
@@ -58,7 +67,9 @@ type t = {
 let create ?(capacity = 8192) () =
   {
     mu = Mutex.create ();
+    landed = Condition.create ();
     tbl = Hashtbl.create 256;
+    inflight = Hashtbl.create 16;
     fifo = Queue.create ();
     capacity = max 1 capacity;
     hits = 0;
@@ -195,74 +206,85 @@ let slice_focus (cs : Expr.t list) : Expr.t list =
 (* ------------------------------------------------------------------ *)
 (* Lookup / store *)
 
-let find t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e ->
-          t.hits <- t.hits + 1;
-          Some e
-      | None ->
-          t.misses <- t.misses + 1;
-          None)
-
+(* Called with [t.mu] held. *)
 let store t key entry =
+  while Hashtbl.length t.tbl >= t.capacity && not (Queue.is_empty t.fifo) do
+    let victim = Queue.pop t.fifo in
+    if Hashtbl.mem t.tbl victim then begin
+      Hashtbl.remove t.tbl victim;
+      t.evictions <- t.evictions + 1
+    end
+  done;
+  Hashtbl.replace t.tbl key entry;
+  Queue.push key t.fifo;
+  t.stores <- t.stores + 1
+
+(* A stored entry ([`Hit]), or the caller's own flight for a key it must
+   solve ([`Miss]).  A key another domain is solving is waited for: its
+   entry is a hit; a flight that lands empty is claimed again.  Called with
+   [t.mu] held. *)
+let rec claim t key =
+  match Hashtbl.find_opt t.tbl key with
+  | Some e ->
+      t.hits <- t.hits + 1;
+      `Hit e
+  | None -> (
+      match Hashtbl.find_opt t.inflight key with
+      | Some f -> (
+          while not f.landed do
+            Condition.wait t.landed t.mu
+          done;
+          match f.result with
+          | Some e ->
+              t.hits <- t.hits + 1;
+              `Hit e
+          | None -> claim t key)
+      | None ->
+          let f = { landed = false; result = None } in
+          Hashtbl.replace t.inflight key f;
+          t.misses <- t.misses + 1;
+          `Miss f)
+
+(* Land the caller's flight with [result] (stored when [Some]) and wake the
+   waiters. *)
+let settle t key f result =
   locked t (fun () ->
-      (* a racing domain may have stored the same key while we solved: keep
-         the existing entry and do not grow the FIFO twice *)
-      if not (Hashtbl.mem t.tbl key) then begin
-        while Hashtbl.length t.tbl >= t.capacity && not (Queue.is_empty t.fifo) do
-          let victim = Queue.pop t.fifo in
-          if Hashtbl.mem t.tbl victim then begin
-            Hashtbl.remove t.tbl victim;
-            t.evictions <- t.evictions + 1
-          end
-        done;
-        Hashtbl.replace t.tbl key entry;
-        Queue.push key t.fifo;
-        t.stores <- t.stores + 1
-      end)
+      Option.iter (store t key) result;
+      f.result <- result;
+      f.landed <- true;
+      Hashtbl.remove t.inflight key;
+      Condition.broadcast t.landed)
 
-let lookup t ~inv key : Solve.outcome option =
-  match find t key with
-  | Some Unsat_c -> Some Solve.Unsat
-  | Some (Sat_c pairs) ->
-      Some
-        (Solve.Sat
-           (List.fold_left
-              (fun m (c, v) -> Model.add inv.(c) v m)
-              Model.empty pairs))
-  | None -> None
+let outcome_of ~inv = function
+  | Unsat_c -> Solve.Unsat
+  | Sat_c pairs ->
+      Solve.Sat
+        (List.fold_left (fun m (c, v) -> Model.add inv.(c) v m) Model.empty pairs)
 
-let remember t ~fwd key (r : Solve.outcome) =
+let entry_of ~fwd (r : Solve.outcome) =
   match r with
   | Solve.Sat m ->
-      let pairs =
-        Hashtbl.fold
-          (fun actual c acc ->
-            match Model.find_opt actual m with
-            | Some v -> (c, v) :: acc
-            | None -> acc)
-          fwd []
-      in
-      store t key (Sat_c pairs)
-  | Solve.Unsat -> store t key Unsat_c
-  | Solve.Unknown -> locked t (fun () -> t.uncacheable <- t.uncacheable + 1)
+      Some
+        (Sat_c
+           (Hashtbl.fold
+              (fun actual c acc ->
+                match Model.find_opt actual m with
+                | Some v -> (c, v) :: acc
+                | None -> acc)
+              fwd []))
+  | Solve.Unsat -> Some Unsat_c
+  | Solve.Unknown -> None
 
 (** Drop-in replacement for {!Solve.solve} that consults the cache first.
     On a [Sat] hit the cached model is renamed from canonical variables back
     to the query's variables; it satisfies the conjunction but may differ
     from the model a fresh hint-seeded search would have produced (any model
     is equally valid to the exploration engine, which re-executes with it).
-
-    [slice] (default false) additionally restricts both the key and the
-    solve to the focus slice (see {!slice_focus}).  Sound only under the
-    engine's pending invariant: the hint model satisfies every constraint
-    that shares no variable with the last (focus) constraint, and the caller
-    merges the returned model over the hint ([Unsat] of a subset is
-    unconditionally [Unsat] of the whole set). *)
+    The exploration engine hands it a pending's slice (see {!slice_focus}),
+    not the whole constraint set. *)
 let solve t ?budget ?(telemetry = Telemetry.disabled) ~(vars : Symvars.t)
-    ?(hint : int -> int option = fun _ -> None) ?(slice = false)
-    (cs : Expr.t list) : Solve.outcome =
+    ?(hint : int -> int option = fun _ -> None) (cs : Expr.t list) :
+    Solve.outcome =
   (* the paper's overhead axis also applies to the observation layer: the
      split below is recorded per call, but each record is two clock reads
      and an atomic add — nothing on the canonicalization path changes *)
@@ -275,16 +297,23 @@ let solve t ?budget ?(telemetry = Telemetry.disabled) ~(vars : Symvars.t)
         (Telemetry.now telemetry -. t0)
     end
   in
-  let cs = if slice then slice_focus cs else cs in
   let key, inv, fwd = canonicalize ~vars cs in
-  match lookup t ~inv key with
-  | Some r ->
+  match locked t (fun () -> claim t key) with
+  | `Hit e ->
       record "hit";
-      r
-  | None ->
-      let r = Solve.solve ?budget ~vars ~hint cs in
+      outcome_of ~inv e
+  | `Miss f ->
+      let r =
+        try Solve.solve ?budget ~vars ~hint cs
+        with e ->
+          settle t key f None;
+          raise e
+      in
       record "miss_solve";
-      remember t ~fwd key r;
+      let entry = entry_of ~fwd r in
+      settle t key f entry;
+      if Option.is_none entry then
+        locked t (fun () -> t.uncacheable <- t.uncacheable + 1);
       r
 
 (* ------------------------------------------------------------------ *)

@@ -6,8 +6,10 @@
     e.g. the same forced chain re-derived under a fresh {!Symvars} registry
     after a replay restart — hit the same entry.  Only [Sat]/[Unsat] are
     cached (both are budget-independent); [Unknown] never is.  Thread-safe:
-    shared by all domains of a parallel exploration.  Bounded, FIFO
-    eviction. *)
+    shared by all domains of a parallel exploration; a key one domain is
+    solving is marked in flight, and the domains that miss on it meanwhile
+    wait for its result and count as hits (after an [Unknown] or an
+    exception they solve it themselves).  Bounded, FIFO eviction. *)
 
 type t
 
@@ -39,18 +41,17 @@ val clear : t -> unit
     variables — the classic constraint-independence optimisation.  Dropping
     the other components is sound for the exploration engine because their
     variables are untouched by any model of the slice: the engine merges the
-    solver's model over the pending's hint, which already satisfies them. *)
+    solver's model over the pending's hint, which already satisfies them.
+    The engine takes its slices with [Concolic.Path.slice], which equals
+    this function on a pending's constraint set; this whole-list version is
+    the reference the tests compare against. *)
 val slice_focus : Expr.t list -> Expr.t list
 
 (** Drop-in replacement for {!Solve.solve} that consults the cache first.
     On a [Sat] hit the cached model is renamed back to the query's
     variables; it satisfies the conjunction but may differ from the model a
-    fresh hint-seeded search would produce.
-
-    [slice] (default false) restricts the key and the solve to
-    [slice_focus]; callers must guarantee the hint satisfies every
-    constraint outside the slice and must merge the returned model over the
-    hint (the exploration engine's pending invariant).
+    fresh hint-seeded search would produce.  The exploration engine hands
+    it a pending's slice, never the whole constraint set.
 
     [telemetry] records the solver-time split: counters
     [solver.cache.hit]/[solver.cache.miss_solve] and histograms
@@ -61,7 +62,6 @@ val solve :
   ?telemetry:Telemetry.t ->
   vars:Symvars.t ->
   ?hint:(int -> int option) ->
-  ?slice:bool ->
   Expr.t list ->
   Solve.outcome
 

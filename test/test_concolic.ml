@@ -22,7 +22,7 @@ let test_path_branch_constraints () =
   let sym = Solver.Expr.(Binop (Lt, Var 0, Const 5)) in
   Concolic.Path.record_branch t ~bid:3 ~taken:true sym;
   Concolic.Path.record_branch t ~bid:4 ~taken:false sym;
-  match Concolic.Path.entries t with
+  match Concolic.Path.(entries (view t)) with
   | [ e1; e2 ] ->
       check_bool "taken keeps shape" true
         (e1.cons = Solver.Expr.(Binop (Lt, Var 0, Const 5)));
@@ -34,11 +34,127 @@ let test_path_branch_constraints () =
 let test_path_concretize_entry () =
   let t = Concolic.Path.create () in
   Concolic.Path.record_concretize t (Solver.Expr.Var 7) 42;
-  match Concolic.Path.entries t with
+  match Concolic.Path.(entries (view t)) with
   | [ e ] ->
       check_bool "not negatable" false e.negatable;
       check_bool "no bid" true (e.bid = None)
   | _ -> Alcotest.fail "expected one entry"
+
+(* [Path.slice] must be list-equal to the whole-list reference
+   [Cache.slice_focus] on the pending's constraint set. *)
+let slice_reference v ~upto ~lineage focus =
+  let prefix =
+    List.filteri (fun i _ -> i < upto) (Concolic.Path.entries v)
+    |> List.map (fun (e : Concolic.Path.entry) -> e.cons)
+  in
+  Solver.Cache.slice_focus (lineage @ prefix @ [ focus ])
+
+let test_path_slice_lineage_chain () =
+  let open Solver.Expr in
+  let t = Concolic.Path.create () in
+  Concolic.Path.record_branch t ~bid:0 ~taken:true (Binop (Lt, Var 1, Const 5));
+  Concolic.Path.record_branch t ~bid:1 ~taken:true (Binop (Lt, Var 2, Const 5));
+  Concolic.Path.record_branch t ~bid:2 ~taken:true (Binop (Lt, Var 0, Const 5));
+  let v = Concolic.Path.view t in
+  (* the focus (var 0) reaches entry 0 (var 1) only through two lineage
+     constraints linked by var 9, which no entry mentions *)
+  let l1 = Binop (Eq, Var 9, Var 1)
+  and l2 = Binop (Eq, Var 8, Const 4)
+  and l3 = Binop (Gt, Binop (Add, Var 0, Var 9), Const 1) in
+  let lineage = [ l1; l2; l3 ] in
+  let focus = Binop (Ge, Var 0, Const 5) in
+  let sliced = Concolic.Path.slice v ~upto:2 ~lineage focus in
+  check_bool "chain through the lineage" true
+    (sliced = [ l1; l3; Binop (Lt, Var 1, Const 5); focus ]);
+  check_bool "equals the reference" true
+    (sliced = slice_reference v ~upto:2 ~lineage focus);
+  check_bool "focus without variables" true
+    (Concolic.Path.slice v ~upto:3 ~lineage (Const 0) = [ Const 0 ])
+
+(* Random traces built by appends, snapshots and guided replay's resume
+   step (drop the last branch, re-record it in the other direction); every
+   snapshot is sliced at every [upto], deepest first, under a random
+   lineage, and once more with a focus that has no variables. *)
+type path_op =
+  | Branch of Solver.Expr.t * bool
+  | Conc of Solver.Expr.t * int
+  | Reflip
+  | Snap
+
+let gen_path_expr nvars : Solver.Expr.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let atom =
+    frequency
+      [ (3, map (fun i -> Solver.Expr.Var i) (int_range 0 (nvars - 1)));
+        (1, map (fun k -> Solver.Expr.Const k) (int_range 0 9)) ]
+  in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun op a b -> Solver.Expr.Binop (op, a, b))
+          (oneofl Solver.Expr.[ Eq; Ne; Lt; Ge ])
+          atom atom );
+      ( 2,
+        map3
+          (fun a b k ->
+            Solver.Expr.(Binop (Lt, Binop (Add, a, b), Const k)))
+          atom atom (int_range 0 9) );
+      (1, map (fun k -> Solver.Expr.Const k) (int_range 0 1));
+    ]
+
+let gen_path_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (5, map2 (fun e t -> Branch (e, t)) (gen_path_expr 6) bool);
+        (2, map2 (fun e k -> Conc (e, k)) (gen_path_expr 6) (int_range 0 9));
+        (2, return Reflip);
+        (2, return Snap);
+      ]
+  in
+  (* lineage variables range over 8: 6 and 7 link only lineage members *)
+  pair (list_size (int_range 0 40) op) (list_size (int_range 0 4) (gen_path_expr 8))
+
+let prop_path_slice_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"slice = Cache.slice_focus"
+    (QCheck.make gen_path_case)
+    (fun (ops, lineage) ->
+      let t = Concolic.Path.create () in
+      let last = ref None and views = ref [] in
+      List.iter
+        (function
+          | Branch (sym, taken) ->
+              Concolic.Path.record_branch t ~bid:0 ~taken sym;
+              last := Some (sym, taken)
+          | Conc (sym, k) ->
+              Concolic.Path.record_concretize t sym k;
+              last := None
+          | Reflip -> (
+              match !last with
+              | Some (sym, taken) ->
+                  Concolic.Path.drop_last t;
+                  Concolic.Path.record_branch t ~bid:0 ~taken:(not taken) sym;
+                  last := Some (sym, not taken)
+              | None -> ())
+          | Snap -> views := Concolic.Path.view t :: !views)
+        ops;
+      let views = List.rev (Concolic.Path.view t :: !views) in
+      List.for_all
+        (fun v ->
+          let n = Concolic.Path.view_length v in
+          let agrees ~upto focus =
+            Concolic.Path.slice v ~upto ~lineage focus
+            = slice_reference v ~upto ~lineage focus
+          in
+          List.for_all
+            (fun upto ->
+              agrees ~upto
+                (Solver.Expr.negate (Concolic.Path.get v upto).Concolic.Path.cons))
+            (List.init n (fun i -> n - 1 - i))
+          && agrees ~upto:n (Solver.Expr.Const 1))
+        views)
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic labelling *)
@@ -305,7 +421,7 @@ let test_path_constraints_hold_on_own_input () =
     (fun (e : Concolic.Path.entry) ->
       check_bool "constraint holds on own input" true
         (Solver.Model.satisfies !observed e.cons))
-    r.trace
+    (Concolic.Path.entries r.trace)
 
 let test_engine_strategies_explore_same_space () =
   (* DFS and BFS must both find the magic-word crash on a small program *)
@@ -558,6 +674,9 @@ let () =
         [
           Alcotest.test_case "branch constraints" `Quick test_path_branch_constraints;
           Alcotest.test_case "concretize entry" `Quick test_path_concretize_entry;
+          Alcotest.test_case "slice through lineage" `Quick
+            test_path_slice_lineage_chain;
+          QCheck_alcotest.to_alcotest prop_path_slice_matches_reference;
         ] );
       ( "dynamic",
         [

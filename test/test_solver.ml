@@ -439,10 +439,56 @@ let test_sliced_unsat_is_sound () =
   let vars, ids = mk_vars 2 in
   let x = List.nth ids 0 and y = List.nth ids 1 in
   match
-    Cache.solve t ~vars ~slice:true [ v x ==. c 1; v y <. c 5; v y >. c 10 ]
+    Cache.solve t ~vars
+      (Cache.slice_focus [ v x ==. c 1; v y <. c 5; v y >. c 10 ])
   with
   | Solve.Unsat -> ()
   | _ -> Alcotest.fail "expected unsat from the sliced component"
+
+(* domains that miss on one key together solve it once: the key is in
+   flight while the first one solves, and the others wait for its entry *)
+let test_cache_inflight_single_solve () =
+  let t = Cache.create () in
+  let vars, ids = mk_vars 3 in
+  let x = List.nth ids 0 and y = List.nth ids 1 and z = List.nth ids 2 in
+  let cs =
+    [ v x +. v y ==. c 300; v y +. v z ==. c 400; v x >. c 120; v z <. c 250 ]
+  in
+  let domains = 4 in
+  let ready = Atomic.make 0 in
+  let results =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < domains do
+              Domain.cpu_relax ()
+            done;
+            Cache.solve t ~vars cs))
+    |> List.map Domain.join
+  in
+  List.iter
+    (function
+      | Solve.Sat m -> check_bool "model satisfies" true (Model.satisfies_all m cs)
+      | Solve.Unsat -> Alcotest.fail "expected sat, got unsat"
+      | Solve.Unknown -> Alcotest.fail "expected sat, got unknown")
+    results;
+  let s = Cache.snapshot t in
+  check_int "one miss" 1 s.misses;
+  check_int "one store" 1 s.stores;
+  check_int "the rest are hits" (domains - 1) s.hits;
+  (* an Unknown is never stored: every domain solves for itself *)
+  let t = Cache.create () in
+  let budget = { Solve.max_nodes = 1; max_enum = 1 } in
+  List.init domains (fun _ ->
+      Domain.spawn (fun () -> Cache.solve t ~budget ~vars cs))
+  |> List.iter (fun d ->
+         match Domain.join d with
+         | Solve.Unknown -> ()
+         | _ -> Alcotest.fail "expected unknown under a one-node budget");
+  let s = Cache.snapshot t in
+  check_int "every Unknown solves" domains s.misses;
+  check_int "nothing stored" 0 s.stores;
+  check_int "all uncacheable" domains s.uncacheable
 
 (* cached and uncached solves agree on Sat/Unsat/Unknown, and a cached Sat
    model (possibly replayed from an earlier alpha-equivalent entry) still
@@ -525,6 +571,8 @@ let () =
             test_slice_focus_keeps_component;
           Alcotest.test_case "sliced unsat sound" `Quick
             test_sliced_unsat_is_sound;
+          Alcotest.test_case "in-flight key solved once" `Quick
+            test_cache_inflight_single_solve;
           QCheck_alcotest.to_alcotest prop_cache_agrees_with_solver;
         ] );
     ]
