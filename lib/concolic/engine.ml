@@ -49,7 +49,8 @@ type run_result = {
 }
 
 (* A resume offer, handed to every run (see engine.mli). *)
-type offer = run_result -> resume:(Solver.Model.t -> bool) -> bool
+type offer =
+  run_result -> resume:(solved:Solver.Model.t -> Solver.Model.t -> bool) -> bool
 
 type stats = {
   mutable runs : int;
@@ -157,11 +158,13 @@ let solve_pending ?cache ~telemetry ~vars ~hint cs =
    abort-and-restart schedule produces; only the re-executed prefix is
    saved. *)
 
-(* What one executed pending runs under: its model, the trace position
-   from which it may fork, the flip it was created to satisfy, and the
-   lineage of negations it inherits. *)
+(* What one executed pending runs under: its model, the solver's own
+   assignment it was merged from, the trace position from which it may
+   fork, the flip it was created to satisfy, and the lineage of negations
+   it inherits. *)
 type launch = {
   model : Solver.Model.t;
+  solved : Solver.Model.t;
   bound : int;
   flipped : (int * Solver.Expr.t) option;
   negations : Solver.Expr.t list;
@@ -282,6 +285,7 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
           Some
             {
               model = Solver.Model.union_prefer_left model p.hint;
+              solved = model;
               bound = p.upto + 1;
               flipped = Some (p.upto, negated_of p);
               negations = negated_of p :: p.lineage;
@@ -313,7 +317,7 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
           match solve_locked p with
           | None -> false
           | Some l -> (
-              match resume l.model with
+              match resume ~solved:l.solved l.model with
               | true ->
                   stats.runs <- stats.runs + 1;
                   stats.resumes <- stats.resumes + 1;
@@ -343,9 +347,9 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
     let closed = ref false in
     let offer seg ~resume =
       let t0 = monotonic () and resume_s = ref 0.0 in
-      let resume model =
+      let resume ~solved model =
         let t = monotonic () in
-        let accepted = resume model in
+        let accepted = resume ~solved model in
         resume_s := monotonic () -. t;
         accepted
       in
@@ -412,7 +416,8 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
      come from the scenario), then drain it *)
   Mutex.lock m;
   do_run_locked 0
-    { model = Solver.Model.empty; bound = 0; flipped = None; negations = [] };
+    { model = Solver.Model.empty; solved = Solver.Model.empty; bound = 0;
+      flipped = None; negations = [] };
   Mutex.unlock m;
   if jobs = 1 then worker 0 Telemetry.Span.noop
   else

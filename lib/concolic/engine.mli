@@ -45,8 +45,14 @@ type run_result = {
     the pending the frontier would hand out next is the last child just
     pushed — the one that negates the final trace entry — and the search
     still has budget and time, the engine pops and solves it as a worker
-    would.  On Sat it calls [resume model] with the model the next run
-    would execute under:
+    would.  On Sat it calls [resume ~solved model], where [solved] is the
+    solver's own assignment (to the variables of the constraints it
+    solved) and [model] the model the next run would execute under:
+    [solved] merged, preferring its bindings, over the run's own launch
+    model merged over [result.observed].  So a variable outside [solved] keeps the value the
+    run's launch model gives it, else the value the run observed; a
+    resume guard need only re-check [solved]'s variables and those whose
+    observed value already disagreed with the launch model.
     - [true]: the run has moved its live state onto [model] and continues
       as that run (it counts in [runs] and [resumes]); the offer returns
       [true];
@@ -56,7 +62,8 @@ type run_result = {
     [false].  After [false] the run must abort at once: its result has
     been accounted already and is discarded.  [resume] is called with the
     engine's lock held. *)
-type offer = run_result -> resume:(Solver.Model.t -> bool) -> bool
+type offer =
+  run_result -> resume:(solved:Solver.Model.t -> Solver.Model.t -> bool) -> bool
 
 type stats = {
   mutable runs : int;

@@ -28,7 +28,8 @@ type live_access = {
   unpinned : unit -> (Solver.Expr.t * int) list;
       (** input-derived values the run used concretely without pinning them
           through [on_concretize], newest first, each with the value it had *)
-  reconcretize : old:(int -> int) -> fresh:(int -> int) -> bool;
+  reconcretize :
+    changed:(int -> bool) -> old:(int -> int) -> fresh:(int -> int) -> bool;
       (** move every shadowed memory cell and argv byte from the variable
           assignment [old] to [fresh] *)
 }
@@ -607,7 +608,7 @@ let init_state (prog : Program.t) (cfg : config) : state =
   let st =
     {
       code;
-      mem = Memory.create ();
+      mem = Memory.create ~index_shadows:(Option.is_some cfg.hooks.on_start) ();
       globals = Array.make (Array.length code.globals) 0;
       lits = Array.make code.nlits Value.zero;
       inputs = cfg.inputs;
@@ -642,17 +643,21 @@ let init_state (prog : Program.t) (cfg : config) : state =
 (* Every input-derived value of a run lives in a shadowed memory cell or
    argv byte, or was recorded as an unpinned use: MiniC is CIL-normalised,
    so at a branch no half-evaluated operand sits on the evaluator's stack.
-   [reconcretize] checks every cell before it writes any. *)
+   [reconcretize] checks every cell it must before it writes any.  A clean
+   cell whose shadow is a bare [Var x] of an unchanged [x] needs no check:
+   the last accepted move left it at [x]'s value, which [fresh] keeps; an
+   argv byte likewise (see eval.mli). *)
 let live_access st =
   let eval env e =
     match Solver.Expr.eval env e with
     | v -> Some v
     | exception (Solver.Expr.Undefined | Not_found) -> None
   in
-  let reconcretize ~old ~fresh =
+  let reconcretize ~changed ~old ~fresh =
     let moves = ref [] and consistent = ref true in
-    Memory.iter_symbolic st.mem (fun ~base ~off (v : Value.t) ->
+    Memory.iter_shadowed st.mem (fun ~base ~off ~dirty (v : Value.t) ->
         match v with
+        | { sym = Some (Var x); _ } when (not dirty) && not (changed x) -> ()
         | { sym = Some e; conc = Int n } when !consistent -> (
             match eval fresh e with
             | Some f when f = n -> ()
@@ -662,9 +667,10 @@ let live_access st =
         | _ -> ());
     !consistent
     &&
-    match Inputs.reconcretize st.inputs (Solver.Expr.eval fresh) with
+    match Inputs.reconcretize st.inputs ~changed (Solver.Expr.eval fresh) with
     | () ->
         List.iter (fun (base, off, v) -> Memory.store st.mem ~base ~off v) !moves;
+        Memory.mark_clean st.mem;
         true
     | exception (Solver.Expr.Undefined | Not_found) -> false
   in

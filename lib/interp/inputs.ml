@@ -48,14 +48,19 @@ let symbolic ?(observe = fun (_ : int) (_ : int) -> ()) ~(vars : Solver.Symvars.
   in
   { args = Array.of_list (List.mapi mk caps) }
 
-(** Set every shadowed byte to [f] of its shadow.  Every shadow is
-    evaluated before any byte is written, so an exception from [f] leaves
-    [t] unchanged. *)
-let reconcretize t f =
-  let fresh = Array.map (fun a -> Array.map (Option.map f) a.syms) t.args in
-  Array.iteri
-    (fun i a ->
+(** Set every shadowed byte to [f] of its shadow, skipping the bytes whose
+    shadow is a bare [Var x] with [x] not [changed]: their value already
+    is [f (Var x)].  Every shadow is evaluated before any byte is written,
+    so an exception from [f] leaves [t] unchanged. *)
+let reconcretize t ~changed f =
+  let moves = ref [] in
+  Array.iter
+    (fun a ->
       Array.iteri
-        (fun j -> function Some v -> a.bytes.(j) <- v | None -> ())
-        fresh.(i))
-    t.args
+        (fun j -> function
+          | Some (Solver.Expr.Var x) when not (changed x) -> ()
+          | Some e -> moves := (a.bytes, j, f e) :: !moves
+          | None -> ())
+        a.syms)
+    t.args;
+  List.iter (fun (bytes, j, v) -> bytes.(j) <- v) !moves

@@ -28,7 +28,11 @@ val symbolic :
   unit ->
   t
 
-(** [reconcretize t f] sets every shadowed byte to [f] of its shadow (a run
-    moved onto a new solver model).  Every shadow is evaluated before any
-    byte is written, so an exception from [f] leaves [t] unchanged. *)
-val reconcretize : t -> (Solver.Expr.t -> int) -> unit
+(** [reconcretize t ~changed f] sets every shadowed byte to [f] of its
+    shadow (a run moved onto a new solver model).  A byte whose shadow is a
+    bare [Var x] with [x] not [changed] is skipped: the caller guarantees
+    it already holds [f (Var x)] (its value came from [x]'s binding, which
+    [f] keeps).  Every shadow is evaluated before any byte is written, so
+    an exception from [f] leaves [t] unchanged. *)
+val reconcretize :
+  t -> changed:(int -> bool) -> (Solver.Expr.t -> int) -> unit

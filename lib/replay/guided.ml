@@ -166,9 +166,12 @@ let case2b_abort = "2b: log contradicts symbolic branch"
    callback must be thread-safe (reproduce merges with atomic adds).
    [sup_rules] is the decoded, verified suppression table; each run gets
    its own reconstruction cursor state.  At a case-2b mismatch the run
-   offers itself to the engine for a resume (DESIGN.md §5m). *)
+   offers itself to the engine for a resume (DESIGN.md §5m); [on_changes]
+   sees each input change list the guard computes, and [telemetry] times
+   the guard ([replay.resume_s]) and counts its declines. *)
 let run_once ?(restore : restore_fn option)
     ?(sup_rules : Staticanalysis.Suppression.rule option array option)
+    ?(on_changes = fun ~observed:_ _ _ -> ()) ~telemetry
     ~(prog : Minic.Program.t) ~(plan : Plan.t) ~(report : Report.t) ~vars
     ~seed ~max_steps ~(record_cases : case_stats -> unit)
     (offer : Concolic.Engine.offer) (model : Solver.Model.t) :
@@ -194,13 +197,23 @@ let run_once ?(restore : restore_fn option)
      path: [model'] satisfies every constraint recorded so far.  What no
      constraint records must not move: the values used without a pin, and
      the system-call results the kernel's stream and fd state grew from.
-     Restored globals and replayed schedules are outside the argument. *)
-  let resume model' =
+     Restored globals and replayed schedules are outside the argument.
+     Its cost follows what [model'] moves, not the run's state:
+     [changed_inputs] reads only [solved]'s variables and the kernel's
+     unclamped results, and [reconcretize] re-checks only the cells that
+     can have moved.  A decline names its reason, counted as
+     [replay.resume.declined.<reason>]: a system-call result would move, a
+     value used without a pin would change, a shadowed cell disagrees with
+     its shadow (or its shadow is undefined under the new inputs), or the
+     run is outside the argument. *)
+  let guard ~solved model' =
     match !live with
     | Some (live : Interp.Eval.live_access)
       when Option.is_none restore && Option.is_none scheduler -> (
-        match Rkernel.changed_inputs rk model' ~observed:!observed with
-        | None -> false
+        let changed = Rkernel.changed_inputs rk ~solved model' ~observed:!observed in
+        on_changes ~observed:!observed model' changed;
+        match changed with
+        | None -> Error "sys_result"
         | Some changes ->
             let observed' =
               List.fold_left
@@ -218,14 +231,34 @@ let run_once ?(restore : restore_fn option)
               | v' -> v' = v
               | exception (Solver.Expr.Undefined | Not_found) -> false
             in
-            List.for_all same (live.unpinned ())
-            && live.reconcretize ~old:(env !observed) ~fresh
-            && begin
-                 Rkernel.set_model rk model';
-                 observed := observed';
-                 true
-               end)
-    | _ -> false
+            if not (List.for_all same (live.unpinned ())) then Error "unpinned"
+            else if
+              not
+                (live.reconcretize
+                   ~changed:(fun id -> List.mem_assoc id changes)
+                   ~old:(env !observed) ~fresh)
+            then Error "inconsistent"
+            else begin
+              Rkernel.set_model rk model';
+              observed := observed';
+              Ok ()
+            end)
+    | _ -> Error "ineligible"
+  in
+  let resume =
+    if not (Telemetry.enabled telemetry) then fun ~solved model' ->
+      Result.is_ok (guard ~solved model')
+    else fun ~solved model' ->
+      let t0 = Unix.gettimeofday () in
+      let verdict = guard ~solved model' in
+      Telemetry.Metrics.observe telemetry "replay.resume_s"
+        (Unix.gettimeofday () -. t0);
+      match verdict with
+      | Ok () -> true
+      | Error why ->
+          Telemetry.Metrics.incr_named telemetry
+            ("replay.resume.declined." ^ why);
+          false
   in
   let reader = Report.reader report in
   let recon = Option.map Staticanalysis.Suppression.Recon.create sup_rules in
@@ -391,11 +424,11 @@ let suppression_rules ~prog ~(plan : Plan.t) (report : Report.t) =
               invalid_arg ("Replay.Guided: suppression proof rejected: " ^ msg)
           | Ok () -> Some rules))
 
-let run ?restore ?(max_steps = 5_000_000) ?(record_cases = ignore) ~prog ~plan
-    ~vars ~seed report =
+let run ?restore ?(max_steps = 5_000_000) ?(record_cases = ignore) ?on_changes
+    ~prog ~plan ~vars ~seed report =
   let sup_rules = suppression_rules ~prog ~plan report in
-  run_once ?restore ?sup_rules ~prog ~plan ~report ~vars ~seed ~max_steps
-    ~record_cases
+  run_once ?restore ?sup_rules ?on_changes ~telemetry:Telemetry.disabled ~prog
+    ~plan ~report ~vars ~seed ~max_steps ~record_cases
 
 let crash_site (report : Report.t) (r : Concolic.Engine.run_result) =
   match r.outcome with
@@ -481,7 +514,7 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
       acc_add acc c
     in
     let run =
-      run_once ?restore ?sup_rules ~prog ~plan ~report ~vars
+      run_once ?restore ?sup_rules ~telemetry ~prog ~plan ~report ~vars
         ~seed:attempt_seed ~max_steps ~record_cases
     in
     let remaining_time = deadline -. Unix.gettimeofday () in

@@ -84,11 +84,17 @@ type restore_fn =
     declines under a checkpoint [restore] or a replayed schedule, when a
     system-call result variable already created would change, when a value
     used without a pin (see {!Interp.Eval.live_access}) would change or a
-    partial operation would become undefined. *)
+    partial operation would become undefined.  [on_changes ~observed model
+    changes] sees every input change list the guard computes with
+    {!Rkernel.changed_inputs}, with the run's observed values and the
+    offered model: a test can check it against a full re-read of
+    [observed]. *)
 val run :
   ?restore:restore_fn ->
   ?max_steps:int ->
   ?record_cases:(case_stats -> unit) ->
+  ?on_changes:
+    (observed:Solver.Model.t -> Solver.Model.t -> (int * int) list option -> unit) ->
   prog:Minic.Program.t ->
   plan:Instrument.Plan.t ->
   vars:Solver.Symvars.t ->

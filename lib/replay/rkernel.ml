@@ -16,6 +16,9 @@ type t = {
       (** replaced when a guided run resumes under a new model *)
   sys_vars : (int, unit) Hashtbl.t;
       (** every system-call result variable created so far *)
+  mutable unclamped : int list;
+      (** system-call result variables created since the last [set_model]
+          whose clamped value differs from their binding in [model] *)
   shape : Concolic.Scenario.shape;
   sys_reader : Instrument.Syscall_log.Reader.t option;
   seed : int;
@@ -38,6 +41,7 @@ let create ?(observe = fun (_ : int) (_ : int) -> ()) ?(active = true) ~vars
     vars;
     model;
     sys_vars = Hashtbl.create 8;
+    unclamped = [];
     shape;
     sys_reader = Option.map Instrument.Syscall_log.Reader.create syscall_log;
     seed;
@@ -95,9 +99,13 @@ let syscall_result t ~kind ~lo ~hi ~default : int * Solver.Expr.t option =
         Concolic.Names.sys_var t.vars ~kind ~index ~dom:{ Solver.Symvars.lo; hi }
       in
       let conc =
-        match Solver.Model.find_opt id t.model with Some v -> v | None -> default
+        match Solver.Model.find_opt id t.model with
+        | Some v when v < lo || v > hi ->
+            t.unclamped <- id :: t.unclamped;
+            max lo (min hi v)
+        | Some v -> v
+        | None -> max lo (min hi default)
       in
-      let conc = max lo (min hi conc) in
       Hashtbl.replace t.sys_vars id ();
       t.observe id conc;
       (conc, Some (Solver.Expr.Var id))
@@ -251,18 +259,27 @@ let symbolic_args (t : t) : Interp.Inputs.t =
     ~concrete_byte ()
 
 (* Every variable the kernel creates is an input byte (argv or stream,
-   read as [v land 0xff]) or a system-call result. *)
-let changed_inputs t model ~observed =
+   read as [v land 0xff]) or a system-call result, and its observed value
+   is its binding in [t.model] ([land 0xff] for a byte), or its default when
+   unbound — except the [unclamped] results.  [model] binds every other
+   observed variable as [solved] or [t.model] does, else at its observed
+   value, so only [solved] and [unclamped] can move. *)
+let changed_inputs t ~solved model ~observed =
   let exception Sys_result_moves in
-  let change (id, v) =
-    match Solver.Model.find_opt id model with
-    | None -> None
-    | Some v' when v' = v -> None
-    | Some _ when Hashtbl.mem t.sys_vars id -> raise Sys_result_moves
-    | Some v' -> if v' land 0xff <> v then Some (id, v' land 0xff) else None
+  let change id =
+    match Solver.Model.find_opt id observed, Solver.Model.find_opt id model with
+    | None, _ | _, None -> None
+    | Some v, Some v' when v' = v -> None
+    | Some _, Some _ when Hashtbl.mem t.sys_vars id -> raise Sys_result_moves
+    | Some v, Some v' -> if v' land 0xff <> v then Some (id, v' land 0xff) else None
   in
-  match List.filter_map change (Solver.Model.bindings observed) with
+  (* an unclamped result either moves (and refuses the model) or stays: it
+     never adds a change, so the list keeps [solved]'s increasing order *)
+  let candidates = t.unclamped @ List.map fst (Solver.Model.bindings solved) in
+  match List.filter_map change candidates with
   | changes -> Some changes
   | exception Sys_result_moves -> None
 
-let set_model t model = t.model <- model
+let set_model t model =
+  t.model <- model;
+  t.unclamped <- []

@@ -36,16 +36,29 @@ val kernel : t -> Interp.Kernel.t
     bytes from the model, else seeded defaults. *)
 val symbolic_args : t -> Interp.Inputs.t
 
-(** [changed_inputs t model ~observed] lists the variables of [observed] —
-    the effective value of every variable this kernel created so far — whose
-    effective value moves under [model], each with its new value: an input
-    byte takes its [model] value [land 0xff].  [None] when a system-call
-    result variable already created would change under [model]: stream
-    positions, fd tables and the program's view of read counts were built
-    from the results the run saw. *)
+(** [changed_inputs t ~solved model ~observed] lists the variables of
+    [observed] — the effective value of every variable this kernel created
+    so far — whose effective value moves under [model], each with its new
+    value, in increasing id order: an input byte takes its [model] value
+    [land 0xff].  [None] when a system-call result variable already
+    created would change under [model]: stream positions, fd tables and
+    the program's view of read counts were built from the results the run
+    saw.
+
+    [model] must be [solved] merged over the kernel's model merged over
+    [observed] (an {!Concolic.Engine.offer}'s resume model).  Every
+    observed variable then agrees with [model] except possibly those
+    [solved] binds and the system-call results whose clamped value differs
+    from the kernel's model, so only those are read: the cost is
+    O(|solved| + those results), not O(|observed|). *)
 val changed_inputs :
-  t -> Solver.Model.t -> observed:Solver.Model.t -> (int * int) list option
+  t ->
+  solved:Solver.Model.t ->
+  Solver.Model.t ->
+  observed:Solver.Model.t ->
+  (int * int) list option
 
 (** Replace the model that variables created from now on read their values
-    from (a guided run resuming under a new model). *)
+    from (a guided run resuming under a new model).  Every observed value
+    must then agree with the new model, as after an accepted resume. *)
 val set_model : t -> Solver.Model.t -> unit

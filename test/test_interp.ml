@@ -578,6 +578,142 @@ let test_memory_faults () =
     = Some Unknown_block);
   check_bool "dead block has no size" true (Interp.Memory.size m b = None)
 
+(* The shadow index (Memory.iter_shadowed) against the full scan it
+   replaces: random allocations, stores with and without shadows, kills,
+   walks and clean marks.  Every walk must visit exactly the shadowed cells
+   of live blocks, once each, and report a cell dirty exactly when it was
+   stored since the last clean mark. *)
+type mem_op =
+  | Alloc of int
+  | Grow  (** enough blocks to outgrow the block table *)
+  | Store of int * int * int option  (** block choice, offset, shadow *)
+  | Kill of int
+  | Walk
+  | Clean
+
+let mem_op_to_string = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Grow -> "grow"
+  | Store (b, o, s) ->
+      Printf.sprintf "store #%d[%d] %s" b o
+        (match s with Some x -> Printf.sprintf "x%d" x | None -> "plain")
+  | Kill b -> Printf.sprintf "kill #%d" b
+  | Walk -> "walk"
+  | Clean -> "clean"
+
+let gen_mem_ops =
+  let open QCheck.Gen in
+  list_size (int_range 0 200)
+    (frequency
+       [
+         (3, map (fun n -> Alloc n) (int_range 0 4));
+         (1, return Grow);
+         ( 10,
+           map3
+             (fun b o s -> Store (b, o, s))
+             (int_bound 40) (int_range (-1) 4) (opt (int_bound 3)) );
+         (2, map (fun b -> Kill b) (int_bound 40));
+         (3, return Walk);
+         (2, return Clean);
+       ])
+
+(* the full scan: every cell of every live block, shadowed ones kept *)
+let full_scan m bids =
+  List.concat_map
+    (fun base ->
+      match Interp.Memory.size m base with
+      | None -> []
+      | Some n ->
+          List.filter_map
+            (fun off ->
+              match Interp.Memory.load m ~base ~off with
+              | { Interp.Value.sym = Some _; _ } -> Some (base, off)
+              | _ -> None)
+            (List.init n Fun.id))
+    bids
+  |> List.sort compare
+
+let prop_shadow_index_is_full_scan =
+  QCheck.Test.make ~count:500 ~name:"shadow index walk = full scan"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map mem_op_to_string ops))
+       gen_mem_ops)
+    (fun ops ->
+      let m = Interp.Memory.create ~index_shadows:true () in
+      let bids = ref [] in
+      (* cells stored since the last clean mark (all stores before the
+         first) *)
+      let stored = Hashtbl.create 16 in
+      let pick b = match !bids with [] -> 0 | l -> List.nth l (b mod List.length l) in
+      let walk () =
+        let seen = ref [] in
+        Interp.Memory.iter_shadowed m (fun ~base ~off ~dirty _ ->
+            seen := (base, off) :: !seen;
+            if dirty <> Hashtbl.mem stored (base, off) then
+              QCheck.Test.fail_reportf "cell #%d[%d] reported dirty=%b" base off
+                dirty);
+        let seen = List.sort compare !seen in
+        seen = full_scan m (List.rev !bids)
+        || QCheck.Test.fail_report "walk differs from the full scan"
+      in
+      List.for_all
+        (function
+          | Alloc n ->
+              bids := Interp.Memory.alloc m ~size:n :: !bids;
+              true
+          | Grow ->
+              for _ = 1 to 300 do
+                bids := Interp.Memory.alloc m ~size:1 :: !bids
+              done;
+              true
+          | Store (b, off, sym) -> (
+              let base = pick b in
+              let v =
+                Interp.Value.with_sym (Interp.Value.int_ off)
+                  (Option.map (fun x -> Solver.Expr.Var x) sym)
+              in
+              match Interp.Memory.store m ~base ~off v with
+              | () ->
+                  Hashtbl.replace stored (base, off) ();
+                  true
+              | exception Interp.Memory.Fault _ -> true)
+          | Kill b ->
+              Interp.Memory.kill m (pick b);
+              true
+          | Walk -> walk ()
+          | Clean ->
+              Interp.Memory.mark_clean m;
+              Hashtbl.reset stored;
+              true)
+        ops
+      && walk ())
+
+let test_shadow_index_basics () =
+  let m = Interp.Memory.create ~index_shadows:true () in
+  let b = Interp.Memory.alloc m ~size:3 in
+  let x = Interp.Value.with_sym (Interp.Value.int_ 7) (Some (Solver.Expr.Var 0)) in
+  let walk () =
+    let seen = ref [] in
+    Interp.Memory.iter_shadowed m (fun ~base:_ ~off ~dirty _ ->
+        seen := (off, dirty) :: !seen);
+    List.sort compare !seen
+  in
+  Interp.Memory.store m ~base:b ~off:1 x;
+  check_bool "a shadowed store is listed dirty" true (walk () = [ (1, true) ]);
+  Interp.Memory.mark_clean m;
+  check_bool "clean after the mark" true (walk () = [ (1, false) ]);
+  Interp.Memory.store m ~base:b ~off:1 x;
+  check_bool "a store after the mark dirties it again" true
+    (walk () = [ (1, true) ]);
+  Interp.Memory.store m ~base:b ~off:1 Interp.Value.one;
+  check_bool "an unshadowed cell leaves the index" true (walk () = []);
+  Interp.Memory.store m ~base:b ~off:2 x;
+  Interp.Memory.kill m b;
+  check_bool "a dead block leaves the index" true (walk () = []);
+  check_bool "an unindexed memory refuses the walk" true
+    (match Interp.Memory.iter_shadowed (Interp.Memory.create ()) (fun ~base:_ ~off:_ ~dirty:_ _ -> ()) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "interp"
     [
@@ -635,5 +771,7 @@ let () =
           Alcotest.test_case "link rejects run-time guards" `Quick
             test_link_rejects_runtime_guards;
           Alcotest.test_case "memory faults" `Quick test_memory_faults;
+          Alcotest.test_case "shadow index basics" `Quick test_shadow_index_basics;
+          QCheck_alcotest.to_alcotest prop_shadow_index_is_full_scan;
         ] );
     ]

@@ -344,27 +344,60 @@ type searched = {
   case2b : int;
   accepted : int;  (** models the run's guard took *)
   declined : int;  (** Sat models the guard turned down *)
+  guarded : int;  (** change lists checked against the full re-read *)
   vars : Solver.Symvars.t;
 }
 
+(* The reference for [Rkernel.changed_inputs]: re-read every observed
+   variable under [model].  A [sys:] variable (Concolic.Names) that would
+   move refuses the model; an input byte takes its new value [land 0xff]. *)
+let changed_inputs_full ~vars model ~observed =
+  let exception Sys_result_moves in
+  let sys id =
+    String.starts_with ~prefix:"sys:" (Solver.Symvars.name vars id)
+  in
+  let change (id, v) =
+    match Solver.Model.find_opt id model with
+    | None -> None
+    | Some v' when v' = v -> None
+    | Some _ when sys id -> raise Sys_result_moves
+    | Some v' -> if v' land 0xff <> v then Some (id, v' land 0xff) else None
+  in
+  match List.filter_map change (Solver.Model.bindings observed) with
+  | changes -> Some changes
+  | exception Sys_result_moves -> None
+
+let changes_view = function
+  | None -> "sys result moves"
+  | Some l ->
+      String.concat " " (List.map (fun (id, v) -> Printf.sprintf "%d=%d" id v) l)
+
 (* [`Take] passes the engine's offers through to the run's guard;
    [`Decline] refuses every solved model, so the engine runs it from
-   [main]; [`Restart] never offers: the paper's abort-and-restart. *)
+   [main]; [`Restart] never offers: the paper's abort-and-restart.  Every
+   change list the guard computes must equal the full re-read. *)
 let search mode ~prog ~plan report =
   let vars = Solver.Symvars.create () in
   let case2b = ref 0 and accepted = ref 0 and declined = ref 0 in
+  let guarded = ref 0 in
+  let on_changes ~observed model changes =
+    incr guarded;
+    Alcotest.(check string) "guard changes = full re-read"
+      (changes_view (changed_inputs_full ~vars model ~observed))
+      (changes_view changes)
+  in
   let guided =
     Replay.Guided.run ~prog ~plan ~vars ~seed:1
       ~record_cases:(fun c -> case2b := !case2b + c.Replay.Guided.case2b)
-      report
+      ~on_changes report
   in
   let run offer =
     match mode with
     | `Restart -> guided (fun _ ~resume:_ -> false)
     | `Decline | `Take ->
         guided (fun r ~resume ->
-            offer r ~resume:(fun model ->
-                let ok = mode = `Take && resume model in
+            offer r ~resume:(fun ~solved model ->
+                let ok = mode = `Take && resume ~solved model in
                 incr (if ok then accepted else declined);
                 ok))
   in
@@ -376,7 +409,7 @@ let search mode ~prog ~plan report =
       ()
   in
   { stats; found; case2b = !case2b; accepted = !accepted;
-    declined = !declined; vars }
+    declined = !declined; guarded = !guarded; vars }
 
 (* every engine counter a resume must leave alone: all but [resumes],
    [elapsed_s] and [worker_runs] *)
@@ -454,7 +487,7 @@ let resume_workloads () =
     ]
 
 let test_resume_matches_restart_on_workloads () =
-  let resumes = ref 0 in
+  let resumes = ref 0 and guarded = ref 0 in
   List.iter
     (fun (name, analyze_lib, prog, test, crash) ->
       let cfg = Bugrepro.Pipeline.Config.with_analyze_lib analyze_lib resume_config in
@@ -469,10 +502,12 @@ let test_resume_matches_restart_on_workloads () =
                 Printf.sprintf "%s/%s" name (Instrument.Methods.to_string meth)
               in
               let take = check_resume_matches_restart label ~prog ~plan report in
-              resumes := !resumes + take.stats.resumes)
+              resumes := !resumes + take.stats.resumes;
+              guarded := !guarded + take.guarded)
         Instrument.Methods.[ Dynamic; Dynamic_static ])
     (resume_workloads ());
-  check_bool "some run resumed" true (!resumes > 0)
+  check_bool "some run resumed" true (!resumes > 0);
+  check_bool "some change list checked" true (!guarded > 0)
 
 (* The guard (Guided.run): values the run used without a pin must keep
    their value under the new model, or the run restarts from [main]. *)
@@ -543,6 +578,121 @@ let test_guard_symbolic_read_count () =
   let take = check_resume_matches_restart "read count" ~prog ~plan report in
   check_bool "read count: the guard declined the moved count" true
     (take.declined > 0)
+
+let test_guard_clamped_read_count () =
+  (* without a syscall log a read count is its model value clamped to what
+     the stream holds; a model binding it out of range leaves the count the
+     run read disagreeing with the kernel's model, and a resume model that
+     keeps that binding moves the count even though the solver left it
+     free *)
+  let vars = Solver.Symvars.create () in
+  let n =
+    Concolic.Names.sys_var vars ~kind:"read" ~index:0
+      ~dom:{ Solver.Symvars.lo = -1; hi = 1024 }
+  in
+  let kmodel = Solver.Model.of_list [ (n, 100) ] in
+  let observed = ref Solver.Model.empty in
+  let rk =
+    Replay.Rkernel.create
+      ~observe:(fun id v -> observed := Solver.Model.add id v !observed)
+      ~vars ~model:kmodel
+      ~shape:
+        { Concolic.Scenario.arg_caps = []; n_conns = 0; conn_cap = 0;
+          file_names = [ "f" ]; file_cap = 4 }
+      ~syscall_log:None ~seed:1 ()
+  in
+  let kernel = Replay.Rkernel.kernel rk in
+  let fd =
+    match (kernel (Osmodel.Sysreq.Open { path = "f"; flags = 0 })).res with
+    | Osmodel.Sysreq.R_int fd -> fd
+    | _ -> Alcotest.fail "open"
+  in
+  ignore (kernel (Osmodel.Sysreq.Read { fd; count = 8 }));
+  let observed = !observed in
+  check_bool "count clamped to the stream" true
+    (Solver.Model.find_opt n observed = Some 4);
+  let b0 = Concolic.Names.stream_var vars ~stream:"file:f" ~pos:0 in
+  let byte0 = Option.get (Solver.Model.find_opt b0 observed) in
+  let merged kmodel solved =
+    Solver.Model.union_prefer_left solved
+      (Solver.Model.union_prefer_left kmodel observed)
+  in
+  let agree label kmodel solved =
+    let model = merged kmodel solved in
+    let changes =
+      Replay.Rkernel.changed_inputs rk ~solved model ~observed
+    in
+    Alcotest.(check string) label
+      (changes_view (changed_inputs_full ~vars model ~observed))
+      (changes_view changes);
+    changes
+  in
+  check_bool "solver left the count free: declined" true
+    (agree "free count" kmodel Solver.Model.empty = None);
+  let solved = Solver.Model.of_list [ (n, 4); (b0, 0x100 + ((byte0 + 1) land 0xff)) ] in
+  check_bool "solver pins the count, moves a byte" true
+    (agree "pinned count" kmodel solved = Some [ (b0, (byte0 + 1) land 0xff) ]);
+  Replay.Rkernel.set_model rk (merged kmodel (Solver.Model.of_list [ (n, 4) ]));
+  check_bool "after set_model the count agrees" true
+    (agree "after set_model"
+       (merged kmodel (Solver.Model.of_list [ (n, 4) ]))
+       Solver.Model.empty
+    = Some [])
+
+let test_guard_telemetry () =
+  (* every model the guard sees is timed once, and is either resumed or
+     declined for one named reason *)
+  let account label (prog, plan, report) =
+    let tel = Telemetry.create () in
+    let _, stats =
+      Replay.Guided.reproduce ~budget ~max_attempts:1 ~telemetry:tel ~prog
+        ~plan report
+    in
+    let count name = Telemetry.Metrics.counter_value tel name in
+    let declined reason = count ("replay.resume.declined." ^ reason) in
+    let timed =
+      Telemetry.Counters.gauge (Telemetry.Counters.of_core tel)
+        "replay.resume_s.count"
+    in
+    let reasons = [ "sys_result"; "unpinned"; "inconsistent"; "ineligible" ] in
+    let timed = int_of_float (Option.value timed ~default:0.0) in
+    check_bool (label ^ ": the guard ran") true (timed > 0);
+    check_int (label ^ ": timed = resumed + declined")
+      (stats.engine.resumes
+      + List.fold_left (fun n r -> n + declined r) 0 reasons)
+      timed;
+    declined
+  in
+  let paste = Workloads.Coreutils.find "paste" in
+  let paste_prog = Lazy.force paste.prog in
+  let cfg = resume_config in
+  let analysis =
+    Bugrepro.Pipeline.Run.analyze cfg
+      ~test_scenario:(Workloads.Coreutils.analysis_scenario paste)
+      paste_prog
+  in
+  let plan = Bugrepro.Pipeline.Run.plan cfg analysis Instrument.Methods.Dynamic in
+  (match
+     Bugrepro.Pipeline.Run.field_run_report cfg ~plan
+       (Workloads.Coreutils.crash_scenario paste)
+   with
+  | _, Some report ->
+      let (_ : string -> int) = account "paste" (paste_prog, plan, report) in
+      ()
+  | _, None -> Alcotest.fail "paste did not crash");
+  let declined =
+    account "read count"
+      (guard_case ~log_syscalls:false ~world:(file_world "Xy")
+         "int main() {\n\
+         \  int b[4];\n\
+         \  int fd = open(\"data\", 0);\n\
+         \  int n = read(fd, b, 4);\n\
+         \  if (n == 2) { crash(); }\n\
+         \  return 0;\n\
+          }")
+  in
+  check_bool "read count: declined as a moving system-call result" true
+    (declined "sys_result" > 0)
 
 (* The same seed must give the same search: with the default config two
    reproductions of one report agree on every engine counter
@@ -668,6 +818,10 @@ let () =
             test_guard_dead_division;
           Alcotest.test_case "guard: symbolic read count" `Quick
             test_guard_symbolic_read_count;
+          Alcotest.test_case "guard: clamped read count" `Quick
+            test_guard_clamped_read_count;
+          Alcotest.test_case "guard: telemetry accounts every model" `Quick
+            test_guard_telemetry;
         ] );
       ( "determinism",
         [
