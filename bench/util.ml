@@ -135,16 +135,14 @@ let elision_curve ~experiment ~(prog : Minic.Program.t)
   | Ok () -> ()
   | Error m -> failwith (experiment ^ ": suppression proof rejected: " ^ m));
   let plan_sup = Instrument.Plan.with_suppression plan sup in
-  (* encode on (the default): each run yields both the raw bit view and
-     the online-encoded stream the wire would ship *)
+  (* each run yields both the raw bit view and the online-encoded stream
+     the wire would ship *)
   let raw = Instrument.Field_run.run ~plan sc in
   let supr = Instrument.Field_run.run ~plan:plan_sup sc in
   let raw_log = raw.Instrument.Field_run.branch_log in
   let sup_log = supr.Instrument.Field_run.branch_log in
   let enc_bytes (r : Instrument.Field_run.result) =
-    match r.Instrument.Field_run.encoded_log with
-    | Some e -> Instrument.Codec.size_bytes e
-    | None -> Instrument.Branch_log.size_bytes r.Instrument.Field_run.branch_log
+    Instrument.Codec.size_bytes r.Instrument.Field_run.encoded_log
   in
   let comp = Instrument.Compress.compress sup_log in
   let raw_comp = Instrument.Compress.compress raw_log in

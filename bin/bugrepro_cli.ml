@@ -258,7 +258,7 @@ let make_telemetry trace metrics =
   in
   (tel, finish)
 
-let demo_cmd name meth_s experiment timeout save jobs no_encode trace metrics =
+let demo_cmd name meth_s experiment timeout save jobs trace metrics =
   match find_workload name, method_of_string meth_s with
   | Error e, _ | _, Error e ->
       prerr_endline e;
@@ -274,7 +274,6 @@ let demo_cmd name meth_s experiment timeout save jobs no_encode trace metrics =
                ~replay:{ Concolic.Engine.max_runs = 50_000; max_time_s = timeout }
           |> with_analyze_lib (not (String.equal w.wname "userver"))
           |> with_jobs jobs
-          |> with_encode (not no_encode)
           |> with_telemetry tel)
       in
       let code = demo_pipeline w meth experiment timeout save jobs cfg in
@@ -828,16 +827,6 @@ let demo_t =
             "Worker domains for analysis and replay (1 = deterministic \
              sequential search).")
   in
-  let no_encode =
-    Arg.(
-      value & flag
-      & info [ "no-encode" ]
-          ~doc:
-            "Disable online branch-log encoding: the field run ships the \
-             raw bitvector (a wire-v4 [branch-log] payload) instead of the \
-             streamed token stream ([branch-enc]).  For A/B size and cost \
-             comparisons; replay behaves identically either way.")
-  in
   let trace =
     Arg.(
       value
@@ -855,7 +844,7 @@ let demo_t =
   in
   Term.(
     const demo_cmd $ workload_arg $ meth $ exp $ timeout $ save $ jobs
-    $ no_encode $ trace $ metrics)
+    $ trace $ metrics)
 
 let fuzz_t =
   let seed =

@@ -39,10 +39,6 @@ module Config = struct
     refine : bool;  (** false = seed (unrefined) static pipeline *)
     jobs : int;  (** worker domains for exploration and replay *)
     log_syscalls : bool;  (** ship a syscall log with the branch log *)
-    encode : bool;
-        (** field runs write branch bits through the streaming
-            {!Instrument.Codec} and reports ship the encoded stream (wire
-            v4); false is the A/B raw-log baseline *)
     suppression : bool;
         (** refine plans with the probe-elision analysis: statically
             redundant instrumented branches ship a reconstruction rule
@@ -62,7 +58,6 @@ module Config = struct
       refine = true;
       jobs = 1;
       log_syscalls = true;
-      encode = true;
       suppression = false;
       seed = 1;
       replay_max_steps = 5_000_000;
@@ -82,7 +77,6 @@ module Config = struct
   let with_analyze_lib analyze_lib c = { c with analyze_lib }
   let with_refine refine c = { c with refine }
   let with_log_syscalls log_syscalls c = { c with log_syscalls }
-  let with_encode encode c = { c with encode }
   let with_suppression suppression c = { c with suppression }
   let with_seed seed c = { c with seed }
   let with_replay_max_steps replay_max_steps c = { c with replay_max_steps }
@@ -154,7 +148,7 @@ module Run = struct
 
   let field_run (c : Config.t) ~plan (sc : Concolic.Scenario.t) :
       Instrument.Field_run.result =
-    Instrument.Field_run.run ~log_syscalls:c.log_syscalls ~encode:c.encode
+    Instrument.Field_run.run ~log_syscalls:c.log_syscalls
       ~telemetry:c.telemetry ~plan sc
 
   let field_run_report (c : Config.t) ~plan:p (sc : Concolic.Scenario.t) :

@@ -29,10 +29,6 @@ module Config : sig
     refine : bool;  (** false = seed (unrefined) static pipeline *)
     jobs : int;  (** worker domains for exploration and replay *)
     log_syscalls : bool;  (** ship a syscall log with the branch log *)
-    encode : bool;
-        (** field runs write branch bits through the streaming
-            {!Instrument.Codec} and reports ship the encoded stream (wire
-            v4); false is the A/B raw-log baseline *)
     suppression : bool;
         (** refine plans with the probe-elision analysis
             ({!Staticanalysis.Suppression}): statically redundant
@@ -46,7 +42,7 @@ module Config : sig
   }
 
   (** Paper defaults: sequential, refined static pipeline, syscall log,
-      online log encoding, telemetry disabled. *)
+      telemetry disabled. *)
   val default : t
 
   (** Setters take the config last so they chain with [|>]. *)
@@ -61,7 +57,6 @@ module Config : sig
   val with_analyze_lib : bool -> t -> t
   val with_refine : bool -> t -> t
   val with_log_syscalls : bool -> t -> t
-  val with_encode : bool -> t -> t
   val with_suppression : bool -> t -> t
   val with_seed : int -> t -> t
   val with_replay_max_steps : int -> t -> t

@@ -664,11 +664,13 @@ let streaming_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
                w r)
       with exn -> Fail ("streaming triage raised " ^ Printexc.to_string exn))
 
-(* Oracle (j): online-encoding equivalence.  Per method, the same
-   deterministic field run with the streaming encoder on and off must
-   agree on outcome, output and the exact bit log; the encoded stream
-   must validate and carry exactly the logged bit count; a crashing run's
-   v4 report must survive the strict wire round trip byte-identically;
+(* Oracle (j): online-encoding equivalence.  Per method, the field run's
+   decoded bit log must equal, bit for bit, the shadow log an independent
+   {!Instrument.Branch_log.Writer} built from every logged bit (the
+   oracle's plans carry no suppression table, so the shadow writer sees
+   exactly the bits the encoder saw); the encoded stream must validate
+   and carry exactly the logged bit count; a crashing run's v4 report
+   must survive the strict wire round trip byte-identically;
    and a torn or byte-corrupted encoded payload must fail the strict
    reader closed while salvage still recovers the crash site with no
    more bits than were shipped. *)
@@ -688,32 +690,24 @@ let encoding_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
                ~nbranches:(Minic.Program.nbranches case.Gen.prog)
                ?dynamic ~static meth
            in
-           let enc = Instrument.Field_run.run ~encode:true ~plan sc in
-           let raw = Instrument.Field_run.run ~encode:false ~plan sc in
+           let enc = Instrument.Field_run.run ~shadow:true ~plan sc in
+           let shadow = Option.get enc.shadow_log in
            if
-             Interp.Crash.outcome_to_string enc.outcome
-             <> Interp.Crash.outcome_to_string raw.outcome
-           then err "encoding changed the run outcome"
-           else if not (String.equal enc.output raw.output) then
-             err "encoding changed the program output"
-           else if
              enc.branch_log.Instrument.Branch_log.nbits
-             <> raw.branch_log.Instrument.Branch_log.nbits
+             <> shadow.Instrument.Branch_log.nbits
              || not
                   (String.equal enc.branch_log.Instrument.Branch_log.bytes
-                     raw.branch_log.Instrument.Branch_log.bytes)
-           then err "encoded log decodes to different bits than the raw run"
+                     shadow.Instrument.Branch_log.bytes)
+           then err "encoded log decodes to different bits than were logged"
            else begin
-             (match enc.encoded_log with
-             | None -> err "encode-on run shipped no encoded stream"
-             | Some e -> (
-                 match Instrument.Codec.count_bits e.Instrument.Codec.data with
-                 | Error m -> err ("shipped stream invalid: " ^ m)
-                 | Ok n when n <> e.Instrument.Codec.nbits ->
-                     err
-                       (Printf.sprintf "stream carries %d bits, claims %d" n
-                          e.Instrument.Codec.nbits)
-                 | Ok _ -> ()));
+             (let e = enc.encoded_log in
+              match Instrument.Codec.count_bits e.Instrument.Codec.data with
+              | Error m -> err ("shipped stream invalid: " ^ m)
+              | Ok n when n <> e.Instrument.Codec.nbits ->
+                  err
+                    (Printf.sprintf "stream carries %d bits, claims %d" n
+                       e.Instrument.Codec.nbits)
+              | Ok _ -> ());
              if !failure = None then
                match Instrument.Report.of_field_run ~sc ~plan enc with
                | None -> ()

@@ -61,9 +61,10 @@
       ([Summary.to_json ~timing:false]) under the run-bounded ladder of
       {!Triage.Sched.policy_of_config}; both runs are deterministic, so
       a differing timed_out count fails like any other divergence.
-    - {b encoding}: per method, the same field run with the streaming
-      {!Instrument.Codec} on and off agrees on outcome, output and the
-      exact bit log; the shipped token stream validates and carries
+    - {b encoding}: per method, the field run's decoded bit log equals,
+      bit for bit, the [~shadow:true] log an independent
+      {!Instrument.Branch_log.Writer} built from every logged bit; the
+      shipped token stream validates and carries
       exactly the logged bit count; a crashing run's v4 report round
       trips the strict wire byte-identically; and torn or byte-corrupted
       [branch-enc] payloads fail the strict reader closed while salvage

@@ -12,11 +12,11 @@ type result = {
   output : string;
   steps : int;
   branch_log : Branch_log.log;
-      (** raw view of the logged bits (decoded once from the encoder when
-          the run encoded online) *)
-  encoded_log : Codec.encoded option;
-      (** with [~encode:true] (the default): the online-encoded stream the
-          probes actually wrote — the artifact a v4 report ships *)
+      (** raw view of the logged bits, decoded once from the encoder at
+          run end *)
+  encoded_log : Codec.encoded;
+      (** the online-encoded stream the probes actually wrote — the
+          artifact a v4 report ships *)
   syscall_log : Syscall_log.log option;
   schedule_log : Schedule_log.log option;
       (** recorded thread-scheduling decisions; empty when single-threaded *)
@@ -32,16 +32,21 @@ type result = {
           bug *)
 }
 
+(** Total shipped-log storage in bytes: the encoded stream plus the
+    syscall log. *)
+let storage_bytes (r : result) =
+  Codec.size_bytes r.encoded_log
+  + match r.syscall_log with Some l -> Syscall_log.size_bytes l | None -> 0
+
 (** Execute [sc] with instrumentation [plan].  [log_syscalls] defaults to
     true, the paper's recommended configuration.  When the plan carries a
     suppression table, elided probes skip both the log write and the
     logging charge (the probe compiles to nothing); [shadow] additionally
     rebuilds the suppression-free log from the reconstruction rules so
-    callers can check bit-for-bit parity.  With [encode] (the default)
-    probes write through the streaming {!Codec}, allocating nothing per
-    branch, and the result carries the encoded stream in [encoded_log];
-    [~encode:false] is the A/B baseline writing the raw packed log. *)
-let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
+    callers can check bit-for-bit parity.  Probes write through the
+    streaming {!Codec}, allocating nothing per branch, and the result
+    carries the encoded stream in [encoded_log]. *)
+let run ?(log_syscalls = true) ?(shadow = false)
     ?(telemetry = Telemetry.disabled) ~(plan : Plan.t)
     (sc : Concolic.Scenario.t) : result =
   Telemetry.Span.with_ telemetry ~name:"field_run"
@@ -52,15 +57,7 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
       ]
   @@ fun sp ->
   let world, handle = Osmodel.World.kernel sc.world in
-  (* exactly one log writer runs on the hot path *)
-  let encoder = if encode then Some (Codec.Encoder.create ()) else None in
-  let writer = if encode then None else Some (Branch_log.Writer.create ()) in
-  let log_bit =
-    match encoder, writer with
-    | Some e, _ -> fun taken -> Codec.Encoder.add_bit e taken
-    | None, Some w -> fun taken -> Branch_log.Writer.add_bit w taken
-    | None, None -> assert false
-  in
+  let encoder = Codec.Encoder.create () in
   let sys_log = if log_syscalls then Some (Syscall_log.create ()) else None in
   let cost_cell : Interp.Cost.t option ref = ref None in
   let recon =
@@ -92,7 +89,7 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
           if Plan.is_instrumented plan bid then begin
             match action with
             | Staticanalysis.Suppression.Recon.Consume ->
-                log_bit taken;
+                Codec.Encoder.add_bit encoder taken;
                 (match recon with
                 | Some rc ->
                     Staticanalysis.Suppression.Recon.record rc ~bid taken
@@ -149,17 +146,13 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
   cost.instr <- cost.instr + side_cost.instr;
   cost.logged_branches <- side_cost.logged_branches;
   cost.logged_syscalls <- side_cost.logged_syscalls;
-  let encoded_log = Option.map Codec.finish encoder in
+  let encoded_log = Codec.finish encoder in
   let branch_log =
-    match encoded_log, writer with
-    | Some e, _ -> (
-        (* one decode at run end keeps the raw view available to every
-           consumer; the hot path only ever touched the encoder *)
-        match Codec.decode e with
-        | Ok l -> l
-        | Error m -> failwith ("Field_run: encoder self-check failed: " ^ m))
-    | None, Some w -> Branch_log.finish w
-    | None, None -> assert false
+    (* one decode at run end keeps the raw view available to every
+       consumer; the hot path only ever touched the encoder *)
+    match Codec.decode encoded_log with
+    | Ok l -> l
+    | Error m -> failwith ("Field_run: encoder self-check failed: " ^ m)
   in
   let syscall_log = Option.map Syscall_log.finish sys_log in
   let res =
@@ -179,15 +172,7 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
     }
   in
   if Telemetry.enabled telemetry then begin
-    let branch_bytes =
-      match encoded_log with
-      | Some e -> Codec.size_bytes e
-      | None -> Branch_log.size_bytes branch_log
-    in
-    let log_bytes =
-      branch_bytes
-      + match syscall_log with Some l -> Syscall_log.size_bytes l | None -> 0
-    in
+    let log_bytes = storage_bytes res in
     Telemetry.Span.addi sp "branches_logged" cost.logged_branches;
     Telemetry.Span.addi sp "branches_elided" !n_elided;
     Telemetry.Span.addi sp "syscalls_logged" cost.logged_syscalls;
@@ -205,10 +190,3 @@ let run ?(log_syscalls = true) ?(shadow = false) ?(encode = true)
   end;
   res
 
-(** Total shipped-log storage in bytes (the encoded stream when the run
-    encoded online). *)
-let storage_bytes (r : result) =
-  (match r.encoded_log with
-  | Some e -> Codec.size_bytes e
-  | None -> Branch_log.size_bytes r.branch_log)
-  + match r.syscall_log with Some l -> Syscall_log.size_bytes l | None -> 0

@@ -11,11 +11,11 @@ type result = {
   output : string;
   steps : int;
   branch_log : Branch_log.log;
-      (** raw view of the logged bits (decoded once from the encoder when
-          the run encoded online) *)
-  encoded_log : Codec.encoded option;
-      (** with [~encode:true] (the default): the online-encoded stream the
-          probes actually wrote — the artifact a v4 report ships *)
+      (** raw view of the logged bits, decoded once from the encoder at
+          run end *)
+  encoded_log : Codec.encoded;
+      (** the online-encoded stream the probes actually wrote — the
+          artifact a v4 report ships *)
   syscall_log : Syscall_log.log option;
   schedule_log : Schedule_log.log option;
       (** recorded thread-scheduling decisions; empty when single-threaded *)
@@ -35,10 +35,9 @@ type result = {
     true, the paper's recommended configuration.  When the plan carries a
     suppression table, elided probes skip both the log write and the
     logging charge; [shadow] additionally rebuilds the suppression-free
-    log from the reconstruction rules for parity checks.  With [encode]
-    (the default) probes write through the streaming {!Codec} and the
-    result carries the encoded stream in [encoded_log]; [~encode:false]
-    is the A/B baseline writing the raw packed log.  A probe allocates
+    log from the reconstruction rules for parity checks.  Probes write
+    through the streaming {!Codec} and the result carries the encoded
+    stream in [encoded_log].  A probe allocates
     nothing per branch; what a run allocates beyond an uninstrumented one
     is per-run setup and the run-end decode of the encoded stream.
     [telemetry] wraps the run in a [field_run] span (branches/syscalls
@@ -47,7 +46,6 @@ type result = {
 val run :
   ?log_syscalls:bool ->
   ?shadow:bool ->
-  ?encode:bool ->
   ?telemetry:Telemetry.t ->
   plan:Plan.t ->
   Concolic.Scenario.t ->

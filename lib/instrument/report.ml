@@ -6,8 +6,9 @@
     and buffer capacities, stream counts) — never content. *)
 
 (** The branch-direction bits in whichever form the field run shipped
-    them: the raw packed log (wire v1-v3, or a run with encoding off) or
-    the online-encoded stream (wire v4's native payload).  Consumers that
+    them: the raw packed log (wire v1–v3, or a v4 raw payload from an
+    older writer) or the online-encoded stream (wire v4's native
+    payload).  Consumers that
     only need the bits should go through {!reader}/{!read_next} and stay
     representation-agnostic. *)
 type payload = Raw of Branch_log.log | Encoded of Codec.encoded
@@ -82,8 +83,8 @@ let read_pos = function
   | Enc_reader r -> Codec.Reader.pos r
 
 (** Assemble a report from a crashed field run.  Returns [None] if the run
-    did not crash (nothing to report).  Ships the encoded stream when the
-    run encoded online, the raw log otherwise. *)
+    did not crash (nothing to report).  Ships the encoded stream the
+    probes wrote. *)
 let of_field_run ~(sc : Concolic.Scenario.t) ~(plan : Plan.t)
     (r : Field_run.result) : t option =
   match r.outcome with
@@ -93,10 +94,7 @@ let of_field_run ~(sc : Concolic.Scenario.t) ~(plan : Plan.t)
           program = sc.name;
           method_used = plan.meth;
           cohort = plan.Plan.cohort;
-          branch_log =
-            (match r.encoded_log with
-            | Some e -> Encoded e
-            | None -> Raw r.branch_log);
+          branch_log = Encoded r.encoded_log;
           syscall_log = r.syscall_log;
           schedule_log = r.schedule_log;
           crash;

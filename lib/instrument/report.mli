@@ -6,8 +6,9 @@
     never content. *)
 
 (** The branch-direction bits in whichever form the field run shipped
-    them: the raw packed log (wire v1-v3, or a run with encoding off) or
-    the online-encoded stream (wire v4's native payload).  Consumers that
+    them: the raw packed log (wire v1–v3, or a v4 raw payload from an
+    older writer) or the online-encoded stream (wire v4's native
+    payload).  Consumers that
     only need the bits should go through {!reader}/{!read_next} and stay
     representation-agnostic. *)
 type payload = Raw of Branch_log.log | Encoded of Codec.encoded
@@ -61,8 +62,7 @@ val read_next : reader -> bool option
 val read_pos : reader -> int
 
 (** Assemble a report from a crashed field run; [None] if the run did not
-    crash.  Ships the encoded stream when the run encoded online, the raw
-    log otherwise. *)
+    crash.  Always ships the encoded stream the probes wrote. *)
 val of_field_run :
   sc:Concolic.Scenario.t -> plan:Plan.t -> Field_run.result -> t option
 

@@ -920,24 +920,27 @@ let test_wire_line_without_colon_damaged () =
    input set — every prefix and every single-position substitution of
    genuine wires — and neither reader raises. *)
 
-(* one wire per quick fleet base, with the online encoder on and off *)
+(* one wire per quick fleet base, encoded as shipped and re-serialized
+   with its payload downgraded to raw *)
 let quick_wires =
   lazy
-    (List.concat_map
-       (fun encode ->
-         let config =
-           Bugrepro.Pipeline.Config.(default |> with_encode encode)
-         in
-         let gen = Workloads.Report_gen.make ~quick:true ~config () in
-         let bases = List.length (Workloads.Report_gen.bases gen) in
-         let wires =
-           Workloads.Report_gen.stream gen ~seed:1 ~clients:1 ~torn_pct:0.0 60
-           |> List.map (fun (r : Workloads.Report_gen.report) -> r.wire)
-           |> List.sort_uniq String.compare
-         in
-         check_int "every base recorded" bases (List.length wires);
-         wires)
-       [ true; false ])
+    (let gen =
+       Workloads.Report_gen.make ~quick:true
+         ~config:Bugrepro.Pipeline.Config.default ()
+     in
+     let bases = List.length (Workloads.Report_gen.bases gen) in
+     let wires =
+       Workloads.Report_gen.stream gen ~seed:1 ~clients:1 ~torn_pct:0.0 60
+       |> List.map (fun (r : Workloads.Report_gen.report) -> r.wire)
+       |> List.sort_uniq String.compare
+     in
+     check_int "every base recorded" bases (List.length wires);
+     let raw_wire wire =
+       match Instrument.Wire.deserialize_v wire with
+       | Ok r -> Instrument.Wire.serialize (raw_twin r)
+       | Error e -> Alcotest.fail (Instrument.Wire.error_to_string e)
+     in
+     wires @ List.map raw_wire wires)
 
 (* a crash report from a plan that elides probes, so it carries a
    suppression table *)
@@ -1060,19 +1063,20 @@ let replay_config =
          ~replay:{ Concolic.Engine.max_runs = 2000; max_time_s = 15.0 })
 
 let test_wire_v4_encoded_equals_raw_run () =
-  (* the same deterministic run, encode on vs off: the two reports stream
-     identical bits and both reproduce the crash from their wire forms *)
+  (* the shipped encoded report and its raw twin stream identical bits and
+     both reproduce the crash from their wire forms *)
   let crash = Workloads.Coreutils.crash_scenario paste in
   let plan =
     Instrument.Plan.make
       ~nbranches:(Minic.Program.nbranches crash.prog)
       Instrument.Methods.All_branches
   in
-  let run encode =
-    let r = Instrument.Field_run.run ~encode ~plan crash in
-    Option.get (Instrument.Report.of_field_run ~sc:crash ~plan r)
+  let enc =
+    Option.get
+      (Instrument.Report.of_field_run ~sc:crash ~plan
+         (Instrument.Field_run.run ~plan crash))
   in
-  let enc = run true and raw = run false in
+  let raw = raw_twin enc in
   check_bool "encoded report ships an encoded payload" true
     (match enc.branch_log with Instrument.Report.Encoded _ -> true | _ -> false);
   check_bool "raw report ships a raw payload" true
