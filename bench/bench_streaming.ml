@@ -64,7 +64,6 @@ let e17 (c : Ctx.t) =
           { Concolic.Engine.max_runs = 400; max_time_s = unbounded };
         ];
       jobs;
-      final_rung_jobs = 1;
       deadline_s = unbounded;
     }
   in

@@ -56,6 +56,21 @@ let parse_json (s : string) : json =
     | Some c' when c' = c -> advance ()
     | _ -> fail (Printf.sprintf "expected '%c'" c)
   in
+  (* the four hex digits of a \u escape starting at [i] *)
+  let hex4 i =
+    if i + 4 >= n then fail "short \\u escape";
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let rec go k acc =
+      if k = 4 then acc else go (k + 1) ((acc * 16) + digit s.[i + k])
+    in
+    go 0 0
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -76,13 +91,26 @@ let parse_json (s : string) : json =
            | 'b' -> Buffer.add_char b '\b'
            | 'f' -> Buffer.add_char b '\012'
            | 'u' ->
-               if !pos + 4 >= n then fail "short \\u escape";
-               let hex = String.sub s (!pos + 1) 4 in
-               (match int_of_string_opt ("0x" ^ hex) with
-               | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-               | Some _ -> Buffer.add_char b '?'
-               | None -> fail "bad \\u escape");
-               pos := !pos + 4
+               (* decoded to UTF-8, so a key a JSON writer escaped (Python's
+                  json.dump writes "µ" as \u00b5) equals the raw UTF-8 key
+                  the bench records; a surrogate pair is one code point *)
+               let code = hex4 (!pos + 1) in
+               pos := !pos + 4;
+               let code =
+                 if code >= 0xD800 && code <= 0xDBFF then begin
+                   if !pos + 6 >= n || s.[!pos + 1] <> '\\' || s.[!pos + 2] <> 'u'
+                   then fail "unpaired surrogate in \\u escape";
+                   let low = hex4 (!pos + 3) in
+                   if low < 0xDC00 || low > 0xDFFF then
+                     fail "unpaired surrogate in \\u escape";
+                   pos := !pos + 6;
+                   0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+                 end
+                 else if code >= 0xDC00 && code <= 0xDFFF then
+                   fail "unpaired surrogate in \\u escape"
+                 else code
+               in
+               Buffer.add_utf_8_uchar b (Uchar.of_int code)
            | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
           advance ();
           go ()

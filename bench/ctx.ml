@@ -13,7 +13,9 @@ type t = {
   replay_time_s : float;  (* the paper's one-hour replay cut-off *)
   replay_runs : int;
   only : string list;  (* experiment ids to run; [] = all *)
-  jobs : int;  (* worker domains for exploration/replay; 1 = sequential *)
+  jobs : int;
+      (* worker domains of the E16/E17 triage cluster pool (their jobs=N
+         rows; 4 when left at 1); every search runs on one worker *)
   telemetry : Telemetry.t;
       (* handle for the --trace artifact; Telemetry.disabled (every probe a
          no-op) unless the driver installed a sink *)

@@ -1,5 +1,5 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§5), plus two ablations and the parallel-replay extension.
+   evaluation (§5), plus ablations and extensions.
    See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
    paper-vs-measured results.
 
@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- --quick      # fast smoke pass
      dune exec bench/main.exe -- --full       # paper-scale workloads
      dune exec bench/main.exe -- --only E9,E13
-     dune exec bench/main.exe -- --jobs 4 --only E15
+     dune exec bench/main.exe -- --jobs 4 --only E16,E17  # cluster pool size
      dune exec bench/main.exe -- --quick --json bench.json
      dune exec bench/main.exe -- --requests 2000 --replay-timeout 30 *)
 
@@ -32,7 +32,7 @@ let experiments : (string * string * (Ctx.t -> unit)) list =
     ("A6", "extension: multithreading + schedule log (§6)", Bench_ext.a6);
     ("E12", "Figure 5: diff CPU time", Bench_diff.e12);
     ("E13", "Tables 6 and 7: diff replay", Bench_diff.e13_e14);
-    ("E15", "extension: solver cache + parallel replay",
+    ("E15", "extension: replay over the solver cache",
      Bench_parallel.e15);
     ("E16", "extension: batch triage (salvage + dedup + scheduler)",
      Bench_triage.e16);
@@ -90,7 +90,8 @@ let parse_args () : Ctx.t * string option * string option * string option =
         go rest
     | "--help" :: _ ->
         print_endline
-          "options: --quick | --full | --only <ids> | --jobs <n> | \
+          "options: --quick | --full | --only <ids> | --jobs <n> (E16/E17 \
+           cluster pool) | \
            --json <file> | --compare <baseline.json> | --trace <file> | \
            --requests <n> | --replay-timeout <s>";
         print_endline "experiments:";

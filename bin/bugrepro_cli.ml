@@ -150,7 +150,7 @@ let run_cmd name args =
 
 (* The analyse -> plan -> field-run -> report -> replay pipeline of the
    demo command, driven by one [Pipeline.Config.t]. *)
-let demo_pipeline w meth experiment timeout save jobs cfg =
+let demo_pipeline w meth experiment timeout save cfg =
   let prog = w.prog () in
   Printf.printf "== analysing %s ==\n%!" w.wname;
   let analysis =
@@ -196,9 +196,7 @@ let demo_pipeline w meth experiment timeout save jobs cfg =
           Printf.eprintf "malformed report: %s\n" e;
           3
       | Ok report ->
-      Printf.printf "== guided replay (budget %.0fs, %d job%s) ==\n%!" timeout
-        jobs
-        (if jobs = 1 then "" else "s");
+      Printf.printf "== guided replay (budget %.0fs) ==\n%!" timeout;
       let result, stats = Bugrepro.Pipeline.Run.reproduce cfg ~prog ~plan report in
       Printf.printf
         "cases: %d pinned (2a), %d forced (2b), %d free symbolic (1), %d concrete-mismatch (3b)\n"
@@ -258,13 +256,12 @@ let make_telemetry trace metrics =
   in
   (tel, finish)
 
-let demo_cmd name meth_s experiment timeout save jobs trace metrics =
+let demo_cmd name meth_s experiment timeout save trace metrics =
   match find_workload name, method_of_string meth_s with
   | Error e, _ | _, Error e ->
       prerr_endline e;
       2
   | Ok w, Ok meth ->
-      let jobs = max 1 jobs in
       let tel, finish_telemetry = make_telemetry trace metrics in
       let cfg =
         Bugrepro.Pipeline.Config.(
@@ -273,10 +270,9 @@ let demo_cmd name meth_s experiment timeout save jobs trace metrics =
                ~dynamic:{ Concolic.Engine.max_runs = 120; max_time_s = 15.0 }
                ~replay:{ Concolic.Engine.max_runs = 50_000; max_time_s = timeout }
           |> with_analyze_lib (not (String.equal w.wname "userver"))
-          |> with_jobs jobs
           |> with_telemetry tel)
       in
-      let code = demo_pipeline w meth experiment timeout save jobs cfg in
+      let code = demo_pipeline w meth experiment timeout save cfg in
       finish_telemetry ();
       code
 
@@ -286,13 +282,11 @@ let demo_cmd name meth_s experiment timeout save jobs trace metrics =
    --corpus DIR the checked-in repro files are replayed instead of
    generating fresh cases. *)
 
-let fuzz_cmd seed count shrink save_corpus thorough jobs corpus trace metrics =
+let fuzz_cmd seed count shrink save_corpus thorough corpus trace metrics =
   let tel, finish_telemetry = make_telemetry trace metrics in
   let config =
-    Bugrepro.Pipeline.Config.(
+    Bugrepro.Pipeline.Config.with_telemetry tel
       Fuzz.Oracle.default_cfg.Fuzz.Oracle.config
-      |> with_jobs (max 1 jobs)
-      |> with_telemetry tel)
   in
   let opts =
     {
@@ -819,14 +813,6 @@ let demo_t =
       & opt (some string) None
       & info [ "save" ] ~docv:"FILE" ~doc:"Write the bug report's wire form to FILE.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for analysis and replay (1 = deterministic \
-             sequential search).")
-  in
   let trace =
     Arg.(
       value
@@ -843,8 +829,8 @@ let demo_t =
           ~doc:"Print the span tree and counter table after the pipeline.")
   in
   Term.(
-    const demo_cmd $ workload_arg $ meth $ exp $ timeout $ save $ jobs
-    $ trace $ metrics)
+    const demo_cmd $ workload_arg $ meth $ exp $ timeout $ save $ trace
+    $ metrics)
 
 let fuzz_t =
   let seed =
@@ -883,13 +869,6 @@ let fuzz_t =
             "Run every oracle and every instrumentation method on every \
              case instead of rotating the heavy ones across case indices.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for replay (the determinism oracle always \
-                uses its own pool).")
-  in
   let corpus =
     Arg.(
       value
@@ -913,8 +892,8 @@ let fuzz_t =
           ~doc:"Print the span tree and counter table after the campaign.")
   in
   Term.(
-    const fuzz_cmd $ seed $ count $ shrink $ save_corpus $ thorough $ jobs
-    $ corpus $ trace $ metrics)
+    const fuzz_cmd $ seed $ count $ shrink $ save_corpus $ thorough $ corpus
+    $ trace $ metrics)
 
 let triage_t =
   let dir =
@@ -1230,7 +1209,7 @@ let cmds =
       (Cmd.info "fuzz"
          ~doc:
            "Differential fuzzing: random MiniC programs through the \
-            cross-stage oracles (replay, labels, determinism, cache, wire)")
+            cross-stage oracles (replay, labels, cache, wire)")
       fuzz_t;
     Cmd.v
       (Cmd.info "triage" ~man:exit_status_man

@@ -37,7 +37,10 @@ module Config = struct
         (** developer's patience for {!Run.reproduce} *)
     analyze_lib : bool;  (** false = the paper's uServer setup (§5.3) *)
     refine : bool;  (** false = seed (unrefined) static pipeline *)
-    jobs : int;  (** worker domains for exploration and replay *)
+    jobs : int;
+        (** worker domains draining a triage batch's cluster queue
+            ([Triage.Sched.policy_of_config]); each search (analysis,
+            replay) runs on one *)
     log_syscalls : bool;  (** ship a syscall log with the branch log *)
     suppression : bool;
         (** refine plans with the probe-elision analysis: statically
@@ -90,7 +93,7 @@ module Run = struct
     Telemetry.Span.with_ c.telemetry ~name:"analyze" @@ fun sp ->
     let dynamic =
       Option.map
-        (Concolic.Dynamic.analyze ~budget:c.dynamic_budget ~jobs:c.jobs
+        (Concolic.Dynamic.analyze ~budget:c.dynamic_budget
            ~telemetry:c.telemetry)
         test_scenario
     in
@@ -160,7 +163,7 @@ module Run = struct
       ~(plan : Instrument.Plan.t) (report : Instrument.Report.t) :
       Replay.Guided.result * Replay.Guided.stats =
     Replay.Guided.reproduce ~budget:c.replay_budget ~seed:c.seed
-      ~max_steps:c.replay_max_steps ?restore ~jobs:c.jobs ~telemetry:c.telemetry
+      ~max_steps:c.replay_max_steps ?restore ~telemetry:c.telemetry
       ~prog ~plan report
 end
 

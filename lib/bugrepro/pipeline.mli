@@ -17,7 +17,7 @@ type analysis = {
 (** One value carrying every pipeline knob.  Build with {!Config.default}
     and chain the setters:
     {[
-      Config.default |> Config.with_jobs 4 |> Config.with_telemetry tel
+      Config.default |> Config.with_seed 7 |> Config.with_telemetry tel
     ]} *)
 module Config : sig
   type t = {
@@ -27,7 +27,10 @@ module Config : sig
         (** developer's patience for {!Run.reproduce} *)
     analyze_lib : bool;  (** false = the paper's uServer setup (§5.3) *)
     refine : bool;  (** false = seed (unrefined) static pipeline *)
-    jobs : int;  (** worker domains for exploration and replay *)
+    jobs : int;
+        (** worker domains draining a triage batch's cluster queue
+            ([Triage.Sched.policy_of_config]); each search (analysis,
+            replay) runs on one *)
     log_syscalls : bool;  (** ship a syscall log with the branch log *)
     suppression : bool;
         (** refine plans with the probe-elision analysis

@@ -54,12 +54,10 @@ let make_run ?(max_steps = 2_000_000) (sc : Scenario.t) ~vars
   { Engine.outcome = r.outcome; trace = Path.view trace; observed = !observed }
 
 (** Run the analysis.  The budget plays the role of the paper's
-    one-hour/two-hour symbolic execution cut-offs (LC vs HC).  [jobs] > 1
-    explores with a parallel worker pool; label updates are then serialized
-    through a mutex (the sticky rule commutes, so the resulting label map
-    does not depend on worker scheduling).  [cache] memoizes solver queries
-    across pendings; without one the analysis opens a private cache. *)
-let analyze ?(budget = Engine.default_budget) ?max_steps ?(jobs = 1) ?cache
+    one-hour/two-hour symbolic execution cut-offs (LC vs HC).  [cache]
+    memoizes solver queries across pendings; without one the analysis
+    opens a private cache. *)
+let analyze ?(budget = Engine.default_budget) ?max_steps ?cache
     ?(telemetry = Telemetry.disabled)
     (sc : Scenario.t) : result =
   Telemetry.Span.with_ telemetry ~name:"analyze.dynamic"
@@ -68,20 +66,15 @@ let analyze ?(budget = Engine.default_budget) ?max_steps ?(jobs = 1) ?cache
       let vars = Solver.Symvars.create () in
       let n = Program.nbranches sc.prog in
       let labels = Label.make ~nbranches:n Label.Unvisited in
-      let label_mu = Mutex.create () in
-      let on_branch_observed =
-        if jobs <= 1 then fun bid symbolic -> Label.observe labels bid ~symbolic
-        else fun bid symbolic ->
-          Mutex.lock label_mu;
-          Label.observe labels bid ~symbolic;
-          Mutex.unlock label_mu
+      let run =
+        make_run ?max_steps sc ~vars ~on_branch_observed:(fun bid symbolic ->
+            Label.observe labels bid ~symbolic)
       in
-      let run = make_run ?max_steps sc ~vars ~on_branch_observed in
       let cache =
         match cache with Some c -> c | None -> Solver.Cache.create ()
       in
       let stats, _ =
-        Engine.explore ~vars ~budget ~strategy:Engine.Bfs ~jobs ~cache
+        Engine.explore ~vars ~budget ~strategy:Engine.Bfs ~cache
           ~telemetry ~run ()
       in
       let visited = n - Label.count labels Label.Unvisited in

@@ -28,17 +28,14 @@ val make_run :
   Engine.run_result
 
 (** Run the analysis.  The budget plays the role of the paper's
-    one-hour/two-hour symbolic-execution cut-offs (LC vs HC).  [jobs] > 1
-    explores with a parallel worker pool (the sticky labelling rule
-    commutes, so the label map does not depend on worker scheduling);
-    [cache] memoizes solver queries across pendings (a private one when
-    omitted); [telemetry] wraps the
-    exploration in an [analyze.dynamic] span (runs/visited/coverage end
-    attributes) over the {!Engine.explore} instrumentation. *)
+    one-hour/two-hour symbolic-execution cut-offs (LC vs HC).  [cache]
+    memoizes solver queries across pendings (a private one when omitted);
+    [telemetry] wraps the exploration in an [analyze.dynamic] span
+    (runs/visited/coverage end attributes) over the {!Engine.explore}
+    instrumentation. *)
 val analyze :
   ?budget:Engine.budget ->
   ?max_steps:int ->
-  ?jobs:int ->
   ?cache:Solver.Cache.t ->
   ?telemetry:Telemetry.t ->
   Scenario.t ->

@@ -16,15 +16,11 @@
     The engine is generic over the actual run function, so dynamic analysis
     and bug replay share it.
 
-    One loop drains the pending frontier with [~jobs] workers: each pops a
+    One loop drains the pending frontier on the calling domain: it pops a
     pending, solves it (optionally through a shared memoizing
     {!Solver.Cache}), re-executes in an isolated interpreter state and
-    pushes the children back.  [~jobs:1] (the default) runs the single
-    worker on the calling domain, in the exact LIFO/FIFO order of
-    {!Dfs}/{!Bfs}.  With more workers, each on its own OCaml 5 domain,
-    that order becomes a *priority hint* — each pop still takes the
-    deepest/oldest pending, but several pendings are in flight at once, so
-    the global visit order is not the sequential one. *)
+    pushes the children back, in the exact LIFO/FIFO order of
+    {!Dfs}/{!Bfs}. *)
 
 type budget = {
   max_runs : int;
@@ -69,8 +65,8 @@ type stats = {
       (** always 0: the single shared frontier has nothing to steal from;
           kept so readers of the record keep compiling *)
   mutable worker_runs : int array;
-      (** per-worker run counts, length [jobs]; the seeding run counts
-          toward worker 0.  Invariant: the sum equals [runs]. *)
+      (** always [[| runs |]]: ignored; kept only so [perfbench/] builds;
+          ROADMAP item 3 deletes it *)
 }
 
 (* A pending constraint set: the prefix [trace.(0 .. upto-1)] with
@@ -129,32 +125,19 @@ let solve_pending ?cache ~telemetry ~vars ~hint cs =
   | r -> r
 
 (* ------------------------------------------------------------------ *)
-(* Exploration: a pool of [jobs] workers over one mutex-protected
-   frontier.  At [jobs = 1] worker 0 runs inline on the calling domain (no
-   [Domain.spawn]); nothing else touches the frontier, so it pops in the
-   strict LIFO/FIFO order of {!Dfs}/{!Bfs} and the run is deterministic.
-
-   Invariants:
-   - every field of [stats], the frontier, [found] and [failed] are only
-     touched with [m] held;
-   - [run] and the solver execute with [m] released (that is the whole
-     point); [on_run]/[stop] are called with [m] held, so user callbacks
-     are serialized and may keep plain mutable state;
-   - [active] counts workers between a successful pop and the push of that
-     pending's children.  Termination: frontier empty AND [active] = 0 —
-     the racy "frontier empty but a worker may still push children" case
-     parks waiters on [cv] until the in-flight worker either pushes (then
-     broadcasts) or retires;
-   - [stats.runs] is reserved under the lock *before* a run executes (or
-     resumes), so the [max_runs] budget is an exact bound.
+(* Exploration: one loop over the frontier, on the calling domain.  It
+   pops in the strict LIFO/FIFO order of {!Dfs}/{!Bfs}, so the search is
+   deterministic.  [stats.runs] is counted before a run executes (or
+   resumes), and every pop and resume checks it first, so the [max_runs]
+   budget is an exact bound.
 
    Resume offers.  A run that is about to abort may offer its result (see
-   {!offer}).  The engine then does, under the lock, exactly what the run's
-   end and the next pop would do: account the result and push its
-   children; if the pending the frontier would hand out next is the last
-   child just pushed — the one forcing the other direction at the abort
-   point — pop it, solve it as a worker's pop would and, on Sat, let the run
-   take the new model.  Every counter, pending and model is the one the
+   {!offer}).  The engine then does exactly what the run's end and the
+   next pop would do: account the result and push its children; if the
+   pending the frontier would hand out next is the last child just pushed
+   — the one forcing the other direction at the abort point — pop it,
+   solve it as the loop's pop would and, on Sat, let the run take the new
+   model.  Every counter, pending and model is the one the
    abort-and-restart schedule produces; only the re-executed prefix is
    saved. *)
 
@@ -170,16 +153,11 @@ type launch = {
   negations : Solver.Expr.t list;
 }
 
-let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
-    ~run ~stop ~on_run (stats : stats) : (Solver.Model.t * 'a) option =
+let drain ~vars ~budget ~strategy ?cache ~telemetry ~run ~stop ~on_run
+    (stats : stats) : (Solver.Model.t * 'a) option =
   let deadline = monotonic () +. budget.max_time_s in
   let forks = Telemetry.Metrics.counter telemetry "engine.forks" in
   let timed = Telemetry.enabled telemetry in
-  (* per-worker run counts feed the [worker_runs] parity invariant *)
-  let wruns = Array.make jobs 0 in
-  let wpops = Array.make jobs 0 in
-  let m = Mutex.create () in
-  let cv = Condition.create () in
   (* the pending list: LIFO for DFS, FIFO for BFS *)
   let stack : pending Stack.t = Stack.create () in
   let queue : pending Queue.t = Queue.create () in
@@ -196,9 +174,6 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
     match strategy with Dfs -> Stack.length stack | Bfs -> Queue.length queue
   in
   let found = ref None in
-  let failed = ref None in
-  let fail e = if !failed = None then failed := Some e in
-  let active = ref 0 in
   (* [flipped] is the (position, negated constraint) this run was created to
      satisfy.  If the run records a *different* constraint at that position
      (a concretisation re-pinned to a new value), that position is fair game
@@ -206,8 +181,7 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
      branch entry re-records exactly the negated constraint, so branches are
      never flip-flopped.  Children are pushed shallow-to-deep so the DFS
      pops the deepest first; no position below [min bound flipped] can fork,
-     so the walk starts there.  Returns the trace view the children share.
-     Called with [m] held. *)
+     so the walk starts there.  Returns the trace view the children share. *)
   let push_children (l : launch) (result : run_result) =
     let trace = result.trace in
     let hint = Solver.Model.union_prefer_left l.model result.observed in
@@ -240,104 +214,70 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
     trace
   in
   (* end-of-run accounting: the callbacks, then the children; [None] when
-     the search stops here or a callback raised.  Called with [m] held. *)
+     the search stops here *)
   let finish (l : launch) result =
-    match
-      on_run l.model result;
-      stop l.model result
-    with
+    on_run l.model result;
+    match stop l.model result with
     | Some w ->
-        if !found = None then found := Some (l.model, w);
+        found := Some (l.model, w);
         None
     | None -> Some (push_children l result)
-    | exception e ->
-        fail e;
-        None
   in
-  (* solve a popped pending; called with [m] held, releases it around the
-     solver.  The slice is taken before the release: it extends the path's
-     variable index, which several workers may reach through pendings of
-     one run, so only the holder of [m] touches it.  [Some] is the launch
-     of a Sat pending the search still has budget for. *)
-  let solve_locked (p : pending) =
-    let sliced = Option.map (fun _ -> slice_of p) cache in
-    Mutex.unlock m;
-    let solved =
-      try
-        let hint id = Solver.Model.find_opt id p.hint in
-        let cs =
-          match sliced with Some cs -> cs | None -> constraints_of p
-        in
-        Ok (solve_pending ?cache ~telemetry ~vars ~hint cs)
-      with e -> Error e
-    in
-    Mutex.lock m;
-    match solved with
-    | Error e ->
-        fail e;
-        None
-    | Ok (Solver.Solve.Sat model) ->
+  (* solve a popped pending; [Some] is the launch of a Sat pending *)
+  let solve (p : pending) =
+    let hint id = Solver.Model.find_opt id p.hint in
+    let cs = match cache with Some _ -> slice_of p | None -> constraints_of p in
+    match solve_pending ?cache ~telemetry ~vars ~hint cs with
+    | Solver.Solve.Sat model ->
         stats.sat <- stats.sat + 1;
-        (* a sibling may have stopped the search or spent the budget while
-           this worker was solving *)
-        if !found = None && stats.runs < budget.max_runs then
-          (* keep the parent's values for variables the solver left free *)
-          Some
-            {
-              model = Solver.Model.union_prefer_left model p.hint;
-              solved = model;
-              bound = p.upto + 1;
-              flipped = Some (p.upto, negated_of p);
-              negations = negated_of p :: p.lineage;
-            }
-        else None
-    | Ok Solver.Solve.Unsat ->
+        (* keep the parent's values for variables the solver left free *)
+        Some
+          {
+            model = Solver.Model.union_prefer_left model p.hint;
+            solved = model;
+            bound = p.upto + 1;
+            flipped = Some (p.upto, negated_of p);
+            negations = negated_of p :: p.lineage;
+          }
+    | Solver.Solve.Unsat ->
         stats.unsat <- stats.unsat + 1;
         None
-    | Ok Solver.Solve.Unknown ->
+    | Solver.Solve.Unknown ->
         stats.unknown <- stats.unknown + 1;
         None
   in
-  (* A run's offer, after [finish] pushed [trace]'s children: the checks a
-     worker's next pop makes, then that pop and its solve.  [cur] is the
+  (* A run's offer, after [finish] pushed [trace]'s children: the checks
+     the loop's next pop makes, then that pop and its solve.  [cur] is the
      run's launch, moved on when [resume] accepts the model; a model it
-     declines is left in [next] to run from [main].  Called with [m]
-     held. *)
-  let try_resume k trace ~resume ~cur ~next =
-    if !found <> None || !failed <> None || stats.runs >= budget.max_runs then
-      false
-    else
-      match frontier_peek () with
-      | Some p
-        when p.trace == trace
-             && p.upto = Path.view_length trace - 1
-             && monotonic () <= deadline -> (
-          ignore (frontier_pop ());
-          wpops.(k) <- wpops.(k) + 1;
-          match solve_locked p with
-          | None -> false
-          | Some l -> (
-              match resume ~solved:l.solved l.model with
-              | true ->
-                  stats.runs <- stats.runs + 1;
-                  stats.resumes <- stats.resumes + 1;
-                  wruns.(k) <- wruns.(k) + 1;
-                  cur := l;
-                  true
-              | false ->
-                  next := Some l;
-                  false
-              | exception e ->
-                  fail e;
-                  false))
-      | _ -> false
+     declines is left in [next] to run from [main]. *)
+  let try_resume trace ~resume ~cur ~next =
+    stats.runs < budget.max_runs
+    &&
+    match frontier_peek () with
+    | Some p
+      when p.trace == trace
+           && p.upto = Path.view_length trace - 1
+           && monotonic () <= deadline -> (
+        ignore (frontier_pop ());
+        match solve p with
+        | None -> false
+        | Some l ->
+            if resume ~solved:l.solved l.model then begin
+              stats.runs <- stats.runs + 1;
+              stats.resumes <- stats.resumes + 1;
+              cur := l;
+              true
+            end
+            else begin
+              next := Some l;
+              false
+            end)
+    | _ -> false
   in
   (* execute [l] and, whenever the run declined a resume whose pending
-     solved Sat, that pending from [main]; called with [m] held, releases
-     it around [run] *)
-  let rec do_run_locked k (l : launch) =
+     solved Sat, that pending from [main] *)
+  let rec do_run (l : launch) =
     stats.runs <- stats.runs + 1;
-    wruns.(k) <- wruns.(k) + 1;
     let cur = ref l and next = ref None in
     (* the engine's own time inside offers (accounting, pop, solve): it is
        not run time *)
@@ -345,6 +285,9 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
     (* set once an offer is refused: the run's result is accounted and the
        run must abort *)
     let closed = ref false in
+    (* an exception inside an offer is raised once the run has returned,
+       not through the run *)
+    let failed = ref None in
     let offer seg ~resume =
       let t0 = monotonic () and resume_s = ref 0.0 in
       let resume ~solved model =
@@ -353,95 +296,58 @@ let drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span
         resume_s := monotonic () -. t;
         accepted
       in
-      Mutex.lock m;
       let continues =
-        (not !closed)
-        &&
-        match finish !cur seg with
-        | None -> false
-        | Some trace -> try_resume k trace ~resume ~cur ~next
+        try
+          (not !closed)
+          &&
+          match finish !cur seg with
+          | None -> false
+          | Some trace -> try_resume trace ~resume ~cur ~next
+        with e ->
+          failed := Some e;
+          false
       in
       if not continues then closed := true;
-      Mutex.unlock m;
       offers_s := !offers_s +. (monotonic () -. t0 -. !resume_s);
       continues
     in
-    Mutex.unlock m;
     let t0 = monotonic () in
     let result = try Ok (run offer l.model) with e -> Error e in
     if timed then
       Telemetry.Metrics.observe telemetry "engine.run_s"
         (monotonic () -. t0 -. !offers_s);
-    Mutex.lock m;
-    (match result with
-    | Error e -> fail e
-    | Ok result -> if not !closed then ignore (finish !cur result));
+    (match !failed, result with
+    | Some e, _ | None, Error e -> raise e
+    | None, Ok result -> if not !closed then ignore (finish !cur result));
     match !next with
-    | Some l when !found = None && !failed = None && stats.runs < budget.max_runs
-      ->
-        do_run_locked k l
+    | Some l when !found = None && stats.runs < budget.max_runs -> do_run l
     | _ -> ()
   in
-  let worker k wsp =
-    Mutex.lock m;
-    let rec loop () =
-      if !found <> None || !failed <> None || stats.runs >= budget.max_runs
-      then ()
-      else
-        match frontier_pop () with
-        | None ->
-            (* frontier drained but a sibling is still executing: it may
-               yet push children, so wait for its broadcast *)
-            if !active > 0 then begin
-              Condition.wait cv m;
-              loop ()
-            end
-        | Some _ when monotonic () > deadline -> stats.timed_out <- true
-        | Some p ->
-            incr active;
-            wpops.(k) <- wpops.(k) + 1;
-            (match solve_locked p with
-            | Some l -> do_run_locked k l
-            | None -> ());
-            decr active;
-            Condition.broadcast cv;
-            loop ()
-    in
-    loop ();
-    Condition.broadcast cv;
-    Mutex.unlock m;
-    Telemetry.Span.addi wsp "pendings" wpops.(k)
+  let rec loop () =
+    if !found = None && stats.runs < budget.max_runs then
+      match frontier_pop () with
+      | None -> ()
+      | Some _ when monotonic () > deadline -> stats.timed_out <- true
+      | Some p ->
+          Option.iter do_run (solve p);
+          loop ()
   in
   (* seed the frontier with the initial run (empty model — concrete inputs
      come from the scenario), then drain it *)
-  Mutex.lock m;
-  do_run_locked 0
+  do_run
     { model = Solver.Model.empty; solved = Solver.Model.empty; bound = 0;
       flipped = None; negations = [] };
-  Mutex.unlock m;
-  if jobs = 1 then worker 0 Telemetry.Span.noop
-  else
-    Array.init jobs (fun k ->
-        Domain.spawn (fun () ->
-            (* nesting is per-domain, so the explore span is linked
-               explicitly *)
-            Telemetry.Span.with_ telemetry ~parent:span ~name:"engine.worker"
-              ~attrs:[ ("worker", Telemetry.Event.Int k) ]
-              (worker k)))
-    |> Array.iter Domain.join;
-  (match !failed with Some e -> raise e | None -> ());
-  stats.worker_runs <- wruns;
+  loop ();
   !found
 
 (* ------------------------------------------------------------------ *)
 
 let search ~(vars : Solver.Symvars.t) ?(budget = default_budget)
-    ?(strategy = Dfs) ?(jobs = 1) ?cache ?(telemetry = Telemetry.disabled)
+    ?(strategy = Dfs) ?cache ?(telemetry = Telemetry.disabled)
     ~(run : offer -> Solver.Model.t -> run_result)
     ~(stop : Solver.Model.t -> run_result -> 'a option)
     ?(on_run = fun (_ : Solver.Model.t) (_ : run_result) -> ()) () :
     stats * (Solver.Model.t * 'a) option =
-  let jobs = max 1 jobs in
   let stats =
     { runs = 0; resumes = 0; sat = 0; unsat = 0; unknown = 0; pending_peak = 0;
       elapsed_s = 0.0; timed_out = false; forks = 0; core_pruned = 0;
@@ -452,18 +358,18 @@ let search ~(vars : Solver.Symvars.t) ?(budget = default_budget)
     ~attrs:
       [
         ("strategy", Telemetry.Event.Str (match strategy with Dfs -> "dfs" | Bfs -> "bfs"));
-        ("jobs", Telemetry.Event.Int jobs);
         ("max_runs", Telemetry.Event.Int budget.max_runs);
       ]
     (fun sp ->
       let started = monotonic () in
       let found =
-        drain ~vars ~budget ~strategy ~jobs ?cache ~telemetry ~span:sp
-          ~run ~stop ~on_run stats
+        drain ~vars ~budget ~strategy ?cache ~telemetry ~run ~stop ~on_run
+          stats
       in
       if stats.runs >= budget.max_runs && found = None then
         stats.timed_out <- true;
       stats.elapsed_s <- monotonic () -. started;
+      stats.worker_runs <- [| stats.runs |];
       Telemetry.Metrics.incr_named ~by:stats.runs telemetry "engine.runs";
       Telemetry.Metrics.incr_named ~by:stats.resumes telemetry "engine.resumes";
       Telemetry.Metrics.incr_named ~by:stats.sat telemetry "engine.sat";
@@ -475,10 +381,11 @@ let search ~(vars : Solver.Symvars.t) ?(budget = default_budget)
       Telemetry.Span.addf sp "elapsed_s" stats.elapsed_s;
       (stats, found))
 
-let explore ~vars ?budget ?strategy ?jobs ?cache ?incr:(_ : Solver.Incr.t option)
-    ?telemetry ~(run : Solver.Model.t -> run_result)
-    ?(should_stop = fun _ _ -> false) ?on_run () =
-  search ~vars ?budget ?strategy ?jobs ?cache ?telemetry
+let explore ~vars ?budget ?strategy ?jobs:(_ : int option) ?cache
+    ?incr:(_ : Solver.Incr.t option) ?telemetry
+    ~(run : Solver.Model.t -> run_result) ?(should_stop = fun _ _ -> false)
+    ?on_run () =
+  search ~vars ?budget ?strategy ?cache ?telemetry
     ~run:(fun _ model -> run model)
     ~stop:(fun model r -> if should_stop model r then Some r else None)
     ?on_run ()

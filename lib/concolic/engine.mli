@@ -8,14 +8,11 @@
     The engine is generic over the run function, so dynamic analysis and
     bug replay share it.
 
-    One frontier, one loop: [~jobs] workers share a single mutex-protected
-    pending list.  [~jobs:1], the default, runs the one worker on the
-    calling domain and is deterministic.  With [~jobs] > 1 each worker
-    runs on its own OCaml 5 domain (the run function must then be safe to
-    call concurrently — each call must build its own interpreter state);
-    result *sets* on exhausted frontiers are jobs-invariant, visit order is
-    not.  An optional shared {!Solver.Cache} memoizes solver queries across
-    pendings; without one every pending goes to {!Solver.Solve.solve}. *)
+    One frontier, one loop: a search drains its pending list on the
+    calling domain, in the order its {!strategy} names, and is
+    deterministic.  An optional shared {!Solver.Cache} memoizes solver
+    queries across pendings; without one every pending goes to
+    {!Solver.Solve.solve}. *)
 
 type budget = {
   max_runs : int;
@@ -44,7 +41,7 @@ type run_result = {
     engine accounts [result] as a finished run (callbacks, children).  If
     the pending the frontier would hand out next is the last child just
     pushed — the one that negates the final trace entry — and the search
-    still has budget and time, the engine pops and solves it as a worker
+    still has budget and time, the engine pops and solves it as its loop
     would.  On Sat it calls [resume ~solved model], where [solved] is the
     solver's own assignment (to the variables of the constraints it
     solved) and [model] the model the next run would execute under:
@@ -60,8 +57,7 @@ type run_result = {
       pending from [main] next, without solving it again.
     Unsat, Unknown, a different next pending or a spent budget also return
     [false].  After [false] the run must abort at once: its result has
-    been accounted already and is discarded.  [resume] is called with the
-    engine's lock held. *)
+    been accounted already and is discarded. *)
 type offer =
   run_result -> resume:(solved:Solver.Model.t -> Solver.Model.t -> bool) -> bool
 
@@ -90,30 +86,26 @@ type stats = {
       (** always 0: the single shared frontier has nothing to steal from;
           kept so readers of the record keep compiling *)
   mutable worker_runs : int array;
-      (** per-worker run counts (length [jobs]; the seeding run counts
-          toward worker 0); the sum always equals [runs] *)
+      (** always [[| runs |]]: ignored; kept only so [perfbench/] builds;
+          ROADMAP item 3 deletes it *)
 }
 
 (** Explore paths until the budget is exhausted or [stop] returns a
     witness for a run.  Returns the statistics and, if stopped early, the
     stopping run's model and witness.
 
-    [run] receives the {!offer} of the run it executes.  [jobs] (default
-    1) sets the number of worker domains; with several workers the
-    {!strategy} order becomes a priority hint and [run] must tolerate
-    concurrent calls.  [on_run] and [stop] are always called with the
-    engine's internal lock held, i.e. serialized, so they may keep plain
-    mutable state; a run that continues through resumes reaches them once
-    per executed pending.  [cache] memoizes solver queries across pendings
-    (and is shared by all workers).
+    [run] receives the {!offer} of the run it executes.  [on_run] and
+    [stop] are called on the calling domain, one run at a time, so they
+    may keep plain mutable state; a run that continues through resumes
+    reaches them once per executed pending.  [cache] memoizes solver
+    queries across pendings.
 
-    At [jobs] = 1 a run that resumes wherever it is offered executes the
-    same pendings in the same order, with the same solver calls, counters
-    and models, as one that declines every offer.
+    A run that resumes wherever it is offered executes the same pendings
+    in the same order, with the same solver calls, counters and models, as
+    one that declines every offer.
 
     [telemetry] (default disabled) wraps the exploration in an
-    [engine.explore] span with one [engine.worker] child span per domain
-    when [jobs] > 1, times runs ([engine.run_s], without the engine's own
+    [engine.explore] span, times runs ([engine.run_s], without the engine's own
     accounting, pop and solve inside an offer) and the solver split,
     samples the frontier depth over time ([engine.frontier]) and
     accumulates the [engine.runs]/[resumes]/[sat]/[unsat]/[unknown]/
@@ -122,7 +114,6 @@ val search :
   vars:Solver.Symvars.t ->
   ?budget:budget ->
   ?strategy:strategy ->
-  ?jobs:int ->
   ?cache:Solver.Cache.t ->
   ?telemetry:Telemetry.t ->
   run:(offer -> Solver.Model.t -> run_result) ->
@@ -132,7 +123,9 @@ val search :
   stats * (Solver.Model.t * 'a) option
 
 (** {!search} with runs that never take an offer, stopping at the first
-    run [should_stop] accepts (default: never).  [incr] is ignored. *)
+    run [should_stop] accepts (default: never).  [jobs] and [incr] are
+    ignored; kept only so [perfbench/] builds; ROADMAP item 3 deletes
+    them. *)
 val explore :
   vars:Solver.Symvars.t ->
   ?budget:budget ->

@@ -139,8 +139,8 @@ let index_of t =
     is the constraints of [v]'s positions [0 .. upto-1]: the same members in
     the same order.  It walks the path's variable index from [focus]'s
     variables, so its cost is that of the slice plus indexing the positions
-    below [upto] no earlier slice of the path reached.  Not thread-safe: the
-    callers slicing one path from several domains serialize their calls. *)
+    below [upto] no earlier slice of the path reached.  Not thread-safe: only
+    the search that owns the path slices it. *)
 let slice v ~upto ~lineage (focus : Solver.Expr.t) : Solver.Expr.t list =
   if upto < 0 || upto > v.len then invalid_arg "Path.slice";
   let ix = index_of v.path in

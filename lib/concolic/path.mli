@@ -54,7 +54,7 @@ val entries : view -> entry list
     the same order.  It walks the path's variable index from [focus], so it
     costs the slice plus a one-off indexing of the entries below [upto] that
     no earlier slice of the path reached.  Slices of one path must not run
-    concurrently (the engine takes them under its lock). *)
+    concurrently (only the search that owns the path slices it). *)
 val slice :
   view -> upto:int -> lineage:Solver.Expr.t list -> Solver.Expr.t -> Solver.Expr.t list
 

@@ -48,8 +48,8 @@ let ok (s : summary) = s.gen_errors = 0 && s.violations = []
 
 (* ------------------------------------------------------------------ *)
 (* Per-case oracle configuration: the cheap oracles run every case; the
-   heavy ones (extra replay methods, a second exploration with a worker
-   pool) rotate across case indices so a 200-case smoke stays in CI
+   heavy ones (extra replay methods, salvage, suppression, streaming,
+   encoding) rotate across case indices so a 200-case smoke stays in CI
    budget.  [--thorough] runs everything on every case. *)
 
 let oracle_cfg (opts : opts) ~index : Oracle.cfg =
@@ -61,13 +61,11 @@ let oracle_cfg (opts : opts) ~index : Oracle.cfg =
     methods =
       (if opts.thorough then Instrument.Methods.instrumented
        else [ rotating; Instrument.Methods.All_branches ]);
-    check_determinism = opts.thorough || index mod 4 = 0;
     check_cache = opts.thorough || index mod 2 = 0;
     check_salvage = opts.thorough || index mod 3 = 1;
     check_suppression = opts.thorough || index mod 3 = 2;
     check_streaming = opts.thorough || index mod 4 = 3;
     check_encoding = opts.thorough || index mod 4 = 1;
-    det_jobs = max 2 opts.config.Config.jobs;
     max_steps = 200_000;
   }
 

@@ -1,16 +1,15 @@
 (** Fuzz campaign driver: generate, elaborate, run the oracles, shrink.
 
     The fuzz stage plugs into the pipeline the same way every other stage
-    does — it consumes a {!Bugrepro.Pipeline.Config.t} (budgets, jobs,
-    solver cache, telemetry) and opens [fuzz] / [fuzz.case] / [fuzz.gen] /
+    does — it consumes a {!Bugrepro.Pipeline.Config.t} (budgets, seed,
+    telemetry) and opens [fuzz] / [fuzz.case] / [fuzz.gen] /
     [fuzz.oracle.*] telemetry spans with [fuzz.gen], [fuzz.oracle.*.pass/
     skip/fail], [fuzz.shrink.steps] and [fuzz.violations] counters.
 
     Heavier oracles rotate across case indices (replay methods cycle
     [Dynamic]/[Static]/[Dynamic_static] with [All_branches] always on; the
-    jobs-pool determinism check runs every 4th case, the cache check every
-    2nd) so a 200-case smoke finishes inside a CI minute; [thorough]
-    disables the rotation. *)
+    cache check runs every 2nd case) so a 200-case smoke finishes inside a
+    CI minute; [thorough] disables the rotation. *)
 
 type opts = {
   seed : int;  (** campaign seed; per-case seeds derive from it *)

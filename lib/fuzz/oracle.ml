@@ -1,7 +1,5 @@
 (** Differential oracle runner (see oracle.mli). *)
 
-module SSet = Set.Make (String)
-
 type verdict = Pass | Skip of string | Fail of string
 
 type outcome = { oracle : string; verdict : verdict }
@@ -9,13 +7,11 @@ type outcome = { oracle : string; verdict : verdict }
 type cfg = {
   config : Bugrepro.Pipeline.Config.t;
   methods : Instrument.Methods.t list;
-  check_determinism : bool;
   check_cache : bool;
   check_salvage : bool;
   check_suppression : bool;
   check_streaming : bool;
   check_encoding : bool;
-  det_jobs : int;
   max_steps : int;
 }
 
@@ -28,13 +24,11 @@ let default_cfg =
              ~dynamic:{ Concolic.Engine.max_runs = 80; max_time_s = 2.0 }
              ~replay:{ Concolic.Engine.max_runs = 4_000; max_time_s = 6.0 });
     methods = Instrument.Methods.[ Dynamic_static; All_branches ];
-    check_determinism = true;
     check_cache = true;
     check_salvage = true;
     check_suppression = true;
     check_streaming = true;
     check_encoding = true;
-    det_jobs = 4;
     max_steps = 200_000;
   }
 
@@ -46,43 +40,34 @@ let verdict_to_string = function
 let failed = List.filter (fun o -> match o.verdict with Fail _ -> true | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Shared exploration: one pass gives dynamic labels, the crash set and
-   the solver queries the cache oracle replays. *)
+(* Shared exploration: one pass gives dynamic labels and the solver
+   queries the cache oracle replays. *)
 
 type explo = {
-  stats : Concolic.Engine.stats;
   labels : Minic.Label.map;
-  crashes : SSet.t;
   queries : Solver.Expr.t list list;  (** collected path constraint sets *)
   vars : Solver.Symvars.t;
-  exhausted : bool;  (** the whole frontier was drained within budget *)
 }
 
 let max_queries = 12
 
-let explore ~(cfg : cfg) ~jobs ?cache (sc : Concolic.Scenario.t) : explo =
-  let budget = cfg.config.dynamic_budget in
+let explore ~(cfg : cfg) (sc : Concolic.Scenario.t) : explo =
   let prog = sc.Concolic.Scenario.prog in
   let vars = Solver.Symvars.create () in
   let labels =
     Minic.Label.make ~nbranches:(Minic.Program.nbranches prog)
       Minic.Label.Unvisited
   in
-  let crashes = ref SSet.empty in
   let queries = ref [] and n_queries = ref 0 in
   let run =
     Concolic.Dynamic.make_run ~max_steps:cfg.max_steps sc ~vars
       ~on_branch_observed:(fun bid sym ->
         Minic.Label.observe labels bid ~symbolic:sym)
   in
-  let stats, _ =
-    Concolic.Engine.explore ~vars ~budget ~strategy:Concolic.Engine.Bfs ~jobs
-      ?cache ~telemetry:cfg.config.telemetry ~run
+  let _, _ =
+    Concolic.Engine.explore ~vars ~budget:cfg.config.dynamic_budget
+      ~strategy:Concolic.Engine.Bfs ~telemetry:cfg.config.telemetry ~run
       ~on_run:(fun _ (r : Concolic.Engine.run_result) ->
-        (match r.outcome with
-        | Interp.Crash.Crash c ->
-            crashes := SSet.add (Interp.Crash.to_string c) !crashes
-        | _ -> ());
         if !n_queries < max_queries then begin
           let cs =
             List.filter_map
@@ -97,14 +82,7 @@ let explore ~(cfg : cfg) ~jobs ?cache (sc : Concolic.Scenario.t) : explo =
         end)
       ()
   in
-  {
-    stats;
-    labels;
-    crashes = !crashes;
-    queries = !queries;
-    vars;
-    exhausted = (not stats.timed_out) && stats.runs < budget.max_runs;
-  }
+  { labels; queries = !queries; vars }
 
 (* ------------------------------------------------------------------ *)
 (* Oracle (b): label soundness *)
@@ -129,40 +107,6 @@ let labels_oracle (cfg : cfg) (case : Gen.case) (base : explo) : verdict =
     Fail
       (Printf.sprintf "%d dynamically-symbolic branch(es) labelled concrete: %s"
          report.n_missed missed)
-
-(* ------------------------------------------------------------------ *)
-(* Oracle (c): engine determinism, jobs:1 vs jobs:N *)
-
-let symbolic_set (labels : Minic.Label.map) =
-  let s = ref SSet.empty in
-  Array.iteri
-    (fun bid l ->
-      if l = Minic.Label.Symbolic then s := SSet.add (string_of_int bid) !s)
-    labels;
-  !s
-
-let determinism_oracle (cfg : cfg) (sc : Concolic.Scenario.t) (base : explo) :
-    verdict =
-  if not base.exhausted then
-    Skip "sequential exploration truncated by budget; not comparable"
-  else
-    let par = explore ~cfg ~jobs:cfg.det_jobs sc in
-    if not par.exhausted then
-      Skip "parallel exploration truncated by budget; not comparable"
-    else if not (SSet.equal base.crashes par.crashes) then
-      Fail
-        (Printf.sprintf "crash sets differ: jobs:1 {%s} vs jobs:%d {%s}"
-           (String.concat ", " (SSet.elements base.crashes))
-           cfg.det_jobs
-           (String.concat ", " (SSet.elements par.crashes)))
-    else if not (SSet.equal (symbolic_set base.labels) (symbolic_set par.labels))
-    then
-      Fail
-        (Printf.sprintf "symbolic-branch sets differ: jobs:1 {%s} vs jobs:%d {%s}"
-           (String.concat ", " (SSet.elements (symbolic_set base.labels)))
-           cfg.det_jobs
-           (String.concat ", " (SSet.elements (symbolic_set par.labels))))
-    else Pass
 
 (* ------------------------------------------------------------------ *)
 (* Oracle (d): cache transparency.  For each collected path constraint set
@@ -795,7 +739,7 @@ let run ?only (cfg : cfg) (case : Gen.case) : outcome list =
   in
   let sc = Gen.scenario ~max_steps:cfg.max_steps case in
   let need_explore =
-    want "labels" || want "determinism" || want "cache"
+    want "labels" || want "cache"
     || (cfg.check_suppression && want "suppression")
     || (cfg.check_streaming && want "streaming")
     || List.exists
@@ -810,18 +754,12 @@ let run ?only (cfg : cfg) (case : Gen.case) : outcome list =
     if need_explore then
       Some
         (Telemetry.Span.with_ tel ~name:"fuzz.explore" (fun _ ->
-             explore ~cfg ~jobs:1 sc))
+             explore ~cfg sc))
     else None
   in
   (if want "labels" then
      match base with
      | Some b -> record "labels" (span "labels" (fun () -> labels_oracle cfg case b))
-     | None -> ());
-  (if cfg.check_determinism && want "determinism" then
-     match base with
-     | Some b ->
-         record "determinism"
-           (span "determinism" (fun () -> determinism_oracle cfg sc b))
      | None -> ());
   (if cfg.check_cache && want "cache" then
      match base with

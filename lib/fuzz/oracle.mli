@@ -22,10 +22,6 @@
     - {b labels}: every branch dynamic analysis observed symbolic must be
       statically labelled symbolic ({!Staticanalysis.Precision},
       [n_missed = 0] — the paper's soundness direction).
-    - {b determinism}: [Engine.explore ~jobs:1] and [~jobs:4] find the
-      same crash set and the same symbolic-branch set, whenever both
-      explorations exhaust the frontier (truncated searches are not
-      comparable and are skipped).
     - {b cache}: for the path constraint sets the exploration actually
       produced (and their negated-tail variants), a fresh
       {!Solver.Cache}-backed solve must agree with the direct solve on
@@ -84,13 +80,11 @@ type cfg = {
           [telemetry] are read from here — the fuzz stage consumes the
           same knob record as every other pipeline stage *)
   methods : Instrument.Methods.t list;  (** replay methods for this case *)
-  check_determinism : bool;
   check_cache : bool;
   check_salvage : bool;
   check_suppression : bool;
   check_streaming : bool;
   check_encoding : bool;
-  det_jobs : int;  (** worker count for the parallel half of determinism *)
   max_steps : int;  (** interpreter step cap per exploration run *)
 }
 

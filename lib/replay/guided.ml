@@ -53,52 +53,6 @@ let merge_cases ~(into : case_stats) (c : case_stats) =
   into.case4 <- into.case4 + c.case4;
   into.log_exhausted <- into.log_exhausted + c.log_exhausted
 
-(* Lock-free accumulator for the §3.1 counters.  With [jobs > 1] pool
-   workers finish runs concurrently, so the once-per-run merge lands on
-   shared state from several domains at once; plain mutable fields lose
-   increments there (read-modify-write races) and the totals undercount
-   vs the single-job run.  Atomic adds make the merge linearizable; the
-   per-branch hot path still counts into a run-local [case_stats]. *)
-type case_acc = {
-  a1 : int Atomic.t;
-  a2a : int Atomic.t;
-  a2b : int Atomic.t;
-  a3a : int Atomic.t;
-  a3b : int Atomic.t;
-  a4 : int Atomic.t;
-  a_exhausted : int Atomic.t;
-}
-
-let new_case_acc () =
-  {
-    a1 = Atomic.make 0; a2a = Atomic.make 0; a2b = Atomic.make 0;
-    a3a = Atomic.make 0; a3b = Atomic.make 0; a4 = Atomic.make 0;
-    a_exhausted = Atomic.make 0;
-  }
-
-let acc_add (a : case_acc) (c : case_stats) =
-  let add cell v = if v <> 0 then ignore (Atomic.fetch_and_add cell v) in
-  add a.a1 c.case1;
-  add a.a2a c.case2a;
-  add a.a2b c.case2b;
-  add a.a3a c.case3a;
-  add a.a3b c.case3b;
-  add a.a4 c.case4;
-  add a.a_exhausted c.log_exhausted
-
-(* Safe once the worker domains have joined (the engine returns only after
-   its pool drains). *)
-let acc_snapshot (a : case_acc) : case_stats =
-  {
-    case1 = Atomic.get a.a1;
-    case2a = Atomic.get a.a2a;
-    case2b = Atomic.get a.a2b;
-    case3a = Atomic.get a.a3a;
-    case3b = Atomic.get a.a3b;
-    case4 = Atomic.get a.a4;
-    log_exhausted = Atomic.get a.a_exhausted;
-  }
-
 type result =
   | Reproduced of {
       model : Solver.Model.t;
@@ -453,22 +407,18 @@ let reexecute ~prog ~vars ~seed (report : Report.t) model =
     }
 
 (** Reproduce the bug described by [report].  [budget] is the developer's
-    patience (the paper's one-hour limit, scaled).  [jobs] > 1 drains the
-    pending frontier with a pool of worker domains; the forced-chain DFS
-    order then becomes a priority hint (see DESIGN.md §"Parallel replay").
-    Solver queries are memoized across pendings and across restarts —
-    alpha-renaming makes the cache survive the fresh variable registry of a
-    restart — in [cache] when supplied (shared across a triage batch),
-    otherwise in a private one.  [max_attempts] caps the restart count,
+    patience (the paper's one-hour limit, scaled).  Solver queries are
+    memoized across pendings and across restarts — alpha-renaming makes
+    the cache survive the fresh variable registry of a restart — in
+    [cache] when supplied (shared across a triage batch), otherwise in a
+    private one.  [max_attempts] caps the restart count,
     after which a clean frontier exhaustion returns
     [Not_reproduced { timed_out = false; _ }]. *)
 let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
-    ?(max_steps = 5_000_000) ?restore ?(jobs = 1) ?cache ?max_attempts
+    ?(max_steps = 5_000_000) ?restore ?cache ?max_attempts
     ?(telemetry = Telemetry.disabled) ~(prog : Minic.Program.t)
     ~(plan : Plan.t) (report : Report.t) : result * stats =
-  Telemetry.Span.with_ telemetry ~name:"reproduce"
-    ~attrs:[ ("jobs", Telemetry.Event.Int jobs) ]
-  @@ fun rsp ->
+  Telemetry.Span.with_ telemetry ~name:"reproduce" @@ fun rsp ->
   (* §3.1 replay-case counters, bumped per run inside record_cases (each run
      counts locally, so this is one registry update per run, not per
      branch) *)
@@ -508,10 +458,12 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
   let rec attempt attempt_seed acc_stats =
     incr attempts;
     let vars = Solver.Symvars.create () in
-    let acc = new_case_acc () in
+    (* the engine runs every run on this domain, so the once-per-run
+       merge needs no synchronisation *)
+    let cases = new_case_stats () in
     let record_cases c =
       tel_record c;
-      acc_add acc c
+      merge_cases ~into:cases c
     in
     let run =
       run_once ?restore ?sup_rules ~telemetry ~prog ~plan ~report ~vars
@@ -528,14 +480,13 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
               ~budget:
                 { Concolic.Engine.max_runs = max 1 remaining_runs;
                   max_time_s = max 0.1 remaining_time }
-              ~jobs ~cache ~telemetry ~run
+              ~cache ~telemetry ~run
               ~stop:(fun _ r -> crash_site report r) ()
           in
           Telemetry.Span.addi asp "runs" r.Concolic.Engine.runs;
           (r, found))
     in
     total_runs := !total_runs + engine_stats.runs;
-    let cases = acc_snapshot acc in
     let stats =
       { engine = engine_stats; cases; vars;
         cache = Solver.Cache.snapshot cache }

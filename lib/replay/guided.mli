@@ -124,21 +124,17 @@ val reexecute :
 
 (** Reproduce the bug described by [report].  [budget] is the developer's
     patience (the paper's one-hour limit, scaled); [seed] varies the random
-    initial input.  [jobs] (default 1) sets the number of worker domains
-    draining the pending frontier.  Solver queries are memoized across
-    pendings and restarts in [cache] when supplied — the triage batch
-    scheduler shares one {!Solver.Cache.t} across a whole batch — and
-    otherwise in a private cache.  [max_attempts] caps the
+    initial input.  Solver queries are memoized across pendings and
+    restarts in [cache] when supplied — the triage batch scheduler shares
+    one {!Solver.Cache.t} across a whole batch — and otherwise in a
+    private cache.  [max_attempts] caps the
     restart-with-a-fresh-seed loop; once hit, a clean frontier exhaustion
     returns [Not_reproduced] with [timed_out = false] (a [true] there
     always means the clock or the run budget ran out, never mere
     exhaustion).  [elapsed_s] is wall-clock time inside this call; callers
     that retry with escalating budgets must accumulate it across calls
-    (see {!Triage.Sched}).  The §3.1 case counters are accumulated with
-    atomic adds, so totals are exact under any [jobs] value.  Whatever the
-    worker count, a result of [Reproduced] carries a model that crashes at
-    the reported site — scheduling can change *which* crashing input is
-    found first, never whether one exists.
+    (see {!Triage.Sched}).  A result of [Reproduced] carries a model that
+    crashes at the reported site.
 
     [telemetry] wraps the search in a [reproduce] span with one
     [replay.attempt] child per restart (each wrapping its engine
@@ -156,7 +152,6 @@ val reproduce :
   ?seed:int ->
   ?max_steps:int ->
   ?restore:restore_fn ->
-  ?jobs:int ->
   ?cache:Solver.Cache.t ->
   ?max_attempts:int ->
   ?telemetry:Telemetry.t ->

@@ -23,8 +23,8 @@
     alpha-equivalent twins.
 
     The table is bounded (FIFO eviction) and every operation is
-    mutex-protected: the cache is shared by all domains of a parallel
-    exploration.  A key being solved is marked in flight, so domains that
+    mutex-protected: one cache is shared by all the domains of a triage
+    batch.  A key being solved is marked in flight, so domains that
     miss on it together solve it once: the others wait for the result and
     count as hits. *)
 

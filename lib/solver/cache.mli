@@ -6,7 +6,7 @@
     e.g. the same forced chain re-derived under a fresh {!Symvars} registry
     after a replay restart — hit the same entry.  Only [Sat]/[Unsat] are
     cached (both are budget-independent); [Unknown] never is.  Thread-safe:
-    shared by all domains of a parallel exploration; a key one domain is
+    shared by all the domains of a triage batch; a key one domain is
     solving is marked in flight, and the domains that miss on it meanwhile
     wait for its result and count as hits (after an [Unknown] or an
     exception they solve it themselves).  Bounded, FIFO eviction. *)

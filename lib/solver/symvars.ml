@@ -6,10 +6,10 @@
     call.  Requesting the same name twice yields the same id, which is what
     makes solver models transferable across concolic runs.
 
-    The registry is shared by every run of an exploration, so with a
-    parallel engine ({!Concolic.Engine.explore} [~jobs]) it is read and
-    extended from several domains at once: all access goes through an
-    internal mutex. *)
+    The registry is shared by every run of an exploration.  A search
+    extends it from one domain only; all access still goes through an
+    internal mutex, so a registry stays safe to read from another domain
+    (the triage pool hands each cluster's registry back with its model). *)
 
 type domain = { lo : int; hi : int }
 

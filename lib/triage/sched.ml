@@ -7,7 +7,7 @@ type policy = {
   ladder : Engine.budget list;
   deadline_s : float;
   jobs : int;
-  final_rung_jobs : int;
+  final_rung_jobs : int;  (* ignored; see sched.mli *)
   max_attempts : int;
   seed : int;
 }
@@ -159,17 +159,8 @@ let course_step ?(telemetry = Telemetry.disabled) ~cache ~deadline ~max_rungs
               { rung with
                 Engine.max_time_s = min rung.Engine.max_time_s remaining }
             in
-            (* early rungs are cheap and numerous — the pool fans out
-               across clusters, so each replay stays sequential (and with
-               it the model-determinism guarantee for everything they
-               resolve).  The final full-budget rung is the opposite
-               shape: few clusters, one heavy search each —
-               [final_rung_jobs] lets the pool work *inside* that search,
-               trading which crashing input is found first for wall
-               clock. *)
-            let jobs = if rest = [] then max 1 k.policy.final_rung_jobs else 1 in
             let result, stats =
-              Guided.reproduce ~budget ~seed:k.seed ~jobs ~cache
+              Guided.reproduce ~budget ~seed:k.seed ~cache
                 ~max_attempts:k.policy.max_attempts ~telemetry ~prog:k.prog
                 ~plan:k.plan report
             in

@@ -7,22 +7,12 @@
     the whole batch is bounded by a global wall-clock deadline.  The
     caller's {!Solver.Cache} is shared across every replay of the batch.
 
-    Determinism: each cluster's replay runs with [jobs = 1] inside the
-    worker and a seed derived from the batch seed and the cluster's
-    fingerprint, so the *outcome* per cluster does not depend on which
-    worker picked it up or in which order — [jobs = 1] and [jobs = 4]
-    batches differ only in timing fields (see DESIGN.md §5f for the
-    shared-cache caveat).
-
-    The exception is [final_rung_jobs] (default 1, preserving the above
-    verbatim): when > 1, the ladder's *final* rung replays with that many
-    worker domains inside the search (§5c).  The final rung is where the
-    few heavy, near-exhaustive searches land after every cheap rung
-    failed, and it typically runs when the cluster
-    queue has already drained — the pool would otherwise sit idle.
-    Whether such a search reproduces is still scheduling-independent, but
-    *which* crashing input it finds first (the summary's model) may vary
-    with the worker count. *)
+    Determinism: the pool is the only parallelism.  Each cluster's replay
+    is one sequential search inside the worker, seeded from the batch
+    seed and the cluster's fingerprint, so the *outcome* per cluster does
+    not depend on which worker picked it up or in which order —
+    [jobs = 1] and [jobs = 4] batches differ only in timing fields (see
+    DESIGN.md §5f for the shared-cache caveat). *)
 
 type policy = {
   ladder : Concolic.Engine.budget list;
@@ -30,8 +20,8 @@ type policy = {
   deadline_s : float;  (** global wall-clock bound for the whole batch *)
   jobs : int;  (** worker domains draining the cluster queue *)
   final_rung_jobs : int;
-      (** worker domains *inside* the final rung's replay (default 1;
-          see the determinism note above) *)
+      (** ignored; kept only so [perfbench/] builds; ROADMAP item 3
+          deletes it *)
   max_attempts : int;  (** reseed restarts within one ladder rung *)
   seed : int;  (** batch seed; per-cluster seeds derive from it *)
 }

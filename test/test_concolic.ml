@@ -446,11 +446,9 @@ let test_engine_strategies_explore_same_space () =
     [ Concolic.Engine.Dfs; Concolic.Engine.Bfs ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel exploration determinism: an exhaustive exploration (no
-   should_stop, generous budget) of a program whose crash sites are guarded
-   purely by input branch constraints is confluent — the *set* of crash
-   outcomes cannot depend on worker scheduling, only the discovery order
-   can.  Run the same seed corpus at jobs=1 and jobs=4 and compare sets. *)
+(* Exhaustive exploration with and without the solver cache: a program
+   whose crash sites are guarded purely by input branch constraints has
+   one crash set, whichever way each pending is solved. *)
 
 let crash_corpus_src =
   "int main() {\n\
@@ -462,12 +460,11 @@ let crash_corpus_src =
   \  return 0;\n\
    }"
 
-let explore_crashes ?(cache = true) ~jobs src =
+let explore_crashes ?(cache = true) src =
   let prog = Workloads.Runtime_lib.link ~name:"t" src in
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "aaa" ] prog in
   let vars = Solver.Symvars.create () in
   let run = Concolic.Dynamic.make_run sc ~vars ~on_branch_observed:(fun _ _ -> ()) in
-  (* on_run is called with the frontier lock held, so a plain ref is fine *)
   let crashes = ref [] in
   let on_run _ (r : Concolic.Engine.run_result) =
     match r.outcome with
@@ -478,46 +475,24 @@ let explore_crashes ?(cache = true) ~jobs src =
   in
   let cache = if cache then Some (Solver.Cache.create ()) else None in
   let stats, _ =
-    Concolic.Engine.explore ~vars ~budget:(budget 400) ~jobs ?cache ~run ~on_run
-      ()
+    Concolic.Engine.explore ~vars ~budget:(budget 400) ?cache ~run ~on_run ()
   in
   (List.sort compare !crashes, stats)
 
-let test_parallel_determinism () =
-  let seq, _ = explore_crashes ~jobs:1 crash_corpus_src in
-  let par, _ = explore_crashes ~jobs:4 crash_corpus_src in
-  check_bool "found some crash sites" true (List.length seq >= 3);
-  Alcotest.(check (list string)) "jobs=1 and jobs=4 find the same crash set" seq par
-
 let test_parallel_determinism_cache_matrix () =
-  (* the exhausted frontier's crash set is invariant across the worker
-     count and the solver cache, and every pushed pending is solved *)
-  let seq, _ = explore_crashes ~jobs:1 crash_corpus_src in
+  (* the exhausted frontier's crash set is invariant across the solver
+     cache, and every pushed pending is solved *)
+  let seq, _ = explore_crashes crash_corpus_src in
   check_bool "found some crash sites" true (List.length seq >= 3);
   List.iter
-    (fun (jobs, cache) ->
-      let found, stats = explore_crashes ~jobs ~cache crash_corpus_src in
-      let tag = Printf.sprintf "jobs=%d cache=%b" jobs cache in
+    (fun cache ->
+      let found, stats = explore_crashes ~cache crash_corpus_src in
+      let tag = Printf.sprintf "cache=%b" cache in
       check_bool (tag ^ " frontier exhausted") true (stats.runs < 400);
       Alcotest.(check (list string)) (tag ^ " crash set") seq found;
       check_int (tag ^ " sat + unsat + unknown = forks") stats.forks
         (stats.sat + stats.unsat + stats.unknown))
-    [ (1, true); (1, false); (4, true); (4, false) ]
-
-let test_worker_runs_sum_to_runs () =
-  (* 4-domain stress on the widest frontier: per-worker run counts must
-     reconcile with the total *)
-  List.iter
-    (fun jobs ->
-      let _, stats = explore_crashes ~jobs crash_corpus_src in
-      let tag = Printf.sprintf "jobs=%d" jobs in
-      check_int (tag ^ " worker_runs length") jobs
-        (Array.length stats.worker_runs);
-      check_int (tag ^ " worker_runs sums to runs") stats.runs
-        (Array.fold_left ( + ) 0 stats.worker_runs);
-      check_bool (tag ^ " pending_peak positive") true (stats.pending_peak >= 1);
-      check_int (tag ^ " nothing stolen from one frontier") 0 stats.steals)
-    [ 1; 4 ]
+    [ true; false ]
 
 let test_parallel_respects_run_budget () =
   let sc =
@@ -536,16 +511,15 @@ let test_parallel_respects_run_budget () =
     Concolic.Dynamic.make_run sc ~vars ~on_branch_observed:(fun _ _ -> ())
   in
   let stats, _ =
-    Concolic.Engine.explore ~vars ~budget:(budget 5) ~jobs:4 ~run ()
+    Concolic.Engine.explore ~vars ~budget:(budget 5) ~run ()
   in
-  check_bool "run budget exact under parallel pool" true (stats.runs <= 5)
+  check_int "run budget is exact" 5 stats.runs
 
 (* ------------------------------------------------------------------ *)
-(* jobs=1 golden values: the engine statistics and the found model of
-   deterministic explorations, recorded from the dedicated sequential loop
-   the shared-frontier worker pool replaced.  At jobs=1 the pool must pop
-   in the same order and check the same budget, so every value here is
-   exact. *)
+(* Golden values: the engine statistics and the found model of
+   deterministic explorations, recorded from an earlier sequential loop.
+   The engine's loop must pop in the same order and check the same
+   budget, so every value here is exact. *)
 
 type golden = {
   g_runs : int;
@@ -585,8 +559,8 @@ let golden_corpus ~strategy ~cache ~stop () =
   in
   let cache = if cache then Some (Solver.Cache.create ()) else None in
   let s, found =
-    Concolic.Engine.explore ~vars ~budget:(budget 400) ~strategy ~jobs:1 ?cache
-      ~run ~should_stop ()
+    Concolic.Engine.explore ~vars ~budget:(budget 400) ~strategy ?cache ~run
+      ~should_stop ()
   in
   golden_of s (Option.map fst found)
 
@@ -596,7 +570,7 @@ let golden_explore name () =
   let run = Concolic.Dynamic.make_run sc ~vars ~on_branch_observed:(fun _ _ -> ()) in
   let s, _ =
     Concolic.Engine.explore ~vars ~budget:(budget 60) ~strategy:Concolic.Engine.Bfs
-      ~jobs:1 ~cache:(Solver.Cache.create ()) ~run ()
+      ~cache:(Solver.Cache.create ()) ~run ()
   in
   golden_of s None
 
@@ -663,7 +637,7 @@ let golden_tests =
     (fun (name, run, expected) ->
       Alcotest.test_case name `Quick (fun () ->
           Alcotest.(check string)
-            (name ^ " at jobs=1") (golden_to_string expected)
+            name (golden_to_string expected)
             (golden_to_string (run ()))))
     golden_cases
 
@@ -699,12 +673,8 @@ let () =
         ] );
       ( "parallel",
         [
-          Alcotest.test_case "jobs=1 = jobs=4 crash set" `Quick
-            test_parallel_determinism;
           Alcotest.test_case "jobs/cache matrix determinism" `Quick
             test_parallel_determinism_cache_matrix;
-          Alcotest.test_case "worker runs sum to runs" `Quick
-            test_worker_runs_sum_to_runs;
           Alcotest.test_case "parallel respects budget" `Quick
             test_parallel_respects_run_budget;
         ] );

@@ -227,31 +227,35 @@ let prop_full_log_reproduces =
           Replay.Guided.reproduced result)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel replay: whatever the worker count, the verdict (reproduced at
-   the recorded site) must match the sequential engine's, and every solve
-   goes through the memoizing cache. *)
+(* Replay through the memoizing cache: the verdict (reproduced at the
+   recorded site) holds, and every solve goes through the cache.  A
+   config's [jobs] sizes only a triage batch's cluster pool, so
+   [Run.reproduce] under [jobs = 4] is the same one-worker search. *)
 
 let test_reproduce_parallel_matches_sequential () =
   let prog, plan, report = record ~args:[ "BUG" ] magic_src in
   match report with
   | None -> Alcotest.fail "field run did not crash"
   | Some report ->
-      List.iter
-        (fun jobs ->
-          let result, stats =
-            Bugrepro.Pipeline.(
-              Run.reproduce (Config.with_jobs jobs config) ~prog ~plan report)
-          in
-          let tag what = Printf.sprintf "jobs=%d: %s" jobs what in
-          let cache : Solver.Cache.snapshot = stats.cache in
-          check_bool (tag "reproduced") true (Replay.Guided.reproduced result);
-          check_bool (tag "cache consulted") true
-            (cache.hits + cache.misses > 0))
-        [ 1; 4 ]
+      let view (result, (stats : Replay.Guided.stats)) =
+        ( Replay.Guided.reproduced result,
+          stats.engine.runs,
+          stats.cache.hits + stats.cache.misses )
+      in
+      let seq = view (Bugrepro.Pipeline.Run.reproduce config ~prog ~plan report) in
+      let pooled =
+        view
+          Bugrepro.Pipeline.(
+            Run.reproduce (Config.with_jobs 4 config) ~prog ~plan report)
+      in
+      let reproduced, _, queries = seq in
+      check_bool "reproduced" true reproduced;
+      check_bool "cache consulted" true (queries > 0);
+      check_bool "jobs = 4 config runs the same search" true (seq = pooled)
 
 let test_reproduce_parallel_no_log_search () =
-  (* the widest frontier: no branch log at all, drained by 4 workers
-     through the memoizing cache *)
+  (* the widest frontier: no branch log at all, drained through the
+     memoizing cache *)
   let prog, _, _ = record ~args:[ "BUG" ] magic_src in
   let none =
     Instrument.Plan.make
@@ -264,77 +268,32 @@ let test_reproduce_parallel_no_log_search () =
   | None -> Alcotest.fail "field run did not crash"
   | Some report ->
       let result, stats =
-        Bugrepro.Pipeline.(
-          Run.reproduce (Config.with_jobs 4 config) ~prog ~plan:none report)
+        Bugrepro.Pipeline.Run.reproduce config ~prog ~plan:none report
       in
-      check_bool "reproduced by parallel search" true
+      check_bool "reproduced by the no-log search" true
         (Replay.Guided.reproduced result);
       check_bool "cache was consulted" true
-        (stats.cache.hits + stats.cache.misses > 0)
-
-let test_parallel_case_totals_match_sequential () =
-  (* point the report at a site no input reaches: every worker count must
-     drain the same frontier, stop cleanly, and — because the §3.1 case
-     counters are accumulated with atomic adds — report identical totals *)
-  let prog, _, report = record ~args:[ "BUG" ] magic_src in
-  let report = Option.get report in
-  let none =
-    Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
-      Instrument.Methods.No_instrumentation
-  in
-  let unreachable =
-    { report.Instrument.Report.crash with
-      Interp.Crash.loc = Minic.Loc.make ~file:"nowhere.mc" ~line:999 ~col:1 }
-  in
-  let report = { report with Instrument.Report.crash = unreachable } in
-  let run jobs =
-    let result, stats =
-      Replay.Guided.reproduce ~budget ~jobs ~max_attempts:1 ~prog ~plan:none
-        report
-    in
-    (match result with
-    | Replay.Guided.Not_reproduced { timed_out; _ } ->
-        check_bool
-          (Printf.sprintf "jobs=%d exhausted the frontier cleanly" jobs)
-          false timed_out
-    | Replay.Guided.Reproduced _ ->
-        Alcotest.fail "reproduced an unreachable site");
-    stats.Replay.Guided.cases
-  in
-  let tup (c : Replay.Guided.case_stats) =
-    (c.case1, c.case2a, c.case2b, c.case3a, c.case3b, c.case4, c.log_exhausted)
-  in
-  let seq = run 1 and par = run 4 in
-  check_bool "the frontier was actually explored" true (seq.case1 > 0);
-  check_bool "case totals match across 4 domains" true (tup seq = tup par)
-
-let test_parallel_engine_counters_reconcile () =
-  (* the per-worker run counts must agree with the totals whatever the
-     worker count *)
-  let prog, _, report = record ~args:[ "BUG" ] magic_src in
-  let report = Option.get report in
-  let none =
-    Instrument.Plan.make ~nbranches:(Minic.Program.nbranches prog)
-      Instrument.Methods.No_instrumentation
-  in
-  List.iter
-    (fun jobs ->
-      let _, stats =
-        Replay.Guided.reproduce ~budget ~jobs ~max_attempts:1 ~prog ~plan:none
-          report
+        (stats.cache.hits + stats.cache.misses > 0);
+      (* pointed at a site no input reaches, the same search drains its
+         frontier and stops cleanly, not as a timeout *)
+      let unreachable =
+        { report.Instrument.Report.crash with
+          Interp.Crash.loc = Minic.Loc.make ~file:"nowhere.mc" ~line:999 ~col:1 }
       in
-      let e = stats.Replay.Guided.engine in
-      let tag = Printf.sprintf "jobs=%d" jobs in
-      check_bool (tag ^ " worker_runs length") true
-        (Array.length e.worker_runs = jobs);
-      check_bool (tag ^ " worker_runs sums to runs") true
-        (Array.fold_left ( + ) 0 e.worker_runs = e.runs);
-      check_bool (tag ^ " pending peak recorded") true (e.pending_peak >= 1);
-      check_int (tag ^ " nothing stolen from one frontier") 0 e.steals)
-    [ 1; 4 ]
+      let result, stats =
+        Replay.Guided.reproduce ~budget ~max_attempts:1 ~prog ~plan:none
+          { report with Instrument.Report.crash = unreachable }
+      in
+      (match result with
+      | Replay.Guided.Not_reproduced { timed_out; _ } ->
+          check_bool "exhausted the frontier cleanly" false timed_out
+      | Replay.Guided.Reproduced _ ->
+          Alcotest.fail "reproduced an unreachable site");
+      check_bool "the frontier was actually explored" true
+        (stats.cases.case1 > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Resume at a case-2b mismatch (DESIGN.md §5m).  At jobs=1 a run that
+(* Resume at a case-2b mismatch (DESIGN.md §5m).  A run that
    takes the engine's offer must leave everything a run that aborts and
    restarts from [main] leaves: the same pendings, counters and models. *)
 
@@ -404,15 +363,15 @@ let search mode ~prog ~plan report =
   let stats, found =
     Concolic.Engine.search ~vars
       ~budget:{ Concolic.Engine.max_runs = 3_000; max_time_s = 600.0 }
-      ~jobs:1 ~cache:(Solver.Cache.create ()) ~run
+      ~cache:(Solver.Cache.create ()) ~run
       ~stop:(fun _ r -> Replay.Guided.crash_site report r)
       ()
   in
   { stats; found; case2b = !case2b; accepted = !accepted;
     declined = !declined; guarded = !guarded; vars }
 
-(* every engine counter a resume must leave alone: all but [resumes],
-   [elapsed_s] and [worker_runs] *)
+(* every engine counter a resume must leave alone: all but [resumes] and
+   [elapsed_s] *)
 let engine_view (s : Concolic.Engine.stats) =
   Printf.sprintf
     "runs=%d sat=%d unsat=%d unknown=%d peak=%d timed_out=%b forks=%d"
@@ -721,11 +680,8 @@ let test_default_config_reproduces_identically () =
             let s = stats.Replay.Guided.engine in
             let { Solver.Cache.hits; misses; _ } = stats.cache in
             ( engine_view s
-              ^ Printf.sprintf " resumes=%d worker_runs=%s hits=%d misses=%d"
-                  s.resumes
-                  (String.concat ","
-                     (Array.to_list (Array.map string_of_int s.worker_runs)))
-                  hits misses,
+              ^ Printf.sprintf " resumes=%d hits=%d misses=%d" s.resumes hits
+                  misses,
               found_view (Some (r.model, r.crash)) )
         | Replay.Guided.Not_reproduced _, _ ->
             Alcotest.fail "paste: report not reproduced"
@@ -736,7 +692,7 @@ let test_default_config_reproduces_identically () =
       Alcotest.(check string) "found model and site" model1 model2
 
 (* A cache handed to [reproduce] is the one the search solves through:
-   a second jobs=1 search of the same report answers every query from
+   a second search of the same report answers every query from
    it, and finds the same crashing input. *)
 let test_supplied_cache_is_used () =
   let prog, _, _ = record ~args:[ "BUG" ] magic_src in
@@ -751,7 +707,7 @@ let test_supplied_cache_is_used () =
   let cache = Solver.Cache.create () in
   let reproduce () =
     let result, stats =
-      Replay.Guided.reproduce ~budget ~jobs:1 ~cache ~prog ~plan:none report
+      Replay.Guided.reproduce ~budget ~cache ~prog ~plan:none report
     in
     let found =
       match result with
@@ -801,12 +757,8 @@ let () =
         [
           Alcotest.test_case "matches sequential verdict" `Quick
             test_reproduce_parallel_matches_sequential;
-          Alcotest.test_case "no-log search with 4 workers" `Quick
+          Alcotest.test_case "no-log search, one worker" `Quick
             test_reproduce_parallel_no_log_search;
-          Alcotest.test_case "case totals match sequential" `Quick
-            test_parallel_case_totals_match_sequential;
-          Alcotest.test_case "engine counters reconcile" `Quick
-            test_parallel_engine_counters_reconcile;
         ] );
       ( "resume",
         [
