@@ -99,35 +99,15 @@ let bases =
 (* duplicates per base: 15 intact reports over 5 clusters *)
 let copies = [ 4; 3; 3; 2; 3 ]
 
-let find_sub hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i =
-    if i + nl > hl then None
-    else if String.sub hay i nl = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
 (* cut into the tail of the branch payload hex (the v4 [branch-enc]
    token stream, or [branch-log] on raw wires): strictly malformed,
    salvageable.  The cut keeps 3/4 of the payload — on an encoded wire
    each lost byte is a whole token, i.e. many decoded bits, so a
    halfway cut would leave too short a prefix to guide replay at all *)
 let tear wire =
-  let key =
-    match find_sub wire "branch-enc: " with
-    | Some _ -> "branch-enc: "
-    | None -> "branch-log: "
-  in
-  match find_sub wire key with
+  match Instrument.Wire.payload_span wire with
   | None -> wire
-  | Some pos ->
-      let start = pos + String.length key in
-      let hex_end =
-        match String.index_from_opt wire start '\n' with
-        | Some e -> e
-        | None -> String.length wire
-      in
+  | Some (start, hex_end) ->
       String.sub wire 0 (start + (3 * (hex_end - start) / 4))
 
 (* one probe-elision measurement per batch base: elision counts, shipped

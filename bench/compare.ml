@@ -1,5 +1,7 @@
-(* Perf-regression gate (--compare BASELINE): parse a previously recorded
-   --json summary and diff the current run against it.
+(* Perf-regression gate (--compare BASELINE): read a previously recorded
+   --json summary through Telemetry.Json (the repository's one strict
+   reader; the bench also re-reads its own --json output through [load])
+   and diff the current run against it.
 
    Direction rules:
    - time-like entries (experiment wall clocks, metric keys ending in
@@ -25,241 +27,43 @@ let threshold = 0.25
 let time_floor_s = 1.0
 
 (* ------------------------------------------------------------------ *)
-(* Minimal JSON reader for the strict subset Util.write_json_summary
-   emits: objects, arrays, strings (with the escapes json_escape
-   produces), numbers and null.  No dependency on a JSON package. *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Null
-
-exception Parse of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  (* the four hex digits of a \u escape starting at [i] *)
-  let hex4 i =
-    if i + 4 >= n then fail "short \\u escape";
-    let digit c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-      | _ -> fail "bad \\u escape"
-    in
-    let rec go k acc =
-      if k = 4 then acc else go (k + 1) ((acc * 16) + digit s.[i + k])
-    in
-    go 0 0
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'n' -> Buffer.add_char b '\n'
-           | 't' -> Buffer.add_char b '\t'
-           | 'r' -> Buffer.add_char b '\r'
-           | 'b' -> Buffer.add_char b '\b'
-           | 'f' -> Buffer.add_char b '\012'
-           | 'u' ->
-               (* decoded to UTF-8, so a key a JSON writer escaped (Python's
-                  json.dump writes "µ" as \u00b5) equals the raw UTF-8 key
-                  the bench records; a surrogate pair is one code point *)
-               let code = hex4 (!pos + 1) in
-               pos := !pos + 4;
-               let code =
-                 if code >= 0xD800 && code <= 0xDBFF then begin
-                   if !pos + 6 >= n || s.[!pos + 1] <> '\\' || s.[!pos + 2] <> 'u'
-                   then fail "unpaired surrogate in \\u escape";
-                   let low = hex4 (!pos + 3) in
-                   if low < 0xDC00 || low > 0xDFFF then
-                     fail "unpaired surrogate in \\u escape";
-                   pos := !pos + 6;
-                   0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
-                 end
-                 else if code >= 0xDC00 && code <= 0xDFFF then
-                   fail "unpaired surrogate in \\u escape"
-                 else code
-               in
-               Buffer.add_utf_8_uchar b (Uchar.of_int code)
-           | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | Some '"' -> Str (parse_string ())
-    | Some 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then begin
-          pos := !pos + 4;
-          Null
-        end
-        else fail "bad literal"
-    | Some 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-          pos := !pos + 4;
-          Num 1.0
-        end
-        else fail "bad literal"
-    | Some 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-          pos := !pos + 5;
-          Num 0.0
-        end
-        else fail "bad literal"
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-(* ------------------------------------------------------------------ *)
 (* Baseline extraction: experiment wall clocks land under the pseudo-key
    "<id>/seconds" alongside the recorded metrics, so the diff below is one
    uniform key space. *)
 
 type baseline = { entries : (string * float) list }
 
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
 let load (path : string) : (baseline, string) result =
-  match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  with
+  let module J = Telemetry.Json in
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | text -> (
-      match parse_json text with
-      | exception Parse e -> Error (path ^ ": " ^ e)
-      | j ->
-          let entries = ref [] in
-          (match member "experiments" j with
-          | Some (Arr rows) ->
-              List.iter
-                (fun row ->
-                  match member "id" row, member "seconds" row with
-                  | Some (Str id), Some (Num s) ->
-                      entries := (id ^ "/seconds", s) :: !entries
-                  | _ -> ())
-                rows
-          | _ -> ());
-          (match member "metrics" j with
-          | Some (Arr rows) ->
-              List.iter
-                (fun row ->
-                  match
-                    (member "experiment" row, member "key" row,
-                     member "value" row)
-                  with
-                  | Some (Str e), Some (Str k), Some (Num v) ->
-                      entries := (e ^ "/" ^ k, v) :: !entries
-                  | _ -> ())
-                rows
-          | _ -> ());
-          Ok { entries = List.rev !entries })
+      match J.parse text with
+      | Error e -> Error (path ^ ": " ^ e)
+      | Ok j ->
+          let rows k =
+            match J.member k j with Some (J.Arr rows) -> rows | _ -> []
+          in
+          let experiment row =
+            match J.member "id" row, J.member "seconds" row with
+            | Some (J.Str id), Some (J.Num s) -> Some (id ^ "/seconds", s)
+            | _ -> None
+          in
+          let metric row =
+            match
+              (J.member "experiment" row, J.member "key" row,
+               J.member "value" row)
+            with
+            | Some (J.Str e), Some (J.Str k), Some (J.Num v) ->
+                Some (e ^ "/" ^ k, v)
+            | _ -> None
+          in
+          Ok
+            {
+              entries =
+                List.filter_map experiment (rows "experiments")
+                @ List.filter_map metric (rows "metrics");
+            })
 
 (* ------------------------------------------------------------------ *)
 (* Direction classification and the diff itself *)

@@ -173,7 +173,13 @@ let () =
             ("trace", match trace with Some t -> t | None -> "");
           ]
         ~experiments:(List.rev !durations) ();
-      Printf.printf "JSON summary written to %s\n" path);
+      (* re-read the summary through the perf gate's own loader, so a
+         file the gate could not read fails here, not in a later run *)
+      match Compare.load path with
+      | Ok _ -> Printf.printf "JSON summary written to %s (valid)\n" path
+      | Error e ->
+          Printf.eprintf "JSON summary %s INVALID: %s\n" path e;
+          exit 3);
   (* perf-regression gate: diff this run against a recorded baseline and
      fail the process on any >25% regression (see Compare for the
      direction rules; bin/refresh-baselines.sh refreshes the files) *)

@@ -1,27 +1,28 @@
-(* Tests for the perf gate's baseline reader (compare.ml): \u escapes
-   decode to UTF-8, so a baseline written by a JSON library that escapes
-   non-ASCII keys matches the raw UTF-8 keys a bench run records, and
-   malformed escapes are still rejected. *)
+(* Tests for the perf gate's baseline reader: Compare.load reads through
+   Telemetry.Json, whose \u escapes decode to UTF-8, so a baseline written
+   by a JSON library that escapes non-ASCII keys matches the raw UTF-8
+   keys a bench run records, and malformed escapes are still rejected. *)
 
-let parse s = Compare.parse_json s
+let parse = Telemetry.Json.parse
 
-let str = function
-  | Compare.Str s -> s
-  | _ -> Alcotest.fail "expected a JSON string"
+let str s =
+  match parse s with
+  | Ok (Telemetry.Json.Str s) -> s
+  | Ok _ -> Alcotest.fail "expected a JSON string"
+  | Error e -> Alcotest.fail e
 
 let rejects what s =
   match parse s with
-  | exception Compare.Parse _ -> ()
-  | _ -> Alcotest.failf "%s accepted: %s" what s
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s accepted: %s" what s
 
 let test_escapes_decode_to_utf8 () =
   Alcotest.(check string) "BMP code point" "\xc2\xb5Server"
-    (str (parse {|"\u00b5Server"|}));
-  Alcotest.(check string) "upper-case hex" "\xc2\xb5"
-    (str (parse {|"\u00B5"|}));
-  Alcotest.(check string) "ASCII escape" "A/b" (str (parse {|"A\/b"|}));
+    (str {|"\u00b5Server"|});
+  Alcotest.(check string) "upper-case hex" "\xc2\xb5" (str {|"\u00B5"|});
+  Alcotest.(check string) "ASCII escape" "A/b" (str {|"A\/b"|});
   Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80"
-    (str (parse {|"\ud83d\ude00"|}))
+    (str {|"\ud83d\ude00"|})
 
 let test_malformed_escapes_rejected () =
   rejects "non-hex digit" {|"\u00zz"|};

@@ -111,8 +111,8 @@ let triage_batch ~policy ~telemetry ~resolve items =
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable summary (--json): experiments record named numeric
-   metrics here; the driver dumps everything at exit.  CI's bench smoke job
-   asserts the file parses, so the emitter below must produce strict JSON. *)
+   metrics here; the driver dumps everything at exit and re-reads the file
+   through Compare.load, so the emitter below must produce strict JSON. *)
 
 let metrics : (string * string * float) list ref = ref []
 
@@ -227,41 +227,19 @@ let elision_curve ~experiment ~(prog : Minic.Program.t)
             - raw.Instrument.Field_run.cost.instr)
        /. float_of_int raw.Instrument.Field_run.cost.instr)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  (* JSON has no NaN/Infinity literals *)
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else if Float.abs v = Float.infinity then "null"
-  else Printf.sprintf "%g" v
-
 (* Write the whole-run summary: scale/knob metadata, per-experiment wall
    clocks, and every metric recorded via [record_metric]. *)
 let write_json_summary ~path ~(meta : (string * string) list)
     ~(experiments : (string * float) list) () =
+  let module J = Telemetry.Json in
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   out "  \"meta\": {";
   List.iteri
     (fun i (k, v) ->
-      out "%s\"%s\": \"%s\"" (if i = 0 then "" else ", ") (json_escape k)
-        (json_escape v))
+      out "%s\"%s\": \"%s\"" (if i = 0 then "" else ", ") (J.escape k)
+        (J.escape v))
     meta;
   out "},\n";
   out "  \"experiments\": [";
@@ -269,7 +247,7 @@ let write_json_summary ~path ~(meta : (string * string) list)
     (fun i (id, dt) ->
       out "%s\n    {\"id\": \"%s\", \"seconds\": %s}"
         (if i = 0 then "" else ",")
-        (json_escape id) (json_float dt))
+        (J.escape id) (J.float dt))
     experiments;
   out "\n  ],\n";
   out "  \"metrics\": [";
@@ -277,7 +255,7 @@ let write_json_summary ~path ~(meta : (string * string) list)
     (fun i (experiment, key, value) ->
       out "%s\n    {\"experiment\": \"%s\", \"key\": \"%s\", \"value\": %s}"
         (if i = 0 then "" else ",")
-        (json_escape experiment) (json_escape key) (json_float value))
+        (J.escape experiment) (J.escape key) (J.float value))
     (List.rev !metrics);
   out "\n  ]\n";
   out "}\n";

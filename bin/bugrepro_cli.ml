@@ -374,6 +374,18 @@ let make_resolver cfg : Triage.resolve =
         in
         Ok (analysis.Bugrepro.Pipeline.prog, plan)
 
+(* Exit status of a triage run that ingested only rejected reports: 4 when
+   any of them names a newer wire format (upgrade the tool), else 3. *)
+let rejection_exit (errors : Instrument.Wire.error list) =
+  if
+    List.exists
+      (function
+        | Instrument.Wire.Unknown_version _ -> true
+        | Instrument.Wire.Malformed _ -> false)
+      errors
+  then 4
+  else 3
+
 let triage_cmd dir jobs deadline timeout seed index json trace metrics =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Printf.eprintf "no such directory: %s\n" dir;
@@ -430,15 +442,8 @@ let triage_cmd dir jobs deadline timeout seed index json trace metrics =
         | None -> ());
         finish_telemetry ();
         if items = [] && rejected <> [] then
-          if
-            List.exists
-              (fun (r : Triage.Ingest.rejected) ->
-                match r.error with
-                | Instrument.Wire.Unknown_version _ -> true
-                | Instrument.Wire.Malformed _ -> false)
-              rejected
-          then 4
-          else 3
+          rejection_exit
+            (List.map (fun (r : Triage.Ingest.rejected) -> r.error) rejected)
         else if summary.Triage.Summary.timed_out > 0 then 1
         else 0
   end
@@ -447,15 +452,6 @@ let triage_cmd dir jobs deadline timeout seed index json trace metrics =
    (workload, method) base, then emit [count] files cycling through the
    bases — the repeats are the duplicates — and tear a seeded subset
    mid-branch-log.  Same (seed, count, torn) => byte-identical batch. *)
-
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go 0
 
 let batch_bases =
   [
@@ -512,20 +508,9 @@ let batch_cmd dir count seed torn =
         end
       done;
       let tear wire =
-        let key =
-          match find_sub wire "branch-enc: " with
-          | Some _ -> "branch-enc: "
-          | None -> "branch-log: "
-        in
-        match find_sub wire key with
+        match Instrument.Wire.payload_span wire with
         | None -> wire
-        | Some pos ->
-            let start = pos + String.length key in
-            let hex_end =
-              match String.index_from_opt wire start '\n' with
-              | Some e -> e
-              | None -> String.length wire
-            in
+        | Some (start, hex_end) ->
             let hex_len = hex_end - start in
             if hex_len <= 2 then String.sub wire 0 start
             else
@@ -624,6 +609,13 @@ let serve_cmd dir generate clients torn_pct seed queue drop_s burst window
           in
           if recovered > 0 then
             Printf.printf "recovered %d report(s) from the index\n" recovered;
+          (* every wire error met while ingesting, for the exit status *)
+          let rejections = ref [] in
+          let submit_wire ~path wire =
+            match Triage.Service.submit svc ~path wire with
+            | Triage.Service.Rejected e -> rejections := e :: !rejections
+            | Triage.Service.Queued | Triage.Service.Dropped _ -> ()
+          in
           (* phase 1: the generated fleet, submitted in seeded order with
              a tick every [tick_every] submissions — faster than the
              service drains on purpose, so backpressure is observable *)
@@ -635,7 +627,7 @@ let serve_cmd dir generate clients torn_pct seed queue drop_s burst window
             in
             List.iteri
               (fun i (r : Workloads.Report_gen.report) ->
-                ignore (Triage.Service.submit svc ~path:r.path r.wire);
+                submit_wire ~path:r.path r.wire;
                 if (i + 1) mod tick_every = 0 then
                   ignore (Triage.Service.tick svc))
               stream
@@ -665,6 +657,7 @@ let serve_cmd dir generate clients torn_pct seed queue drop_s burst window
                   items;
                 List.iter
                   (fun (r : Triage.Ingest.rejected) ->
+                    rejections := r.error :: !rejections;
                     Printf.printf "rejected %s: %s\n" r.path
                       (Instrument.Wire.error_to_string r.error))
                   rejects;
@@ -715,19 +708,8 @@ let serve_cmd dir generate clients torn_pct seed queue drop_s burst window
                 Printf.printf "json summary written to %s\n" path
             | None -> ());
             finish_telemetry ();
-            if
-              summary.Triage.Summary.reports = 0
-              && summary.Triage.Summary.rejected <> []
-            then
-              let vprefix = "unknown report format version" in
-              if
-                List.exists
-                  (fun (_, reason) ->
-                    String.length reason >= String.length vprefix
-                    && String.sub reason 0 (String.length vprefix) = vprefix)
-                  summary.Triage.Summary.rejected
-              then 4
-              else 3
+            if summary.Triage.Summary.reports = 0 && !rejections <> [] then
+              rejection_exit !rejections
             else if summary.Triage.Summary.timed_out > 0 then 1
             else 0
           end)

@@ -17,7 +17,9 @@
 #                             # over a generated batch with duplicates and
 #                             # torn tails (strict JSON summary validated),
 #                             # a damaged-index smoke (triage and serve
-#                             # exit 6 on an unreadable --index),
+#                             # exit 6 on an unreadable --index, 4 on a
+#                             # directory of only future-version reports,
+#                             # 3 on one of only malformed reports),
 #                             # an encoding smoke (a loop-heavy demo saved
 #                             # as wire v4 reproduces and ships a
 #                             # branch-enc payload strictly smaller than
@@ -182,7 +184,7 @@ EOF
     echo "python3 not found; skipping JSON validation of $SUMMARY"
   fi
 
-  echo "== damaged-index smoke (triage and serve exit 6) =="
+  echo "== damaged-index smoke (triage and serve exit 6, 4 and 3) =="
   # an index directory whose shard is not an index must fail closed with
   # the documented exit code 6 from both triage commands, never 3/4
   # (those mean the reports themselves are corrupt / too new)
@@ -202,7 +204,27 @@ EOF
     echo "error: serve --index <damaged> exited $IDX_EXIT, expected 6" >&2
     exit 1
   fi
-  echo "damaged-index smoke OK: triage and serve both exit 6"
+  # a directory that yields only rejections exits 4 when a report names a
+  # newer wire version (upgrade the tool) and 3 when every one is corrupt
+  REJ=$(mktemp -d /tmp/triage-rejects.XXXXXX)
+  mkdir "$REJ/future" "$REJ/malformed"
+  printf 'bugrepro-report/99\nprogram: x\n' > "$REJ/future/r0.report"
+  printf 'not a report\n' > "$REJ/malformed/r0.report"
+  for CMD in triage serve; do
+    for KIND in future malformed; do
+      if [ "$KIND" = future ]; then WANT=4; else WANT=3; fi
+      REJ_EXIT=0
+      dune exec bin/bugrepro_cli.exe -- "$CMD" "$REJ/$KIND" \
+        > /dev/null 2>&1 || REJ_EXIT=$?
+      if [ "$REJ_EXIT" -ne "$WANT" ]; then
+        echo "error: $CMD on only $KIND reports exited $REJ_EXIT," \
+             "expected $WANT" >&2
+        exit 1
+      fi
+    done
+  done
+  echo "damaged-index smoke OK: triage and serve both exit 6 on a damaged" \
+       "index, 4 on future-version reports, 3 on malformed ones"
 
   echo "== encoding smoke (wire-v4 online codec) =="
   # a loop-heavy demo run saved as wire v4 must reproduce (exit 0) and

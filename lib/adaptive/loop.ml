@@ -442,20 +442,6 @@ let run (config : config) : result =
 
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let cohort_to_json (c : cohort_round) =
   Printf.sprintf
     "{\"name\":\"%s\",\"level\":\"%s\",\"next_level\":\"%s\",\"reports\":%d,\
@@ -463,7 +449,7 @@ let cohort_to_json (c : cohort_round) =
      \"overhead_pct\":%.2f,\"clusters\":%d,\"reproduced\":%d,\
      \"timed_out\":%d,\"exhausted\":%d,\"failed\":%d,\"log_exhausted\":%d,\
      \"contradictions\":%d,\"runs\":%d}"
-    (json_escape c.cr_name)
+    (Telemetry.Json.escape c.cr_name)
     (Policy.level_to_string c.cr_level)
     (Policy.level_to_string c.cr_next)
     c.cr_reports c.cr_torn c.cr_bits c.cr_payload_bytes c.cr_overhead_pct

@@ -195,34 +195,13 @@ let wire_check (report : Instrument.Report.t) : verdict =
    clean [Not_reproduced], never an exception (the §3.1 [log_exhausted]
    degradation the salvage path exists for). *)
 
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go 0
-
 (* Byte position cutting halfway into the branch payload hex —
    "branch-enc: " on a v4 encoded report, "branch-log: " on a raw one.
    The resulting prefix is strictly malformed but salvageable. *)
 let payload_tear_pos wire =
-  let field =
-    match find_sub wire "branch-enc: " with
-    | Some _ -> "branch-enc: "
-    | None -> "branch-log: "
-  in
-  match find_sub wire field with
-  | None -> None
-  | Some pos ->
-      let start = pos + String.length field in
-      let hex_end =
-        match String.index_from_opt wire start '\n' with
-        | Some e -> e
-        | None -> String.length wire
-      in
-      Some (start + ((hex_end - start) / 2))
+  Option.map
+    (fun (start, hex_end) -> start + ((hex_end - start) / 2))
+    (Instrument.Wire.payload_span wire)
 
 (* The strict reader is a clean salvage: [Some why] when the two readers
    disagree on [s]. *)
@@ -676,15 +655,13 @@ let encoding_check (cfg : cfg) (case : Gen.case) (sc : Concolic.Scenario.t)
                               enc.branch_log.Instrument.Branch_log.bytes)
                        then err "wire round trip changed the decoded bits");
                    (* negatives, only meaningful on an encoded payload *)
-                   match find_sub wire "branch-enc: " with
-                   | None -> err "crashing encoded run shipped no branch-enc"
-                   | Some pos ->
-                       let start = pos + String.length "branch-enc: " in
-                       let hex_end =
-                         match String.index_from_opt wire start '\n' with
-                         | Some e -> e
-                         | None -> String.length wire
-                       in
+                   match
+                     (report.Instrument.Report.branch_log,
+                      Instrument.Wire.payload_span wire)
+                   with
+                   | Instrument.Report.Raw _, _ | _, None ->
+                       err "crashing encoded run shipped no branch-enc"
+                   | Instrument.Report.Encoded _, Some (start, hex_end) ->
                        let torn =
                          String.sub wire 0 (start + ((hex_end - start) / 2))
                        in

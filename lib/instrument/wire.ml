@@ -152,6 +152,32 @@ let serialize (t : Report.t) : string =
       line "branch-enc: %s" (hex_of_string e.Codec.data));
   Buffer.contents b
 
+(* The payload hex's byte range: after the first "branch-enc: " when the
+   wire has one, else after the first "branch-log: ", to the line end. *)
+let payload_span wire =
+  let n = String.length wire in
+  let after key =
+    let m = String.length key in
+    let rec at i k = k = m || (wire.[i + k] = key.[k] && at i (k + 1)) in
+    let rec go i =
+      if i + m > n then None
+      else if at i 0 then Some (i + m)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let start =
+    match after "branch-enc: " with
+    | Some _ as s -> s
+    | None -> after "branch-log: "
+  in
+  Option.map
+    (fun start ->
+      match String.index_from_opt wire start '\n' with
+      | Some stop -> (start, stop)
+      | None -> (start, n))
+    start
+
 (* ------------------------------------------------------------------ *)
 (* Reading.  One field walk serves both readers.
 

@@ -37,6 +37,13 @@ val serialize : Report.t -> string
     lines. *)
 val hex_of_string : string -> string
 
+(** The byte range [(start, stop)] of the branch payload hex: the text
+    after the first ["branch-enc: "] when the wire has one, else after the
+    first ["branch-log: "], up to the end of that line (or of the wire).
+    [None] when neither key occurs.  Fault injectors use it to cut a
+    report inside its payload. *)
+val payload_span : string -> (int * int) option
+
 (** {2 Reading}
 
     One field walk, {!deserialize_salvage}, reads every report; it

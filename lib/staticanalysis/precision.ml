@@ -177,30 +177,17 @@ let to_text ?(all = false) (r : report) : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (hand-rolled: no external dependencies) *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* JSON rendering over the shared Telemetry.Json escaper *)
 
 let entry_to_json (e : entry) : string =
   Printf.sprintf
     "{\"bid\":%d,\"file\":\"%s\",\"line\":%d,\"func\":\"%s\",\"lib\":%b,\
      \"static\":\"%s\",\"dynamic\":\"%s\",\"verdict\":\"%s\",\"const\":%s,\
      \"dead\":%b%s}"
-    e.bid (json_escape e.loc.Loc.file) e.loc.Loc.line (json_escape e.func)
+    e.bid
+    (Telemetry.Json.escape e.loc.Loc.file)
+    e.loc.Loc.line
+    (Telemetry.Json.escape e.func)
     e.is_lib
     (Label.to_string e.static_label)
     (Label.to_string e.dynamic_label)
@@ -208,7 +195,7 @@ let entry_to_json (e : entry) : string =
     (match e.const_value with Some v -> string_of_int v | None -> "null")
     e.dead
     (match e.witness with
-    | Some w -> Printf.sprintf ",\"witness\":\"%s\"" (json_escape w)
+    | Some w -> Printf.sprintf ",\"witness\":\"%s\"" (Telemetry.Json.escape w)
     | None -> "")
 
 let to_json (r : report) : string =

@@ -1084,34 +1084,21 @@ let report_to_text ?(all = false) (t : t) (prog : Program.t)
        t.n_const t.n_arm t.n_implied t.n_invariant);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let entry_to_json (e : entry) : string =
   Printf.sprintf
     "{\"bid\":%d,\"file\":\"%s\",\"line\":%d,\"func\":\"%s\",\"lib\":%b,\
      \"instrumented\":%b,\"verdict\":\"%s\",\"rule\":%s%s}"
-    e.bid (json_escape e.loc.Loc.file) e.loc.Loc.line (json_escape e.func)
+    e.bid
+    (Telemetry.Json.escape e.loc.Loc.file)
+    e.loc.Loc.line
+    (Telemetry.Json.escape e.func)
     e.is_lib e.instrumented
     (verdict_to_string e.verdict)
     (match e.rule with
     | Some r -> Printf.sprintf "\"%s\"" (rule_to_code r)
     | None -> "null")
     (match e.witness with
-    | Some w -> Printf.sprintf ",\"witness\":\"%s\"" (json_escape w)
+    | Some w -> Printf.sprintf ",\"witness\":\"%s\"" (Telemetry.Json.escape w)
     | None -> "")
 
 (** Strict JSON report.  [extra] is spliced verbatim into the summary

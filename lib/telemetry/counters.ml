@@ -85,18 +85,18 @@ let to_string (s : snapshot) = Format.asprintf "%a" pp s
 let to_json (s : snapshot) : string =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf "{\"scope\": \"%s\", \"counters\": {" (Event.json_escape s.scope));
+    (Printf.sprintf "{\"scope\": \"%s\", \"counters\": {" (Json.escape s.scope));
   List.iteri
     (fun i (n, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": %d" (Event.json_escape n) v))
+      Buffer.add_string b (Printf.sprintf "\"%s\": %d" (Json.escape n) v))
     s.counters;
   Buffer.add_string b "}, \"gauges\": {";
   List.iteri
     (fun i (n, v) ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
-        (Printf.sprintf "\"%s\": %s" (Event.json_escape n) (Event.json_float v)))
+        (Printf.sprintf "\"%s\": %s" (Json.escape n) (Json.float v)))
     s.gauges;
   Buffer.add_string b "}}";
   Buffer.contents b

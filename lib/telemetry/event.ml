@@ -34,34 +34,10 @@ let timestamp = function
 (* ------------------------------------------------------------------ *)
 (* Strict-JSON encoding (one object per line; CI parses it) *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_nan v || Float.abs v = Float.infinity then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    (* shortest decimal that parses back to the same float, so a trace
-       round-trips exactly through of_jsonl *)
-    let s = Printf.sprintf "%.15g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
-
 let attr_value_to_json = function
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Str s -> Json.quote s
   | Int i -> string_of_int i
-  | Float f -> json_float f
+  | Float f -> Json.float f
   | Bool b -> if b then "true" else "false"
 
 let attrs_to_json (attrs : attrs) =
@@ -71,7 +47,7 @@ let attrs_to_json (attrs : attrs) =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
-        (Printf.sprintf "\"%s\": %s" (json_escape k) (attr_value_to_json v)))
+        (Printf.sprintf "\"%s\": %s" (Json.escape k) (attr_value_to_json v)))
     attrs;
   Buffer.add_char b '}';
   Buffer.contents b
@@ -87,15 +63,15 @@ let to_json (e : t) : string =
         (match s.parent with
         | Some p -> Printf.sprintf ", \"parent\": %d" p
         | None -> "")
-        (json_escape s.name) (json_float s.t) (attrs_to_json s.attrs)
+        (Json.escape s.name) (Json.float s.t) (attrs_to_json s.attrs)
   | Span_end s ->
       Printf.sprintf
         "{\"ev\": \"span_end\", \"id\": %d, \"name\": \"%s\", \"t\": %s, \
          \"attrs\": %s}"
-        s.id (json_escape s.name) (json_float s.t) (attrs_to_json s.attrs)
+        s.id (Json.escape s.name) (Json.float s.t) (attrs_to_json s.attrs)
   | Sample s ->
       Printf.sprintf "{\"ev\": \"sample\", \"name\": \"%s\", \"t\": %s, \"value\": %s}"
-        (json_escape s.name) (json_float s.t) (json_float s.value)
+        (Json.escape s.name) (Json.float s.t) (Json.float s.value)
   | Counter c ->
       Printf.sprintf "{\"ev\": \"counter\", \"name\": \"%s\", \"t\": %s, \"value\": %d}"
-        (json_escape c.name) (json_float c.t) c.value
+        (Json.escape c.name) (Json.float c.t) c.value

@@ -27,7 +27,5 @@ val to_json : t -> string
 
 (**/**)
 
-(* exposed for the JSONL writer and the trace pretty-printer *)
-val json_escape : string -> string
-val json_float : float -> string
+(* exposed for the trace pretty-printer *)
 val attr_value_to_json : attr_value -> string

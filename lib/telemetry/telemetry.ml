@@ -32,3 +32,4 @@ module Span = Span
 module Metrics = Metrics
 module Counters = Counters
 module Trace = Trace
+module Json = Json

@@ -2,174 +2,12 @@
 
     A trace is the event stream a sink saw: in-memory (from
     {!Sink.memory}) or re-read from a JSONL file (the [--trace]
-    artifact).  [of_jsonl] parses the latter with a small strict-JSON
-    reader — the emitter and the reader live in the same library, so the
-    format is round-trip tested.  [validate] checks the structural
+    artifact).  [of_jsonl] parses the latter line by line with
+    {!Json.parse} — the emitter and the reader live in the same library,
+    so the format is round-trip tested.  [validate] checks the structural
     invariants CI enforces on every emitted trace: every span closed
     exactly once, start before end, parents resolving to already-open
     spans.  [tree]/[pp_tree] rebuild and render the span hierarchy. *)
-
-(* ------------------------------------------------------------------ *)
-(* Minimal strict-JSON reader (objects, arrays, strings, numbers,
-   true/false/null) — just enough for our own emitted lines. *)
-
-type json =
-  | Null
-  | Jbool of bool
-  | Num of float
-  | Jstr of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : (json, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | None -> fail "unterminated escape"
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | '/' -> Buffer.add_char b '/'
-              | 'n' -> Buffer.add_char b '\n'
-              | 't' -> Buffer.add_char b '\t'
-              | 'r' -> Buffer.add_char b '\r'
-              | 'b' -> Buffer.add_char b '\b'
-              | 'f' -> Buffer.add_char b '\012'
-              | 'u' ->
-                  if !pos + 4 > n then fail "bad \\u escape";
-                  let hex = String.sub s !pos 4 in
-                  pos := !pos + 4;
-                  let code =
-                    try int_of_string ("0x" ^ hex)
-                    with _ -> fail "bad \\u escape"
-                  in
-                  (* our emitter only escapes control chars, so ASCII is
-                     enough here; other code points round-trip as '?' *)
-                  Buffer.add_char b
-                    (if code < 128 then Char.chr code else '?')
-              | _ -> fail "bad escape"));
-          go ()
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    let lit = String.sub s start (!pos - start) in
-    match float_of_string_opt lit with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (items [])
-        end
-    | Some 't' when !pos + 4 <= n && String.sub s !pos 4 = "true" ->
-        pos := !pos + 4;
-        Jbool true
-    | Some 'f' when !pos + 5 <= n && String.sub s !pos 5 = "false" ->
-        pos := !pos + 5;
-        Jbool false
-    | Some 'n' when !pos + 4 <= n && String.sub s !pos 4 = "null" ->
-        pos := !pos + 4;
-        Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
-  in
-  try
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
-    else Ok v
-  with Parse_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* JSON -> event *)
@@ -177,32 +15,33 @@ let parse_json (s : string) : (json, string) result =
 let ( let* ) = Result.bind
 
 let obj_field o k =
-  match o with
-  | Obj fields -> (
-      match List.assoc_opt k fields with
-      | Some v -> Ok v
-      | None -> Error ("missing field " ^ k))
-  | _ -> Error "not an object"
+  match Json.member k o with
+  | Some v -> Ok v
+  | None -> Error ("missing field " ^ k)
 
 let as_int = function
-  | Num f when Float.is_integer f -> Ok (int_of_float f)
+  | Json.Num f when Float.is_integer f -> Ok (int_of_float f)
   | _ -> Error "expected integer"
 
-let as_float = function Num f -> Ok f | Null -> Ok Float.nan | _ -> Error "expected number"
-let as_string = function Jstr s -> Ok s | _ -> Error "expected string"
+let as_float = function
+  | Json.Num f -> Ok f
+  | Json.Null -> Ok Float.nan
+  | _ -> Error "expected number"
 
-let attr_of_json : json -> (Event.attr_value, string) result = function
-  | Jstr s -> Ok (Event.Str s)
-  | Jbool b -> Ok (Event.Bool b)
-  | Num f when Float.is_integer f && Float.abs f < 1e15 ->
+let as_string = function Json.Str s -> Ok s | _ -> Error "expected string"
+
+let attr_of_json : Json.t -> (Event.attr_value, string) result = function
+  | Json.Str s -> Ok (Event.Str s)
+  | Json.Bool b -> Ok (Event.Bool b)
+  | Json.Num f when Float.is_integer f && Float.abs f < 1e15 ->
       Ok (Event.Int (int_of_float f))
-  | Num f -> Ok (Event.Float f)
-  | Null -> Ok (Event.Float Float.nan)
-  | Arr _ | Obj _ -> Error "nested attribute values are not supported"
+  | Json.Num f -> Ok (Event.Float f)
+  | Json.Null -> Ok (Event.Float Float.nan)
+  | Json.Arr _ | Json.Obj _ -> Error "nested attribute values are not supported"
 
-let attrs_of_json (j : json) : (Event.attrs, string) result =
+let attrs_of_json (j : Json.t) : (Event.attrs, string) result =
   match j with
-  | Obj fields ->
+  | Json.Obj fields ->
       List.fold_left
         (fun acc (k, v) ->
           let* acc = acc in
@@ -212,7 +51,7 @@ let attrs_of_json (j : json) : (Event.attrs, string) result =
       |> Result.map List.rev
   | _ -> Error "attrs must be an object"
 
-let event_of_json (j : json) : (Event.t, string) result =
+let event_of_json (j : Json.t) : (Event.t, string) result =
   let* ev = Result.bind (obj_field j "ev") as_string in
   match ev with
   | "span_begin" ->
@@ -259,7 +98,7 @@ let of_jsonl (contents : string) : (Event.t list, string) result =
     | [] -> Ok (List.rev acc)
     | l :: rest when String.trim l = "" -> go (lineno + 1) acc rest
     | l :: rest -> (
-        match Result.bind (parse_json l) event_of_json with
+        match Result.bind (Json.parse l) event_of_json with
         | Ok e -> go (lineno + 1) (e :: acc) rest
         | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in

@@ -384,7 +384,7 @@ let snapshot_to_json (s : snapshot) : string =
   Buffer.add_string b ", ";
   field "replayed" (string_of_int s.replayed);
   Buffer.add_string b ", ";
-  field "dedup_ratio" (Telemetry.Event.json_float s.dedup_ratio);
+  field "dedup_ratio" (Telemetry.Json.float s.dedup_ratio);
   Buffer.add_string b ", ";
   field "window" (Window.stats_to_json s.window);
   Buffer.add_string b "}";

@@ -151,38 +151,37 @@ let to_text (t : t) : string =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Strict JSON, rendered by hand like the bench/telemetry writers (no
-   JSON dependency in the toolchain). *)
+(* Strict JSON, rendered by hand over the shared Telemetry.Json leaf
+   printers. *)
 
-let jstr s = "\"" ^ Telemetry.Event.json_escape s ^ "\""
-let jfloat = Telemetry.Event.json_float
+module J = Telemetry.Json
 
 let entry_to_json ~timing (e : entry) : string =
   let b = Buffer.create 256 in
   Buffer.add_string b "{";
-  Buffer.add_string b (Printf.sprintf "\"fingerprint\":%s" (jstr e.fingerprint));
-  Buffer.add_string b (Printf.sprintf ",\"program\":%s" (jstr e.program));
-  Buffer.add_string b (Printf.sprintf ",\"crash\":%s" (jstr e.crash));
+  Buffer.add_string b (Printf.sprintf "\"fingerprint\":%s" (J.quote e.fingerprint));
+  Buffer.add_string b (Printf.sprintf ",\"program\":%s" (J.quote e.program));
+  Buffer.add_string b (Printf.sprintf ",\"crash\":%s" (J.quote e.crash));
   Buffer.add_string b
-    (Printf.sprintf ",\"status\":%s" (jstr (status_name e.status)));
+    (Printf.sprintf ",\"status\":%s" (J.quote (status_name e.status)));
   Buffer.add_string b
-    (Printf.sprintf ",\"representative\":%s" (jstr e.representative));
+    (Printf.sprintf ",\"representative\":%s" (J.quote e.representative));
   Buffer.add_string b
     (Printf.sprintf ",\"members\":[%s]"
-       (String.concat "," (List.map jstr e.members)));
+       (String.concat "," (List.map J.quote e.members)));
   Buffer.add_string b (Printf.sprintf ",\"salvaged\":%d" e.salvaged);
   Buffer.add_string b
     (Printf.sprintf ",\"model\":[%s]"
        (String.concat ","
           (List.map
              (fun (n, v) ->
-               Printf.sprintf "{\"name\":%s,\"value\":%d}" (jstr n) v)
+               Printf.sprintf "{\"name\":%s,\"value\":%d}" (J.quote n) v)
              e.model)));
   if timing then begin
     Buffer.add_string b (Printf.sprintf ",\"rungs\":%d" e.rungs);
     Buffer.add_string b (Printf.sprintf ",\"runs\":%d" e.runs);
     Buffer.add_string b
-      (Printf.sprintf ",\"elapsed_s\":%s" (jfloat e.elapsed_s))
+      (Printf.sprintf ",\"elapsed_s\":%s" (J.float e.elapsed_s))
   end;
   Buffer.add_string b "}";
   Buffer.contents b
@@ -197,18 +196,18 @@ let to_json ?(timing = true) (t : t) : string =
        (String.concat ","
           (List.map
              (fun (p, r) ->
-               Printf.sprintf "{\"path\":%s,\"reason\":%s}" (jstr p) (jstr r))
+               Printf.sprintf "{\"path\":%s,\"reason\":%s}" (J.quote p) (J.quote r))
              t.rejected)));
   Buffer.add_string b
     (Printf.sprintf ",\"clusters\":[%s]"
        (String.concat "," (List.map (entry_to_json ~timing) t.clusters)));
   Buffer.add_string b
-    (Printf.sprintf ",\"dedup_ratio\":%s" (jfloat t.dedup_ratio));
+    (Printf.sprintf ",\"dedup_ratio\":%s" (J.float t.dedup_ratio));
   Buffer.add_string b
     (Printf.sprintf
        ",\"counts\":{\"reproduced\":%d,\"salvaged_reproduced\":%d,\"timed_out\":%d,\"exhausted\":%d}"
        t.reproduced t.salvaged_reproduced t.timed_out t.exhausted);
   if timing then
-    Buffer.add_string b (Printf.sprintf ",\"wall_s\":%s" (jfloat t.wall_s));
+    Buffer.add_string b (Printf.sprintf ",\"wall_s\":%s" (J.float t.wall_s));
   Buffer.add_string b "}";
   Buffer.contents b

@@ -96,20 +96,19 @@ let stats t : stats =
 (* ------------------------------------------------------------------ *)
 (* Strict JSON, hand-rendered like Summary.to_json *)
 
-let jstr s = "\"" ^ Telemetry.Event.json_escape s ^ "\""
-let jfloat = Telemetry.Event.json_float
+module J = Telemetry.Json
 
 let cohort_to_json (c : cohort_stats) =
   Printf.sprintf
     "{\"cohort\":%s,\"events\":%d,\"new_clusters\":%d,\"new_cluster_rate\":%s,\"distinct\":%d,\"dedup_ratio\":%s,\"top\":[%s]}"
-    (jstr c.cohort) c.events c.new_clusters
-    (jfloat (new_cluster_rate c))
+    (J.quote c.cohort) c.events c.new_clusters
+    (J.float (new_cluster_rate c))
     c.distinct
-    (jfloat (dedup_ratio c))
+    (J.float (dedup_ratio c))
     (String.concat ","
        (List.map
           (fun (key, n) ->
-            Printf.sprintf "{\"key\":%s,\"count\":%d}" (jstr key) n)
+            Printf.sprintf "{\"key\":%s,\"count\":%d}" (J.quote key) n)
           c.top))
 
 let stats_to_json (s : stats) =

@@ -183,15 +183,6 @@ let record_wires t =
 
 type report = { client : int; path : string; wire : string; torn : bool }
 
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go 0
-
 (* cut into the tail of the branch payload hex (wire-v4 [branch-enc]
    token stream, or [branch-log] on raw wires): strictly malformed,
    salvageable — the shape a crashing process tearing the tail of its
@@ -200,20 +191,9 @@ let find_sub s sub =
    tightly, and replay cheaply — the missing tail is short enough that
    guided replay reliably reconstructs it whatever the worker count. *)
 let tear ?cut_pct ?lost_hex rng wire =
-  let key =
-    match find_sub wire "branch-enc: " with
-    | Some _ -> "branch-enc: "
-    | None -> "branch-log: "
-  in
-  match find_sub wire key with
+  match Instrument.Wire.payload_span wire with
   | None -> wire
-  | Some pos ->
-      let start = pos + String.length key in
-      let hex_end =
-        match String.index_from_opt wire start '\n' with
-        | Some e -> e
-        | None -> String.length wire
-      in
+  | Some (start, hex_end) ->
       let hex_len = hex_end - start in
       if hex_len <= 2 then String.sub wire 0 start
       else

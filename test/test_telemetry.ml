@@ -168,6 +168,33 @@ let test_jsonl_roundtrip () =
       check_int "event count" (List.length evs) (List.length evs');
       check_bool "events identical" true (evs = evs')
 
+(* of_jsonl reads through Telemetry.Json: a malformed \u escape is an
+   error, a well-formed one decodes to UTF-8, and numbers follow the
+   RFC 8259 grammar *)
+let sample_line ?(value = "1") name =
+  Printf.sprintf {|{"ev": "sample", "name": "%s", "t": 0, "value": %s}|} name
+    value
+
+let test_of_jsonl_rejects_bad_escape () =
+  match Telemetry.Trace.of_jsonl (sample_line {|\u0_b5|}) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail {|of_jsonl accepted the escape \u0_b5|}
+
+let test_of_jsonl_decodes_utf8 () =
+  match Telemetry.Trace.of_jsonl (sample_line {|\u00b5Server|}) with
+  | Ok [ Telemetry.Event.Sample { name; _ } ] ->
+      check_string "decoded to UTF-8" "\xc2\xb5Server" name
+  | Ok _ -> Alcotest.fail "expected one sample event"
+  | Error e -> Alcotest.fail e
+
+let test_of_jsonl_strict_numbers () =
+  List.iter
+    (fun value ->
+      match Telemetry.Trace.of_jsonl (sample_line ~value "n") with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "of_jsonl accepted the number %s" value)
+    [ "01"; "1."; "+1"; ".5"; "NaN" ]
+
 let test_validator_accepts_good_trace () =
   let tel, events = memory_handle () in
   Telemetry.Span.with_ tel ~name:"a" (fun _ ->
@@ -324,6 +351,102 @@ let test_demo_pipeline_trace () =
   check_int "published forked matches" stats.cases.case1
     (List.assoc "replay.case.forked" counters)
 
+(* ------------------------------------------------------------------ *)
+(* Telemetry.Json: the one reader and writer *)
+
+module J = Telemetry.Json
+
+(* byte strings biased towards what the escaper must handle: control
+   bytes, quotes, backslashes, escape-looking text and multi-byte UTF-8 *)
+let gen_json_bytes =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        map (String.make 1) char;
+        oneofl
+          [ "\""; "\\"; "\n"; "\t"; "\r"; "\x00"; "\x1f"; "\x7f"; "/";
+            {|\u00b5|}; "\xc2\xb5"; "\xf0\x9f\x98\x80" ];
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 24) piece)
+
+let prop_escape_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"escape round trip"
+    (QCheck.make ~print:String.escaped gen_json_bytes)
+    (fun s -> J.parse (J.quote s) = Ok (J.Str s))
+
+(* finite floats: arbitrary bit patterns (subnormals and huge values
+   included), plain decimals and integers *)
+let gen_finite_float =
+  let open QCheck.Gen in
+  oneof
+    [
+      map
+        (fun b ->
+          let f = Int64.float_of_bits b in
+          if Float.is_finite f then f else 0.5)
+        ui64;
+      float_range (-1e6) 1e6;
+      map float_of_int small_signed_int;
+      oneofl [ 0.0; -0.0; 0.1; 1e15; -1e15; 1e-320; Float.max_float ];
+    ]
+
+let prop_float_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"float round trip"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_finite_float)
+    (fun f ->
+      match J.parse (J.float f) with
+      | Ok (J.Num g) -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | _ -> false)
+
+let test_json_rejections () =
+  List.iter
+    (fun (what, s) ->
+      match J.parse s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted: %s" what s)
+    [
+      ("leading zero", "01");
+      ("leading zero after a minus", "-01");
+      ("plus sign", "+1");
+      ("no fraction digit", "1.");
+      ("no integer digit", ".5");
+      ("no exponent digit", "1e");
+      ("lone minus", "-");
+      ("NaN literal", "NaN");
+      ("Infinity literal", "-Infinity");
+      ("hex number", "0x10");
+      ("underscore in a number", "1_000");
+      ("trailing comma in an array", "[1,]");
+      ("trailing comma in an object", {|{"a": 1,}|});
+      ("underscore in \\u digits", {|"\u0_b5"|});
+      ("unpaired high surrogate", {|"\ud83d"|});
+      ("unpaired low surrogate", {|"\ude00"|});
+      ("raw control byte in a string", "\"a\x01b\"");
+      ("truncated literal", "tru");
+      ("two values", "1 2");
+      ("empty input", "");
+    ]
+
+let test_json_accepts () =
+  List.iter
+    (fun (s, want) ->
+      match J.parse s with
+      | Ok v when v = want -> ()
+      | Ok _ -> Alcotest.failf "%s parsed to the wrong value" s
+      | Error e -> Alcotest.failf "%s rejected: %s" s e)
+    [
+      ("0", J.Num 0.0);
+      ("-0.5e+2", J.Num (-50.0));
+      ("1E3", J.Num 1000.0);
+      (" true ", J.Bool true);
+      ("null", J.Null);
+      ({|{"a": [1, "x"], "b": {}}|},
+       J.Obj [ ("a", J.Arr [ J.Num 1.0; J.Str "x" ]); ("b", J.Obj []) ]);
+      ({|"\b\f\r\/"|}, J.Str "\b\012\r/");
+    ]
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -357,6 +480,19 @@ let () =
             test_validator_accepts_good_trace;
           Alcotest.test_case "validator negative cases" `Quick
             test_validator_negative_cases;
+          Alcotest.test_case "of_jsonl rejects a bad \\u escape" `Quick
+            test_of_jsonl_rejects_bad_escape;
+          Alcotest.test_case "of_jsonl decodes \\u to UTF-8" `Quick
+            test_of_jsonl_decodes_utf8;
+          Alcotest.test_case "of_jsonl strict numbers" `Quick
+            test_of_jsonl_strict_numbers;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_escape_roundtrip;
+          QCheck_alcotest.to_alcotest prop_float_roundtrip;
+          Alcotest.test_case "strict rejections" `Quick test_json_rejections;
+          Alcotest.test_case "accepted values" `Quick test_json_accepts;
         ] );
       ( "counters",
         [

@@ -87,12 +87,7 @@ let find_sub hay needle =
 
 (* Start of the hex payload: v4 encoded reports carry "branch-enc: ",
    raw ones "branch-log: ". *)
-let payload_hex_start wire =
-  match find_sub wire "branch-enc: " with
-  | Some pos -> pos + String.length "branch-enc: "
-  | None ->
-      Option.get (find_sub wire "branch-log: ")
-      + String.length "branch-log: "
+let payload_hex_start wire = fst (Option.get (Instrument.Wire.payload_span wire))
 
 (* ------------------------------------------------------------------ *)
 (* Salvage: the lenient reader on every truncation and on corruption *)
