@@ -611,11 +611,11 @@ let serve_cmd dir generate clients torn_pct seed queue drop_s burst window
             Printf.printf "recovered %d report(s) from the index\n" recovered;
           (* every wire error met while ingesting, for the exit status *)
           let rejections = ref [] in
-          let submit_wire ~path wire =
-            match Triage.Service.submit svc ~path wire with
-            | Triage.Service.Rejected e -> rejections := e :: !rejections
-            | Triage.Service.Queued | Triage.Service.Dropped _ -> ()
+          let note : Triage.Service.outcome -> unit = function
+            | Rejected e -> rejections := e :: !rejections
+            | Queued | Dropped _ -> ()
           in
+          let submit_wire ~path wire = note (Triage.Service.submit svc ~path wire) in
           (* phase 1: the generated fleet, submitted in seeded order with
              a tick every [tick_every] submissions — faster than the
              service drains on purpose, so backpressure is observable *)
@@ -653,13 +653,13 @@ let serve_cmd dir generate clients torn_pct seed queue drop_s burst window
                 let items, rejects = Triage.Ingest.poll scanner in
                 List.iter
                   (fun (i : Triage.Ingest.item) ->
-                    ignore (Triage.Service.submit_item svc i))
+                    ignore (Triage.Service.submit_ingested svc (Ok i)))
                   items;
                 List.iter
                   (fun (r : Triage.Ingest.rejected) ->
-                    rejections := r.error :: !rejections;
                     Printf.printf "rejected %s: %s\n" r.path
-                      (Instrument.Wire.error_to_string r.error))
+                      (Instrument.Wire.error_to_string r.error);
+                    note (Triage.Service.submit_ingested svc (Error r)))
                   rejects;
                 let n = Triage.Service.tick svc in
                 incr ticks;

@@ -8,7 +8,17 @@
     - replay: symbolic inputs, log-driven hooks that may abort the run.
 
     Using the same semantics for recording and replay is what guarantees
-    that a fully-logged execution replays along the identical path. *)
+    that a fully-logged execution replays along the identical path.
+
+    Each linked program is compiled once, on its first run, into OCaml
+    closures over the run state (DESIGN.md §5n): a node's shape — which
+    slot a variable names, which operator a binop applies, whether a loop
+    body can [break] — is settled at compile time instead of on every
+    step.  The compiled code is kept on the {!Minic.Program.t} and shared
+    read-only by every later run, on any domain.  Every cost charge, hook
+    call, [cur_loc] update, step count and block allocation happens in the
+    order the source prescribes, so compiling changes only the wall
+    clock. *)
 
 open Minic
 
@@ -104,23 +114,41 @@ type state = {
   mutable unpinned : (Solver.Expr.t * int) list;
       (** see {!live_access}: recorded only when [live], and only for
           values with a shadow *)
+  mutable lv_base : int;
+  mutable lv_off : int;
+      (** the block and offset the last computed lvalue designates *)
 }
 
 let max_depth = 2000
 let cstring_scan_limit = 65536
 
-let crash st kind =
+let[@inline never] crash st kind =
   raise (Crash_exc { Crash.kind; loc = st.cur_loc; in_func = st.cur_func })
 
-let step st =
+(* The per-node and per-statement charges and the small-integer values
+   live here rather than behind calls into [Cost] and [Value]: the
+   compiled code runs them on every node. *)
+let[@inline] charge st n =
+  let c = st.cost in
+  c.instr <- c.instr + n
+
+let[@inline] node st = charge st Cost.expr_node
+
+let[@inline] step st =
   st.steps <- st.steps + 1;
-  Cost.charge st.cost Cost.stmt;
+  charge st Cost.stmt;
   if st.steps > st.max_steps then raise Budget_exc
 
-let var_block st : Resolved.var -> int = function
-  | Local i -> st.frame.(i)
-  | Global i -> st.globals.(i)
-  | Unbound x -> invalid_arg ("unbound variable " ^ x)
+(* [Value.int_]'s shared byte-sized integers. *)
+let small = Array.init 256 Value.int_
+
+let[@inline] int_ n =
+  if n land 0xff = n then Array.unsafe_get small n
+  else { Value.conc = Int n; sym = None }
+
+let[@inline] bool_ b = Array.unsafe_get small (Bool.to_int b)
+let[@inline] ptr base off = { Value.conc = Ptr { base; off }; sym = None }
+let[@inline] truthy (v : Value.t) = match v.conc with Int 0 -> false | _ -> true
 
 let load st base off =
   try Memory.load st.mem ~base ~off
@@ -133,12 +161,13 @@ let store st base off v =
 (* ------------------------------------------------------------------ *)
 (* Concretization of symbolic values used in concrete positions *)
 
-let concretize st (v : Value.t) : int =
-  match v.conc with
-  | Int n ->
-      (match v.sym with Some e -> st.hooks.on_concretize e n | None -> ());
+let[@inline] concretize st (v : Value.t) : int =
+  match v with
+  | { conc = Int n; sym = None } -> n
+  | { conc = Int n; sym = Some e } ->
+      st.hooks.on_concretize e n;
       n
-  | Ptr _ -> crash st Crash.Invalid_pointer
+  | { conc = Ptr _; _ } -> crash st Crash.Invalid_pointer
 
 (* An input-derived value whose concrete value the run used without a
    constraint pinning it.  A plain run carries no shadows, and a run whose
@@ -178,7 +207,7 @@ let intern_string st i s =
       st.lits.(i)
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation *)
+(* Operators *)
 
 let op_to_expr : Ast.binop -> Solver.Expr.binop = function
   | Add -> Solver.Expr.Add
@@ -230,54 +259,35 @@ let shadow_binop st op (a : Value.t) (b : Value.t) : Solver.Expr.t option =
     | _ -> None
   end
 
-let rec eval_expr st (e : Resolved.expr) : Value.t =
-  Cost.charge st.cost Cost.expr_node;
-  match e with
-  | Cint n -> Value.int_ n
-  | Cstr (i, s) -> intern_string st i s
-  | Load (Var x) -> load st (var_block st x) 0
-  | Load lv ->
-      let base, off = lval st lv in
-      load st base off
-  | Addr lv ->
-      let base, off = lval st lv in
-      Value.ptr ~base ~off
-  | Unop (op, a) -> (
-      let va = eval_expr st a in
-      match va.conc with
-      | Int n ->
-          let r =
-            match op with
-            | Neg -> -n
-            | Lognot -> if n = 0 then 1 else 0
-            | Bitnot -> lnot n
-          in
-          let sym =
-            Option.map (fun s -> Solver.Expr.Unop (unop_to_expr op, s)) va.sym
-          in
-          { Value.conc = Int r; sym }
-      | Ptr _ -> (
-          (* only !p is meaningful on pointers *)
-          match op with
-          | Lognot -> Value.int_ 0
-          | Neg | Bitnot -> crash st Crash.Invalid_pointer))
-  | Binop (op, a, b) -> eval_binop st op a b
-  | Ecall f -> invalid_arg ("call to " ^ f ^ " in expression position")
+(* Every case of a unary operator.  Compiled code handles an unshadowed
+   integer itself and calls this for the rest. *)
+let unop st (op : Ast.unop) (va : Value.t) : Value.t =
+  match va.conc with
+  | Int n ->
+      let r = Solver.Expr.eval_unop (unop_to_expr op) n in
+      let sym = Option.map (fun s -> Solver.Expr.Unop (unop_to_expr op, s)) va.sym in
+      { Value.conc = Int r; sym }
+  | Ptr _ -> (
+      (* only !p is meaningful on pointers *)
+      match op with
+      | Lognot -> int_ 0
+      | Neg | Bitnot -> crash st Crash.Invalid_pointer)
 
-and eval_binop st op a_e b_e : Value.t =
-  let a = eval_expr st a_e in
-  let b = eval_expr st b_e in
+(* Every case of a binary operator on evaluated operands.  Compiled code
+   handles two unshadowed integers itself and calls this for the rest:
+   pointers, shadows and undefined operations. *)
+let binop st (op : Ast.binop) (a : Value.t) (b : Value.t) : Value.t =
   match a.conc, b.conc, op with
   (* pointer arithmetic *)
   | Ptr p, Int _, (Add | Sub) ->
       let n = concretize st b in
       let off = if op = Add then p.off + n else p.off - n in
-      Value.ptr ~base:p.base ~off
+      ptr p.base off
   | Int _, Ptr p, Add ->
       let n = concretize st a in
-      Value.ptr ~base:p.base ~off:(p.off + n)
+      ptr p.base (p.off + n)
   | Ptr p, Ptr q, Sub ->
-      if p.base = q.base then Value.int_ (p.off - q.off)
+      if p.base = q.base then int_ (p.off - q.off)
       else crash st Crash.Invalid_pointer
   (* pointer comparisons; a null pointer is integer 0 *)
   | Ptr p, Ptr q, (Eq | Ne | Lt | Le | Gt | Ge) ->
@@ -290,11 +300,11 @@ and eval_binop st op a_e b_e : Value.t =
           | Ne -> 1
           | _ -> crash st Crash.Invalid_pointer
       in
-      Value.int_ r
+      int_ r
   | Ptr _, Int n, (Eq | Ne) | Int n, Ptr _, (Eq | Ne) ->
       unpinned st a;
       unpinned st b;
-      if n = 0 then Value.int_ (if op = Eq then 0 else 1)
+      if n = 0 then int_ (if op = Eq then 0 else 1)
       else crash st Crash.Invalid_pointer
   (* pointers as booleans *)
   | Ptr _, _, (Land | Lor) | _, Ptr _, (Land | Lor) ->
@@ -307,27 +317,12 @@ and eval_binop st op a_e b_e : Value.t =
         | Lor -> tr a || tr b
         | _ -> assert false
       in
-      Value.int_ (if r then 1 else 0)
+      int_ (if r then 1 else 0)
   | Int x, Int y, _ -> (
       match Solver.Expr.eval_binop (op_to_expr op) x y with
       | r -> { Value.conc = Int r; sym = shadow_binop st op a b }
       | exception Solver.Expr.Undefined -> crash st Crash.Div_by_zero)
   | _ -> crash st Crash.Invalid_pointer
-
-(* The block and offset an lvalue designates. *)
-and lval st (lv : Resolved.lval) : int * int =
-  match lv with
-  | Var x -> (var_block st x, 0)
-  | Elem (b, idx) ->
-      let base, off = lval st b in
-      let n = concretize st (eval_expr st idx) in
-      (base, off + n)
-  | Ptr_elem (b, idx) ->
-      let base, off = lval st b in
-      let n = concretize st (eval_expr st idx) in
-      let pbase, poff = expect_ptr st (load st base off) in
-      (pbase, poff + n)
-  | Star e -> expect_ptr st (eval_expr st e)
 
 (* Read a NUL-terminated concrete string at [v]. *)
 let read_cstring st (v : Value.t) : string =
@@ -486,93 +481,545 @@ let builtin_call st name (args : Value.t list) : Value.t =
         (Printf.sprintf "builtin %s: bad arity %d" name (List.length args))
 
 (* ------------------------------------------------------------------ *)
-(* Statements *)
+(* Compilation *)
 
-let rec exec_stmt st (s : Resolved.stmt) : unit =
-  st.cur_loc <- s.loc;
-  step st;
+(* A compiled expression evaluates its node, charges included. *)
+type cexpr = state -> Value.t
+
+(* A compiled lvalue: a variable's slot, settled at compile time, or code
+   that leaves the block and offset in [st.lv_base] and [st.lv_off]. *)
+type clval = Local of int | Global of int | Computed of (state -> unit)
+
+type cfunc = {
+  name : string;
+  nparams : int;
+  sizes : int array;  (** cells of each slot: parameters, then locals *)
+  body : state -> unit;
+}
+
+let set_lval st base off =
+  st.lv_base <- base;
+  st.lv_off <- off
+
+let set_ptr st (v : Value.t) =
+  match v.conc with
+  | Ptr { base; off } -> set_lval st base off
+  | Int 0 -> crash st Crash.Null_deref
+  | Int _ -> crash st Crash.Invalid_pointer
+
+(* The lvalue as code that leaves its block and offset in [st]. *)
+let computed = function
+  | Local i -> fun st -> set_lval st st.frame.(i) 0
+  | Global i -> fun st -> set_lval st st.globals.(i) 0
+  | Computed l -> l
+
+(* An unshadowed integer operand takes the operator's own case. *)
+let compile_unop (op : Ast.unop) (ca : cexpr) : cexpr =
+  match op with
+  | Neg -> (
+      fun st ->
+        node st;
+        match ca st with
+        | { conc = Int n; sym = None } -> int_ (-n)
+        | va -> unop st op va)
+  | Lognot -> (
+      fun st ->
+        node st;
+        match ca st with
+        | { conc = Int n; sym = None } -> bool_ (n = 0)
+        | va -> unop st op va)
+  | Bitnot -> (
+      fun st ->
+        node st;
+        match ca st with
+        | { conc = Int n; sym = None } -> int_ (lnot n)
+        | va -> unop st op va)
+
+(* Two unshadowed integer operands take the operator's own case, which
+   [Solver.Expr.eval_binop] defines; everything else goes to [binop]. *)
+let compile_binop (op : Ast.binop) (ca : cexpr) (cb : cexpr) : cexpr =
+  match op with
+  | Add -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> int_ (x + y)
+        | _ -> binop st op a b)
+  | Sub -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> int_ (x - y)
+        | _ -> binop st op a b)
+  | Mul -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> int_ (x * y)
+        | _ -> binop st op a b)
+  | Div -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } when y <> 0 ->
+            int_ (x / y)
+        | _ -> binop st op a b)
+  | Mod -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } when y <> 0 ->
+            int_ (x mod y)
+        | _ -> binop st op a b)
+  | Eq -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> bool_ (x = y)
+        | _ -> binop st op a b)
+  | Ne -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> bool_ (x <> y)
+        | _ -> binop st op a b)
+  | Lt -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> bool_ (x < y)
+        | _ -> binop st op a b)
+  | Le -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> bool_ (x <= y)
+        | _ -> binop st op a b)
+  | Gt -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> bool_ (x > y)
+        | _ -> binop st op a b)
+  | Ge -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> bool_ (x >= y)
+        | _ -> binop st op a b)
+  | Land -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } ->
+            bool_ (x <> 0 && y <> 0)
+        | _ -> binop st op a b)
+  | Lor -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } ->
+            bool_ (x <> 0 || y <> 0)
+        | _ -> binop st op a b)
+  | Band -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> int_ (x land y)
+        | _ -> binop st op a b)
+  | Bor -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> int_ (x lor y)
+        | _ -> binop st op a b)
+  | Bxor -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None } -> int_ (x lxor y)
+        | _ -> binop st op a b)
+  | Shl -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None }
+          when y >= 0 && y <= 62 ->
+            int_ (x lsl y)
+        | _ -> binop st op a b)
+  | Shr -> (
+      fun st ->
+        node st;
+        let a = ca st in
+        let b = cb st in
+        match a, b with
+        | { conc = Int x; sym = None }, { conc = Int y; sym = None }
+          when y >= 0 && y <= 62 ->
+            int_ (x asr y)
+        | _ -> binop st op a b)
+
+let rec compile_lval (lv : Resolved.lval) : clval =
+  match lv with
+  | Var (Local i) -> Local i
+  | Var (Global i) -> Global i
+  | Var (Unbound x) -> Computed (fun _ -> invalid_arg ("unbound variable " ^ x))
+  | Elem (b, idx) -> (
+      let ci = compile_expr idx in
+      match compile_lval b with
+      | Local i ->
+          Computed
+            (fun st ->
+              let base = st.frame.(i) in
+              set_lval st base (concretize st (ci st)))
+      | Global i ->
+          Computed
+            (fun st ->
+              let base = st.globals.(i) in
+              set_lval st base (concretize st (ci st)))
+      | Computed l ->
+          Computed
+            (fun st ->
+              l st;
+              let base = st.lv_base and off = st.lv_off in
+              set_lval st base (off + concretize st (ci st))))
+  | Ptr_elem (b, idx) ->
+      let cb = computed (compile_lval b) and ci = compile_expr idx in
+      Computed
+        (fun st ->
+          cb st;
+          let base = st.lv_base and off = st.lv_off in
+          let n = concretize st (ci st) in
+          set_ptr st (load st base off);
+          st.lv_off <- st.lv_off + n)
+  | Star e ->
+      let ce = compile_expr e in
+      Computed (fun st -> set_ptr st (ce st))
+
+and compile_expr (e : Resolved.expr) : cexpr =
+  match e with
+  | Cint n ->
+      let v = Value.int_ n in
+      fun st ->
+        node st;
+        v
+  | Cstr (i, s) ->
+      fun st ->
+        node st;
+        intern_string st i s
+  | Load lv -> (
+      match compile_lval lv with
+      | Local i ->
+          fun st ->
+            node st;
+            load st st.frame.(i) 0
+      | Global i ->
+          fun st ->
+            node st;
+            load st st.globals.(i) 0
+      | Computed l ->
+          fun st ->
+            node st;
+            l st;
+            load st st.lv_base st.lv_off)
+  | Addr lv -> (
+      match compile_lval lv with
+      | Local i ->
+          fun st ->
+            node st;
+            ptr st.frame.(i) 0
+      | Global i ->
+          fun st ->
+            node st;
+            ptr st.globals.(i) 0
+      | Computed l ->
+          fun st ->
+            node st;
+            l st;
+            ptr st.lv_base st.lv_off)
+  | Unop (op, a) -> compile_unop op (compile_expr a)
+  | Binop (op, a, b) -> compile_binop op (compile_expr a) (compile_expr b)
+  | Ecall f ->
+      fun st ->
+        node st;
+        invalid_arg ("call to " ^ f ^ " in expression position")
+
+(* Store [v] where a compiled lvalue designates. *)
+let assign st (lv : clval) v =
+  match lv with
+  | Local i -> store st st.frame.(i) 0 v
+  | Global i -> store st st.globals.(i) 0 v
+  | Computed l ->
+      l st;
+      store st st.lv_base st.lv_off v
+
+(* Does [b] hold a [break] (resp. [continue]) that leaves the loop whose
+   body it is?  An inner loop catches its own; type checking rejects one
+   outside any loop. *)
+let rec jumps ~break (b : Resolved.block) =
+  List.exists
+    (fun (s : Resolved.stmt) ->
+      match s.desc with
+      | Break -> break
+      | Continue -> not break
+      | If (_, _, t, e) -> jumps ~break t || jumps ~break e
+      | Block b -> jumps ~break b
+      | Assign _ | Call _ | While _ | Return _ -> false)
+    b
+
+(* Leave a call: the caller's frame and function come back and the
+   callee's slots die. *)
+let leave st frame saved_frame saved_func =
+  st.frame <- saved_frame;
+  for j = 0 to Array.length frame - 1 do
+    Memory.kill st.mem (Array.unsafe_get frame j)
+  done;
+  st.depth <- st.depth - 1;
+  st.cur_func <- saved_func
+
+(* Enter [fn] with its evaluated arguments, run its body and leave it. *)
+let call_func st (fn : cfunc) (args : Value.t array) : Value.t =
+  charge st Cost.call_overhead;
+  st.depth <- st.depth + 1;
+  if st.depth > max_depth then crash st Crash.Stack_overflow;
+  if Array.length args <> fn.nparams then
+    invalid_arg (Printf.sprintf "arity mismatch calling %s" fn.name);
+  (* one block per slot, parameters first, in declaration order *)
+  let nslots = Array.length fn.sizes in
+  let frame = Array.make nslots 0 in
+  for j = 0 to nslots - 1 do
+    frame.(j) <- Memory.alloc st.mem ~size:(Array.unsafe_get fn.sizes j)
+  done;
+  for j = 0 to Array.length args - 1 do
+    Memory.store st.mem ~base:frame.(j) ~off:0 args.(j)
+  done;
+  let saved_frame = st.frame and saved_func = st.cur_func in
+  st.frame <- frame;
+  st.cur_func <- fn.name;
+  match fn.body st with
+  | () ->
+      leave st frame saved_frame saved_func;
+      Value.zero
+  | exception Return_exc v ->
+      leave st frame saved_frame saved_func;
+      v
+  | exception e ->
+      leave st frame saved_frame saved_func;
+      raise e
+
+(* Evaluate call arguments left to right. *)
+let eval_args st (cargs : cexpr array) =
+  let vs = Array.make (Array.length cargs) Value.zero in
+  for j = 0 to Array.length cargs - 1 do
+    vs.(j) <- cargs.(j) st
+  done;
+  vs
+
+(* [funcs] (a program's compiled functions, indexed like
+   [Resolved.t.funcs]) is filled in after every body is compiled, so
+   calls find their callee through it at run time. *)
+let rec compile_stmt (funcs : cfunc array) (s : Resolved.stmt) : state -> unit =
+  let loc = s.loc in
   match s.desc with
-  | Assign (lv, e) ->
-      let v = eval_expr st e in
-      let base, off = lval st lv in
-      store st base off v
+  | Assign (lv, e) -> (
+      let ce = compile_expr e in
+      match compile_lval lv with
+      | Local i ->
+          fun st ->
+            st.cur_loc <- loc;
+            step st;
+            let v = ce st in
+            store st st.frame.(i) 0 v
+      | Global i ->
+          fun st ->
+            st.cur_loc <- loc;
+            step st;
+            let v = ce st in
+            store st st.globals.(i) 0 v
+      | Computed l ->
+          fun st ->
+            st.cur_loc <- loc;
+            step st;
+            let v = ce st in
+            l st;
+            store st st.lv_base st.lv_off v)
   | Call (lvo, callee, args) -> (
-      let vs = List.map (eval_expr st) args in
-      let ret = call st callee vs in
-      st.cur_loc <- s.loc;
+      let cargs = List.map compile_expr args in
+      let call : state -> Value.t =
+        match callee with
+        | Func i ->
+            let cargs = Array.of_list cargs in
+            fun st -> call_func st funcs.(i) (eval_args st cargs)
+        | Builtin name ->
+            fun st ->
+              let vs = List.map (fun c -> c st) cargs in
+              charge st Cost.call_overhead;
+              builtin_call st name vs
+        | Unknown name ->
+            fun st ->
+              List.iter (fun c -> ignore (c st)) cargs;
+              charge st Cost.call_overhead;
+              invalid_arg ("call to unknown function " ^ name)
+      in
       match lvo with
-      | None -> ()
+      | None ->
+          fun st ->
+            st.cur_loc <- loc;
+            step st;
+            ignore (call st);
+            st.cur_loc <- loc
       | Some lv ->
-          let base, off = lval st lv in
-          store st base off ret)
+          let clv = compile_lval lv in
+          fun st ->
+            st.cur_loc <- loc;
+            step st;
+            let ret = call st in
+            st.cur_loc <- loc;
+            assign st clv ret)
   | If (bid, cond, then_b, else_b) ->
-      let v = eval_expr st cond in
-      let taken = Value.truthy v in
-      Cost.charge_branch st.cost;
-      exec_block st
-        (if st.hooks.on_branch ~bid ~iter:0 ~taken ~cond:v then then_b
-         else else_b)
-  | While (bid, cond, body) -> (
-      let rec loop iter =
-        st.cur_loc <- s.loc;
+      let cc = compile_expr cond
+      and ct = compile_block funcs then_b
+      and ce = compile_block funcs else_b in
+      fun st ->
+        st.cur_loc <- loc;
         step st;
-        let v = eval_expr st cond in
-        let taken = Value.truthy v in
+        let v = cc st in
+        let taken = truthy v in
         Cost.charge_branch st.cost;
-        if st.hooks.on_branch ~bid ~iter ~taken ~cond:v then begin
-          (try exec_block st body with Continue_exc -> ());
-          loop (iter + 1)
-        end
+        if st.hooks.on_branch ~bid ~iter:0 ~taken ~cond:v then ct st else ce st
+  | While (bid, cond, body) ->
+      let cc = compile_expr cond and cb = compile_block funcs body in
+      (* a body with no [continue] needs no handler around each pass,
+         and a loop with no [break] none around the whole loop *)
+      let cb =
+        if jumps ~break:false body then fun st ->
+          try cb st with Continue_exc -> ()
+        else cb
       in
-      try loop 0 with Break_exc -> ())
-  | Return None -> raise (Return_exc Value.zero)
-  | Return (Some e) -> raise (Return_exc (eval_expr st e))
-  | Break -> raise Break_exc
-  | Continue -> raise Continue_exc
-  | Block b -> exec_block st b
-
-and exec_block st = function
-  | [] -> ()
-  | s :: rest ->
-      exec_stmt st s;
-      exec_block st rest
-
-and call st (callee : Resolved.callee) (args : Value.t list) : Value.t =
-  Cost.charge st.cost Cost.call_overhead;
-  match callee with
-  | Builtin name -> builtin_call st name args
-  | Unknown name -> invalid_arg ("call to unknown function " ^ name)
-  | Func i -> (
-      let fn = st.code.funcs.(i) in
-      st.depth <- st.depth + 1;
-      if st.depth > max_depth then crash st Crash.Stack_overflow;
-      if List.length args <> fn.nparams then
-        invalid_arg (Printf.sprintf "arity mismatch calling %s" fn.name);
-      (* one block per slot, parameters first, in declaration order *)
-      let frame = Array.map (fun size -> Memory.alloc st.mem ~size) fn.sizes in
-      List.iteri (fun i v -> Memory.store st.mem ~base:frame.(i) ~off:0 v) args;
-      let saved_frame = st.frame and saved_func = st.cur_func in
-      st.frame <- frame;
-      st.cur_func <- fn.name;
-      let cleanup () =
-        st.frame <- saved_frame;
-        Array.iter (Memory.kill st.mem) frame;
-        st.depth <- st.depth - 1;
-        st.cur_func <- saved_func
+      (* the statement's own step, then one per condition evaluation *)
+      let loop st =
+        st.cur_loc <- loc;
+        step st;
+        let iter = ref 0 and running = ref true in
+        while !running do
+          st.cur_loc <- loc;
+          step st;
+          let v = cc st in
+          let taken = truthy v in
+          Cost.charge_branch st.cost;
+          if st.hooks.on_branch ~bid ~iter:!iter ~taken ~cond:v then begin
+            cb st;
+            incr iter
+          end
+          else running := false
+        done
       in
-      match exec_block st fn.body with
-      | () ->
-          cleanup ();
-          Value.zero
-      | exception Return_exc v ->
-          cleanup ();
-          v
-      | exception e ->
-          cleanup ();
-          raise e)
+      if jumps ~break:true body then fun st ->
+        try loop st with Break_exc -> ()
+      else loop
+  | Return None ->
+      fun st ->
+        st.cur_loc <- loc;
+        step st;
+        raise (Return_exc Value.zero)
+  | Return (Some e) ->
+      let ce = compile_expr e in
+      fun st ->
+        st.cur_loc <- loc;
+        step st;
+        raise (Return_exc (ce st))
+  | Break ->
+      fun st ->
+        st.cur_loc <- loc;
+        step st;
+        raise Break_exc
+  | Continue ->
+      fun st ->
+        st.cur_loc <- loc;
+        step st;
+        raise Continue_exc
+  | Block b ->
+      let cb = compile_block funcs b in
+      fun st ->
+        st.cur_loc <- loc;
+        step st;
+        cb st
 
-(* ------------------------------------------------------------------ *)
-(* Program entry *)
+and compile_block funcs (b : Resolved.block) : state -> unit =
+  match List.map (compile_stmt funcs) b with
+  | [] -> fun _ -> ()
+  | [ s ] -> s
+  | [ s1; s2 ] ->
+      fun st ->
+        s1 st;
+        s2 st
+  | l ->
+      let ss = Array.of_list l in
+      fun st ->
+        for j = 0 to Array.length ss - 1 do
+          (Array.unsafe_get ss j) st
+        done
+
+let compile (prog : Program.t) : cfunc array =
+  let placeholder = { name = ""; nparams = 0; sizes = [||]; body = ignore } in
+  let funcs = Array.make (Array.length prog.code.funcs) placeholder in
+  Array.iteri
+    (fun i (f : Resolved.func) ->
+      funcs.(i) <-
+        {
+          name = f.name;
+          nparams = f.nparams;
+          sizes = f.sizes;
+          body = compile_block funcs f.body;
+        })
+    prog.code.funcs;
+  funcs
+
+type Program.compiled += Compiled of cfunc array
+
+(* The program's compiled functions, compiled on its first run.  Two
+   domains starting the same program at once may both compile it; the
+   first to publish wins and both run its code. *)
+let compiled (prog : Program.t) : cfunc array =
+  match Atomic.get prog.compiled with
+  | Some (Compiled funcs) -> funcs
+  | _ -> (
+      let funcs = compile prog in
+      ignore (Atomic.compare_and_set prog.compiled None (Some (Compiled funcs)));
+      match Atomic.get prog.compiled with Some (Compiled won) -> won | _ -> funcs)
 
 type config = {
   inputs : Inputs.t;
@@ -624,6 +1071,8 @@ let init_state (prog : Program.t) (cfg : config) : state =
       cur_func = "<toplevel>";
       live = Option.is_some cfg.hooks.on_start;
       unpinned = [];
+      lv_base = 0;
+      lv_off = 0;
     }
   in
   Array.iteri
@@ -700,6 +1149,7 @@ let restore_ctx st s =
     fibers; [yield], [join] and every system call are scheduling points.  A
     crash in any thread crashes the program (as a signal would). *)
 let run (prog : Program.t) (cfg : config) : result =
+  let funcs = compiled prog in
   let st = init_state prog cfg in
   Option.iter (fun f -> f (live_access st)) cfg.hooks.on_start;
   let open Effect.Deep in
@@ -775,7 +1225,7 @@ let run (prog : Program.t) (cfg : config) : result =
                             st.depth <- 0;
                             st.cur_func <- fname;
                             st.cur_loc <- st.code.funcs.(i).floc;
-                            run_fiber tid' (fun () -> call st (Func i) [ arg ]))
+                            run_fiber tid' (fun () -> call_func st funcs.(i) [| arg |]))
                     | Some _ ->
                         invalid_arg
                           (Printf.sprintf "spawn: %s must take one int argument"
@@ -820,7 +1270,8 @@ let run (prog : Program.t) (cfg : config) : result =
   let outcome =
     match
       enqueue 0 (fun () ->
-          run_fiber 0 (fun () -> call st (Func (Option.get (Resolved.find st.code "main"))) []));
+          let main = Option.get (Resolved.find st.code "main") in
+          run_fiber 0 (fun () -> call_func st funcs.(main) [||]));
       spin ()
     with
     | () -> (

@@ -3,7 +3,12 @@
     One evaluator serves every pipeline stage; stages differ only in the
     {!hooks}, the {!Kernel.t} and the symbolic shadows on inputs.  Using
     the same semantics for recording and replay is what guarantees that a
-    fully-logged execution replays along the identical path. *)
+    fully-logged execution replays along the identical path.
+
+    The first {!run} of a linked program compiles its code once into
+    closures and keeps them on the program ({!Minic.Program.t}'s
+    [compiled]); every later run, on any domain, shares them read-only
+    (DESIGN.md §5n). *)
 
 (** Access to a running program's global variables, handed to the
     checkpoint hook so checkpoint/restore machinery can snapshot or rewrite
@@ -98,5 +103,6 @@ type result = {
   steps : int;
 }
 
-(** Run [prog]'s [main] under the given configuration. *)
+(** Run [prog]'s [main] under the given configuration, compiling [prog]
+    first if no run has yet. *)
 val run : Minic.Program.t -> config -> result

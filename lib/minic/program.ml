@@ -9,6 +9,8 @@
 
 exception Link_error of string
 
+type compiled = ..
+
 type t = {
   name : string;
   globals : Ast.var_decl list;
@@ -16,6 +18,7 @@ type t = {
   fun_tbl : (string, Ast.func) Hashtbl.t;
   branches : Number.info array;
   code : Resolved.t;
+  compiled : compiled option Atomic.t;
 }
 
 let nbranches p = Array.length p.branches
@@ -86,7 +89,15 @@ let link ?(name = "program") ~(app : Ast.unit_) ~(libs : Ast.unit_ list) () : t 
   let branches = Number.number funcs in
   let fun_tbl = Hashtbl.create 64 in
   List.iter (fun (f : Ast.func) -> Hashtbl.replace fun_tbl f.fname f) funcs;
-  { name; globals; funcs; fun_tbl; branches; code = Resolved.resolve ~globals ~funcs }
+  {
+    name;
+    globals;
+    funcs;
+    fun_tbl;
+    branches;
+    code = Resolved.resolve ~globals ~funcs;
+    compiled = Atomic.make None;
+  }
 
 (** Convenience: parse and link from source strings. *)
 let of_sources ?(name = "program") ~app ~libs () : t =

@@ -11,13 +11,21 @@
 
 exception Link_error of string
 
+(** The evaluator's own form of a program's {!Resolved} code.  This
+    library never builds or reads one; [Interp.Eval] adds the constructor
+    and compiles a program on its first run. *)
+type compiled = ..
+
 type t = private {
   name : string;
   globals : Ast.var_decl list;
   funcs : Ast.func list;
   fun_tbl : (string, Ast.func) Hashtbl.t;
   branches : Number.info array;  (** indexed by branch id *)
-  code : Resolved.t;  (** what the evaluator runs *)
+  code : Resolved.t;  (** what the evaluator compiles *)
+  compiled : compiled option Atomic.t;
+      (** [None] until the evaluator's first run of this program stores the
+          compiled code, once; every later run, on any domain, reuses it *)
 }
 
 (** Total number of branch locations. *)

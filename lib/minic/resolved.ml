@@ -1,6 +1,6 @@
 (** Name-resolved function bodies, built once by {!Program.link}.
 
-    The evaluator runs these instead of the {!Ast}: every variable is a
+    The evaluator compiles these instead of the {!Ast}: every variable is a
     frame or global slot, every call site is bound to a builtin, a function
     index or an unknown name, every string literal has a program-wide
     index, and the static types the evaluator needs (array decay, indexing

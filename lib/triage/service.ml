@@ -248,6 +248,26 @@ let submit_parsed (t : t) (parsed : (Ingest.item, Ingest.rejected) result)
 let submit (t : t) ~path (wire : string) : outcome =
   submit_parsed t (Ingest.of_string ~path wire) ~raw:(Some wire)
 
+(* Rejections of [path] leave the list and the counts: a later read of
+   the same file was accepted. *)
+let withdraw_rejections (t : t) path =
+  let gone, kept =
+    List.partition (fun (r : Ingest.rejected) -> String.equal r.path path) t.rejected
+  in
+  let n = List.length gone in
+  if n > 0 then begin
+    t.rejected <- kept;
+    t.n_rejected <- t.n_rejected - n;
+    t.submitted <- t.submitted - n
+  end
+
+let submit_ingested (t : t) (parsed : (Ingest.item, Ingest.rejected) result) :
+    outcome =
+  (match parsed with
+  | Ok item when t.n_rejected > 0 -> withdraw_rejections t item.Ingest.path
+  | Ok _ | Error _ -> ());
+  submit_parsed t parsed ~raw:None
+
 let submit_file (t : t) (path : string) : outcome =
   submit_parsed t (Ingest.of_file path) ~raw:None
 

@@ -104,6 +104,15 @@ val submit_item : t -> Ingest.item -> outcome
 (** Read and submit one report file ({!Ingest.of_file}). *)
 val submit_file : t -> string -> outcome
 
+(** Submit one result of an ingest made elsewhere, such as an entry of
+    {!Ingest.poll}: an item as {!submit_item} does, a rejection counted
+    as a {!submit} that fails to parse is.  An item withdraws every
+    earlier rejection of its path from the rejected list and from the
+    [submitted] and [rejected] counts: a scanner offers a rejected name
+    again once the file changes, so a report scanned mid-write counts
+    only as accepted once it lands intact. *)
+val submit_ingested : t -> (Ingest.item, Ingest.rejected) result -> outcome
+
 (** Process up to [config.burst] queued reports — cluster, index,
     window-observe — then, when [config.eager] and pressure allows,
     climb the first unfinished replay course by the allotted rungs.

@@ -302,18 +302,28 @@ let test_abort_hook () =
    output, and digests of the branch, concretization and checkpoint hook
    sequences.  Pointer values carry block ids, so the digests also pin the
    allocation order.  Recorded once; any semantic drift of the evaluator
-   changes a line. *)
-let golden_line ~mode (sc : Concolic.Scenario.t) =
+   changes a line.  [run] picks the evaluator; [live] also asks for the
+   run's live state and adds the count and newest of its unpinned uses to
+   each branch entry. *)
+let golden_line ?(run = Interp.Eval.run) ?(live = false) ~mode (sc : Concolic.Scenario.t) =
   let br = Buffer.create 4096 and cz = Buffer.create 256 and ck = Buffer.create 64 in
   let sym_str = function
     | None -> ""
     | Some e -> Solver.Expr.to_string e
   in
+  let access = ref None in
   let hooks =
     {
       Interp.Eval.on_branch =
         (fun ~bid ~iter ~taken ~(cond : Interp.Value.t) ->
           Printf.bprintf br "%d,%d,%b,%s;" bid iter taken (sym_str cond.sym);
+          Option.iter
+            (fun (a : Interp.Eval.live_access) ->
+              match a.unpinned () with
+              | [] -> ()
+              | (e, n) :: _ as l ->
+                  Printf.bprintf br "%d:%s=%d;" (List.length l) (Solver.Expr.to_string e) n)
+            !access;
           taken);
       on_concretize =
         (fun e n -> Printf.bprintf cz "%s=%d;" (Solver.Expr.to_string e) n);
@@ -328,7 +338,7 @@ let golden_line ~mode (sc : Concolic.Scenario.t) =
                 | None -> Buffer.add_string ck "?,"
               done)
             (access.list_globals ()));
-      on_start = None;
+      on_start = (if live then Some (fun a -> access := Some a) else None);
     }
   in
   let world, handle = Osmodel.World.kernel sc.world in
@@ -352,7 +362,7 @@ let golden_line ~mode (sc : Concolic.Scenario.t) =
     List.nth tids (!picks mod List.length tids)
   in
   let r =
-    Interp.Eval.run sc.prog
+    run sc.prog
       { inputs; kernel; hooks; max_steps = sc.max_steps; scheduler = Some scheduler }
   in
   let d b = String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 12 in
@@ -477,6 +487,88 @@ let golden_expected =
 let test_golden_table () =
   let actual = List.map (fun (mode, sc) -> golden_line ~mode sc) (golden_runs ()) in
   Alcotest.(check (list string)) "golden table" golden_expected actual
+
+(* Minor words per step of a concrete µServer run (userver-exp3, 19 404
+   steps; the program is compiled by a first run outside the count).  An
+   unshadowed integer, a slot load, an lvalue and a loop pass allocate
+   nothing; what is left is frames, pointers and integers above 255.
+   Measured at 2.31; the reference walker allocates 9.66 on this run. *)
+let test_step_allocation () =
+  let sc = Workloads.Userver.experiment_scenario (Workloads.Userver.experiment 3) in
+  let words_per_step () =
+    let _w, handle = Osmodel.World.kernel sc.world in
+    let cfg =
+      {
+        Interp.Eval.inputs = Interp.Inputs.of_strings sc.args;
+        kernel = Interp.Kernel.of_world handle;
+        hooks = Interp.Eval.no_hooks;
+        max_steps = sc.max_steps;
+        scheduler = None;
+      }
+    in
+    let before = Gc.minor_words () in
+    let r = Interp.Eval.run sc.prog cfg in
+    (Gc.minor_words () -. before) /. float_of_int r.steps
+  in
+  ignore (words_per_step ());
+  let per_step = words_per_step () in
+  check_bool (Printf.sprintf "%.3f minor words per step < 3.0" per_step) true (per_step < 3.0)
+
+(* ------------------------------------------------------------------ *)
+(* Compiled evaluator against the reference walker *)
+
+(* One observation line per evaluator: everything [golden_line] pins,
+   and in symbolic mode the run's unpinned uses too. *)
+let differs ~mode (sc : Concolic.Scenario.t) =
+  let live = mode = `Symbolic in
+  let line run = golden_line ~run ~live ~mode sc in
+  let compiled = line Interp.Eval.run and reference = line Ref_eval.run in
+  if compiled = reference then None else Some (compiled, reference)
+
+let small_programs =
+  [
+    "int main() { return 0; }";
+    "int main() { { int x; x = 1; } return 2; }";
+    "int g[4]; int *p;\n\
+     int f(int a, int b) { return a * b - (a / (b | 1)) % 7; }\n\
+     int main() { int i = 0; p = g; while (i < 4) { if (i == 2) { i = i + 1; continue; }\n\
+     p[i] = f(i, i + 1); i = i + 1; } return g[3] + g[1] + (p == g) + !p + ~i; }";
+    "int main() { int a[3]; int *q = a; q = q + 3; return *q; }";
+    "int main() { int x = 0; return 5 / x; }";
+    "int main() { int x = 70; return 1 << x; }";
+    "int main() { int *p = 0; return *p; }";
+    "int f(int n) { return f(n + 1); }\nint main() { return f(0); }";
+    "int main() { print_str(\"hi\"); print_int(-300); while (1) { } return 0; }";
+  ]
+
+let test_differential_small () =
+  List.iter
+    (fun src ->
+      let sc = Concolic.Scenario.make ~name:"small" ~max_steps:5000 (compile src) in
+      match differs ~mode:`Concrete sc with
+      | None -> ()
+      | Some (c, r) -> Alcotest.failf "%s\ncompiled:  %s\nreference: %s" src c r)
+    small_programs
+
+(* Generated programs, adversarial shapes included (unguarded division,
+   raw indices, asserts), each run concretely and symbolically. *)
+let prop_differential =
+  QCheck.Test.make ~count:300 ~name:"compiled = reference on generated programs"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g = Fuzz.Gen.generate ~seed () in
+      match Fuzz.Gen.elaborate g with
+      | Error e -> QCheck.Test.fail_reportf "seed %d: %s" seed (Fuzz.Gen.error_to_string e)
+      | Ok case ->
+          let sc = Fuzz.Gen.scenario case in
+          List.for_all
+            (fun mode ->
+              match differs ~mode sc with
+              | None -> true
+              | Some (c, r) ->
+                  QCheck.Test.fail_reportf "seed %d:\n%s\ncompiled:  %s\nreference: %s" seed
+                    g.src c r)
+            [ `Concrete; `Symbolic ])
 
 (* ------------------------------------------------------------------ *)
 (* Resolution at link *)
@@ -763,8 +855,14 @@ let () =
             test_branch_hook_taken_direction;
           Alcotest.test_case "cost monotone" `Quick test_cost_monotone_in_work;
           Alcotest.test_case "abort hook" `Quick test_abort_hook;
+          Alcotest.test_case "step allocation" `Quick test_step_allocation;
         ] );
       ("golden", [ Alcotest.test_case "workload table" `Quick test_golden_table ]);
+      ( "differential",
+        [
+          Alcotest.test_case "small programs" `Quick test_differential_small;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |]) prop_differential;
+        ] );
       ( "resolution",
         [
           Alcotest.test_case "domain-safe" `Quick test_resolution_domain_safe;

@@ -648,6 +648,68 @@ let test_ingest_scanner_rescans_settled_write () =
       | [], [] -> ()
       | _ -> Alcotest.fail "a settled file must not be re-offered"))
 
+(* Directory ingestion as [serve DIR] runs it: every poll entry goes
+   through [Service.submit_ingested], and the snapshot, its JSON and the
+   drain summary all count the rejections.  A name rejected mid-write and
+   re-offered intact counts only as accepted. *)
+let test_service_counts_polled_rejections () =
+  let _, wa, resolve = service_fixture () in
+  let config =
+    { Service.default_config with Service.policy = service_policy; queue_capacity = 8 }
+  in
+  let poll_into svc sc =
+    let items, rejects = Ingest.poll sc in
+    List.iter (fun i -> ignore (Service.submit_ingested svc (Ok i))) items;
+    List.iter (fun r -> ignore (Service.submit_ingested svc (Error r))) rejects
+  in
+  let json_rejected snap =
+    match Telemetry.Json.parse (Service.snapshot_to_json snap) with
+    | Ok j -> (
+        match Telemetry.Json.member "rejected" j with
+        | Some (Telemetry.Json.Num n) -> int_of_float n
+        | _ -> Alcotest.fail "snapshot JSON has no numeric rejected")
+    | Error e -> Alcotest.failf "snapshot JSON: %s" e
+  in
+  let with_dir f =
+    let dir = fresh_dir () in
+    Sys.mkdir dir 0o755;
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  in
+  with_dir (fun dir ->
+      write_file (Filename.concat dir "a.report") "not a report";
+      write_file (Filename.concat dir "b.report") "garbage";
+      write_file (Filename.concat dir "c.report") wa;
+      let svc = open_service ~config resolve in
+      poll_into svc (Ingest.scanner dir);
+      let snap = Service.snapshot svc in
+      check_int "snapshot: submitted" 3 snap.Service.submitted;
+      check_int "snapshot: rejected" 2 snap.Service.rejected;
+      check_int "snapshot JSON: rejected" 2 (json_rejected snap);
+      let summary = Service.drain svc in
+      Service.close svc;
+      check_int "summary: reports" 1 summary.Summary.reports;
+      check_int "summary: rejected" 2 (List.length summary.Summary.rejected);
+      check_bool "summary text: 2 rejected" true
+        (find_sub (Summary.to_text summary) "2 rejected" <> None));
+  with_dir (fun dir ->
+      let path = Filename.concat dir "r.report" in
+      (* the writer has flushed only the header when the scanner polls *)
+      write_file path (String.sub wa 0 10);
+      let svc = open_service ~config resolve in
+      let sc = Ingest.scanner dir in
+      poll_into svc sc;
+      check_int "mid-write: rejected" 1 (Service.snapshot svc).Service.rejected;
+      write_file path wa;
+      poll_into svc sc;
+      let snap = Service.snapshot svc in
+      check_int "landed: submitted" 1 snap.Service.submitted;
+      check_int "landed: rejected" 0 snap.Service.rejected;
+      check_int "landed: snapshot JSON rejected" 0 (json_rejected snap);
+      let summary = Service.drain svc in
+      Service.close svc;
+      check_int "landed: summary reports" 1 summary.Summary.reports;
+      check_int "landed: summary rejected" 0 (List.length summary.Summary.rejected))
+
 (* Golden summary of a seeded fleet batch: Report_gen duplicates across
    three bases, a quarter of them torn mid-log, plus one garbage text
    that only the rejected list carries.  The ladder is run-capped (its
@@ -975,5 +1037,7 @@ let () =
             test_ingest_scanner_poll;
           Alcotest.test_case "scanner re-offers a settled mid-write file"
             `Quick test_ingest_scanner_rescans_settled_write;
+          Alcotest.test_case "service counts polled rejections" `Quick
+            test_service_counts_polled_rejections;
         ] );
     ]
