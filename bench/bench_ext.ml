@@ -26,29 +26,37 @@ let a3 (c : Ctx.t) =
       Instrument.Methods.All_branches
   in
   let sc = Workloads.Userver.checkpointed_scenario reqs in
-  let r = Checkpoint.Cfield.run ~plan sc in
-  (match Checkpoint.Cfield.report_of ~sc ~plan r with
-  | Some (report, Some snapshot) ->
+  let r = Instrument.Field_run.run ~plan sc in
+  (match (Instrument.Report.of_field_run ~sc ~plan r, r.snapshot) with
+  | Some report, Some snapshot ->
       let (result, _), dt =
         Util.time_call (fun () ->
-            Checkpoint.Creplay.reproduce
+            Replay.Guided.reproduce
               ~budget:
                 { (Ctx.replay_budget c) with max_time_s = 6.0 *. c.replay_time_s }
-              ~prog ~plan ~snapshot report)
+              ~snapshot ~prog ~plan report)
       in
+      let snapshot_bytes = Instrument.Snapshot.size_bytes snapshot in
+      let report_bytes = Instrument.Report.transfer_bytes report in
+      (* counts and byte sizes only: informational in the --compare gate *)
+      let m k v = Util.record_metric ~experiment:"A3" k (float_of_int v) in
+      m "bits_shipped" r.branch_log.nbits;
+      m "epochs" r.epochs;
+      m "snapshot_bytes" snapshot_bytes;
+      m "report_bytes" report_bytes;
+      (match result with
+      | Replay.Guided.Reproduced rr -> m "replay_runs" rr.runs
+      | Replay.Guided.Not_reproduced _ -> ());
       Util.table
         [
           [ "metric"; "without checkpointing"; "with checkpointing" ];
           [
             "branch bits shipped";
-            string_of_int r.total_bits;
+            string_of_int r.cost.logged_branches;
             string_of_int r.branch_log.nbits;
           ];
-          [
-            "snapshot bytes";
-            "0";
-            string_of_int (Checkpoint.Snapshot.size_bytes snapshot);
-          ];
+          [ "snapshot bytes"; "0"; string_of_int snapshot_bytes ];
+          [ "report bytes shipped"; "-"; string_of_int report_bytes ];
           [ "checkpoints taken"; "0"; string_of_int r.epochs ];
           [
             "replay";
@@ -66,7 +74,7 @@ let a3 (c : Ctx.t) =
          (restored cells are symbolic, per §6).\n"
         (100.0
         *. float_of_int r.discarded_bits
-        /. float_of_int (max r.total_bits 1))
+        /. float_of_int (max r.cost.logged_branches 1))
   | _ -> print_endline "field run did not produce a checkpointed report")
 
 let a4 (c : Ctx.t) =

@@ -27,9 +27,11 @@
 #                             # a triage-service smoke (seeded loadgen
 #                             # burst through `bugrepro serve` with a
 #                             # bounded queue, snapshot JSON validated),
-#                             # and an adaptive smoke (two closed-loop
+#                             # an adaptive smoke (two closed-loop
 #                             # deployment rounds: round 1 refines, round
-#                             # 2 ships fewer bits, JSON validated)
+#                             # 2 ships fewer bits, JSON validated), and
+#                             # a checkpoint smoke (the §6 long-running
+#                             # example reproduces from its snapshot)
 #
 # FUZZ_COUNT overrides the smoke's case count (the nightly CI lane sets
 # it to a few thousand); FUZZ_SEED overrides the campaign seed.
@@ -296,6 +298,18 @@ EOF
   else
     echo "python3 not found; skipping JSON validation of $ADAPT"
   fi
+
+  echo "== checkpoint smoke (§6 long-running example) =="
+  # the checkpointed µServer's field run ships only its final epoch; the
+  # example must reproduce the crash from the checkpoint snapshot
+  CKPT=$(mktemp /tmp/checkpoint-example.XXXXXX)
+  dune exec examples/longrunning_checkpoint.exe > "$CKPT"
+  if ! grep -q "reproduced in" "$CKPT"; then
+    echo "error: the checkpoint example did not reproduce its crash:" >&2
+    cat "$CKPT" >&2
+    exit 1
+  fi
+  echo "checkpoint smoke OK: $(grep 'reproduced in' "$CKPT")"
 fi
 
 echo "== all checks passed =="

@@ -22,24 +22,25 @@ let () =
 
   Printf.printf "serving %d requests on the checkpointed µServer...\n"
     (List.length reqs);
-  let r = Checkpoint.Cfield.run ~plan sc in
+  let r = Instrument.Field_run.run ~plan sc in
   Printf.printf "outcome: %s\n" (Interp.Crash.outcome_to_string r.outcome);
   Printf.printf
     "checkpoints: %d; bits discarded at checkpoints: %d; final epoch: %d bits\n"
     r.epochs r.discarded_bits r.branch_log.nbits;
   Printf.printf "=> %.0f%% of the log never left the user site\n"
-    (100.0 *. float_of_int r.discarded_bits /. float_of_int (max r.total_bits 1));
+    (100.0 *. float_of_int r.discarded_bits
+    /. float_of_int (max r.cost.logged_branches 1));
 
-  match Checkpoint.Cfield.report_of ~sc ~plan r with
-  | Some (report, Some snapshot) -> (
+  match (Instrument.Report.of_field_run ~sc ~plan r, r.snapshot) with
+  | Some report, Some snapshot -> (
       Printf.printf "snapshot: %d globals, %d bytes (structure only)\n"
         (List.length snapshot.globals)
-        (Checkpoint.Snapshot.size_bytes snapshot);
+        (Instrument.Snapshot.size_bytes snapshot);
       print_endline "\n-- replay from the checkpoint --";
       let result, stats =
-        Checkpoint.Creplay.reproduce
+        Replay.Guided.reproduce
           ~budget:{ Concolic.Engine.max_runs = 50_000; max_time_s = 60.0 }
-          ~prog ~plan ~snapshot report
+          ~snapshot ~prog ~plan report
       in
       match result with
       | Replay.Guided.Reproduced rr ->

@@ -159,11 +159,11 @@ module Run = struct
     let r = field_run c ~plan:p sc in
     (r, Instrument.Report.of_field_run ~sc ~plan:p r)
 
-  let reproduce (c : Config.t) ?restore ~(prog : Program.t)
+  let reproduce (c : Config.t) ~(prog : Program.t)
       ~(plan : Instrument.Plan.t) (report : Instrument.Report.t) :
       Replay.Guided.result * Replay.Guided.stats =
     Replay.Guided.reproduce ~budget:c.replay_budget ~seed:c.seed
-      ~max_steps:c.replay_max_steps ?restore ~telemetry:c.telemetry
+      ~max_steps:c.replay_max_steps ~telemetry:c.telemetry
       ~prog ~plan report
 end
 

@@ -101,7 +101,6 @@ module Run : sig
   (** Developer-site bug reproduction (guided replay). *)
   val reproduce :
     Config.t ->
-    ?restore:Replay.Guided.restore_fn ->
     prog:Minic.Program.t ->
     plan:Instrument.Plan.t ->
     Instrument.Report.t ->

@@ -12,12 +12,12 @@ type result = {
   output : string;
   steps : int;
   branch_log : Branch_log.log;
-      (** raw view of the logged bits, decoded once from the encoder at
-          run end *)
+      (** raw view of the logged bits (final epoch only), decoded once
+          from the encoder at run end *)
   encoded_log : Codec.encoded;
       (** the online-encoded stream the probes actually wrote — the
           artifact a v4 report ships *)
-  syscall_log : Syscall_log.log option;
+  syscall_log : Syscall_log.log option;  (** final epoch only *)
   schedule_log : Schedule_log.log option;
       (** recorded thread-scheduling decisions; empty when single-threaded *)
   world : Osmodel.World.t;  (** final world (server responses, access log) *)
@@ -30,6 +30,11 @@ type result = {
       (** elided sites whose reconstructed bit differed from the outcome
           actually taken — any non-zero count is a suppression soundness
           bug *)
+  snapshot : Snapshot.t option;  (** at the last checkpoint taken, if any *)
+  epochs : int;  (** checkpoints taken *)
+  discarded_bits : int;
+      (** bits logged before the last checkpoint and dropped there;
+          [discarded_bits + branch_log.nbits = cost.logged_branches] *)
 }
 
 (** Total shipped-log storage in bytes: the encoded stream plus the
@@ -45,7 +50,9 @@ let storage_bytes (r : result) =
     rebuilds the suppression-free log from the reconstruction rules so
     callers can check bit-for-bit parity.  Probes write through the
     streaming {!Codec}, allocating nothing per branch, and the result
-    carries the encoded stream in [encoded_log]. *)
+    carries the encoded stream in [encoded_log].  Without a suppression
+    table, each [checkpoint()] discards the logs so far and snapshots the
+    global-state structure (see the interface for why not with one). *)
 let run ?(log_syscalls = true) ?(shadow = false)
     ?(telemetry = Telemetry.disabled) ~(plan : Plan.t)
     (sc : Concolic.Scenario.t) : result =
@@ -57,8 +64,12 @@ let run ?(log_syscalls = true) ?(shadow = false)
       ]
   @@ fun sp ->
   let world, handle = Osmodel.World.kernel sc.world in
-  let encoder = Codec.Encoder.create () in
-  let sys_log = if log_syscalls then Some (Syscall_log.create ()) else None in
+  let encoder = ref (Codec.Encoder.create ()) in
+  let new_sys_log () =
+    if log_syscalls then Some (Syscall_log.create ()) else None
+  in
+  let sys_log = ref (new_sys_log ()) in
+  let snapshot = ref None and epochs = ref 0 and discarded = ref 0 in
   let cost_cell : Interp.Cost.t option ref = ref None in
   let recon =
     match plan.Plan.suppression with
@@ -89,7 +100,7 @@ let run ?(log_syscalls = true) ?(shadow = false)
           if Plan.is_instrumented plan bid then begin
             match action with
             | Staticanalysis.Suppression.Recon.Consume ->
-                Codec.Encoder.add_bit encoder taken;
+                Codec.Encoder.add_bit !encoder taken;
                 (match recon with
                 | Some rc ->
                     Staticanalysis.Suppression.Recon.record rc ~bid taken
@@ -111,11 +122,20 @@ let run ?(log_syscalls = true) ?(shadow = false)
                 shadow_bit taken
           end;
           taken);
+      on_checkpoint =
+        (fun access ->
+          if Option.is_none plan.Plan.suppression then begin
+            discarded := !discarded + Codec.Encoder.nbits !encoder;
+            encoder := Codec.Encoder.create ();
+            sys_log := new_sys_log ();
+            snapshot := Some (Snapshot.capture ~epoch:!epochs access);
+            incr epochs
+          end);
     }
   in
   let kernel req =
     let res = handle req in
-    (match sys_log with
+    (match !sys_log with
     | Some log when Osmodel.Sysreq.loggable req ->
         Syscall_log.record log ~kind:(Osmodel.Sysreq.req_name req)
           ~value:(Osmodel.Sysreq.res_int res);
@@ -146,7 +166,7 @@ let run ?(log_syscalls = true) ?(shadow = false)
   cost.instr <- cost.instr + side_cost.instr;
   cost.logged_branches <- side_cost.logged_branches;
   cost.logged_syscalls <- side_cost.logged_syscalls;
-  let encoded_log = Codec.finish encoder in
+  let encoded_log = Codec.finish !encoder in
   let branch_log =
     (* one decode at run end keeps the raw view available to every
        consumer; the hot path only ever touched the encoder *)
@@ -154,7 +174,7 @@ let run ?(log_syscalls = true) ?(shadow = false)
     | Ok l -> l
     | Error m -> failwith ("Field_run: encoder self-check failed: " ^ m)
   in
-  let syscall_log = Option.map Syscall_log.finish sys_log in
+  let syscall_log = Option.map Syscall_log.finish !sys_log in
   let res =
     {
       outcome = r.outcome;
@@ -169,6 +189,9 @@ let run ?(log_syscalls = true) ?(shadow = false)
       n_elided = !n_elided;
       shadow_log = Option.map Branch_log.finish shadow_writer;
       shadow_mismatches = !shadow_mismatches;
+      snapshot = !snapshot;
+      epochs = !epochs;
+      discarded_bits = !discarded;
     }
   in
   if Telemetry.enabled telemetry then begin

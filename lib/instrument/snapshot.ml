@@ -48,19 +48,21 @@ let var_name g off = Printf.sprintf "ckpt:%s[%d]" g off
 let restored_domain = { Solver.Symvars.lo = -1; hi = 1024 }
 
 (** Overwrite every non-pointer global cell with a fresh symbolic value.
-    Concrete seeds come from [concrete_of] (the current solver model or a
-    seeded default). *)
-let restore (t : t) ~(vars : Solver.Symvars.t)
-    ~(concrete_of : string -> int -> int)
-    ~(observe : int -> int -> unit)
-    (access : Interp.Eval.global_access) : unit =
+    Concrete seeds come from the current solver [model], defaulting to 0. *)
+let restore (t : t) ~(vars : Solver.Symvars.t) ~(model : Solver.Model.t)
+    ~(observe : int -> int -> unit) (access : Interp.Eval.global_access) :
+    unit =
   List.iter
     (fun g ->
       for off = 0 to g.size - 1 do
         if not g.ptr_mask.(off) then begin
           let name = var_name g.gname off in
           let id = Solver.Symvars.lookup vars ~name ~dom:restored_domain in
-          let conc = concrete_of g.gname off in
+          (* unsolved cells default to zero (fresh-state-like): restored
+             cells are indexed into buffers and tables, and the
+             concretisations they pin must stay consistent with the
+             log-forced constraints as often as possible *)
+          let conc = Option.value (Solver.Model.find_opt id model) ~default:0 in
           observe id conc;
           let v =
             { Interp.Value.conc = Interp.Value.Int conc;

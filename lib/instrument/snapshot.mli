@@ -27,12 +27,13 @@ val var_name : string -> int -> string
 (** Domain of restored cells (counters, fds, buffer bytes). *)
 val restored_domain : Solver.Symvars.domain
 
-(** Overwrite every non-pointer global cell with a fresh symbolic value;
-    concrete seeds come from [concrete_of]. *)
+(** Overwrite every non-pointer global cell with a fresh symbolic value
+    (a [var_name] variable in [restored_domain]); concrete seeds come from
+    [model], defaulting to 0 for unsolved cells. *)
 val restore :
   t ->
   vars:Solver.Symvars.t ->
-  concrete_of:(string -> int -> int) ->
+  model:Solver.Model.t ->
   observe:(int -> int -> unit) ->
   Interp.Eval.global_access ->
   unit

@@ -102,17 +102,6 @@ let elapsed = function
   | Reproduced r -> r.elapsed_s
   | Not_reproduced r -> r.elapsed_s
 
-(** Checkpointed replay (§6): rewrites global state symbolically at the
-    first [checkpoint()] the run executes.  Receives the run's variable
-    registry, solver model and observation callback so restored cells
-    integrate with the search like any other input. *)
-type restore_fn =
-  vars:Solver.Symvars.t ->
-  model:Solver.Model.t ->
-  observe:(int -> int -> unit) ->
-  Interp.Eval.global_access ->
-  unit
-
 let case2b_abort = "2b: log contradicts symbolic branch"
 
 (* One guided replay run under input [model].  [record_cases] receives the
@@ -123,7 +112,7 @@ let case2b_abort = "2b: log contradicts symbolic branch"
    offers itself to the engine for a resume (DESIGN.md §5m); [on_changes]
    sees each input change list the guard computes, and [telemetry] times
    the guard ([replay.resume_s]) and counts its declines. *)
-let run_once ?(restore : restore_fn option)
+let run_once ?(snapshot : Instrument.Snapshot.t option)
     ?(sup_rules : Staticanalysis.Suppression.rule option array option)
     ?(on_changes = fun ~observed:_ _ _ -> ()) ~telemetry
     ~(prog : Minic.Program.t) ~(plan : Plan.t) ~(report : Report.t) ~vars
@@ -133,9 +122,9 @@ let run_once ?(restore : restore_fn option)
   let cases = new_case_stats () in
   let observed = ref Solver.Model.empty in
   let observe id v = observed := Solver.Model.add id v !observed in
-  (* with a checkpoint restore pending, the shipped logs describe only the
+  (* with a checkpoint snapshot, the shipped logs describe only the
      post-checkpoint epoch: stay gated until the program checkpoints *)
-  let gate = ref (restore = None) in
+  let gate = ref (Option.is_none snapshot) in
   let rk =
     Rkernel.create ~observe ~active:!gate ~vars ~model ~shape:report.shape
       ~syscall_log:report.syscall_log ~seed ()
@@ -163,7 +152,7 @@ let run_once ?(restore : restore_fn option)
   let guard ~solved model' =
     match !live with
     | Some (live : Interp.Eval.live_access)
-      when Option.is_none restore && Option.is_none scheduler -> (
+      when Option.is_none snapshot && Option.is_none scheduler -> (
         let changed = Rkernel.changed_inputs rk ~solved model' ~observed:!observed in
         on_changes ~observed:!observed model' changed;
         match changed with
@@ -218,9 +207,10 @@ let run_once ?(restore : restore_fn option)
   let recon = Option.map Staticanalysis.Suppression.Recon.create sup_rules in
   let trace = Concolic.Path.create () in
   let on_checkpoint access =
-    match restore with
-    | Some f when not !gate ->
-        f ~vars ~model ~observe access;
+    match snapshot with
+    | Some s when not !gate ->
+        (* restored cells integrate with the search like any other input *)
+        Instrument.Snapshot.restore s ~vars ~model ~observe access;
         Rkernel.activate rk;
         gate := true
     | _ -> ()
@@ -378,10 +368,10 @@ let suppression_rules ~prog ~(plan : Plan.t) (report : Report.t) =
               invalid_arg ("Replay.Guided: suppression proof rejected: " ^ msg)
           | Ok () -> Some rules))
 
-let run ?restore ?(max_steps = 5_000_000) ?(record_cases = ignore) ?on_changes
+let run ?snapshot ?(max_steps = 5_000_000) ?(record_cases = ignore) ?on_changes
     ~prog ~plan ~vars ~seed report =
   let sup_rules = suppression_rules ~prog ~plan report in
-  run_once ?restore ?sup_rules ?on_changes ~telemetry:Telemetry.disabled ~prog
+  run_once ?snapshot ?sup_rules ?on_changes ~telemetry:Telemetry.disabled ~prog
     ~plan ~report ~vars ~seed ~max_steps ~record_cases
 
 let crash_site (report : Report.t) (r : Concolic.Engine.run_result) =
@@ -415,7 +405,7 @@ let reexecute ~prog ~vars ~seed (report : Report.t) model =
     after which a clean frontier exhaustion returns
     [Not_reproduced { timed_out = false; _ }]. *)
 let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
-    ?(max_steps = 5_000_000) ?restore ?cache ?max_attempts
+    ?(max_steps = 5_000_000) ?snapshot ?cache ?max_attempts
     ?(telemetry = Telemetry.disabled) ~(prog : Minic.Program.t)
     ~(plan : Plan.t) (report : Report.t) : result * stats =
   Telemetry.Span.with_ telemetry ~name:"reproduce" @@ fun rsp ->
@@ -466,7 +456,7 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
       merge_cases ~into:cases c
     in
     let run =
-      run_once ?restore ?sup_rules ~telemetry ~prog ~plan ~report ~vars
+      run_once ?snapshot ?sup_rules ~telemetry ~prog ~plan ~report ~vars
         ~seed:attempt_seed ~max_steps ~record_cases
     in
     let remaining_time = deadline -. Unix.gettimeofday () in

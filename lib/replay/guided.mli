@@ -60,16 +60,6 @@ val elapsed : result -> float
     [solver.cache] scope.  The record types stay for the bench tables. *)
 val counters : stats -> Telemetry.Counters.snapshot
 
-(** Checkpointed replay (§6): rewrites global state symbolically at the
-    first [checkpoint()] the run executes; until then the shipped logs are
-    gated off.  See {!Checkpoint.Creplay}. *)
-type restore_fn =
-  vars:Solver.Symvars.t ->
-  model:Solver.Model.t ->
-  observe:(int -> int -> unit) ->
-  Interp.Eval.global_access ->
-  unit
-
 (** The guided-replay run function {!reproduce} drives the engine with,
     for one attempt under the variable registry [vars] and the default-input
     [seed] (see {!Concolic.Engine.search}).  Decodes and verifies the
@@ -81,7 +71,7 @@ type restore_fn =
     forcing pending solves Sat and the guard accepts its model, the run
     re-concretizes its live state in place, records the branch as case 2a
     and continues along the logged direction (DESIGN.md §5m).  The guard
-    declines under a checkpoint [restore] or a replayed schedule, when a
+    declines under a checkpoint [snapshot] or a replayed schedule, when a
     system-call result variable already created would change, when a value
     used without a pin (see {!Interp.Eval.live_access}) would change or a
     partial operation would become undefined.  [on_changes ~observed model
@@ -90,7 +80,7 @@ type restore_fn =
     offered model: a test can check it against a full re-read of
     [observed]. *)
 val run :
-  ?restore:restore_fn ->
+  ?snapshot:Instrument.Snapshot.t ->
   ?max_steps:int ->
   ?record_cases:(case_stats -> unit) ->
   ?on_changes:
@@ -112,7 +102,7 @@ val crash_site :
 (** Run [prog] from [main] on a reproduced input with no hooks at all: the
     replay kernel supplies [model]'s bytes (the defaults of the attempt
     [seed] for the rest), the report's logged system-call results and
-    schedule.  A reproduction without a checkpoint [restore], resumed or
+    schedule.  A reproduction without a checkpoint [snapshot], resumed or
     not, stands for exactly this execution. *)
 val reexecute :
   prog:Minic.Program.t ->
@@ -146,12 +136,20 @@ val reexecute :
     elided branches then take their bit from the reconstruction rules
     instead of the log reader.  Raises [Invalid_argument] when the table
     fails to decode or a claimed proof is rejected (fail-closed: unproven
-    rules must never steer replay). *)
+    rules must never steer replay).
+
+    With [snapshot] (checkpointed replay, §6), [report] covers only the
+    final epoch of a checkpointed {!Instrument.Field_run}.  Each run starts
+    from [main] with the shipped logs gated off; at the first
+    [checkpoint()] it executes, {!Instrument.Snapshot.restore} makes every
+    non-pointer global cell a fresh symbolic variable and guided replay of
+    the final epoch's logs begins, so the search covers both the
+    post-checkpoint inputs and a consistent pre-checkpoint global state. *)
 val reproduce :
   ?budget:Concolic.Engine.budget ->
   ?seed:int ->
   ?max_steps:int ->
-  ?restore:restore_fn ->
+  ?snapshot:Instrument.Snapshot.t ->
   ?cache:Solver.Cache.t ->
   ?max_attempts:int ->
   ?telemetry:Telemetry.t ->

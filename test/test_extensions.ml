@@ -102,45 +102,100 @@ let ckpt_plan () =
     ~nbranches:(Minic.Program.nbranches (Lazy.force Workloads.Userver.checkpointed_prog))
     Instrument.Methods.All_branches
 
+let ckpt_run () = Instrument.Field_run.run ~plan:(ckpt_plan ()) (ckpt_scenario ())
+
 let test_checkpoint_discards_log () =
-  let sc = ckpt_scenario () in
-  let r = Checkpoint.Cfield.run ~plan:(ckpt_plan ()) sc in
+  let r = ckpt_run () in
   check_bool "crashed" true
     (match r.outcome with Interp.Crash.Crash _ -> true | _ -> false);
   check_bool "took checkpoints" true (r.epochs >= 1);
   check_bool "snapshot captured" true (r.snapshot <> None);
   check_bool "most bits discarded" true (r.discarded_bits > r.branch_log.nbits);
-  check_int "bits accounted" r.total_bits (r.discarded_bits + r.branch_log.nbits)
+  check_int "bits accounted" r.cost.logged_branches
+    (r.discarded_bits + r.branch_log.nbits);
+  (* pinned: A3 reports these, and a change to the probe or to checkpoint
+     handling moves them *)
+  check_int "epochs" 1 r.epochs;
+  check_int "discarded bits" 23_833 r.discarded_bits;
+  check_int "final epoch bits" 1_985 r.branch_log.nbits;
+  check_int "instructions" 761_388 r.cost.instr
 
 let test_checkpoint_snapshot_structure_only () =
-  let sc = ckpt_scenario () in
-  let r = Checkpoint.Cfield.run ~plan:(ckpt_plan ()) sc in
+  let r = ckpt_run () in
   match r.snapshot with
   | None -> Alcotest.fail "no snapshot"
   | Some s ->
       (* the snapshot describes global structure; its size is tiny compared
          to the state contents it covers *)
       let cells =
-        List.fold_left (fun acc (g : Checkpoint.Snapshot.global) -> acc + g.size) 0 s.globals
+        List.fold_left
+          (fun acc (g : Instrument.Snapshot.global) -> acc + g.size)
+          0 s.globals
       in
       check_bool "has the server globals" true (cells > 8000);
       check_bool "ships structure, not content" true
-        (Checkpoint.Snapshot.size_bytes s < cells)
+        (Instrument.Snapshot.size_bytes s < cells)
 
-let test_checkpoint_replay_reproduces () =
+(* The report and snapshot of the checkpointed crash. *)
+let ckpt_report () =
   let sc = ckpt_scenario () in
   let plan = ckpt_plan () in
-  let r = Checkpoint.Cfield.run ~plan sc in
-  match Checkpoint.Cfield.report_of ~sc ~plan r with
-  | Some (report, Some snapshot) ->
-      let result, _ =
-        Checkpoint.Creplay.reproduce
-          ~budget:{ Concolic.Engine.max_runs = 20_000; max_time_s = 30.0 }
-          ~prog:(Lazy.force Workloads.Userver.checkpointed_prog)
-          ~plan ~snapshot report
-      in
-      check_bool "reproduced from checkpoint" true (Replay.Guided.reproduced result)
+  let r = Instrument.Field_run.run ~plan sc in
+  match (Instrument.Report.of_field_run ~sc ~plan r, r.snapshot) with
+  | Some report, Some snapshot -> (plan, report, snapshot)
   | _ -> Alcotest.fail "expected a report with a snapshot"
+
+let ckpt_reproduce ~plan ~snapshot report =
+  Replay.Guided.reproduce
+    ~budget:{ Concolic.Engine.max_runs = 20_000; max_time_s = 30.0 }
+    ~snapshot
+    ~prog:(Lazy.force Workloads.Userver.checkpointed_prog)
+    ~plan report
+  |> fst
+
+let test_checkpoint_replay_reproduces () =
+  let plan, report, snapshot = ckpt_report () in
+  check_bool "reproduced from checkpoint" true
+    (Replay.Guided.reproduced (ckpt_reproduce ~plan ~snapshot report))
+
+let test_checkpoint_report_encoded () =
+  let _, report, _ = ckpt_report () in
+  check_bool "ships the encoded stream" true
+    (match report.branch_log with
+    | Instrument.Report.Encoded _ -> true
+    | Instrument.Report.Raw _ -> false)
+
+let test_checkpoint_report_wire_roundtrip () =
+  let plan, report, snapshot = ckpt_report () in
+  let reread =
+    match Instrument.Wire.deserialize_v (Instrument.Wire.serialize report) with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Instrument.Wire.error_to_string e)
+  in
+  let runs = function
+    | Replay.Guided.Reproduced rr -> rr.runs
+    | Replay.Guided.Not_reproduced _ -> Alcotest.fail "not reproduced"
+  in
+  check_int "re-read report reproduces in the same runs"
+    (runs (ckpt_reproduce ~plan ~snapshot report))
+    (runs (ckpt_reproduce ~plan ~snapshot reread))
+
+let test_checkpoint_ignored_under_suppression () =
+  (* the replay-side reconstruction cursor would start at the restore
+     point, so a suppressed run keeps its full log *)
+  let prog = Lazy.force Workloads.Userver.checkpointed_prog in
+  let plan = ckpt_plan () in
+  let sup =
+    Staticanalysis.Suppression.analyze ~instrumented:plan.instrumented prog
+  in
+  let r =
+    Instrument.Field_run.run
+      ~plan:(Instrument.Plan.with_suppression plan sup)
+      (ckpt_scenario ())
+  in
+  check_int "no epochs" 0 r.epochs;
+  check_bool "no snapshot" true (r.snapshot = None);
+  check_int "full log kept" r.cost.logged_branches r.branch_log.nbits
 
 let test_checkpointed_server_still_serves () =
   (* checkpointing must not change observable behaviour *)
@@ -321,6 +376,12 @@ let () =
             test_checkpoint_snapshot_structure_only;
           Alcotest.test_case "replay reproduces" `Slow
             test_checkpoint_replay_reproduces;
+          Alcotest.test_case "report is encoded" `Quick
+            test_checkpoint_report_encoded;
+          Alcotest.test_case "report wire roundtrip" `Slow
+            test_checkpoint_report_wire_roundtrip;
+          Alcotest.test_case "no checkpoint under suppression" `Quick
+            test_checkpoint_ignored_under_suppression;
           Alcotest.test_case "server behaviour unchanged" `Quick
             test_checkpointed_server_still_serves;
         ] );
