@@ -19,14 +19,19 @@ type result = {
 }
 
 (** Build the run function for a scenario: fresh world per run, symbolic
-    argv and stream bytes, symbolic syscall results. *)
-let make_run ?(max_steps = 2_000_000) (sc : Scenario.t) ~vars
-    ~(on_branch_observed : int -> bool -> unit) :
+    argv and stream bytes, symbolic syscall results.  The run's hint starts
+    at its model and gains the observed value of each variable the model
+    leaves unbound. *)
+let make_run ?(max_steps = 2_000_000) ?(observe = fun (_ : int) (_ : int) -> ())
+    (sc : Scenario.t) ~vars ~(on_branch_observed : int -> bool -> unit) :
     Solver.Model.t -> Engine.run_result =
  fun model ->
   let world, handle = Osmodel.World.kernel sc.world in
-  let observed = ref Solver.Model.empty in
-  let observe id v = observed := Solver.Model.add id v !observed in
+  let hint = ref model in
+  let observe id v =
+    observe id v;
+    if not (Solver.Model.mem id model) then hint := Solver.Model.add id v !hint
+  in
   let sk =
     Sym_kernel.create ~observe ~vars ~model ~world ~handle ~sym_results:true ()
   in
@@ -51,7 +56,7 @@ let make_run ?(max_steps = 2_000_000) (sc : Scenario.t) ~vars
     }
   in
   let r = Interp.Eval.run sc.prog cfg in
-  { Engine.outcome = r.outcome; trace = Path.view trace; observed = !observed }
+  { Engine.outcome = r.outcome; trace = Path.view trace; hint = !hint }
 
 (** Run the analysis.  The budget plays the role of the paper's
     one-hour/two-hour symbolic execution cut-offs (LC vs HC).  [cache]

@@ -18,9 +18,13 @@ type result = {
 
 (** Build the run function for a scenario (exposed for tests and custom
     exploration loops): fresh world per run, symbolic argv and stream
-    bytes, symbolic syscall results. *)
+    bytes, symbolic syscall results.  [observe] is told the effective value
+    of every symbolic input variable a run creates, as it creates it; the
+    run's {!Engine.run_result.hint} is its model overlaid with those values
+    for the variables the model leaves unbound. *)
 val make_run :
   ?max_steps:int ->
+  ?observe:(int -> int -> unit) ->
   Scenario.t ->
   vars:Solver.Symvars.t ->
   on_branch_observed:(int -> bool -> unit) ->

@@ -38,10 +38,11 @@ let default_budget = { max_runs = 500; max_time_s = 10.0 }
 type run_result = {
   outcome : Interp.Crash.outcome;
   trace : Path.view;  (** in execution order *)
-  observed : Solver.Model.t;
-      (** effective concrete value of every symbolic input variable the run
-          touched; used to seed the solver for child pendings so that only
-          the negated constraint's variables need new values *)
+  hint : Solver.Model.t;
+      (** the run's launch model, plus the effective concrete value of every
+          symbolic input variable it touched that the model leaves unbound:
+          seeds the solver for child pendings, so that only the negated
+          constraint's variables need new values *)
 }
 
 (* A resume offer, handed to every run (see engine.mli). *)
@@ -60,7 +61,7 @@ type stats = {
   mutable forks : int;  (** pendings pushed onto the frontier *)
   mutable core_pruned : int;  (** always 0, like [steals] *)
   mutable solved_incremental : int;  (** always 0, like [steals] *)
-  mutable solver_calls : int;  (** always 0, like [steals] *)
+  mutable solver_calls : int;  (** calls into the cache or the solver *)
   mutable steals : int;
       (** always 0: the single shared frontier has nothing to steal from;
           kept so readers of the record keep compiling *)
@@ -110,9 +111,11 @@ let monotonic () = Unix.gettimeofday ()
    supplied (Unknowns are not cached, so the escalated call always reaches
    the real solver).  [telemetry] records the hit/miss/solve time split
    (through the cache when present, as [solver.solve_s] otherwise).  [cs] is
-   the pending's slice with a cache and its full constraint set without. *)
-let solve_pending ?cache ~telemetry ~vars ~hint cs =
+   the pending's slice with a cache and its full constraint set without.
+   Each call into the cache or the solver counts in [stats.solver_calls]. *)
+let solve_pending ?cache ~telemetry ~(stats : stats) ~vars ~hint cs =
   let solve ?budget () =
+    stats.solver_calls <- stats.solver_calls + 1;
     match cache with
     | Some c -> Solver.Cache.solve c ?budget ~telemetry ~vars ~hint cs
     | None ->
@@ -183,8 +186,7 @@ let drain ~vars ~budget ~strategy ?cache ~telemetry ~run ~stop ~on_run
      pops the deepest first; no position below [min bound flipped] can fork,
      so the walk starts there.  Returns the trace view the children share. *)
   let push_children (l : launch) (result : run_result) =
-    let trace = result.trace in
-    let hint = Solver.Model.union_prefer_left l.model result.observed in
+    let trace = result.trace and hint = result.hint in
     let before = frontier_size () in
     let from =
       match l.flipped with Some (j, _) -> min l.bound j | None -> l.bound
@@ -227,7 +229,7 @@ let drain ~vars ~budget ~strategy ?cache ~telemetry ~run ~stop ~on_run
   let solve (p : pending) =
     let hint id = Solver.Model.find_opt id p.hint in
     let cs = match cache with Some _ -> slice_of p | None -> constraints_of p in
-    match solve_pending ?cache ~telemetry ~vars ~hint cs with
+    match solve_pending ?cache ~telemetry ~stats ~vars ~hint cs with
     | Solver.Solve.Sat model ->
         stats.sat <- stats.sat + 1;
         (* keep the parent's values for variables the solver left free *)
@@ -400,5 +402,5 @@ let counters (s : stats) : Telemetry.Counters.snapshot =
     [
       ("runs", s.runs); ("resumes", s.resumes); ("sat", s.sat); ("unsat", s.unsat);
       ("unknown", s.unknown); ("pending_peak", s.pending_peak);
-      ("forks", s.forks);
+      ("forks", s.forks); ("solver_calls", s.solver_calls);
     ]

@@ -30,9 +30,17 @@ type strategy =
 type run_result = {
   outcome : Interp.Crash.outcome;
   trace : Path.view;  (** in execution order *)
-  observed : Solver.Model.t;
-      (** effective concrete value of every symbolic input variable the run
-          touched; seeds the solver for child pendings *)
+  hint : Solver.Model.t;
+      (** the hint of the run's children: the model the run was launched
+          (or last resumed) under, overlaid with the effective concrete
+          value of every symbolic input variable the run touched that the
+          model leaves unbound.  That equals
+          [union_prefer_left launch_model observed], built as the run goes:
+          a run adds a binding only when it touches a variable its model
+          lacks, so the engine merges no maps per finished run or offer.
+          A run from [main] starts it at its launch model; an accepted
+          resume resets it to the new model, which binds every variable
+          the run touched so far. *)
 }
 
 (** A resume offer, handed to every run.  A run that is about to abort
@@ -45,14 +53,15 @@ type run_result = {
     would.  On Sat it calls [resume ~solved model], where [solved] is the
     solver's own assignment (to the variables of the constraints it
     solved) and [model] the model the next run would execute under:
-    [solved] merged, preferring its bindings, over the run's own launch
-    model merged over [result.observed].  So a variable outside [solved] keeps the value the
-    run's launch model gives it, else the value the run observed; a
-    resume guard need only re-check [solved]'s variables and those whose
-    observed value already disagreed with the launch model.
+    [solved] merged, preferring its bindings, over [result.hint].  So a
+    variable outside [solved] keeps the value the run's launch model gives
+    it, else the value the run observed; a resume guard need only re-check
+    [solved]'s variables and those whose observed value already disagreed
+    with the launch model.  The merge costs O(|solved| log |hint|), not the
+    run's state.
     - [true]: the run has moved its live state onto [model] and continues
-      as that run (it counts in [runs] and [resumes]); the offer returns
-      [true];
+      as that run (it counts in [runs] and [resumes]), with [model] as its
+      launch model and its hint; the offer returns [true];
     - [false]: the offer returns [false] and the engine runs the solved
       pending from [main] next, without solving it again.
     Unsat, Unknown, a different next pending or a spent budget also return
@@ -81,7 +90,9 @@ type stats = {
       (** always 0, like [steals]: the incremental solver that pruned
           pendings by learned cores is retired *)
   mutable solved_incremental : int;  (** always 0, like [core_pruned] *)
-  mutable solver_calls : int;  (** always 0, like [core_pruned] *)
+  mutable solver_calls : int;
+      (** calls into the cache or the solver, one per solved pending plus
+          one per escalated retry of an [Unknown] *)
   mutable steals : int;
       (** always 0: the single shared frontier has nothing to steal from;
           kept so readers of the record keep compiling *)
@@ -140,6 +151,8 @@ val explore :
   unit ->
   stats * (Solver.Model.t * run_result) option
 
-(** A {!stats} in the unified counter view (scope ["engine"]); the record
+(** A {!stats} in the unified counter view (scope ["engine"]: [runs],
+    [resumes], [sat], [unsat], [unknown], [pending_peak], [forks],
+    [solver_calls], and the gauges [elapsed_s] and [timed_out]); the record
     stays for the bench tables. *)
 val counters : stats -> Telemetry.Counters.snapshot

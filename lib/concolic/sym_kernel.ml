@@ -16,25 +16,19 @@ type t = {
   world : Osmodel.World.t;
   handle : Osmodel.Sysreq.req -> Osmodel.Sysreq.res;
   sym_results : bool;  (** shadow syscall results (not just data)? *)
-  counters : (string, int) Hashtbl.t;  (** per-kind syscall indices *)
+  sys : Names.sys_results;
   observe : int -> int -> unit;  (** effective value of each created variable *)
 }
 
 let create ?(observe = fun (_ : int) (_ : int) -> ()) ~vars ~model
     ~(world : Osmodel.World.t)
     ~(handle : Osmodel.Sysreq.req -> Osmodel.Sysreq.res) ~sym_results () : t =
-  { vars; model; world; handle; sym_results; counters = Hashtbl.create 8; observe }
-
-let next_index t kind =
-  let i = match Hashtbl.find_opt t.counters kind with Some i -> i | None -> 0 in
-  Hashtbl.replace t.counters kind (i + 1);
-  i
+  { vars; model; world; handle; sym_results; sys = Names.sys_results vars; observe }
 
 let result_shadow t ~kind ~lo ~hi ~conc : Solver.Expr.t option =
   if not t.sym_results then None
   else
-    let index = next_index t kind in
-    let id = Names.sys_var t.vars ~kind ~index ~dom:{ Solver.Symvars.lo; hi } in
+    let id = Names.next_sys_var t.sys ~kind ~dom:{ Solver.Symvars.lo; hi } in
     t.observe id conc;
     Some (Solver.Expr.Var id)
 
@@ -49,16 +43,21 @@ let kernel (t : t) : Interp.Kernel.t =
       let data, data_sym =
         match stream with
         | Some (stream, start) ->
+            let family = Names.stream_family t.vars ~stream in
+            let ids =
+              Array.init (Array.length data) (fun j ->
+                  Solver.Symvars.member family (start + j)
+                    ~dom:Solver.Symvars.byte_domain)
+            in
             let data =
               Array.mapi
                 (fun j b ->
-                  let id = Names.stream_var t.vars ~stream ~pos:(start + j) in
                   let v =
-                    match Solver.Model.find_opt id t.model with
+                    match Solver.Model.find_opt ids.(j) t.model with
                     | Some v -> v land 0xff
                     | None -> b
                   in
-                  t.observe id v;
+                  t.observe ids.(j) v;
                   v)
                 data
             in
@@ -66,7 +65,8 @@ let kernel (t : t) : Interp.Kernel.t =
               Array.init count (fun j ->
                   Some
                     (Solver.Expr.Var
-                       (Names.stream_var t.vars ~stream ~pos:(start + j))))
+                       (Solver.Symvars.member family (start + j)
+                          ~dom:Solver.Symvars.byte_domain)))
             in
             (data, data_sym)
         | None -> (data, [||])
@@ -92,8 +92,7 @@ let kernel (t : t) : Interp.Kernel.t =
 let symbolic_args ?observe ~vars ~model (sc : Scenario.t) ~(caps : int list) :
     Interp.Inputs.t =
   let base = Array.of_list sc.args in
-  let concrete_byte ~arg ~pos =
-    let id = Names.arg_var vars ~arg ~pos in
+  let concrete_byte ~arg ~pos id =
     match Solver.Model.find_opt id model with
     | Some v -> v land 0xff
     | None ->

@@ -39,7 +39,7 @@ type live_access = {
       (** input-derived values the run used concretely without pinning them
           through [on_concretize], newest first, each with the value it had *)
   reconcretize :
-    changed:(int -> bool) -> old:(int -> int) -> fresh:(int -> int) -> bool;
+    changed:int list -> old:(int -> int) -> fresh:(int -> int) -> bool;
       (** move every shadowed memory cell and argv byte from the variable
           assignment [old] to [fresh] *)
 }
@@ -361,7 +361,7 @@ let builtin_call st name (args : Value.t list) : Value.t =
       let pbase, poff = expect_ptr st buf in
       if i < 0 || i >= Inputs.arg_count st.inputs || cap <= 0 then Value.int_ (-1)
       else begin
-        let a = st.inputs.args.(i) in
+        let a = Inputs.arg st.inputs i in
         let n = min (Array.length a.bytes) (cap - 1) in
         for j = 0 to n - 1 do
           store st pbase (poff + j) { Value.conc = Int a.bytes.(j); sym = a.syms.(j) }
@@ -1093,9 +1093,9 @@ let init_state (prog : Program.t) (cfg : config) : state =
    argv byte, or was recorded as an unpinned use: MiniC is CIL-normalised,
    so at a branch no half-evaluated operand sits on the evaluator's stack.
    [reconcretize] checks every cell it must before it writes any.  A clean
-   cell whose shadow is a bare [Var x] of an unchanged [x] needs no check:
-   the last accepted move left it at [x]'s value, which [fresh] keeps; an
-   argv byte likewise (see eval.mli). *)
+   cell whose shadow mentions no changed variable needs no check: the last
+   accepted move left it at its shadow's value under [old], which [fresh]
+   keeps; an argv byte likewise (see eval.mli). *)
 let live_access st =
   let eval env e =
     match Solver.Expr.eval env e with
@@ -1104,9 +1104,8 @@ let live_access st =
   in
   let reconcretize ~changed ~old ~fresh =
     let moves = ref [] and consistent = ref true in
-    Memory.iter_shadowed st.mem (fun ~base ~off ~dirty (v : Value.t) ->
+    Memory.iter_changed st.mem ~changed (fun ~base ~off (v : Value.t) ->
         match v with
-        | { sym = Some (Var x); _ } when (not dirty) && not (changed x) -> ()
         | { sym = Some e; conc = Int n } when !consistent -> (
             match eval fresh e with
             | Some f when f = n -> ()

@@ -36,25 +36,26 @@ type live_access = {
           with value 1).  Only values with a shadow are recorded, so a plain
           run records nothing. *)
   reconcretize :
-    changed:(int -> bool) -> old:(int -> int) -> fresh:(int -> int) -> bool;
+    changed:int list -> old:(int -> int) -> fresh:(int -> int) -> bool;
       (** move every shadowed memory cell and argv byte from the variable
-          assignment [old] to [fresh], where [changed] holds exactly the
-          variables on which the two differ: each cell whose shadow
-          evaluates differently takes its value under [fresh].  Returns
-          [false] and changes nothing when a shadow is undefined (or
-          mentions an unbound variable) under [fresh], or a changing cell's
-          value disagrees with its shadow under [old].
+          assignment [old] to [fresh], where [changed] lists, once each,
+          exactly the variables on which the two differ: each cell whose
+          shadow evaluates differently takes its value under [fresh].
+          Returns [false] and changes nothing when a shadow is undefined
+          (or mentions an unbound variable) under [fresh], or a changing
+          cell's value disagrees with its shadow under [old].
 
-          Cost: one cheap visit per shadowed cell and argv byte, plus a
-          full evaluation of only the cells stored since the last accepted
-          move, the cells whose shadow is not a bare [Var], and the
-          bare [Var x] cells and bytes of a [changed x].  A clean bare
-          [Var x] cell of an unchanged [x] is skipped: the previous
-          accepted move verified or set it to [x]'s value under that
-          move's [fresh], which must therefore be this call's [old] (and
-          before the first move, cells are dirty).  An argv byte is never
-          stored by the program and holds its variable's [old] value.  An
-          accepted move marks every cell clean. *)
+          Cost: the cells stored since the last accepted move plus the
+          clean cells and argv bytes whose shadow mentions a [changed]
+          variable ({!Memory.iter_changed}); no other cell is visited.  A
+          clean cell whose shadow mentions no changed variable needs no
+          check: the previous accepted move verified or set it to its
+          shadow's value under that move's [fresh], which must therefore
+          be this call's [old], and [fresh] agrees with [old] on every
+          variable of its shadow (before the first move, cells are dirty).
+          An argv byte is never stored by the program and holds its
+          shadow's [old] value.  An accepted move marks every cell
+          clean. *)
 }
 
 type hooks = {

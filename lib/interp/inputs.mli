@@ -7,32 +7,44 @@
 
 type arg = { bytes : int array; syms : Solver.Expr.t option array }
 
-type t = { args : arg array }
+type t
 
 val of_strings : string list -> t
 val arg_count : t -> int
+
+(** [arg t i] is argument [i] ([0 <= i < arg_count t]). *)
+val arg : t -> int -> arg
 
 (** Naming scheme for argument input bytes; shared with the concolic layer
     so variable identities stay stable across runs. *)
 val var_name : arg:int -> pos:int -> string
 
-(** Build symbolic arguments: each has [cap] fully symbolic bytes whose
-    concrete values come from [concrete_byte].  [observe] is told the
-    effective concrete value of every variable created, so the exploration
-    engine can seed the next solver call with the full input. *)
+(** The variables of argument [arg]'s bytes, member [pos] named
+    [var_name ~arg ~pos]. *)
+val arg_family : Solver.Symvars.t -> arg:int -> Solver.Symvars.family
+
+(** Build symbolic arguments: each has [cap] fully symbolic bytes, byte
+    [pos] of argument [arg] shadowed by the variable [id] of
+    {!arg_family}'s member [pos] and valued [concrete_byte ~arg ~pos id].
+    Variables are registered argument by argument, in position order.
+    [observe] is told the effective concrete value of every variable
+    created, so the exploration engine can seed the next solver call with
+    the full input. *)
 val symbolic :
   ?observe:(int -> int -> unit) ->
   vars:Solver.Symvars.t ->
   caps:int list ->
-  concrete_byte:(arg:int -> pos:int -> int) ->
+  concrete_byte:(arg:int -> pos:int -> int -> int) ->
   unit ->
   t
 
-(** [reconcretize t ~changed f] sets every shadowed byte to [f] of its
-    shadow (a run moved onto a new solver model).  A byte whose shadow is a
-    bare [Var x] with [x] not [changed] is skipped: the caller guarantees
-    it already holds [f (Var x)] (its value came from [x]'s binding, which
-    [f] keeps).  Every shadow is evaluated before any byte is written, so
-    an exception from [f] leaves [t] unchanged. *)
-val reconcretize :
-  t -> changed:(int -> bool) -> (Solver.Expr.t -> int) -> unit
+(** [reconcretize t ~changed f] sets every shadowed byte whose shadow
+    mentions a variable of [changed] to [f] of its shadow (a run moved onto
+    a new solver model, [changed] listing the variables whose value
+    moved).  The other bytes are not visited: the caller guarantees they
+    already hold [f] of their shadow, since a byte is never stored by the
+    program and its shadow's variables keep their values.  The first call
+    indexes the bytes by variable, so a call costs the bytes of [changed],
+    not the whole argv.  Every shadow is evaluated before any byte is
+    written, so an exception from [f] leaves [t] unchanged. *)
+val reconcretize : t -> changed:int list -> (Solver.Expr.t -> int) -> unit

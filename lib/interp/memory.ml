@@ -14,20 +14,41 @@ type fault = Oob | Dead_block | Unknown_block
 
 exception Fault of fault
 
-(* The shadow index lists, once each, every cell that held a shadowed
-   value at the last walk or was given one since.  A cell's flag byte says
-   whether it is listed and whether it was stored since the last
-   [mark_clean]; a block's flag bytes are allocated at its first shadowed
-   store. *)
-let unlisted = '\000'
-let clean = '\001'
-let dirty = '\002'
+(* The shadow index, kept only for a run whose live state may be moved.
+   A cell's flag says where it is listed: [unlisted]; [dirty], stored since
+   the last [mark_clean] and listed once in [dirty]; or clean since
+   generation [g >= first_gen], listed with stamp [g] under every variable
+   of the shadow it held then.  A store moves a listed cell to [dirty]; the
+   entries it leaves under its variables go stale (their stamp no longer
+   matches the flag) and are dropped when their variable is next walked.  A
+   block's flags are allocated at its first shadowed store; killing the
+   block drops them, which stales every entry of its cells. *)
+let unlisted = 0
+let dirty = 1
+let first_gen = 2
+
+(* a growable list of (base, off, stamp) triples *)
+type cells = { mutable a : int array; mutable n : int }
 
 type index = {
-  mutable flags : Bytes.t array;  (** per block id; empty until needed *)
-  mutable listed : int array;  (** (base, off) pairs *)
-  mutable len : int;  (** ints used in [listed] *)
+  mutable flags : int array array;  (** per block id; empty until needed *)
+  dirty_cells : cells;  (** (base, off, 0) of every dirty cell *)
+  mutable by_var : cells array;  (** clean cells by variable id *)
+  mutable gen : int;  (** the stamp of the next [mark_clean] *)
 }
+
+let no_cells = { a = [||]; n = 0 }
+
+let push c base off stamp =
+  if c.n + 3 > Array.length c.a then begin
+    let grown = Array.make (max 24 (2 * Array.length c.a)) 0 in
+    Array.blit c.a 0 grown 0 c.n;
+    c.a <- grown
+  end;
+  c.a.(c.n) <- base;
+  c.a.(c.n + 1) <- off;
+  c.a.(c.n + 2) <- stamp;
+  c.n <- c.n + 3
 
 type t = {
   mutable blocks : Value.t array array;
@@ -43,7 +64,9 @@ let create ?(index_shadows = false) () =
     next = 1;
     index =
       (if index_shadows then
-         Some { flags = Array.make 256 Bytes.empty; listed = Array.make 64 0; len = 0 }
+         Some
+           { flags = Array.make 256 [||]; dirty_cells = { a = [||]; n = 0 };
+             by_var = [||]; gen = first_gen }
        else None);
   }
 
@@ -56,7 +79,7 @@ let alloc t ~size =
     t.blocks <- grown;
     Option.iter
       (fun ix ->
-        let grown = Array.make (2 * bid) Bytes.empty in
+        let grown = Array.make (2 * bid) [||] in
         Array.blit ix.flags 0 grown 0 bid;
         ix.flags <- grown)
       t.index
@@ -70,7 +93,7 @@ let alloc t ~size =
 let kill t bid =
   if bid > 0 && bid < t.next then begin
     t.blocks.(bid) <- dead;
-    match t.index with Some ix -> ix.flags.(bid) <- Bytes.empty | None -> ()
+    match t.index with Some ix -> ix.flags.(bid) <- [||] | None -> ()
   end
 
 let cells t base =
@@ -88,26 +111,23 @@ let load t ~base ~off =
    unlisted one lists it, dirty. *)
 let note ix ~base ~off ~size (v : Value.t) =
   let fl = ix.flags.(base) in
-  if Bytes.length fl > 0 && Bytes.unsafe_get fl off <> unlisted then
-    Bytes.unsafe_set fl off dirty
+  if Array.length fl > 0 && Array.unsafe_get fl off <> unlisted then begin
+    if Array.unsafe_get fl off <> dirty then begin
+      Array.unsafe_set fl off dirty;
+      push ix.dirty_cells base off 0
+    end
+  end
   else if Option.is_some v.sym then begin
     let fl =
-      if Bytes.length fl > 0 then fl
+      if Array.length fl > 0 then fl
       else begin
-        let fl = Bytes.make size unlisted in
+        let fl = Array.make size unlisted in
         ix.flags.(base) <- fl;
         fl
       end
     in
-    Bytes.unsafe_set fl off dirty;
-    if ix.len = Array.length ix.listed then begin
-      let grown = Array.make (2 * ix.len) 0 in
-      Array.blit ix.listed 0 grown 0 ix.len;
-      ix.listed <- grown
-    end;
-    ix.listed.(ix.len) <- base;
-    ix.listed.(ix.len + 1) <- off;
-    ix.len <- ix.len + 2
+    Array.unsafe_set fl off dirty;
+    push ix.dirty_cells base off 0
   end
 
 let store t ~base ~off v =
@@ -125,38 +145,105 @@ let the_index t =
   | Some ix -> ix
   | None -> invalid_arg "Memory: created without ~index_shadows"
 
-(** [iter_shadowed t f] calls [f] on every live cell whose value carries a
-    symbolic shadow, and compacts the index as it goes: cells of dead
-    blocks and cells no longer shadowed leave it. *)
-let iter_shadowed t f =
-  let ix = the_index t in
-  let w = ref 0 in
-  for r = 0 to (ix.len / 2) - 1 do
-    let base = ix.listed.(2 * r) and off = ix.listed.((2 * r) + 1) in
-    let b = t.blocks.(base) in
-    if b != dead then begin
-      let v = Array.unsafe_get b off in
-      let fl = ix.flags.(base) in
-      match v.Value.sym with
-      | None -> Bytes.unsafe_set fl off unlisted
-      | Some _ ->
-          ix.listed.(!w) <- base;
-          ix.listed.(!w + 1) <- off;
-          w := !w + 2;
-          f ~base ~off ~dirty:(Bytes.unsafe_get fl off = dirty) v
-    end
-  done;
-  ix.len <- !w
+let var_cells ix x =
+  if x < Array.length ix.by_var then ix.by_var.(x) else no_cells
 
-(** Mark every listed cell clean: until its next store, a walk reports it
-    with [~dirty:false]. *)
+(* The shadow of a listed cell, if it still holds one. *)
+let shadow t ~base ~off =
+  (Array.unsafe_get t.blocks.(base) off : Value.t).sym
+
+(* [e] mentions a variable of [xs] *)
+let rec mentions xs (e : Solver.Expr.t) =
+  match e with
+  | Var x -> List.mem x xs
+  | Const _ -> false
+  | Unop (_, a) -> mentions xs a
+  | Binop (_, a, b) -> mentions xs a || mentions xs b
+
+(** [iter_changed t ~changed f]: the dirty cells that hold a shadow, then,
+    for each variable [x] of [changed] in order, the live clean cells listed
+    under [x], skipping a cell whose shadow also mentions a variable
+    earlier in [changed] (visited there).  Stale entries of [x] are dropped
+    on the way. *)
+let iter_changed t ~changed f =
+  let ix = the_index t in
+  let d = ix.dirty_cells in
+  let r = ref 0 in
+  while !r < d.n do
+    let base = d.a.(!r) and off = d.a.(!r + 1) in
+    (if Array.length ix.flags.(base) > 0 then
+       match shadow t ~base ~off with
+       | Some _ -> f ~base ~off (Array.unsafe_get t.blocks.(base) off)
+       | None -> ());
+    r := !r + 3
+  done;
+  let walk earlier x =
+    let c = var_cells ix x in
+    let w = ref 0 and r = ref 0 in
+    while !r < c.n do
+      let base = c.a.(!r) and off = c.a.(!r + 1) and stamp = c.a.(!r + 2) in
+      let fl = ix.flags.(base) in
+      if Array.length fl > 0 && Array.unsafe_get fl off = stamp then begin
+        c.a.(!w) <- base;
+        c.a.(!w + 1) <- off;
+        c.a.(!w + 2) <- stamp;
+        w := !w + 3;
+        let v = Array.unsafe_get t.blocks.(base) off in
+        match v.Value.sym with
+        | Some (Solver.Expr.Var _) -> f ~base ~off v
+        | Some e -> if not (mentions earlier e) then f ~base ~off v
+        | None -> ()
+      end;
+      r := !r + 3
+    done;
+    c.n <- !w
+  in
+  ignore
+    (List.fold_left
+       (fun earlier x ->
+         walk earlier x;
+         x :: earlier)
+       [] changed)
+
+(** Mark every dirty cell that holds a shadow clean, listed under the
+    variables of its shadow; the others leave the index. *)
 let mark_clean t =
   let ix = the_index t in
-  for r = 0 to (ix.len / 2) - 1 do
-    let base = ix.listed.(2 * r) in
-    if t.blocks.(base) != dead then
-      Bytes.unsafe_set ix.flags.(base) ix.listed.((2 * r) + 1) clean
-  done
+  let stamp = ix.gen in
+  ix.gen <- stamp + 1;
+  let list_under x base off =
+    if x >= Array.length ix.by_var then begin
+      let grown = Array.make (max 64 (2 * (x + 1))) no_cells in
+      Array.blit ix.by_var 0 grown 0 (Array.length ix.by_var);
+      ix.by_var <- grown
+    end;
+    let c =
+      match ix.by_var.(x) with
+      | c when c == no_cells ->
+          let c = { a = [||]; n = 0 } in
+          ix.by_var.(x) <- c;
+          c
+      | c -> c
+    in
+    push c base off stamp
+  in
+  let d = ix.dirty_cells in
+  let r = ref 0 in
+  while !r < d.n do
+    let base = d.a.(!r) and off = d.a.(!r + 1) in
+    let fl = ix.flags.(base) in
+    if Array.length fl > 0 then begin
+      match shadow t ~base ~off with
+      | None -> Array.unsafe_set fl off unlisted
+      | Some e -> (
+          Array.unsafe_set fl off stamp;
+          match e with
+          | Solver.Expr.Var x -> list_under x base off
+          | e -> List.iter (fun x -> list_under x base off) (Solver.Expr.vars e))
+    end;
+    r := !r + 3
+  done;
+  d.n <- 0
 
 let fault_to_crash_kind = function
   | Oob -> Crash.Out_of_bounds

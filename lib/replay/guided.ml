@@ -105,23 +105,34 @@ let elapsed = function
 let case2b_abort = "2b: log contradicts symbolic branch"
 
 (* One guided replay run under input [model].  [record_cases] receives the
-   run's own case counters once the run is over; with a parallel engine the
-   callback must be thread-safe (reproduce merges with atomic adds).
-   [sup_rules] is the decoded, verified suppression table; each run gets
-   its own reconstruction cursor state.  At a case-2b mismatch the run
-   offers itself to the engine for a resume (DESIGN.md §5m); [on_changes]
-   sees each input change list the guard computes, and [telemetry] times
-   the guard ([replay.resume_s]) and counts its declines. *)
+   run's own case counters once the run is over; every run of a search
+   runs on the engine's calling domain, so the callback needs no
+   synchronisation.  [sup_rules] is the decoded, verified suppression
+   table; each run gets its own reconstruction cursor state.  At a case-2b
+   mismatch the run offers itself to the engine for a resume (DESIGN.md
+   §5m); [on_changes] sees each input change list the guard computes,
+   [observe] each input variable's effective value as it is created, and
+   [telemetry] times the guard ([replay.resume_s]) and counts its
+   declines. *)
 let run_once ?(snapshot : Instrument.Snapshot.t option)
     ?(sup_rules : Staticanalysis.Suppression.rule option array option)
-    ?(on_changes = fun ~observed:_ _ _ -> ()) ~telemetry
+    ?(on_changes = fun ~observed:_ _ _ -> ())
+    ?(observe = fun (_ : int) (_ : int) -> ()) ~telemetry
     ~(prog : Minic.Program.t) ~(plan : Plan.t) ~(report : Report.t) ~vars
     ~seed ~max_steps ~(record_cases : case_stats -> unit)
     (offer : Concolic.Engine.offer) (model : Solver.Model.t) :
     Concolic.Engine.run_result =
   let cases = new_case_stats () in
+  (* [observed]: the effective value of every variable created so far, for
+     the guard; [hint]: the children's hint, [launch] overlaid with the
+     observed values of the variables [launch] leaves unbound *)
   let observed = ref Solver.Model.empty in
-  let observe id v = observed := Solver.Model.add id v !observed in
+  let launch = ref model and hint = ref model in
+  let observe id v =
+    observe id v;
+    observed := Solver.Model.add id v !observed;
+    if not (Solver.Model.mem id !launch) then hint := Solver.Model.add id v !hint
+  in
   (* with a checkpoint snapshot, the shipped logs describe only the
      post-checkpoint epoch: stay gated until the program checkpoints *)
   let gate = ref (Option.is_none snapshot) in
@@ -178,12 +189,15 @@ let run_once ?(snapshot : Instrument.Snapshot.t option)
             else if
               not
                 (live.reconcretize
-                   ~changed:(fun id -> List.mem_assoc id changes)
+                   ~changed:(List.map fst changes)
                    ~old:(env !observed) ~fresh)
             then Error "inconsistent"
             else begin
+              (* [model'] binds every observed variable: it is the hint *)
               Rkernel.set_model rk model';
               observed := observed';
+              launch := model';
+              hint := model';
               Ok ()
             end)
     | _ -> Error "ineligible"
@@ -273,7 +287,7 @@ let run_once ?(snapshot : Instrument.Snapshot.t option)
                 let aborted =
                   { Concolic.Engine.outcome = Interp.Crash.Aborted case2b_abort;
                     trace = Concolic.Path.view trace;
-                    observed = !observed }
+                    hint = !hint }
                 in
                 if offer aborted ~resume then begin
                   (* the live run is now the forced pending's run: record
@@ -341,7 +355,7 @@ let run_once ?(snapshot : Instrument.Snapshot.t option)
   {
     Concolic.Engine.outcome = r.outcome;
     trace = Concolic.Path.view trace;
-    observed = !observed;
+    hint = !hint;
   }
 
 (* Fail-closed gate on the report's suppression table: decode it and
@@ -369,9 +383,10 @@ let suppression_rules ~prog ~(plan : Plan.t) (report : Report.t) =
           | Ok () -> Some rules))
 
 let run ?snapshot ?(max_steps = 5_000_000) ?(record_cases = ignore) ?on_changes
-    ~prog ~plan ~vars ~seed report =
+    ?observe ~prog ~plan ~vars ~seed report =
   let sup_rules = suppression_rules ~prog ~plan report in
-  run_once ?snapshot ?sup_rules ?on_changes ~telemetry:Telemetry.disabled ~prog
+  run_once ?snapshot ?sup_rules ?on_changes ?observe
+    ~telemetry:Telemetry.disabled ~prog
     ~plan ~report ~vars ~seed ~max_steps ~record_cases
 
 let crash_site (report : Report.t) (r : Concolic.Engine.run_result) =

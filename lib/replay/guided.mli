@@ -78,13 +78,17 @@ val counters : stats -> Telemetry.Counters.snapshot
     changes] sees every input change list the guard computes with
     {!Rkernel.changed_inputs}, with the run's observed values and the
     offered model: a test can check it against a full re-read of
-    [observed]. *)
+    [observed].  [observe] is told the effective value of every input
+    variable the run creates, as it creates it; the run's
+    {!Concolic.Engine.run_result.hint} is its launch model overlaid with
+    those values for the variables that model leaves unbound. *)
 val run :
   ?snapshot:Instrument.Snapshot.t ->
   ?max_steps:int ->
   ?record_cases:(case_stats -> unit) ->
   ?on_changes:
     (observed:Solver.Model.t -> Solver.Model.t -> (int * int) list option -> unit) ->
+  ?observe:(int -> int -> unit) ->
   prog:Minic.Program.t ->
   plan:Instrument.Plan.t ->
   vars:Solver.Symvars.t ->

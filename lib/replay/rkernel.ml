@@ -8,7 +8,13 @@
     model, falling back to a per-variable deterministic pseudo-random
     default (the paper's "initial run with random inputs"). *)
 
-type stream = { name : string; cap : int; mutable pos : int }
+type stream = {
+  name : string;
+  cap : int;
+  mutable pos : int;
+  mutable bytes : Solver.Symvars.family option;
+      (** the stream's byte variables, found at its first symbolic read *)
+}
 
 type t = {
   vars : Solver.Symvars.t;
@@ -22,7 +28,7 @@ type t = {
   shape : Concolic.Scenario.shape;
   sys_reader : Instrument.Syscall_log.Reader.t option;
   seed : int;
-  counters : (string, int) Hashtbl.t;
+  sys : Concolic.Names.sys_results;
   fd_table : (int, stream) Hashtbl.t;
   mutable next_fd : int;
   mutable accepted : int;
@@ -45,7 +51,7 @@ let create ?(observe = fun (_ : int) (_ : int) -> ()) ?(active = true) ~vars
     shape;
     sys_reader = Option.map Instrument.Syscall_log.Reader.create syscall_log;
     seed;
-    counters = Hashtbl.create 8;
+    sys = Concolic.Names.sys_results vars;
     fd_table = Hashtbl.create 8;
     next_fd = 4;
     accepted = 0;
@@ -62,11 +68,6 @@ let default_for t name range_lo range_hi =
   let h = Hashtbl.hash (name, t.seed) in
   if range_hi <= range_lo then range_lo else range_lo + (h mod (range_hi - range_lo + 1))
 
-let next_index t kind =
-  let i = match Hashtbl.find_opt t.counters kind with Some i -> i | None -> 0 in
-  Hashtbl.replace t.counters kind (i + 1);
-  i
-
 exception Log_mismatch of string
 
 (* Result of a loggable syscall: logged value if a log is present, else a
@@ -80,10 +81,7 @@ let syscall_result t ~kind ~lo ~hi ~default : int * Solver.Expr.t option =
       | Ok (Some v) -> (v, None)
       | Ok None ->
           (* log exhausted (crash truncated it): fall back to the model *)
-          let index = next_index t kind in
-          let id =
-            Concolic.Names.sys_var t.vars ~kind ~index ~dom:{ Solver.Symvars.lo; hi }
-          in
+          let id = Concolic.Names.next_sys_var t.sys ~kind ~dom:{ Solver.Symvars.lo; hi } in
           let conc =
             match Solver.Model.find_opt id t.model with
             | Some v -> v
@@ -94,10 +92,7 @@ let syscall_result t ~kind ~lo ~hi ~default : int * Solver.Expr.t option =
           (conc, Some (Solver.Expr.Var id))
       | Error msg -> raise (Log_mismatch msg))
   | None ->
-      let index = next_index t kind in
-      let id =
-        Concolic.Names.sys_var t.vars ~kind ~index ~dom:{ Solver.Symvars.lo; hi }
-      in
+      let id = Concolic.Names.next_sys_var t.sys ~kind ~dom:{ Solver.Symvars.lo; hi } in
       let conc =
         match Solver.Model.find_opt id t.model with
         | Some v when v < lo || v > hi ->
@@ -128,27 +123,32 @@ let stream_bytes t (s : stream) count =
     (data, [||])
   end
   else
-  let data =
+  let family =
+    match s.bytes with
+    | Some f -> f
+    | None ->
+        let f = Concolic.Names.stream_family t.vars ~stream:s.name in
+        s.bytes <- Some f;
+        f
+  in
+  let ids =
     Array.init count (fun j ->
-        let pos = s.pos + j in
-        let name = Concolic.Names.stream_byte ~stream:s.name ~pos in
-        let id = Concolic.Names.stream_var t.vars ~stream:s.name ~pos in
+        Solver.Symvars.member family (s.pos + j) ~dom:Solver.Symvars.byte_domain)
+  in
+  let data =
+    Array.map
+      (fun id ->
         let v =
           match Solver.Model.find_opt id t.model with
           | Some v -> v land 0xff
-          | None -> default_for t name 0 255
+          | None -> default_for t (Solver.Symvars.name t.vars id) 0 255
         in
         t.observe id v;
         v)
-  in
-  let data_sym =
-    Array.init count (fun j ->
-        Some
-          (Solver.Expr.Var
-             (Concolic.Names.stream_var t.vars ~stream:s.name ~pos:(s.pos + j))))
+      ids
   in
   s.pos <- s.pos + count;
-  (data, data_sym)
+  (data, Array.map (fun id -> Some (Solver.Expr.Var id)) ids)
 
 let do_read t fd requested : Interp.Kernel.reply =
   (* the program may read an fd the replay kernel has not seen allocated —
@@ -157,7 +157,8 @@ let do_read t fd requested : Interp.Kernel.reply =
      symbolic input like any other. *)
   (if fd >= 4 && not (Hashtbl.mem t.fd_table fd) then begin
      Hashtbl.replace t.fd_table fd
-       { name = Printf.sprintf "fd%d" fd; cap = t.shape.conn_cap; pos = 0 };
+       { name = Printf.sprintf "fd%d" fd; cap = t.shape.conn_cap; pos = 0;
+         bytes = None };
      t.next_fd <- max t.next_fd (fd + 1)
    end);
   match Hashtbl.find_opt t.fd_table fd with
@@ -184,7 +185,8 @@ let do_accept t : Interp.Kernel.reply =
     if v < 0 then -1
     else if can_accept then begin
       let stream =
-        { name = Printf.sprintf "net%d" t.accepted; cap = t.shape.conn_cap; pos = 0 }
+        { name = Printf.sprintf "net%d" t.accepted; cap = t.shape.conn_cap; pos = 0;
+          bytes = None }
       in
       t.accepted <- t.accepted + 1;
       (* honour the logged fd number if present, else allocate *)
@@ -232,7 +234,8 @@ let kernel (t : t) : Interp.Kernel.t =
       Interp.Kernel.concrete_reply (Osmodel.Sysreq.R_int 3)
   | Osmodel.Sysreq.Open { path; _ } ->
       let fd =
-        alloc_fd t { name = "file:" ^ path; cap = t.shape.file_cap; pos = 0 }
+        alloc_fd t
+          { name = "file:" ^ path; cap = t.shape.file_cap; pos = 0; bytes = None }
       in
       Interp.Kernel.concrete_reply (Osmodel.Sysreq.R_int fd)
   | Osmodel.Sysreq.Close { fd } ->
@@ -248,12 +251,10 @@ let kernel (t : t) : Interp.Kernel.t =
 (** Symbolic argv for replay: capacities come from the report's shape;
     concrete bytes from the model, else seeded defaults. *)
 let symbolic_args (t : t) : Interp.Inputs.t =
-  let concrete_byte ~arg ~pos =
-    let name = Concolic.Names.arg_byte ~arg ~pos in
-    let id = Concolic.Names.arg_var t.vars ~arg ~pos in
+  let concrete_byte ~arg:_ ~pos:_ id =
     match Solver.Model.find_opt id t.model with
     | Some v -> v land 0xff
-    | None -> default_for t name 0 255
+    | None -> default_for t (Solver.Symvars.name t.vars id) 0 255
   in
   Interp.Inputs.symbolic ~observe:t.observe ~vars:t.vars ~caps:t.shape.arg_caps
     ~concrete_byte ()

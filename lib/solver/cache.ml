@@ -109,10 +109,11 @@ let clear t =
 (* Canonicalization *)
 
 (* Rename every variable of [cs] to its first-occurrence index.  Returns the
-   canonical constraints, the canonical domains (in canonical order) and the
-   inverse renaming (canonical index -> actual id). *)
+   canonical constraints, the canonical domains (in canonical order), the
+   inverse renaming (canonical index -> actual id), the forward renaming and
+   [cs] deduplicated. *)
 let canonicalize ~(vars : Symvars.t) (cs : Expr.t list) :
-    key * int array * (int, int) Hashtbl.t =
+    key * int array * (int, int) Hashtbl.t * Expr.t list =
   (* order-preserving dedupe first: loop-heavy traces repeat constraints
      thousands of times, and the key must not depend on the multiplicity *)
   let cs =
@@ -149,7 +150,7 @@ let canonicalize ~(vars : Symvars.t) (cs : Expr.t list) :
   let n = Hashtbl.length fwd in
   let inv = Array.make n (-1) in
   Hashtbl.iter (fun actual c -> inv.(c) <- actual) fwd;
-  ({ ccs; cdoms = List.rev !rev_doms }, inv, fwd)
+  ({ ccs; cdoms = List.rev !rev_doms }, inv, fwd, cs)
 
 (* ------------------------------------------------------------------ *)
 (* Independence slicing *)
@@ -297,7 +298,9 @@ let solve t ?budget ?(telemetry = Telemetry.disabled) ~(vars : Symvars.t)
         (Telemetry.now telemetry -. t0)
     end
   in
-  let key, inv, fwd = canonicalize ~vars cs in
+  (* the solver dedupes again after simplification, so it answers the
+     deduplicated [cs] exactly as it answers [cs] *)
+  let key, inv, fwd, cs = canonicalize ~vars cs in
   match locked t (fun () -> claim t key) with
   | `Hit e ->
       record "hit";

@@ -93,7 +93,7 @@ let narrow dom_of set_dom (c : Expr.t) =
 module Uf = struct
   type t = (int, int) Hashtbl.t
 
-  let create () : t = Hashtbl.create 64
+  let create n : t = Hashtbl.create n
 
   let rec find (t : t) v =
     match Hashtbl.find_opt t v with
@@ -130,8 +130,9 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
       (* Loop-heavy traces repeat the same constraint thousands of times;
          dedupe — order-preserving, because path order groups the variables
          each constraint couples and the search order below relies on it. *)
+      let n = List.length cs in
       let cs =
-        let seen = Hashtbl.create 256 in
+        let seen = Hashtbl.create n in
         List.filter
           (fun c ->
             if Hashtbl.mem seen c then false
@@ -144,8 +145,7 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
       (* union-find over plain var-var equalities, then substitute
          representatives and re-simplify (Ne over a merged class becomes a
          trivial contradiction) *)
-      let uf = Uf.create () in
-      let eq_members = Hashtbl.create 32 in
+      let uf = Uf.create 8 and eq_members = Hashtbl.create 8 in
       List.iter
         (fun c ->
           match c with
@@ -174,13 +174,13 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
            verbatim (e.g. a log-forced direction against an earlier pinned
            occurrence).  The search cannot *prove* this unsat cheaply, so
            detect it structurally. *)
-        let seen = Hashtbl.create 64 in
+        let seen = Hashtbl.create n in
         List.iter (fun c -> Hashtbl.replace seen c ()) cs;
         List.exists (fun c -> Hashtbl.mem seen (Simplify.simplify (Expr.negate c))) cs
       then Unsat
       else begin
       (* class representatives take the meet of their members' domains *)
-      let class_dom = Hashtbl.create 32 in
+      let class_dom = Hashtbl.create (Hashtbl.length eq_members) in
       Hashtbl.iter
         (fun v () ->
           let r = Uf.find uf v in
@@ -196,7 +196,7 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
       (* variables in order of first occurrence along the path: coupled
          variables end up adjacent, so forward checking prunes early *)
       let var_ids =
-        let seen = Hashtbl.create 256 in
+        let seen = Hashtbl.create n in
         List.concat_map Expr.vars cs
         |> List.filter (fun v ->
                if Hashtbl.mem seen v then false
@@ -205,7 +205,7 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
                  true
                end)
       in
-      let doms = Hashtbl.create 64 in
+      let doms = Hashtbl.create (List.length var_ids) in
       List.iter
         (fun v ->
           let dom =
@@ -224,7 +224,7 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
          constants: catches contradictions like [e <= 5] with [e > 9] that
          neither per-variable propagation nor structural negation-pairing
          sees (e.g. an atoi result checked in a loop) *)
-      let edoms : (Expr.t, Interval.t) Hashtbl.t = Hashtbl.create 32 in
+      let edoms : (Expr.t, Interval.t) Hashtbl.t = Hashtbl.create 8 in
       let contradiction = ref false in
       let tighten_expr e (i : Interval.t) =
         match e with
@@ -292,7 +292,7 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
         in
         let order = Array.of_list (singles @ rest) in
         let nvars = Array.length order in
-        let pos_of = Hashtbl.create 16 in
+        let pos_of = Hashtbl.create nvars in
         Array.iteri (fun i v -> Hashtbl.replace pos_of v i) order;
         (* constraints indexed by the position of their last-assigned var *)
         let by_last = Array.make (max nvars 1) [] in
@@ -306,7 +306,7 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
                 in
                 by_last.(last) <- c :: by_last.(last))
           cs;
-        let assigned = Hashtbl.create 16 in
+        let assigned = Hashtbl.create nvars in
         let env v =
           match Hashtbl.find_opt assigned v with
           | Some x -> x
@@ -339,23 +339,31 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
           cs;
         let nodes = ref 0 in
         let complete = ref true in
-        let candidates v =
+        (* [v]'s candidates, in order: the hint when its domain holds it,
+           then the whole domain in ascending order when it has at most
+           [max_enum] values (an incomplete search otherwise) or else a few
+           probes in ascending order; [try_value] sees each once *)
+        let iter_candidates v try_value =
           let d = dom_of v in
-          let base =
-            if Interval.size d <= budget.max_enum then
-              List.init (Interval.size d) (fun i -> d.lo + i)
-            else begin
-              complete := false;
-              let mid = (d.lo + d.hi) / 2 in
-              [ d.lo; 0; 1; mid; d.hi; d.lo + 1; d.hi - 1 ]
-              |> List.filter (fun x -> Interval.mem x d)
-              |> List.sort_uniq Int.compare
-            end
+          let other =
+            match hint v with
+            | Some h when Interval.mem h d ->
+                try_value h;
+                fun x -> if x <> h then try_value x
+            | _ -> try_value
           in
-          match hint v with
-          | Some h when Interval.mem h d ->
-              h :: List.filter (fun x -> x <> h) base
-          | _ -> base
+          if Interval.size d <= budget.max_enum then
+            for x = d.lo to d.hi do
+              other x
+            done
+          else begin
+            complete := false;
+            let mid = (d.lo + d.hi) / 2 in
+            [ d.lo; 0; 1; mid; d.hi; d.lo + 1; d.hi - 1 ]
+            |> List.filter (fun x -> Interval.mem x d)
+            |> List.sort_uniq Int.compare
+            |> List.iter other
+          end
         in
         let module Backjump = struct
           exception E of int
@@ -384,26 +392,21 @@ let solve ?(budget = default_budget) ~(vars : Symvars.t)
           else begin
             let v = order.(pos) in
             let locally_ok = ref false in
-            let rec try_cands = function
-              | [] -> ()
-              | x :: rest ->
-                  incr nodes;
-                  if !nodes > budget.max_nodes then begin
-                    complete := false;
-                    raise Exit
-                  end;
-                  Hashtbl.replace assigned v x;
-                  if check_at pos then begin
-                    locally_ok := true;
-                    (try assign (pos + 1) with
-                    | Backjump.E j when j >= pos -> ()
-                    | Backjump.E j ->
-                        Hashtbl.remove assigned v;
-                        raise (Backjump.E j))
-                  end;
-                  try_cands rest
-            in
-            try_cands (candidates v);
+            iter_candidates v (fun x ->
+                incr nodes;
+                if !nodes > budget.max_nodes then begin
+                  complete := false;
+                  raise Exit
+                end;
+                Hashtbl.replace assigned v x;
+                if check_at pos then begin
+                  locally_ok := true;
+                  try assign (pos + 1) with
+                  | Backjump.E j when j >= pos -> ()
+                  | Backjump.E j ->
+                      Hashtbl.remove assigned v;
+                      raise (Backjump.E j)
+                end);
             Hashtbl.remove assigned v;
             (* no candidate even passed the local constraints: jump straight
                to the deepest variable those constraints mention *)

@@ -414,9 +414,12 @@ let test_path_constraints_hold_on_own_input () =
   let sc = Concolic.Scenario.make ~name:"t" ~args:[ "qa" ] prog in
   let vars = Solver.Symvars.create () in
   let observed = ref Solver.Model.empty in
-  let run = Concolic.Dynamic.make_run sc ~vars ~on_branch_observed:(fun _ _ -> ()) in
+  let run =
+    Concolic.Dynamic.make_run sc ~vars
+      ~observe:(fun id v -> observed := Solver.Model.add id v !observed)
+      ~on_branch_observed:(fun _ _ -> ())
+  in
   let r = run Solver.Model.empty in
-  observed := r.observed;
   List.iter
     (fun (e : Concolic.Path.entry) ->
       check_bool "constraint holds on own input" true

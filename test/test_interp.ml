@@ -670,31 +670,58 @@ let test_memory_faults () =
     = Some Unknown_block);
   check_bool "dead block has no size" true (Interp.Memory.size m b = None)
 
-(* The shadow index (Memory.iter_shadowed) against the full scan it
-   replaces: random allocations, stores with and without shadows, kills,
-   walks and clean marks.  Every walk must visit exactly the shadowed cells
-   of live blocks, once each, and report a cell dirty exactly when it was
-   stored since the last clean mark. *)
+(* The shadow index (Memory.iter_changed) against the full scan it
+   replaces: random allocations, stores with and without shadows, kills and
+   resume attempts under random changed sets.  The test keeps the
+   agreement invariant a resume relies on: [env] is the assignment the
+   last accepted move left, and a cell is marked clean only by an accepted
+   move, which leaves every shadowed cell at its shadow's value under the
+   new [env].  Every walk must visit exactly the shadowed cells of live
+   blocks that were stored since the last clean mark or whose shadow
+   mentions a changed variable, once each, and the changed-only guard must
+   reach the verdict and the cell moves of the full-scan guard it replaced,
+   which skipped only clean bare [Var x] cells of an unchanged [x]. *)
 type mem_op =
   | Alloc of int
   | Grow  (** enough blocks to outgrow the block table *)
-  | Store of int * int * int option  (** block choice, offset, shadow *)
+  | Store of int * int * int option * bool
+      (** block choice, offset, shadow choice, agrees with [env]? *)
   | Kill of int
-  | Walk
-  | Clean
+  | Resume of (int * int) list  (** changed variables and their new values *)
+
+let nvars = 4
+
+(* the shadows a store may carry: bare variables, sums of two, and a
+   division that is undefined when its variable is 0 *)
+let shadow_of k =
+  let open Solver.Expr in
+  match k mod 3 with
+  | 0 -> Var (k / 3 mod nvars)
+  | 1 -> Binop (Add, Var (k / 3 mod nvars), Var ((k / 3 + 1) mod nvars))
+  | _ -> Binop (Div, Const 100, Var (k / 3 mod nvars))
 
 let mem_op_to_string = function
   | Alloc n -> Printf.sprintf "alloc %d" n
   | Grow -> "grow"
-  | Store (b, o, s) ->
-      Printf.sprintf "store #%d[%d] %s" b o
-        (match s with Some x -> Printf.sprintf "x%d" x | None -> "plain")
+  | Store (b, o, s, agree) ->
+      Printf.sprintf "store #%d[%d] %s%s" b o
+        (match s with
+        | Some k -> Solver.Expr.to_string (shadow_of k)
+        | None -> "plain")
+        (if agree then "" else " (disagrees)")
   | Kill b -> Printf.sprintf "kill #%d" b
-  | Walk -> "walk"
-  | Clean -> "clean"
+  | Resume cs ->
+      Printf.sprintf "resume {%s}"
+        (String.concat ", "
+           (List.map (fun (x, v) -> Printf.sprintf "x%d:=%d" x v) cs))
 
 let gen_mem_ops =
   let open QCheck.Gen in
+  let changes =
+    map
+      (List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b))
+      (list_size (int_range 0 3) (pair (int_bound (nvars - 1)) (int_range 0 3)))
+  in
   list_size (int_range 0 200)
     (frequency
        [
@@ -702,11 +729,12 @@ let gen_mem_ops =
          (1, return Grow);
          ( 10,
            map3
-             (fun b o s -> Store (b, o, s))
-             (int_bound 40) (int_range (-1) 4) (opt (int_bound 3)) );
+             (fun (b, o) s agree -> Store (b, o, s, agree))
+             (pair (int_bound 40) (int_range (-1) 4))
+             (opt (int_bound (3 * nvars - 1)))
+             (frequencyl [ (5, true); (1, false) ]) );
          (2, map (fun b -> Kill b) (int_bound 40));
-         (3, return Walk);
-         (2, return Clean);
+         (5, map (fun cs -> Resume cs) changes);
        ])
 
 (* the full scan: every cell of every live block, shadowed ones kept *)
@@ -719,11 +747,39 @@ let full_scan m bids =
           List.filter_map
             (fun off ->
               match Interp.Memory.load m ~base ~off with
-              | { Interp.Value.sym = Some _; _ } -> Some (base, off)
+              | { Interp.Value.sym = Some _; _ } as v -> Some ((base, off), v)
               | _ -> None)
             (List.init n Fun.id))
     bids
   |> List.sort compare
+
+(* The guard's check of one visited cell, as [Eval.live_access] makes it:
+   [None] when the cell refuses the move, else the cell's move if any. *)
+let check_cell ~old ~fresh (v : Interp.Value.t) =
+  let eval env e =
+    match Solver.Expr.eval env e with
+    | n -> Some n
+    | exception (Solver.Expr.Undefined | Not_found) -> None
+  in
+  match v with
+  | { sym = Some e; conc = Int n } -> (
+      match eval fresh e with
+      | Some f when f = n -> Some None
+      | Some f when eval old e = Some n -> Some (Some f)
+      | _ -> None)
+  | _ -> Some None
+
+(* verdict and sorted moves over a list of visited cells *)
+let guard_of ~old ~fresh cells =
+  let moves = ref [] and ok = ref true in
+  List.iter
+    (fun (cell, v) ->
+      match check_cell ~old ~fresh v with
+      | None -> ok := false
+      | Some None -> ()
+      | Some (Some f) -> moves := (cell, f) :: !moves)
+    cells;
+  (!ok, List.sort compare !moves)
 
 let prop_shadow_index_is_full_scan =
   QCheck.Test.make ~count:500 ~name:"shadow index walk = full scan"
@@ -732,20 +788,62 @@ let prop_shadow_index_is_full_scan =
     (fun ops ->
       let m = Interp.Memory.create ~index_shadows:true () in
       let bids = ref [] in
+      (* the assignment of the last accepted move *)
+      let env = Array.init nvars (fun x -> x + 1) in
       (* cells stored since the last clean mark (all stores before the
          first) *)
       let stored = Hashtbl.create 16 in
       let pick b = match !bids with [] -> 0 | l -> List.nth l (b mod List.length l) in
-      let walk () =
+      let resume changes =
+        let fresh_env = Array.copy env in
+        List.iter (fun (x, v) -> fresh_env.(x) <- v) changes;
+        let changes = List.filter (fun (x, v) -> env.(x) <> v) changes in
+        let changed = List.map fst changes in
+        let old x = env.(x) and fresh x = fresh_env.(x) in
+        let scan = full_scan m (List.rev !bids) in
+        (* the full-scan guard *)
+        let reference =
+          guard_of ~old ~fresh
+            (List.filter
+               (fun (cell, (v : Interp.Value.t)) ->
+                 match v.sym with
+                 | Some (Solver.Expr.Var x) ->
+                     Hashtbl.mem stored cell || List.mem x changed
+                 | _ -> true)
+               scan)
+        in
+        (* the cells the changed-only walk must visit *)
+        let expected =
+          List.filter
+            (fun (cell, (v : Interp.Value.t)) ->
+              Hashtbl.mem stored cell
+              || List.exists
+                   (fun x -> List.mem x changed)
+                   (Solver.Expr.vars (Option.get v.sym)))
+            scan
+          |> List.map fst
+        in
         let seen = ref [] in
-        Interp.Memory.iter_shadowed m (fun ~base ~off ~dirty _ ->
-            seen := (base, off) :: !seen;
-            if dirty <> Hashtbl.mem stored (base, off) then
-              QCheck.Test.fail_reportf "cell #%d[%d] reported dirty=%b" base off
-                dirty);
+        Interp.Memory.iter_changed m ~changed (fun ~base ~off v ->
+            seen := ((base, off), v) :: !seen);
         let seen = List.sort compare !seen in
-        seen = full_scan m (List.rev !bids)
-        || QCheck.Test.fail_report "walk differs from the full scan"
+        if List.map fst seen <> expected then
+          QCheck.Test.fail_report "walk differs from the full scan";
+        let ((ok, moves) as verdict) = guard_of ~old ~fresh seen in
+        if verdict <> reference then
+          QCheck.Test.fail_reportf "verdict %b with %d moves, full scan %b with %d"
+            ok (List.length moves) (fst reference) (List.length (snd reference));
+        if ok then begin
+          List.iter
+            (fun ((base, off), f) ->
+              let v = Interp.Memory.load m ~base ~off in
+              Interp.Memory.store m ~base ~off { v with conc = Int f })
+            moves;
+          Interp.Memory.mark_clean m;
+          Hashtbl.reset stored;
+          Array.blit fresh_env 0 env 0 nvars
+        end;
+        true
       in
       List.for_all
         (function
@@ -757,12 +855,18 @@ let prop_shadow_index_is_full_scan =
                 bids := Interp.Memory.alloc m ~size:1 :: !bids
               done;
               true
-          | Store (b, off, sym) -> (
+          | Store (b, off, sym, agree) -> (
               let base = pick b in
-              let v =
-                Interp.Value.with_sym (Interp.Value.int_ off)
-                  (Option.map (fun x -> Solver.Expr.Var x) sym)
+              let sym = Option.map shadow_of sym in
+              let conc =
+                match sym with
+                | Some e when agree -> (
+                    match Solver.Expr.eval (fun x -> env.(x)) e with
+                    | n -> n
+                    | exception Solver.Expr.Undefined -> 0)
+                | _ -> off + 7
               in
+              let v = Interp.Value.with_sym (Interp.Value.int_ conc) sym in
               match Interp.Memory.store m ~base ~off v with
               | () ->
                   Hashtbl.replace stored (base, off) ();
@@ -771,38 +875,40 @@ let prop_shadow_index_is_full_scan =
           | Kill b ->
               Interp.Memory.kill m (pick b);
               true
-          | Walk -> walk ()
-          | Clean ->
-              Interp.Memory.mark_clean m;
-              Hashtbl.reset stored;
-              true)
+          | Resume changes -> resume changes)
         ops
-      && walk ())
+      && resume [ (0, 0); (1, 9) ])
 
 let test_shadow_index_basics () =
   let m = Interp.Memory.create ~index_shadows:true () in
   let b = Interp.Memory.alloc m ~size:3 in
   let x = Interp.Value.with_sym (Interp.Value.int_ 7) (Some (Solver.Expr.Var 0)) in
-  let walk () =
+  let walk changed =
     let seen = ref [] in
-    Interp.Memory.iter_shadowed m (fun ~base:_ ~off ~dirty _ ->
-        seen := (off, dirty) :: !seen);
+    Interp.Memory.iter_changed m ~changed (fun ~base:_ ~off _ ->
+        seen := off :: !seen);
     List.sort compare !seen
   in
   Interp.Memory.store m ~base:b ~off:1 x;
-  check_bool "a shadowed store is listed dirty" true (walk () = [ (1, true) ]);
+  check_bool "a shadowed store is visited while dirty" true (walk [] = [ 1 ]);
   Interp.Memory.mark_clean m;
-  check_bool "clean after the mark" true (walk () = [ (1, false) ]);
+  check_bool "a clean cell of an unchanged variable is skipped" true
+    (walk [ 1 ] = []);
+  check_bool "a clean cell of a changed variable is visited" true
+    (walk [ 1; 0 ] = [ 1 ]);
   Interp.Memory.store m ~base:b ~off:1 x;
-  check_bool "a store after the mark dirties it again" true
-    (walk () = [ (1, true) ]);
+  check_bool "a store after the mark dirties it again" true (walk [] = [ 1 ]);
   Interp.Memory.store m ~base:b ~off:1 Interp.Value.one;
-  check_bool "an unshadowed cell leaves the index" true (walk () = []);
+  check_bool "an unshadowed cell leaves the index" true (walk [ 0 ] = []);
   Interp.Memory.store m ~base:b ~off:2 x;
+  Interp.Memory.mark_clean m;
   Interp.Memory.kill m b;
-  check_bool "a dead block leaves the index" true (walk () = []);
+  check_bool "a dead block leaves the index" true (walk [ 0 ] = []);
   check_bool "an unindexed memory refuses the walk" true
-    (match Interp.Memory.iter_shadowed (Interp.Memory.create ()) (fun ~base:_ ~off:_ ~dirty:_ _ -> ()) with
+    (match
+       Interp.Memory.iter_changed (Interp.Memory.create ()) ~changed:[]
+         (fun ~base:_ ~off:_ _ -> ())
+     with
     | () -> false
     | exception Invalid_argument _ -> true)
 

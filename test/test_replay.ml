@@ -304,6 +304,8 @@ type searched = {
   accepted : int;  (** models the run's guard took *)
   declined : int;  (** Sat models the guard turned down *)
   guarded : int;  (** change lists checked against the full re-read *)
+  hints : int;  (** finished runs' hints checked against the full merge *)
+  hint_log : string;  (** every finished run's hint, in order *)
   vars : Solver.Symvars.t;
 }
 
@@ -331,44 +333,79 @@ let changes_view = function
   | Some l ->
       String.concat " " (List.map (fun (id, v) -> Printf.sprintf "%d=%d" id v) l)
 
+(* The reference for a finished run's [hint]: its launch model merged over
+   everything the run observed, as the engine once built it per offer. *)
+let check_hint ~observed model (r : Concolic.Engine.run_result) =
+  let expected = Solver.Model.bindings (Solver.Model.union_prefer_left model observed)
+  and got = Solver.Model.bindings r.hint in
+  let view l =
+    String.concat " " (List.map (fun (id, v) -> Printf.sprintf "%d=%d" id v) l)
+  in
+  if expected <> got then
+    Alcotest.(check string) "hint = launch model merged over observed"
+      (view expected) (view got)
+
 (* [`Take] passes the engine's offers through to the run's guard;
    [`Decline] refuses every solved model, so the engine runs it from
    [main]; [`Restart] never offers: the paper's abort-and-restart.  Every
-   change list the guard computes must equal the full re-read. *)
-let search mode ~prog ~plan report =
+   change list the guard computes must equal the full re-read, and every
+   finished run's hint the full merge, unless [checked] is false.  [wrap]
+   surrounds each offer. *)
+let search ?(wrap = fun f -> f ()) ?(checked = true) mode ~prog ~plan report =
   let vars = Solver.Symvars.create () in
   let case2b = ref 0 and accepted = ref 0 and declined = ref 0 in
-  let guarded = ref 0 in
+  let guarded = ref 0 and hints = ref 0 and hint_log = Buffer.create 1024 in
+  (* what the current run has observed so far *)
+  let observed = ref Solver.Model.empty in
   let on_changes ~observed model changes =
+    if checked then begin
     incr guarded;
     Alcotest.(check string) "guard changes = full re-read"
       (changes_view (changed_inputs_full ~vars model ~observed))
       (changes_view changes)
+    end
   in
   let guided =
     Replay.Guided.run ~prog ~plan ~vars ~seed:1
       ~record_cases:(fun c -> case2b := !case2b + c.Replay.Guided.case2b)
-      ~on_changes report
+      ~on_changes
+      ~observe:(fun id v -> observed := Solver.Model.add id v !observed)
+      report
   in
-  let run offer =
+  let run offer model =
+    observed := Solver.Model.empty;
     match mode with
-    | `Restart -> guided (fun _ ~resume:_ -> false)
+    | `Restart -> guided (fun _ ~resume:_ -> false) model
     | `Decline | `Take ->
-        guided (fun r ~resume ->
-            offer r ~resume:(fun ~solved model ->
-                let ok = mode = `Take && resume ~solved model in
-                incr (if ok then accepted else declined);
-                ok))
+        guided
+          (fun r ~resume ->
+            wrap (fun () ->
+                offer r ~resume:(fun ~solved model ->
+                    let ok = mode = `Take && resume ~solved model in
+                    incr (if ok then accepted else declined);
+                    ok)))
+          model
+  in
+  let on_run model (r : Concolic.Engine.run_result) =
+    if checked then begin
+      incr hints;
+      check_hint ~observed:!observed model r
+    end;
+    List.iter
+      (fun (id, v) -> Printf.bprintf hint_log "%d=%d " id v)
+      (Solver.Model.bindings r.hint);
+    Buffer.add_char hint_log '\n'
   in
   let stats, found =
     Concolic.Engine.search ~vars
       ~budget:{ Concolic.Engine.max_runs = 3_000; max_time_s = 600.0 }
       ~cache:(Solver.Cache.create ()) ~run
       ~stop:(fun _ r -> Replay.Guided.crash_site report r)
-      ()
+      ~on_run ()
   in
   { stats; found; case2b = !case2b; accepted = !accepted;
-    declined = !declined; guarded = !guarded; vars }
+    declined = !declined; guarded = !guarded; hints = !hints;
+    hint_log = Buffer.contents hint_log; vars }
 
 (* every engine counter a resume must leave alone: all but [resumes] and
    [elapsed_s] *)
@@ -445,28 +482,126 @@ let resume_workloads () =
            ~file_a ~file_b ()) );
     ]
 
+(* The plan and report of one resume workload under [meth]. *)
+let workload_report (name, analyze_lib, prog, test, crash) meth =
+  let cfg = Bugrepro.Pipeline.Config.with_analyze_lib analyze_lib resume_config in
+  let analysis = Bugrepro.Pipeline.Run.analyze cfg ~test_scenario:test prog in
+  let plan = Bugrepro.Pipeline.Run.plan cfg analysis meth in
+  match Bugrepro.Pipeline.Run.field_run_report cfg ~plan crash with
+  | _, None -> Alcotest.failf "%s: crash scenario did not crash" name
+  | _, Some report -> (plan, report)
+
+let find_workload name =
+  List.find (fun (n, _, _, _, _) -> n = name) (resume_workloads ())
+
 let test_resume_matches_restart_on_workloads () =
-  let resumes = ref 0 and guarded = ref 0 in
+  let resumes = ref 0 and guarded = ref 0 and hints = ref 0 in
   List.iter
-    (fun (name, analyze_lib, prog, test, crash) ->
-      let cfg = Bugrepro.Pipeline.Config.with_analyze_lib analyze_lib resume_config in
-      let analysis = Bugrepro.Pipeline.Run.analyze cfg ~test_scenario:test prog in
+    (fun ((name, _, prog, _, _) as w) ->
       List.iter
         (fun meth ->
-          let plan = Bugrepro.Pipeline.Run.plan cfg analysis meth in
-          match Bugrepro.Pipeline.Run.field_run_report cfg ~plan crash with
-          | _, None -> Alcotest.failf "%s: crash scenario did not crash" name
-          | _, Some report ->
-              let label =
-                Printf.sprintf "%s/%s" name (Instrument.Methods.to_string meth)
-              in
-              let take = check_resume_matches_restart label ~prog ~plan report in
-              resumes := !resumes + take.stats.resumes;
-              guarded := !guarded + take.guarded)
+          let plan, report = workload_report w meth in
+          let label =
+            Printf.sprintf "%s/%s" name (Instrument.Methods.to_string meth)
+          in
+          let take = check_resume_matches_restart label ~prog ~plan report in
+          resumes := !resumes + take.stats.resumes;
+          guarded := !guarded + take.guarded;
+          hints := !hints + take.hints)
         Instrument.Methods.[ Dynamic; Dynamic_static ])
     (resume_workloads ());
   check_bool "some run resumed" true (!resumes > 0);
-  check_bool "some change list checked" true (!guarded > 0)
+  check_bool "some change list checked" true (!guarded > 0);
+  check_bool "some hint checked" true (!hints > 0)
+
+(* A dynamic analysis run's hint is its model merged over what it
+   observed, too. *)
+let test_dynamic_hint_is_full_merge () =
+  let e = Workloads.Coreutils.find "paste" in
+  let sc = Workloads.Coreutils.analysis_scenario e in
+  let vars = Solver.Symvars.create () in
+  let observed = ref Solver.Model.empty and checked = ref 0 in
+  let run =
+    Concolic.Dynamic.make_run sc ~vars
+      ~observe:(fun id v -> observed := Solver.Model.add id v !observed)
+      ~on_branch_observed:(fun _ _ -> ())
+  in
+  let stats, _ =
+    Concolic.Engine.explore ~vars
+      ~budget:{ Concolic.Engine.max_runs = 40; max_time_s = 30.0 }
+      ~strategy:Concolic.Engine.Bfs ~cache:(Solver.Cache.create ())
+      ~run:(fun model ->
+        observed := Solver.Model.empty;
+        run model)
+      ~on_run:(fun model r ->
+        incr checked;
+        check_hint ~observed:!observed model r)
+      ()
+  in
+  check_int "every run checked" stats.runs !checked;
+  check_bool "runs beyond the first" true (stats.runs > 1)
+
+let registry_view vars =
+  let b = Buffer.create 4096 in
+  Solver.Symvars.iter vars (fun (i : Solver.Symvars.info) ->
+      Printf.bprintf b "%d %s %d %d\n" i.id i.name i.dom.lo i.dom.hi);
+  Buffer.contents b
+
+(* Interning input variables by position must register the same names,
+   with the same ids and domains, in the same order, and give every
+   variable the same value (its model binding or its seeded default), as
+   looking each one up by name did: the registry and every finished run's
+   hint are pinned to the values read before interning. *)
+let test_registry_as_before () =
+  List.iter
+    (fun (name, first_names, nvars, registry, hints, runs, resumes) ->
+      let ((_, _, prog, _, _) as w) = find_workload name in
+      let plan, report = workload_report w Instrument.Methods.Dynamic in
+      let s = search `Take ~prog ~plan report in
+      let view = registry_view s.vars in
+      check_int (name ^ ": variables") nvars (Solver.Symvars.count s.vars);
+      check_bool (name ^ ": first names") true
+        (String.starts_with ~prefix:first_names view);
+      Alcotest.(check string) (name ^ ": registry") registry
+        (Digest.to_hex (Digest.string view));
+      Alcotest.(check string) (name ^ ": hints") hints
+        (Digest.to_hex (Digest.string s.hint_log));
+      check_int (name ^ ": runs") runs s.stats.runs;
+      check_int (name ^ ": resumes") resumes s.stats.resumes)
+    [
+      ( "paste", "0 arg0[0] 0 255\n1 arg0[1] 0 255\n", 13,
+        "a42012c7d7999c2735a7cf6b898ec742", "d50f0916491119060ed4f3855809e403",
+        10, 4 );
+      ( "userver-exp1", "0 arg0[0] 0 255\n1 arg0[1] 0 255\n2 net0[0] 0 255\n", 109,
+        "7cc7fcc8b87ea6730f575526215eeac1", "840090f442c82b355730a571e043970f",
+        16, 15 );
+    ]
+
+(* An offer costs what it changes, not the run's state: the engine's
+   accounting, pop and solve plus the run's guard allocate a bounded
+   number of minor words per offer on the diff pair, whose runs observe
+   about a hundred input variables.  Merging the launch model over every
+   observed value per offer, and walking every shadowed cell per guard,
+   took about 12.4 k words per offer here; today an offer takes 8.2 k, and
+   the merge alone would add about 1.8 k, so the bound is 9 k. *)
+let test_offer_allocation () =
+  let ((_, _, prog, _, _) as w) = find_workload "diff-pair" in
+  let plan, report = workload_report w Instrument.Methods.Dynamic_static in
+  let words = ref 0.0 and offers = ref 0 in
+  let wrap f =
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    words := !words +. (Gc.minor_words () -. w0);
+    incr offers;
+    r
+  in
+  ignore (search ~checked:false `Take ~prog ~plan report);
+  let s = search ~wrap ~checked:false `Take ~prog ~plan report in
+  check_bool "the search resumed" true (s.stats.resumes > 50);
+  let per_offer = !words /. float_of_int !offers in
+  check_bool
+    (Printf.sprintf "%.0f minor words per offer < 9 000" per_offer)
+    true (per_offer < 9_000.0)
 
 (* The guard (Guided.run): values the run used without a pin must keep
    their value under the new model, or the run restarts from [main]. *)
@@ -764,6 +899,10 @@ let () =
         [
           Alcotest.test_case "matches restart on workloads" `Quick
             test_resume_matches_restart_on_workloads;
+          Alcotest.test_case "dynamic hint is the full merge" `Quick
+            test_dynamic_hint_is_full_merge;
+          Alcotest.test_case "registry as before" `Quick test_registry_as_before;
+          Alcotest.test_case "offer allocation" `Quick test_offer_allocation;
           Alcotest.test_case "guard: open path from input" `Quick
             test_guard_open_path_from_input;
           Alcotest.test_case "guard: dead division" `Quick

@@ -345,6 +345,101 @@ let prop_solver_unsat_really_unsat =
           done;
           not !found)
 
+(* Golden outcomes: the exact outcome and model of each query, as the
+   solver gave them when it built every candidate list eagerly and sized
+   its tables for the largest query.  A faster search must still try the
+   same candidates in the same order (hint first, then ascending, or the
+   probe list past [max_enum]) and count the same nodes, so every model,
+   Unknown and node-budget cut stays put; the cache's miss path, which
+   hands the solver its deduplicated slice, must agree too. *)
+
+let ( *. ) a b = Expr.Binop (Expr.Mul, a, b)
+let ( >=. ) a b = Expr.Binop (Expr.Ge, a, b)
+let ( <=. ) a b = Expr.Binop (Expr.Le, a, b)
+let ( &&. ) a b = Expr.Binop (Expr.Land, a, b)
+let ( ||. ) a b = Expr.Binop (Expr.Lor, a, b)
+
+(* diff's case folding of a byte: [e + 32 * ('A' <= e <= 'Z')] *)
+let fold_case e = ((e >=. c 65) &&. (e <=. c 90)) *. c 32 +. e
+
+let golden_queries () =
+  let b = Symvars.byte_domain and i = Symvars.int_domain in
+  let small = { Solve.default_budget with max_nodes = 50 } in
+  (* (name, variable domains, hint, budget, constraints, outcome) *)
+  [
+    ("single bound, hint inside", [ b ], [ (0, 15) ], None,
+      [ v 0 >. c 10; v 0 <. c 20 ], "sat 0=15");
+    ("single bound, no hint", [ b ], [], None, [ v 0 >=. c 200 ], "sat 0=200");
+    ("hint outside the domain", [ b ], [ (0, 300) ], None, [ v 0 <>. c 0 ],
+      "sat 0=1");
+    ("ne excludes the hint", [ b; b ], [ (0, 7); (1, 7) ], None,
+      [ v 0 <>. c 7; v 1 ==. v 0 +. c 1 ], "sat 0=0 1=1");
+    ("int result past max_enum, hinted", [ i ], [ (0, 9) ], None,
+      [ v 0 *. c 3 ==. c 27 ], "sat 0=9");
+    ("int result past max_enum, probe", [ i ], [], None,
+      [ v 0 *. c 2 ==. c 2 ], "sat 0=1");
+    ("int result past max_enum, unknown", [ i ], [], None,
+      [ v 0 *. c 3 ==. c 21 ], "unknown");
+    ("int result narrowed", [ i; b ], [ (1, 65) ], None,
+      [ v 0 >. c 2; v 0 <. c 9; v 1 ==. v 0 +. c 60 ], "sat 0=3 1=63");
+    ("diff case-folding chain", List.init 12 (fun _ -> b),
+      List.init 12 (fun k -> (k, 97 + (k mod 5))), None,
+      List.init 6 (fun k -> fold_case (v (2 * k)) ==. fold_case (v ((2 * k) + 1)))
+      @ [ v 0 ==. c 72; fold_case (v 10) <>. c 101; v 1 <>. c 72 ],
+      "sat 0=72 1=104 2=99 3=67 4=101 5=69 6=98 7=66 8=100 9=68 10=97 11=65");
+    ("equality chain", [ b; b; b; b ], [], None,
+      [ v 0 ==. v 1; v 1 ==. v 2; v 2 ==. v 3; v 3 ==. c 113; v 0 <>. c 0 ],
+      "sat 0=113 1=113 2=113 3=113");
+    ("unsat by negation pair", [ b; b ], [ (0, 4) ], None,
+      [ (v 0 *. v 1) <. c 50; v 0 >. c 2; Expr.negate ((v 0 *. v 1) <. c 50) ],
+      "unsat");
+    ("unsat by propagation", [ b; b ], [], None,
+      [ v 0 >. c 10; v 0 +. c 1 <. c 5; v 1 ==. v 0 ], "unsat");
+    ("unsat by subexpression bounds", [ b; b ], [], None,
+      [ (v 0 *. v 1) <=. c 5; (v 0 *. v 1) >. c 9 ], "unsat");
+    ("unsat by equality class", [ b; b; b ], [], None,
+      [ v 0 ==. v 1; v 1 ==. v 2; v 0 <>. v 2 ], "unsat");
+    ("node budget", [ b; b; b ], [], Some small,
+      [ (v 0 ==. c 255) ||. (v 1 ==. c 255); v 2 *. v 0 ==. c 254; v 1 <>. c 255 ],
+      "unknown");
+    ("node count, just enough", [ b ], [], Some { small with max_nodes = 201 },
+      [ v 0 *. c 3 ==. c 600 ], "sat 0=200");
+    ("node count, one short", [ b ], [], Some { small with max_nodes = 200 },
+      [ v 0 *. c 3 ==. c 600 ], "unknown");
+    ("node count, hint tried once", [ b ], [ (0, 5) ],
+      Some { small with max_nodes = 201 }, [ v 0 *. c 3 ==. c 600 ], "sat 0=200");
+    ("repeated constraints", [ b; b; b ], [ (0, 40); (2, 3) ], None,
+      [ v 0 >. c 30; v 1 ==. v 0 +. c 2; v 0 >. c 30; v 2 <>. c 3;
+        v 1 ==. v 0 +. c 2; (v 0 <. c 60) &&. (v 2 <. c 9); v 0 >. c 30 ],
+      "sat 0=40 1=42 2=0");
+    ("backjump over unconstrained", [ b; b; b; b ], [ (0, 1) ], None,
+      [ v 0 <. c 3; v 1 <>. c 1; v 2 >. c 4; v 3 ==. v 0 *. c 90; v 3 >. c 200 ],
+      "unsat");
+  ]
+
+let render_outcome = function
+  | Solve.Unsat -> "unsat"
+  | Solve.Unknown -> "unknown"
+  | Solve.Sat m ->
+      "sat"
+      ^ String.concat ""
+          (List.map (fun (id, x) -> Printf.sprintf " %d=%d" id x) (Model.bindings m))
+
+let test_solve_golden_table () =
+  List.iter
+    (fun (name, doms, hint, budget, cs, expected) ->
+      let vars = Symvars.create () in
+      List.iteri
+        (fun k (d : Symvars.domain) ->
+          ignore (Symvars.lookup vars ~name:(Printf.sprintf "q%d" k) ~dom:d))
+        doms;
+      let hint id = List.assoc_opt id hint in
+      Alcotest.(check string) name expected
+        (render_outcome (Solve.solve ?budget ~vars ~hint cs));
+      Alcotest.(check string) (name ^ " (cache miss)") expected
+        (render_outcome (Cache.solve (Cache.create ()) ?budget ~vars ~hint cs)))
+    (golden_queries ())
+
 (* ------------------------------------------------------------------ *)
 (* Cache: memoization, canonicalization, slicing *)
 
@@ -555,6 +650,7 @@ let () =
             test_solve_negation_pair_unsat;
           Alcotest.test_case "backjump over unconstrained" `Quick
             test_solve_backjump_over_unconstrained;
+          Alcotest.test_case "golden table" `Quick test_solve_golden_table;
           QCheck_alcotest.to_alcotest prop_solver_models_satisfy;
           QCheck_alcotest.to_alcotest prop_solver_unsat_really_unsat;
         ] );

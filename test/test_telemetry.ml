@@ -255,13 +255,15 @@ let test_stats_conversions () =
     {
       Concolic.Engine.runs = 3; resumes = 0; sat = 2; unsat = 1; unknown = 0;
       pending_peak = 5; elapsed_s = 0.25; timed_out = false; forks = 3;
-      core_pruned = 0; solved_incremental = 0; solver_calls = 0; steals = 0;
+      core_pruned = 0; solved_incremental = 0; solver_calls = 4; steals = 0;
       worker_runs = [| 3 |];
     }
   in
   let ec = Concolic.Engine.counters es in
   check_string "engine scope" "engine" ec.Telemetry.Counters.scope;
   check_int "runs" 3 (Option.get (Telemetry.Counters.find ec "runs"));
+  check_int "solver calls" 4
+    (Option.get (Telemetry.Counters.find ec "solver_calls"));
   let cs =
     { Solver.Cache.hits = 3; misses = 1; evictions = 0; stores = 1;
       uncacheable = 0 }
