@@ -118,7 +118,7 @@ let replay_section (c : Ctx.t) =
           Util.time_call (fun () ->
               Replay.Guided.reproduce ~budget:case.budget
                 ~seed:cfg.Bugrepro.Pipeline.Config.seed
-                ~max_steps:cfg.replay_max_steps ?max_attempts:case.attempts
+                ?max_attempts:case.attempts
                 ~telemetry:cfg.telemetry ~prog:case.prog ~plan:case.plan
                 case.report)
         in

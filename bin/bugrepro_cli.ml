@@ -8,81 +8,7 @@
 
 open Cmdliner
 
-(* ------------------------------------------------------------------ *)
-(* Workload registry *)
-
-type workload = {
-  wname : string;
-  prog : unit -> Minic.Program.t;
-  describe : string;
-  demo_crash : int -> Concolic.Scenario.t;  (** experiment number -> scenario *)
-  demo_test : unit -> Concolic.Scenario.t;  (** analysis scenario *)
-  experiments : string list;
-}
-
-let coreutils_workload util =
-  let e = Workloads.Coreutils.find util in
-  {
-    wname = util;
-    prog = (fun () -> Lazy.force e.prog);
-    describe = e.bug_description;
-    demo_crash = (fun _ -> Workloads.Coreutils.crash_scenario e);
-    demo_test = (fun () -> Workloads.Coreutils.analysis_scenario e);
-    experiments = [ "1: " ^ e.bug_description ];
-  }
-
-let userver_workload =
-  {
-    wname = "userver";
-    prog = (fun () -> Lazy.force Workloads.Userver.prog);
-    describe = "event-driven web server (µServer analogue, §5.3)";
-    demo_crash =
-      (fun n -> Workloads.Userver.experiment_scenario (Workloads.Userver.experiment n));
-    demo_test =
-      (fun () ->
-        Workloads.Userver.scenario ~name:"userver-test"
-          (Workloads.Http_gen.workload 8));
-    experiments =
-      List.map
-        (fun (e : Workloads.Userver.experiment) ->
-          Printf.sprintf "%d: %s" e.id e.description)
-        Workloads.Userver.experiments;
-  }
-
-let diff_workload =
-  {
-    wname = "diff";
-    prog = (fun () -> Lazy.force Workloads.Diffutil.prog);
-    describe = "line differ (input-intensive, §5.4)";
-    demo_crash =
-      (fun n ->
-        if n <= 1 then Workloads.Diffutil.experiment_1 ()
-        else Workloads.Diffutil.experiment_2 ());
-    demo_test = (fun () -> Workloads.Diffutil.experiment_1 ());
-    experiments = [ "1: small file pair"; "2: larger file pair" ];
-  }
-
-let mtrace_workload =
-  {
-    wname = "mtrace";
-    prog = (fun () -> Lazy.force Workloads.Mtrace.prog);
-    describe = "multithreaded scanner with a check-then-act race (§6)";
-    demo_crash = (fun _ -> Workloads.Mtrace.scenario ~seed:3 ());
-    demo_test = (fun () -> Workloads.Mtrace.benign_scenario ());
-    experiments = [ "1: alert-log overflow under adversarial schedule" ];
-  }
-
-let workloads =
-  List.map coreutils_workload [ "mkdir"; "mknod"; "mkfifo"; "paste" ]
-  @ [ userver_workload; diff_workload; mtrace_workload ]
-
-let find_workload name =
-  match List.find_opt (fun w -> String.equal w.wname name) workloads with
-  | Some w -> Ok w
-  | None ->
-      Error
-        (Printf.sprintf "unknown workload %s (known: %s)" name
-           (String.concat ", " (List.map (fun w -> w.wname) workloads)))
+module Catalog = Workloads.Catalog
 
 let method_of_string = function
   | "dynamic" -> Ok Instrument.Methods.Dynamic
@@ -92,69 +18,97 @@ let method_of_string = function
   | "none" -> Ok Instrument.Methods.No_instrumentation
   | s -> Error (Printf.sprintf "unknown method %s" s)
 
+
 (* ------------------------------------------------------------------ *)
 (* Commands *)
 
+let with_entry name k =
+  match Catalog.find name with
+  | Error e ->
+      prerr_endline e;
+      2
+  | Ok e -> k e
+
 let list_cmd () =
   List.iter
-    (fun w ->
-      Printf.printf "%-8s %s\n" w.wname w.describe;
-      List.iter (fun e -> Printf.printf "         exp %s\n" e) w.experiments)
-    workloads;
+    (fun (e : Catalog.entry) ->
+      Printf.printf "%-8s %s\n" e.name e.describe;
+      List.iter
+        (fun (x : Catalog.experiment) ->
+          Printf.printf "         exp %d: %s\n" x.id x.description)
+        e.experiments)
+    Catalog.entries;
   0
 
 let show_cmd name =
-  match find_workload name with
-  | Error e ->
-      prerr_endline e;
-      2
-  | Ok w ->
-      let p = w.prog () in
-      Printf.printf
-        "%s: %d branch locations (%d application, %d library), %d functions\n"
-        w.wname (Minic.Program.nbranches p)
-        (Minic.Program.app_branch_count p)
-        (Minic.Program.lib_branch_count p)
-        (List.length p.funcs);
-      List.iter
-        (fun (f : Minic.Ast.func) ->
-          if not f.fis_lib then
-            Printf.printf "  %s(%s)\n" f.fname
-              (String.concat ", " (List.map fst f.fparams)))
-        p.funcs;
-      0
+  with_entry name @@ fun e ->
+  let p = Lazy.force e.prog in
+  Printf.printf
+    "%s: %d branch locations (%d application, %d library), %d functions\n"
+    e.name (Minic.Program.nbranches p)
+    (Minic.Program.app_branch_count p)
+    (Minic.Program.lib_branch_count p)
+    (List.length p.funcs);
+  List.iter
+    (fun (f : Minic.Ast.func) ->
+      if not f.fis_lib then
+        Printf.printf "  %s(%s)\n" f.fname
+          (String.concat ", " (List.map fst f.fparams)))
+    p.funcs;
+  0
 
 let run_cmd name args =
-  match find_workload name with
-  | Error e ->
-      prerr_endline e;
-      2
-  | Ok w ->
-      let prog = w.prog () in
-      let sc = Concolic.Scenario.make ~name ~args prog in
-      let _w, handle = Osmodel.World.kernel sc.world in
-      let r =
-        Interp.Eval.run prog
-          {
-            Interp.Eval.inputs = Interp.Inputs.of_strings args;
-            kernel = Interp.Kernel.of_world handle;
-            hooks = Interp.Eval.no_hooks;
-            max_steps = sc.max_steps;
-      scheduler = None;
-          }
-      in
-      print_string r.output;
-      Printf.printf "-> %s (%d steps)\n" (Interp.Crash.outcome_to_string r.outcome)
-        r.steps;
-      (match r.outcome with Interp.Crash.Exit n -> n | _ -> 1)
+  with_entry name @@ fun e ->
+  let prog = Lazy.force e.prog in
+  let sc = Concolic.Scenario.make ~name ~args prog in
+  let _w, handle = Osmodel.World.kernel sc.world in
+  let r =
+    Interp.Eval.run prog
+      {
+        Interp.Eval.inputs = Interp.Inputs.of_strings args;
+        kernel = Interp.Kernel.of_world handle;
+        hooks = Interp.Eval.no_hooks;
+        max_steps = sc.max_steps;
+        scheduler = None;
+      }
+  in
+  print_string r.output;
+  Printf.printf "-> %s (%d steps)\n" (Interp.Crash.outcome_to_string r.outcome)
+    r.steps;
+  match r.outcome with Interp.Crash.Exit n -> n | _ -> 1
+
+(* Exit status for reports that cannot be read: 4 when one names a newer
+   wire format (upgrade the tool rather than suspect corruption), else 3
+   (malformed beyond salvage, mirroring minic_cli's exit-code-3 convention
+   for type errors). *)
+let wire_error_exit (errors : Instrument.Wire.error list) =
+  if
+    List.exists
+      (function
+        | Instrument.Wire.Unknown_version _ -> true
+        | Instrument.Wire.Malformed _ -> false)
+      errors
+  then 4
+  else 3
+
+(* Write [text] and a newline to the file the option names, if any. *)
+let write_json ~what path text =
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc text;
+      output_string oc "\n";
+      close_out oc;
+      Printf.printf "%s written to %s\n" what path)
+    path
 
 (* The analyse -> plan -> field-run -> report -> replay pipeline of the
    demo command, driven by one [Pipeline.Config.t]. *)
-let demo_pipeline w meth experiment timeout save cfg =
-  let prog = w.prog () in
-  Printf.printf "== analysing %s ==\n%!" w.wname;
+let demo_pipeline (e : Catalog.entry) meth experiment timeout save cfg =
+  let prog = Lazy.force e.prog in
+  Printf.printf "== analysing %s ==\n%!" e.name;
   let analysis =
-    Bugrepro.Pipeline.Run.analyze cfg ~test_scenario:(w.demo_test ()) prog
+    Bugrepro.Pipeline.Run.analyze cfg ~test_scenario:(e.analysis ()) prog
   in
   let plan = Bugrepro.Pipeline.Run.plan cfg analysis meth in
   Printf.printf "method %s instruments %d/%d branch locations\n%!"
@@ -162,8 +116,9 @@ let demo_pipeline w meth experiment timeout save cfg =
     plan.n_instrumented
     (Minic.Program.nbranches prog);
   Printf.printf "== field run (experiment %d) ==\n%!" experiment;
-  let crash_sc = w.demo_crash experiment in
-  let field, report = Bugrepro.Pipeline.Run.field_run_report cfg ~plan crash_sc in
+  let field, report =
+    Bugrepro.Pipeline.Run.field_run_report cfg ~plan (e.crash experiment)
+  in
   Printf.printf "outcome: %s\n%!" (Interp.Crash.outcome_to_string field.outcome);
   match report with
   | None ->
@@ -183,18 +138,10 @@ let demo_pipeline w meth experiment timeout save cfg =
             (String.length wire)
       | None -> ());
       match Instrument.Wire.deserialize_v wire with
-      | Error (Instrument.Wire.Unknown_version v) ->
-          (* exit 4: the report names a newer wire format — upgrade the
-             tool; distinct from corruption (see the man page) *)
-          Printf.eprintf
-            "report format version %d not supported (max %d): upgrade bugrepro\n"
-            v Instrument.Wire.version;
-          4
-      | Error (Instrument.Wire.Malformed e) ->
-          (* exit 3: corrupt report, mirroring minic_cli's exit-code-3
-             convention for type errors *)
-          Printf.eprintf "malformed report: %s\n" e;
-          3
+      | Error err ->
+          Printf.eprintf "cannot read the report back: %s\n"
+            (Instrument.Wire.error_to_string err);
+          wire_error_exit [ err ]
       | Ok report ->
       Printf.printf "== guided replay (budget %.0fs) ==\n%!" timeout;
       let result, stats = Bugrepro.Pipeline.Run.reproduce cfg ~prog ~plan report in
@@ -219,12 +166,13 @@ let demo_pipeline w meth experiment timeout save cfg =
             r.elapsed_s r.timed_out;
           1)
 
-(* Telemetry plumbing shared by demo and fuzz: --trace streams JSONL to a
-   file while the pipeline runs, --metrics buffers the events for the
-   final span tree and counter table; without either the handle is the
-   shared no-op [Telemetry.disabled].  [finish] publishes the counters,
-   flushes, closes the trace file and prints the metrics report. *)
-let make_telemetry trace metrics =
+(* Telemetry plumbing shared by every command that takes --trace and
+   --metrics: --trace streams JSONL to a file while the command runs,
+   --metrics buffers the events for the final span tree and counter table;
+   without either the handle is the shared no-op [Telemetry.disabled].
+   [finish] publishes the counters, flushes, closes the trace file and
+   prints the metrics report. *)
+let make_telemetry (trace, metrics) =
   let trace_oc = Option.map open_out trace in
   let mem = if metrics then Some (Telemetry.Sink.memory ()) else None in
   let tel =
@@ -256,23 +204,23 @@ let make_telemetry trace metrics =
   in
   (tel, finish)
 
-let demo_cmd name meth_s experiment timeout save trace metrics =
-  match find_workload name, method_of_string meth_s with
+let demo_cmd name meth_s experiment timeout save telemetry =
+  match Catalog.find name, method_of_string meth_s with
   | Error e, _ | _, Error e ->
       prerr_endline e;
       2
-  | Ok w, Ok meth ->
-      let tel, finish_telemetry = make_telemetry trace metrics in
+  | Ok e, Ok meth ->
+      let tel, finish_telemetry = make_telemetry telemetry in
       let cfg =
         Bugrepro.Pipeline.Config.(
           default
           |> with_budget
                ~dynamic:{ Concolic.Engine.max_runs = 120; max_time_s = 15.0 }
                ~replay:{ Concolic.Engine.max_runs = 50_000; max_time_s = timeout }
-          |> with_analyze_lib (not (String.equal w.wname "userver"))
+          |> with_analyze_lib e.analyze_lib
           |> with_telemetry tel)
       in
-      let code = demo_pipeline w meth experiment timeout save cfg in
+      let code = demo_pipeline e meth experiment timeout save cfg in
       finish_telemetry ();
       code
 
@@ -282,8 +230,8 @@ let demo_cmd name meth_s experiment timeout save trace metrics =
    --corpus DIR the checked-in repro files are replayed instead of
    generating fresh cases. *)
 
-let fuzz_cmd seed count shrink save_corpus thorough corpus trace metrics =
-  let tel, finish_telemetry = make_telemetry trace metrics in
+let fuzz_cmd seed count shrink save_corpus thorough corpus telemetry =
+  let tel, finish_telemetry = make_telemetry telemetry in
   let config =
     Bugrepro.Pipeline.Config.with_telemetry tel
       Fuzz.Oracle.default_cfg.Fuzz.Oracle.config
@@ -308,103 +256,78 @@ let fuzz_cmd seed count shrink save_corpus thorough corpus trace metrics =
   if Fuzz.Driver.ok summary then 0 else 1
 
 (* ------------------------------------------------------------------ *)
-(* Report triage over a directory of .report files, plus a deterministic
-   batch generator to exercise it.  Exit codes (documented in the man
-   pages): 0 = triaged, no cluster starved; 1 = some cluster timed out;
-   3 = nothing ingested, inputs malformed beyond salvage; 4 = nothing
-   ingested, reports use an unsupported (newer) wire version. *)
+(* Report triage: the one-shot [triage] of a directory and the streaming
+   [serve] share their options, their service (opened over a persistent
+   index, exit 6 when it cannot be), their plan resolver and their drain.
+   Exit codes (documented in the man pages): 0 = triaged, no cluster
+   starved; 1 = some cluster timed out; 3 = nothing ingested, inputs
+   malformed beyond salvage; 4 = nothing ingested, reports use an
+   unsupported (newer) wire version; 5 = serve's ingestion stalled;
+   6 = the index cannot be opened. *)
 
-(* The wire form names the program by its field-run scenario name (e.g.
-   "paste" or "userver-exp3"); resolve it back to a workload by exact
-   match first, then by the prefix before the first '-'. *)
-let workload_of_program name =
-  match find_workload name with
-  | Ok w -> Ok w
-  | Error _ as err -> (
-      match String.index_opt name '-' with
-      | None -> err
-      | Some i -> find_workload (String.sub name 0 i))
+type triage_opts = {
+  jobs : int;
+  deadline : float;
+  timeout : float;
+  seed : int;
+  index : string option;
+  json : string option;
+  telemetry : string option * bool;
+}
 
-let needs_dynamic = function
-  | Instrument.Methods.Dynamic | Instrument.Methods.Dynamic_static -> true
-  | Instrument.Methods.No_instrumentation | Instrument.Methods.Static
-  | Instrument.Methods.All_branches ->
-      false
+(* Open the service under the options' pipeline config, resolving each
+   cluster's report to its retained plan through the catalog, and run [k]
+   on it; exit 6 when the index cannot be opened. *)
+let with_service name o config k =
+  let tel, finish = make_telemetry o.telemetry in
+  let cfg =
+    Bugrepro.Pipeline.Config.(
+      default
+      |> with_jobs (max 1 o.jobs)
+      |> with_seed o.seed
+      |> with_budget
+           ~replay:{ Concolic.Engine.max_runs = 50_000; max_time_s = o.timeout }
+      |> with_telemetry tel)
+  in
+  let policy =
+    { (Triage.Sched.policy_of_config cfg) with Triage.Sched.deadline_s = o.deadline }
+  in
+  let memo = Catalog.memo cfg in
+  let resolve (c : Triage.Cluster.t) =
+    let r = c.representative.report in
+    Result.map
+      (fun e -> Catalog.plan memo e r.method_used)
+      (Catalog.find r.program)
+  in
+  let config = { config with Triage.Service.policy; index_dir = o.index } in
+  match Triage.Service.open_ ~config ~telemetry:tel ~resolve () with
+  | Error e ->
+      Printf.eprintf "%s: cannot open index: %s\n" name
+        (Triage.Index.error_to_string e);
+      finish ();
+      6
+  | Ok svc -> k ~cfg ~finish svc
 
-(* Memoizing resolver for the triage scheduler: one analysis per
-   (workload, needs-dynamic) pair and one plan per (workload, method).
-   Dynamic analysis only runs when a report's method actually needs its
-   labels.  Called sequentially from the scheduling domain, so plain
-   hashtables are fine. *)
-let make_resolver cfg : Triage.resolve =
-  let analyses = Hashtbl.create 8 in
-  let plans = Hashtbl.create 8 in
-  fun (c : Triage.Cluster.t) ->
-    let report = c.Triage.Cluster.representative.Triage.Ingest.report in
-    match workload_of_program report.Instrument.Report.program with
-    | Error e -> Error e
-    | Ok w ->
-        let meth = report.Instrument.Report.method_used in
-        let cfg =
-          Bugrepro.Pipeline.Config.with_analyze_lib
-            (not (String.equal w.wname "userver"))
-            cfg
-        in
-        let dyn = needs_dynamic meth in
-        let analysis =
-          match Hashtbl.find_opt analyses (w.wname, dyn) with
-          | Some a -> a
-          | None ->
-              let a =
-                if dyn then
-                  Bugrepro.Pipeline.Run.analyze cfg
-                    ~test_scenario:(w.demo_test ()) (w.prog ())
-                else Bugrepro.Pipeline.Run.analyze cfg (w.prog ())
-              in
-              Hashtbl.add analyses (w.wname, dyn) a;
-              a
-        in
-        let plan =
-          match Hashtbl.find_opt plans (w.wname, meth) with
-          | Some p -> p
-          | None ->
-              let p = Bugrepro.Pipeline.Run.plan cfg analysis meth in
-              Hashtbl.add plans (w.wname, meth) p;
-              p
-        in
-        Ok (analysis.Bugrepro.Pipeline.prog, plan)
+(* Drain, close and summarize; [errors] are the wire errors met while
+   ingesting, which decide the exit status when nothing was accepted. *)
+let drain_and_report ?rejected o ~finish ~errors svc =
+  let summary = Triage.Service.drain ?rejected svc in
+  Triage.Service.close svc;
+  print_string (Triage.Summary.to_text summary);
+  write_json ~what:"json summary" o.json
+    (Triage.Summary.to_json ~timing:true summary);
+  finish ();
+  if summary.Triage.Summary.reports = 0 && errors <> [] then
+    wire_error_exit errors
+  else if summary.Triage.Summary.timed_out > 0 then 1
+  else 0
 
-(* Exit status of a triage run that ingested only rejected reports: 4 when
-   any of them names a newer wire format (upgrade the tool), else 3. *)
-let rejection_exit (errors : Instrument.Wire.error list) =
-  if
-    List.exists
-      (function
-        | Instrument.Wire.Unknown_version _ -> true
-        | Instrument.Wire.Malformed _ -> false)
-      errors
-  then 4
-  else 3
-
-let triage_cmd dir jobs deadline timeout seed index json trace metrics =
+let triage_cmd dir o =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Printf.eprintf "no such directory: %s\n" dir;
     2
   end
   else begin
-    let tel, finish_telemetry = make_telemetry trace metrics in
-    let cfg =
-      Bugrepro.Pipeline.Config.(
-        default
-        |> with_jobs (max 1 jobs)
-        |> with_seed seed
-        |> with_budget
-             ~replay:{ Concolic.Engine.max_runs = 50_000; max_time_s = timeout }
-        |> with_telemetry tel)
-    in
-    let policy =
-      { (Triage.Sched.policy_of_config cfg) with Triage.Sched.deadline_s = deadline }
-    in
     let items, rejected = Triage.Ingest.load_dir dir in
     (* one-shot service sized to the batch: nothing is shed, and nothing
        is replayed before the drain.  Wall-clock rungs keep --deadline and
@@ -412,40 +335,14 @@ let triage_cmd dir jobs deadline timeout seed index json trace metrics =
     let config =
       {
         Triage.Service.default_config with
-        Triage.Service.policy;
         queue_capacity = max 1 (List.length items);
         wall_rungs = true;
-        index_dir = index;
       }
     in
-    match
-      Triage.Service.open_ ~config ~telemetry:tel
-        ~resolve:(make_resolver cfg) ()
-    with
-    | Error e ->
-        Printf.eprintf "triage: cannot open index: %s\n"
-          (Triage.Index.error_to_string e);
-        finish_telemetry ();
-        6
-    | Ok svc ->
-        List.iter (fun i -> ignore (Triage.Service.submit_item svc i)) items;
-        let summary = Triage.Service.drain ~rejected svc in
-        Triage.Service.close svc;
-        print_string (Triage.Summary.to_text summary);
-        (match json with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Triage.Summary.to_json ~timing:true summary);
-            output_string oc "\n";
-            close_out oc;
-            Printf.printf "json summary written to %s\n" path
-        | None -> ());
-        finish_telemetry ();
-        if items = [] && rejected <> [] then
-          rejection_exit
-            (List.map (fun (r : Triage.Ingest.rejected) -> r.error) rejected)
-        else if summary.Triage.Summary.timed_out > 0 then 1
-        else 0
+    with_service "triage" o config @@ fun ~cfg:_ ~finish svc ->
+    List.iter (fun i -> ignore (Triage.Service.submit_item svc i)) items;
+    drain_and_report ~rejected o ~finish svc
+      ~errors:(List.map (fun (r : Triage.Ingest.rejected) -> r.error) rejected)
   end
 
 (* Deterministic batch generator: record one genuine crash report per
@@ -464,29 +361,12 @@ let batch_bases =
   ]
 
 let batch_cmd dir count seed torn =
-  let cfg = Bugrepro.Pipeline.Config.default in
   (try Unix.mkdir dir 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let analyses = Hashtbl.create 8 in
-  let wire_of_base (wname, meth) =
-    match find_workload wname with
-    | Error e -> Error e
-    | Ok w -> (
-        let analysis =
-          match Hashtbl.find_opt analyses wname with
-          | Some a -> a
-          | None ->
-              let a = Bugrepro.Pipeline.Run.analyze cfg (w.prog ()) in
-              Hashtbl.add analyses wname a;
-              a
-        in
-        let plan = Bugrepro.Pipeline.Run.plan cfg analysis meth in
-        let _field, report =
-          Bugrepro.Pipeline.Run.field_run_report cfg ~plan (w.demo_crash 1)
-        in
-        match report with
-        | Some r -> Ok (Instrument.Wire.serialize r)
-        | None -> Error (wname ^ ": demo scenario did not crash"))
+  let memo = Catalog.memo Bugrepro.Pipeline.Config.default in
+  let wire_of_base (name, meth) =
+    Result.bind (Catalog.find name) (fun (e : Catalog.entry) ->
+        Catalog.record memo e (List.hd e.experiments) meth)
   in
   let wires = List.map wire_of_base batch_bases in
   match List.find_opt Result.is_error wires with
@@ -531,13 +411,10 @@ let batch_cmd dir count seed torn =
         count n_bases torn dir;
       0
 
-(* ------------------------------------------------------------------ *)
 (* Streaming triage service: ingest reports as they arrive — from a
    directory watched incrementally and/or from the seeded load generator
    simulating a fleet of crashing clients — through the bounded
-   backpressured queue, then drain and summarize.  Exit codes extend the
-   triage command's with 5 = ingestion stall (the queue would not drain
-   within --max-ticks). *)
+   backpressured queue, then drain and summarize. *)
 
 let drop_policy_of_string s =
   match s with
@@ -557,175 +434,119 @@ let drop_policy_of_string s =
               sample:P)"
              s)
 
-let serve_cmd dir generate clients torn_pct seed queue drop_s burst window
-    tick_every max_ticks index wall_clock jobs deadline timeout snapshot json
-    trace metrics =
+let serve_cmd dir generate clients torn_pct queue drop_s burst window
+    tick_every max_ticks wall_clock snapshot o =
   match drop_policy_of_string drop_s with
   | Error e ->
       prerr_endline e;
       2
-  | Ok drop when generate = 0 && dir = None ->
-      ignore drop;
+  | Ok _ when generate = 0 && dir = None ->
       prerr_endline "serve: nothing to ingest (give DIR and/or --generate N)";
       2
-  | Ok drop -> (
-      let tel, finish_telemetry = make_telemetry trace metrics in
-      let cfg =
-        Bugrepro.Pipeline.Config.(
-          default
-          |> with_jobs (max 1 jobs)
-          |> with_seed seed
-          |> with_budget
-               ~replay:{ Concolic.Engine.max_runs = 50_000; max_time_s = timeout }
-          |> with_telemetry tel)
-      in
-      let policy =
-        { (Triage.Sched.policy_of_config cfg) with
-          Triage.Sched.deadline_s = deadline }
-      in
+  | Ok drop ->
       let config =
         {
           Triage.Service.default_config with
-          Triage.Service.policy;
           queue_capacity = max 1 queue;
           drop;
           burst = max 1 burst;
           window = max 1 window;
           wall_rungs = wall_clock;
-          index_dir = index;
         }
       in
-      match
-        Triage.Service.open_ ~config ~telemetry:tel
-          ~resolve:(make_resolver cfg) ()
-      with
-      | Error e ->
-          Printf.eprintf "serve: cannot open index: %s\n"
-            (Triage.Index.error_to_string e);
-          6
-      | Ok svc ->
-          let recovered =
-            (Triage.Service.snapshot svc).Triage.Service.processed
-          in
-          if recovered > 0 then
-            Printf.printf "recovered %d report(s) from the index\n" recovered;
-          (* every wire error met while ingesting, for the exit status *)
-          let rejections = ref [] in
-          let note : Triage.Service.outcome -> unit = function
-            | Rejected e -> rejections := e :: !rejections
-            | Queued | Dropped _ -> ()
-          in
-          let submit_wire ~path wire = note (Triage.Service.submit svc ~path wire) in
-          (* phase 1: the generated fleet, submitted in seeded order with
-             a tick every [tick_every] submissions — faster than the
-             service drains on purpose, so backpressure is observable *)
-          if generate > 0 then begin
-            let gen = Workloads.Report_gen.make ~config:cfg () in
-            let stream =
-              Workloads.Report_gen.stream gen ~seed ~clients ~torn_pct
-                generate
-            in
-            List.iteri
-              (fun i (r : Workloads.Report_gen.report) ->
-                submit_wire ~path:r.path r.wire;
-                if (i + 1) mod tick_every = 0 then
-                  ignore (Triage.Service.tick svc))
-              stream
-          end;
-          (* phase 2: watch the directory until it stops producing new
-             files and the queue is empty (two quiet rounds), bounded by
-             --max-ticks *)
-          let stalled = ref false in
-          (match dir with
-          | None ->
-              (* still bound the drain of the generated burst *)
-              let ticks = ref 0 in
-              while Triage.Service.queue_depth svc > 0 && not !stalled do
-                let n = Triage.Service.tick svc in
-                incr ticks;
-                if n = 0 || !ticks > max_ticks then stalled := true
-              done
-          | Some dir ->
-              let scanner = Triage.Ingest.scanner dir in
-              let quiet = ref 0 in
-              let ticks = ref 0 in
-              while !quiet < 2 && not !stalled do
-                let items, rejects = Triage.Ingest.poll scanner in
-                List.iter
-                  (fun (i : Triage.Ingest.item) ->
-                    ignore (Triage.Service.submit_ingested svc (Ok i)))
-                  items;
-                List.iter
-                  (fun (r : Triage.Ingest.rejected) ->
-                    Printf.printf "rejected %s: %s\n" r.path
-                      (Instrument.Wire.error_to_string r.error);
-                    note (Triage.Service.submit_ingested svc (Error r)))
-                  rejects;
-                let n = Triage.Service.tick svc in
-                incr ticks;
-                if items = [] && rejects = [] && n = 0
-                   && Triage.Service.queue_depth svc = 0
-                then incr quiet
-                else quiet := 0;
-                if !ticks > max_ticks then stalled := true
-              done);
-          let snap = Triage.Service.snapshot svc in
-          Printf.printf
-            "ingested: %d submitted, %d rejected, %d dropped, %d queued \
-             (capacity %d), %d clusters over %d report(s)\n"
-            snap.Triage.Service.submitted snap.Triage.Service.rejected
-            snap.Triage.Service.dropped snap.Triage.Service.queued
-            snap.Triage.Service.capacity snap.Triage.Service.clusters
-            snap.Triage.Service.processed;
-          (match snapshot with
-          | Some path ->
-              let oc = open_out path in
-              output_string oc (Triage.Service.snapshot_to_json snap);
-              output_string oc "\n";
-              close_out oc;
-              Printf.printf "snapshot written to %s\n" path
-          | None -> ());
-          if !stalled then begin
-            Printf.eprintf
-              "serve: ingestion stalled with %d report(s) still queued \
-               after %d tick(s)\n"
-              (Triage.Service.queue_depth svc) max_ticks;
-            Triage.Service.close svc;
-            finish_telemetry ();
-            5
-          end
-          else begin
-            let summary = Triage.Service.drain svc in
-            Triage.Service.close svc;
-            print_string (Triage.Summary.to_text summary);
-            (match json with
-            | Some path ->
-                let oc = open_out path in
-                output_string oc
-                  (Triage.Summary.to_json ~timing:true summary);
-                output_string oc "\n";
-                close_out oc;
-                Printf.printf "json summary written to %s\n" path
-            | None -> ());
-            finish_telemetry ();
-            if summary.Triage.Summary.reports = 0 && !rejections <> [] then
-              rejection_exit !rejections
-            else if summary.Triage.Summary.timed_out > 0 then 1
-            else 0
-          end)
+      with_service "serve" o config @@ fun ~cfg ~finish svc ->
+      let recovered = (Triage.Service.snapshot svc).Triage.Service.processed in
+      if recovered > 0 then
+        Printf.printf "recovered %d report(s) from the index\n" recovered;
+      (* every wire error met while ingesting, for the exit status *)
+      let rejections = ref [] in
+      let note : Triage.Service.outcome -> unit = function
+        | Rejected e -> rejections := e :: !rejections
+        | Queued | Dropped _ -> ()
+      in
+      (* phase 1: the generated fleet, submitted in seeded order with a
+         tick every [tick_every] submissions — faster than the service
+         drains on purpose, so backpressure is observable *)
+      if generate > 0 then begin
+        let gen = Workloads.Report_gen.make ~config:cfg () in
+        let stream =
+          Workloads.Report_gen.stream gen ~seed:o.seed ~clients ~torn_pct
+            generate
+        in
+        List.iteri
+          (fun i (r : Workloads.Report_gen.report) ->
+            note (Triage.Service.submit svc ~path:r.path r.wire);
+            if (i + 1) mod tick_every = 0 then ignore (Triage.Service.tick svc))
+          stream
+      end;
+      (* phase 2: watch the directory until it stops producing new files
+         and the queue is empty (two quiet rounds), bounded by
+         --max-ticks *)
+      let stalled = ref false in
+      (match dir with
+      | None ->
+          (* still bound the drain of the generated burst *)
+          let ticks = ref 0 in
+          while Triage.Service.queue_depth svc > 0 && not !stalled do
+            let n = Triage.Service.tick svc in
+            incr ticks;
+            if n = 0 || !ticks > max_ticks then stalled := true
+          done
+      | Some dir ->
+          let scanner = Triage.Ingest.scanner dir in
+          let quiet = ref 0 in
+          let ticks = ref 0 in
+          while !quiet < 2 && not !stalled do
+            let items, rejects = Triage.Ingest.poll scanner in
+            List.iter
+              (fun (i : Triage.Ingest.item) ->
+                ignore (Triage.Service.submit_ingested svc (Ok i)))
+              items;
+            List.iter
+              (fun (r : Triage.Ingest.rejected) ->
+                Printf.printf "rejected %s: %s\n" r.path
+                  (Instrument.Wire.error_to_string r.error);
+                note (Triage.Service.submit_ingested svc (Error r)))
+              rejects;
+            let n = Triage.Service.tick svc in
+            incr ticks;
+            if items = [] && rejects = [] && n = 0
+               && Triage.Service.queue_depth svc = 0
+            then incr quiet
+            else quiet := 0;
+            if !ticks > max_ticks then stalled := true
+          done);
+      let snap = Triage.Service.snapshot svc in
+      Printf.printf
+        "ingested: %d submitted, %d rejected, %d dropped, %d queued \
+         (capacity %d), %d clusters over %d report(s)\n"
+        snap.submitted snap.rejected snap.dropped snap.queued snap.capacity
+        snap.clusters snap.processed;
+      write_json ~what:"snapshot" snapshot
+        (Triage.Service.snapshot_to_json snap);
+      if !stalled then begin
+        Printf.eprintf
+          "serve: ingestion stalled with %d report(s) still queued after \
+           %d tick(s)\n"
+          (Triage.Service.queue_depth svc) max_ticks;
+        Triage.Service.close svc;
+        finish ();
+        5
+      end
+      else drain_and_report o ~finish ~errors:!rejections svc
 
 (* The adaptive deployment loop: rounds of field-run -> triage ->
    per-cohort policy refinement.  Exit 3 when a round aborts (a plan
    failed its fail-closed validity check, or a workload stopped
    crashing). *)
 
-let adapt_cmd rounds seed json trace metrics =
+let adapt_cmd rounds seed json telemetry =
   if rounds < 1 then begin
     prerr_endline "adapt: --rounds must be >= 1";
     2
   end
   else begin
-    let tel, finish_telemetry = make_telemetry trace metrics in
+    let tel, finish_telemetry = make_telemetry telemetry in
     let config =
       {
         Adaptive.Loop.default_config with
@@ -745,23 +566,90 @@ let adapt_cmd rounds seed json trace metrics =
           (if result.Adaptive.Loop.converged then "converged" else
              "still refining")
           (List.length result.Adaptive.Loop.rounds);
-        (match json with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Adaptive.Loop.result_to_json result);
-            output_string oc "\n";
-            close_out oc;
-            Printf.printf "json summary written to %s\n" path
-        | None -> ());
+        write_json ~what:"json summary" json
+          (Adaptive.Loop.result_to_json result);
         finish_telemetry ();
         0
   end
 
 (* ------------------------------------------------------------------ *)
-(* Cmdliner wiring *)
+(* Cmdliner wiring.  An option several commands take is defined once
+   below; only its default or the noun in its doc string varies. *)
 
 let workload_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
+
+let seed_arg ~default doc =
+  Arg.(value & opt int default & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
+
+(* --trace FILE and --metrics, as the pair [make_telemetry] takes *)
+let telemetry_t what =
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            ("Write a JSONL telemetry trace (spans, samples, counters) of "
+            ^ what ^ " to FILE."))
+  in
+  let metrics =
+    Arg.(
+      value & flag
+      & info [ "metrics" ]
+          ~doc:("Print the span tree and counter table after " ^ what ^ "."))
+  in
+  Term.(const (fun t m -> (t, m)) $ trace $ metrics)
+
+let json_arg what =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:("Write the strict-JSON " ^ what ^ " to FILE."))
+
+let timeout_arg =
+  Arg.(
+    value & opt float 20.0
+    & info [ "timeout"; "t" ] ~docv:"SECONDS"
+        ~doc:
+          "Replay budget per report (under triage, the budget of the \
+           ladder's final rung).")
+
+let triage_opts_t ~seed_doc ~what =
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            "Worker domains draining the cluster queue (each cluster's \
+             replay stays sequential, so outcomes are job-count \
+             independent).")
+  in
+  let deadline =
+    Arg.(
+      value & opt float 60.0
+      & info [ "deadline" ] ~docv:"SECONDS"
+          ~doc:"Wall-clock bound for the replay of the whole batch or drain.")
+  in
+  let index =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "index" ] ~docv:"DIR"
+          ~doc:
+            "Persistent fingerprint index: crash buckets are appended \
+             here and reloaded by later batches or serves, so clusters \
+             survive restarts (exit 6 when the index cannot be opened).")
+  in
+  Term.(
+    const (fun jobs deadline timeout seed index json telemetry ->
+        { jobs; deadline; timeout; seed; index; json; telemetry })
+    $ jobs $ deadline $ timeout_arg
+    $ seed_arg ~default:1 seed_doc
+    $ index
+    $ json_arg (what ^ " summary")
+    $ telemetry_t ("the " ^ what))
 
 let list_t = Term.(const list_cmd $ const ())
 
@@ -784,44 +672,21 @@ let demo_t =
       value & opt int 1
       & info [ "experiment"; "e" ] ~docv:"N" ~doc:"Experiment/bug number.")
   in
-  let timeout =
-    Arg.(
-      value & opt float 20.0
-      & info [ "timeout"; "t" ] ~docv:"SECONDS" ~doc:"Replay budget.")
-  in
   let save =
     Arg.(
       value
       & opt (some string) None
       & info [ "save" ] ~docv:"FILE" ~doc:"Write the bug report's wire form to FILE.")
   in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a JSONL telemetry trace (spans, samples, counters) of \
-             the whole pipeline to FILE.")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Print the span tree and counter table after the pipeline.")
-  in
   Term.(
-    const demo_cmd $ workload_arg $ meth $ exp $ timeout $ save $ trace
-    $ metrics)
+    const demo_cmd $ workload_arg $ meth $ exp $ timeout_arg $ save
+    $ telemetry_t "the whole pipeline")
 
 let fuzz_t =
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed"; "s" ] ~docv:"SEED"
-          ~doc:
-            "Campaign seed; per-case seeds derive from it, so a failure's \
-             reported seed re-runs alone with --count 1.")
+    seed_arg ~default:42
+      "Campaign seed; per-case seeds derive from it, so a failure's \
+       reported seed re-runs alone with --count 1."
   in
   let count =
     Arg.(
@@ -860,87 +725,18 @@ let fuzz_t =
             "Replay the .mc repro files under DIR through the oracles \
              instead of generating fresh cases.")
   in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL telemetry trace of the campaign to FILE.")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Print the span tree and counter table after the campaign.")
-  in
   Term.(
     const fuzz_cmd $ seed $ count $ shrink $ save_corpus $ thorough $ corpus
-    $ trace $ metrics)
+    $ telemetry_t "the campaign")
 
 let triage_t =
   let dir =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains draining the cluster queue (each cluster's \
-             replay stays sequential, so outcomes are job-count \
-             independent).")
-  in
-  let deadline =
-    Arg.(
-      value & opt float 60.0
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Global wall-clock bound for the whole batch.")
-  in
-  let timeout =
-    Arg.(
-      value & opt float 20.0
-      & info [ "timeout"; "t" ] ~docv:"SECONDS"
-          ~doc:"Per-report budget of the ladder's final rung.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed"; "s" ] ~docv:"SEED"
-          ~doc:"Batch seed; per-cluster replay seeds derive from it.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the strict-JSON triage summary to FILE.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL telemetry trace of the batch to FILE.")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Print the span tree and counter table after the batch.")
-  in
-  let index =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "index" ] ~docv:"DIR"
-          ~doc:
-            "Persistent fingerprint index: crash buckets are appended \
-             here and reloaded by later batches or serves (exit 6 when \
-             the index cannot be opened).")
-  in
   Term.(
-    const triage_cmd $ dir $ jobs $ deadline $ timeout $ seed $ index $ json
-    $ trace $ metrics)
+    const triage_cmd $ dir
+    $ triage_opts_t ~what:"batch"
+        ~seed_doc:"Batch seed; per-cluster replay seeds derive from it.")
 
 let serve_t =
   let dir =
@@ -973,14 +769,6 @@ let serve_t =
       value & opt float 0.1
       & info [ "torn-pct" ] ~docv:"FRACTION"
           ~doc:"Fraction of generated reports that arrive torn mid-log.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed"; "s" ] ~docv:"SEED"
-          ~doc:
-            "Service seed: drives per-cluster replay seeds, the sample \
-             drop policy and the load generator.")
   in
   let queue =
     Arg.(
@@ -1022,16 +810,6 @@ let serve_t =
           ~doc:
             "Give up (exit 5) if the queue has not drained after N ticks.")
   in
-  let index =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "index" ] ~docv:"DIR"
-          ~doc:
-            "Persistent fingerprint index: crash buckets are appended \
-             here and reloaded on the next serve, so clusters survive \
-             restarts.")
-  in
   let wall_clock =
     Arg.(
       value & flag
@@ -1042,24 +820,6 @@ let serve_t =
              cluster's reproduced-vs-timed_out verdict depends only on \
              its replay-run budget, not on scheduling noise.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains finishing replay courses at drain.")
-  in
-  let deadline =
-    Arg.(
-      value & opt float 60.0
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock bound for the drain's replay phase.")
-  in
-  let timeout =
-    Arg.(
-      value & opt float 20.0
-      & info [ "timeout"; "t" ] ~docv:"SECONDS"
-          ~doc:"Per-report budget of the ladder's final rung.")
-  in
   let snapshot =
     Arg.(
       value
@@ -1069,30 +829,13 @@ let serve_t =
             "Write the post-ingestion service snapshot (queue, drops, \
              clusters, window analytics) as strict JSON to FILE.")
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the strict-JSON drain summary to FILE.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL telemetry trace of the service to FILE.")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Print the span tree and counter table after the drain.")
-  in
   Term.(
-    const serve_cmd $ dir $ generate $ clients $ torn_pct $ seed $ queue
-    $ drop $ burst $ window $ tick_every $ max_ticks $ index $ wall_clock
-    $ jobs $ deadline $ timeout $ snapshot $ json $ trace $ metrics)
+    const serve_cmd $ dir $ generate $ clients $ torn_pct $ queue $ drop
+    $ burst $ window $ tick_every $ max_ticks $ wall_clock $ snapshot
+    $ triage_opts_t ~what:"drain"
+        ~seed_doc:
+          "Service seed: drives per-cluster replay seeds, the sample \
+           drop policy and the load generator.")
 
 let adapt_t =
   let rounds =
@@ -1102,35 +845,15 @@ let adapt_t =
           ~doc:"Deployment rounds to simulate.")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed"; "s" ] ~docv:"SEED"
-          ~doc:
-            "Master seed: log tearing, replay search and the triage \
-             service all derive from it, so same seed means \
-             byte-identical round summaries.")
+    seed_arg ~default:1
+      "Master seed: log tearing, replay search and the triage service \
+       all derive from it, so same seed means byte-identical round \
+       summaries."
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the strict-JSON per-round summaries to FILE.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL telemetry trace of every round to FILE.")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Print the span tree and counter table after the last round.")
-  in
-  Term.(const adapt_cmd $ rounds $ seed $ json $ trace $ metrics)
+  Term.(
+    const adapt_cmd $ rounds $ seed
+    $ json_arg "per-round summaries"
+    $ telemetry_t "every round")
 
 let batch_t =
   let dir =
@@ -1143,12 +866,9 @@ let batch_t =
           ~doc:"Number of report files to write (duplicates included).")
   in
   let seed =
-    Arg.(
-      value & opt int 7
-      & info [ "seed"; "s" ] ~docv:"SEED"
-          ~doc:
-            "Seed for which files arrive torn and where each tear lands; \
-             the same (seed, count, torn) writes a byte-identical batch.")
+    seed_arg ~default:7
+      "Seed for which files arrive torn and where each tear lands; the \
+       same (seed, count, torn) writes a byte-identical batch."
   in
   let torn =
     Arg.(

@@ -15,7 +15,8 @@
 #                             # (elided > 0 + reconstruction parity on the
 #                             # walkthrough program), a triage smoke
 #                             # over a generated batch with duplicates and
-#                             # torn tails (strict JSON summary validated),
+#                             # torn tails (generated twice: byte-identical;
+#                             # strict JSON summary validated),
 #                             # a damaged-index smoke (triage and serve
 #                             # exit 6 on an unreadable --index, 4 on a
 #                             # directory of only future-version reports,
@@ -168,10 +169,15 @@ EOF
   echo "== triage smoke (batch with duplicates + torn tails) =="
   # a tiny generated batch: duplicates must collapse (dedup < 1), the torn
   # reports must come through the salvage path, and the summary must be
-  # strict JSON (CI parses and uploads it)
+  # strict JSON (CI parses and uploads it).  The same (seed, count, torn)
+  # must write a byte-identical batch, so it is generated twice
   BATCH=$(mktemp -d /tmp/triage-batch.XXXXXX)
+  BATCH2=$(mktemp -d /tmp/triage-batch.XXXXXX)
   SUMMARY=$(mktemp /tmp/triage-summary.XXXXXX.json)
   dune exec bin/bugrepro_cli.exe -- batch "$BATCH" --count 8 --seed 7 --torn 2
+  dune exec bin/bugrepro_cli.exe -- batch "$BATCH2" --count 8 --seed 7 --torn 2
+  diff -r "$BATCH" "$BATCH2" || {
+    echo "error: the same batch seed wrote different reports" >&2; exit 1; }
   dune exec bin/bugrepro_cli.exe -- triage "$BATCH" --jobs 4 --json "$SUMMARY"
   if command -v python3 >/dev/null 2>&1; then
     python3 - "$SUMMARY" <<'EOF'

@@ -36,7 +36,6 @@ module Config = struct
     replay_budget : Concolic.Engine.budget;
         (** developer's patience for {!Run.reproduce} *)
     analyze_lib : bool;  (** false = the paper's uServer setup (§5.3) *)
-    refine : bool;  (** false = seed (unrefined) static pipeline *)
     jobs : int;
         (** worker domains draining a triage batch's cluster queue
             ([Triage.Sched.policy_of_config]); each search (analysis,
@@ -47,7 +46,6 @@ module Config = struct
             redundant instrumented branches ship a reconstruction rule
             instead of log bits *)
     seed : int;  (** replay's initial random input *)
-    replay_max_steps : int;  (** interpreter step cap per replay run *)
     telemetry : Telemetry.t;
         (** handle threaded through every stage; {!Telemetry.disabled} by
             default, where every probe is a no-op *)
@@ -58,12 +56,10 @@ module Config = struct
       dynamic_budget = Concolic.Engine.default_budget;
       replay_budget = Concolic.Engine.default_budget;
       analyze_lib = true;
-      refine = true;
       jobs = 1;
       log_syscalls = true;
       suppression = false;
       seed = 1;
-      replay_max_steps = 5_000_000;
       telemetry = Telemetry.disabled;
     }
 
@@ -78,11 +74,9 @@ module Config = struct
 
   let with_telemetry telemetry c = { c with telemetry }
   let with_analyze_lib analyze_lib c = { c with analyze_lib }
-  let with_refine refine c = { c with refine }
   let with_log_syscalls log_syscalls c = { c with log_syscalls }
   let with_suppression suppression c = { c with suppression }
   let with_seed seed c = { c with seed }
-  let with_replay_max_steps replay_max_steps c = { c with replay_max_steps }
 end
 
 (** The pipeline stages, each taking the {!Config.t} first.  Stages open
@@ -100,7 +94,7 @@ module Run = struct
     let static =
       Some
         (Staticanalysis.Static.analyze ~analyze_lib:c.analyze_lib
-           ~refine:c.refine ~telemetry:c.telemetry prog)
+           ~telemetry:c.telemetry prog)
     in
     Telemetry.Span.addi sp "branches" (Program.nbranches prog);
     { prog; dynamic; static }
@@ -163,8 +157,7 @@ module Run = struct
       ~(plan : Instrument.Plan.t) (report : Instrument.Report.t) :
       Replay.Guided.result * Replay.Guided.stats =
     Replay.Guided.reproduce ~budget:c.replay_budget ~seed:c.seed
-      ~max_steps:c.replay_max_steps ~telemetry:c.telemetry
-      ~prog ~plan report
+      ~telemetry:c.telemetry ~prog ~plan report
 end
 
 (** Precision report of the static labels against the dynamic ground
@@ -176,7 +169,40 @@ let precision (a : analysis) : Staticanalysis.Precision.report option =
   | (Some _ | None), _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Measurement oracle for Table 4 / Table 7 style statistics *)
+(* Measurement oracles *)
+
+(* One run of [sc] with symbolic inputs over the concrete simulated OS;
+   [on_branch bid cond] sees every branch execution.  [sym_results] makes
+   system-call results symbolic too. *)
+let symbolic_run ~sym_results (sc : Concolic.Scenario.t) on_branch =
+  let vars = Solver.Symvars.create () in
+  let world, handle = Osmodel.World.kernel sc.world in
+  let sk =
+    Concolic.Sym_kernel.create ~vars ~model:Solver.Model.empty ~world ~handle
+      ~sym_results ()
+  in
+  let hooks =
+    {
+      Interp.Eval.no_hooks with
+      Interp.Eval.on_branch =
+        (fun ~bid ~iter:_ ~taken ~cond ->
+          on_branch bid cond;
+          taken);
+    }
+  in
+  let caps = (Concolic.Scenario.shape_of sc).arg_caps in
+  let cfg =
+    {
+      Interp.Eval.inputs =
+        Concolic.Sym_kernel.symbolic_args ~vars ~model:Solver.Model.empty sc ~caps;
+      kernel = Concolic.Sym_kernel.kernel sk;
+      hooks;
+      max_steps = sc.max_steps;
+      scheduler = None;
+    }
+  in
+  let (_ : Interp.Eval.result) = Interp.Eval.run sc.prog cfg in
+  ()
 
 type symbolic_logging_stats = {
   logged_locs : int;  (** symbolic branch locations that are instrumented *)
@@ -198,35 +224,10 @@ type symbolic_logging_stats = {
 let measure_symbolic_logging ?(syscall_results_symbolic = false)
     ~(plan : Instrument.Plan.t) (sc : Concolic.Scenario.t) :
     symbolic_logging_stats =
-  let vars = Solver.Symvars.create () in
-  let world, handle = Osmodel.World.kernel sc.world in
-  let sk =
-    Concolic.Sym_kernel.create ~vars ~model:Solver.Model.empty ~world ~handle
-      ~sym_results:syscall_results_symbolic ()
-  in
-  let n = Program.nbranches sc.prog in
-  let sym_execs = Array.make n 0 in
-  let hooks =
-    {
-      Interp.Eval.no_hooks with
-      Interp.Eval.on_branch =
-        (fun ~bid ~iter:_ ~taken ~cond ->
-          if Interp.Value.is_symbolic cond then sym_execs.(bid) <- sym_execs.(bid) + 1;
-          taken);
-    }
-  in
-  let caps = (Concolic.Scenario.shape_of sc).arg_caps in
-  let cfg =
-    {
-      Interp.Eval.inputs =
-        Concolic.Sym_kernel.symbolic_args ~vars ~model:Solver.Model.empty sc ~caps;
-      kernel = Concolic.Sym_kernel.kernel sk;
-      hooks;
-      max_steps = sc.max_steps;
-      scheduler = None;
-    }
-  in
-  let (_ : Interp.Eval.result) = Interp.Eval.run sc.prog cfg in
+  let sym_execs = Array.make (Program.nbranches sc.prog) 0 in
+  symbolic_run ~sym_results:syscall_results_symbolic sc (fun bid cond ->
+      if Interp.Value.is_symbolic cond then
+        sym_execs.(bid) <- sym_execs.(bid) + 1);
   let stats = ref { logged_locs = 0; logged_execs = 0; unlogged_locs = 0; unlogged_execs = 0 } in
   Array.iteri
     (fun bid execs ->
@@ -242,9 +243,6 @@ let measure_symbolic_logging ?(syscall_results_symbolic = false)
     sym_execs;
   !stats
 
-(* ------------------------------------------------------------------ *)
-(* Branch-behaviour measurement (Figure 1 / Figure 3 style) *)
-
 type branch_exec_stats = {
   total_execs : int array;  (** executions per branch id *)
   symbolic_execs : int array;  (** executions with a symbolic condition *)
@@ -254,35 +252,10 @@ type branch_exec_stats = {
     execution counts, total and symbolic — the data behind the paper's
     Figures 1 and 3 and its two branch-behaviour observations. *)
 let measure_branch_behaviour (sc : Concolic.Scenario.t) : branch_exec_stats =
-  let vars = Solver.Symvars.create () in
-  let world, handle = Osmodel.World.kernel sc.world in
-  let sk =
-    Concolic.Sym_kernel.create ~vars ~model:Solver.Model.empty ~world ~handle
-      ~sym_results:true ()
-  in
   let n = Program.nbranches sc.prog in
   let total = Array.make n 0 in
   let sym = Array.make n 0 in
-  let hooks =
-    {
-      Interp.Eval.no_hooks with
-      Interp.Eval.on_branch =
-        (fun ~bid ~iter:_ ~taken ~cond ->
-          total.(bid) <- total.(bid) + 1;
-          if Interp.Value.is_symbolic cond then sym.(bid) <- sym.(bid) + 1;
-          taken);
-    }
-  in
-  let caps = (Concolic.Scenario.shape_of sc).arg_caps in
-  let cfg =
-    {
-      Interp.Eval.inputs =
-        Concolic.Sym_kernel.symbolic_args ~vars ~model:Solver.Model.empty sc ~caps;
-      kernel = Concolic.Sym_kernel.kernel sk;
-      hooks;
-      max_steps = sc.max_steps;
-      scheduler = None;
-    }
-  in
-  let (_ : Interp.Eval.result) = Interp.Eval.run sc.prog cfg in
+  symbolic_run ~sym_results:true sc (fun bid cond ->
+      total.(bid) <- total.(bid) + 1;
+      if Interp.Value.is_symbolic cond then sym.(bid) <- sym.(bid) + 1);
   { total_execs = total; symbolic_execs = sym }

@@ -26,7 +26,6 @@ module Config : sig
     replay_budget : Concolic.Engine.budget;
         (** developer's patience for {!Run.reproduce} *)
     analyze_lib : bool;  (** false = the paper's uServer setup (§5.3) *)
-    refine : bool;  (** false = seed (unrefined) static pipeline *)
     jobs : int;
         (** worker domains draining a triage batch's cluster queue
             ([Triage.Sched.policy_of_config]); each search (analysis,
@@ -38,7 +37,6 @@ module Config : sig
             instrumented branches ship a reconstruction rule instead of
             log bits.  Off by default (the paper's raw configuration). *)
     seed : int;  (** replay's initial random input *)
-    replay_max_steps : int;  (** interpreter step cap per replay run *)
     telemetry : Telemetry.t;
         (** handle threaded through every stage; {!Telemetry.disabled} by
             default, where every probe is a no-op *)
@@ -58,11 +56,9 @@ module Config : sig
     t
   val with_telemetry : Telemetry.t -> t -> t
   val with_analyze_lib : bool -> t -> t
-  val with_refine : bool -> t -> t
   val with_log_syscalls : bool -> t -> t
   val with_suppression : bool -> t -> t
   val with_seed : int -> t -> t
-  val with_replay_max_steps : int -> t -> t
 end
 
 (** The pipeline stages, each taking the {!Config.t} first.  Stages open

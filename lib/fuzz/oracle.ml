@@ -89,7 +89,7 @@ let explore ~(cfg : cfg) (sc : Concolic.Scenario.t) : explo =
 
 let labels_oracle (cfg : cfg) (case : Gen.case) (base : explo) : verdict =
   let static =
-    Staticanalysis.Static.analyze ~analyze_lib:true ~refine:cfg.config.refine
+    Staticanalysis.Static.analyze ~analyze_lib:true
       ~telemetry:cfg.config.telemetry case.Gen.prog
   in
   let report =
@@ -745,8 +745,7 @@ let run ?only (cfg : cfg) (case : Gen.case) : outcome list =
   (* static labels for the plans, computed once *)
   let static_labels =
     lazy
-      (Staticanalysis.Static.analyze ~analyze_lib:true ~refine:cfg.config.refine
-         case.Gen.prog)
+      (Staticanalysis.Static.analyze ~analyze_lib:true case.Gen.prog)
         .labels
   in
   (* the truncation sweep is method-independent soundness, so one report

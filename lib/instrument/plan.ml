@@ -74,14 +74,8 @@ let make ~(nbranches : int) ?(dynamic : Label.map option)
 let with_suppression t (sup : Staticanalysis.Suppression.t) =
   { t with suppression = Some sup }
 
-(** Tag a plan with the deployment cohort it was compiled for. *)
-let with_cohort t cohort = { t with cohort = Some cohort }
-
 (** The suppression table shipped with this plan ([[]] when none). *)
 let suppression_table t =
   match t.suppression with
   | None -> []
   | Some sup -> Staticanalysis.Suppression.to_table sup
-
-(** Count instrumented branch locations restricted to an id subset. *)
-let count_in t ids = List.length (List.filter (is_instrumented t) ids)

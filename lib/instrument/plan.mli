@@ -18,9 +18,6 @@ type t = {
 val is_instrumented : t -> int -> bool
 val instrumented_ids : t -> int list
 
-(** Tag a plan with the deployment cohort it was compiled for. *)
-val with_cohort : t -> string -> t
-
 (** Refine a plan with a suppression table.  The caller must have run
     {!Staticanalysis.Suppression.verify} first (the pipeline does); an
     unverified table must never reach the field. *)
@@ -46,6 +43,3 @@ val make :
   ?static:Minic.Label.map ->
   Methods.t ->
   t
-
-(** Count instrumented branch locations within an id subset. *)
-val count_in : t -> int list -> int

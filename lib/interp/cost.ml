@@ -43,8 +43,3 @@ let charge_syscall t =
 let charge_logged_syscall t =
   t.logged_syscalls <- t.logged_syscalls + 1;
   t.instr <- t.instr + logged_syscall
-
-(** Relative CPU time of [t] against a baseline, in percent (100.0 = equal). *)
-let relative_percent ~baseline t =
-  if baseline.instr = 0 then 0.0
-  else 100.0 *. float_of_int t.instr /. float_of_int baseline.instr

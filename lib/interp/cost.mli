@@ -30,7 +30,3 @@ val charge_branch : t -> unit
 val charge_logged_branch : t -> unit
 val charge_syscall : t -> unit
 val charge_logged_syscall : t -> unit
-
-(** Relative CPU time of [t] against a baseline, in percent (100.0 =
-    equal). *)
-val relative_percent : baseline:t -> t -> float

@@ -411,6 +411,24 @@ let reexecute ~prog ~vars ~seed (report : Report.t) model =
         | _ -> None);
     }
 
+(* Fold an earlier attempt's engine stats into [into]: counters and
+   elapsed time add up, [pending_peak] is the larger, [timed_out] stays
+   [into]'s (the last attempt's). *)
+let add_engine_stats ~(into : Concolic.Engine.stats) (p : Concolic.Engine.stats) =
+  into.runs <- into.runs + p.runs;
+  into.resumes <- into.resumes + p.resumes;
+  into.sat <- into.sat + p.sat;
+  into.unsat <- into.unsat + p.unsat;
+  into.unknown <- into.unknown + p.unknown;
+  into.pending_peak <- max into.pending_peak p.pending_peak;
+  into.elapsed_s <- into.elapsed_s +. p.elapsed_s;
+  into.forks <- into.forks + p.forks;
+  into.core_pruned <- into.core_pruned + p.core_pruned;
+  into.solved_incremental <- into.solved_incremental + p.solved_incremental;
+  into.solver_calls <- into.solver_calls + p.solver_calls;
+  into.steals <- into.steals + p.steals;
+  into.worker_runs <- [| into.runs |]
+
 (** Reproduce the bug described by [report].  [budget] is the developer's
     patience (the paper's one-hour limit, scaled).  Solver queries are
     memoized across pendings and across restarts — alpha-renaming makes
@@ -498,9 +516,10 @@ let reproduce ?(budget = Concolic.Engine.default_budget) ?(seed = 1)
     in
     (match acc_stats with
     | Some (prev : stats) ->
-        (* accumulate case counters across restarts for reporting *)
+        (* report totals over every attempt, as the engine.* telemetry
+           counters (added once per attempt) do *)
         merge_cases ~into:cases prev.cases;
-        engine_stats.runs <- !total_runs
+        add_engine_stats ~into:engine_stats prev.engine
     | None -> ());
     match found with
     | Some (model, crash) ->

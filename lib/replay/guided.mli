@@ -29,6 +29,12 @@ type case_stats = {
   mutable log_exhausted : int;  (** bits missing (truncated log) *)
 }
 
+(** All-zero case counters. *)
+val new_case_stats : unit -> case_stats
+
+(** [merge_cases ~into c] adds [c]'s counters to [into]'s. *)
+val merge_cases : into:case_stats -> case_stats -> unit
+
 type result =
   | Reproduced of {
       model : Solver.Model.t;  (** the synthesised crashing input *)
@@ -43,6 +49,8 @@ type result =
 
 type stats = {
   engine : Concolic.Engine.stats;
+      (** totals over every attempt: counters and [elapsed_s] summed,
+          [pending_peak] the largest, [timed_out] the last attempt's *)
   cases : case_stats;
   vars : Solver.Symvars.t;  (** variable registry, for decoding the model *)
   cache : Solver.Cache.snapshot;

@@ -12,7 +12,7 @@
     condition-false exit edge): extra edges only ever enlarge path sets, so
     clients that treat "on some path" as a kill condition stay sound.
 
-    Dominators and post-dominators use the iterative algorithm of Cooper,
+    Dominators use the iterative algorithm of Cooper,
     Harvey and Kennedy over a reverse post-order; MiniC functions are small
     enough that the simple O(n^2) worst case is irrelevant. *)
 
@@ -38,9 +38,6 @@ type t = {
   idom : int array;
       (** immediate dominator per node; [entry] maps to itself and
           unreachable nodes to [-1] *)
-  ipdom : int array;
-      (** immediate post-dominator; [exit_] maps to itself, nodes that
-          cannot reach [exit_] to [-1] *)
 }
 
 let nnodes t = Array.length t.kinds
@@ -49,9 +46,8 @@ let kind t n = t.kinds.(n)
 let branch_node_of t ~bid = Hashtbl.find_opt t.branch_node bid
 
 (* ------------------------------------------------------------------ *)
-(* Dominators: Cooper/Harvey/Kennedy iteration over reverse post-order.
-   [roots] seeds the DFS ([entry] for dominators, [exit_] for
-   post-dominators on the reversed graph). *)
+(* Dominators: Cooper/Harvey/Kennedy iteration over reverse post-order
+   from [root]. *)
 
 let compute_idom ~n ~(succ : int array array) ~(pred : int array array) ~root :
     int array =
@@ -193,7 +189,6 @@ let of_func (f : Ast.func) : t =
   let succ = Array.map Array.of_list succ_l in
   let pred = Array.map Array.of_list pred_l in
   let idom = compute_idom ~n ~succ ~pred ~root:entry in
-  let ipdom = compute_idom ~n ~succ:pred ~pred:succ ~root:exit_ in
   {
     func = f;
     kinds;
@@ -205,7 +200,6 @@ let of_func (f : Ast.func) : t =
     true_succ;
     false_succ;
     idom;
-    ipdom;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -225,8 +219,6 @@ let dominates t a b = chain_dominates t.idom a b
 
 (** [a] strictly dominates [b]. *)
 let strictly_dominates t a b = a <> b && dominates t a b
-
-let post_dominates t a b = chain_dominates t.ipdom a b
 
 (* BFS over [next], never stepping onto [avoid]. *)
 let flood ~(next : int array array) ~(avoid : int) ~n (seeds : int list) :

@@ -1,5 +1,4 @@
-(** Per-function control-flow graphs with dominator and post-dominator
-    trees, built from the structured MiniC AST.  The explicit graph backs
+(** Per-function control-flow graphs with a dominator tree, built from the structured MiniC AST.  The explicit graph backs
     the suppression proofs ({!Suppression}): dominance queries, arm
     membership and on-some-path kill sets. *)
 
@@ -21,7 +20,6 @@ type t = {
   true_succ : (int, int) Hashtbl.t;
   false_succ : (int, int) Hashtbl.t;
   idom : int array;
-  ipdom : int array;
 }
 
 val of_func : Minic.Ast.func -> t
@@ -39,7 +37,6 @@ val reachable : t -> int -> bool
 val dominates : t -> int -> int -> bool
 
 val strictly_dominates : t -> int -> int -> bool
-val post_dominates : t -> int -> int -> bool
 
 (** Nodes on some path from a node of [srcs] to [dst] in the graph with
     node [avoid] deleted (endpoints included; cycles covered). *)

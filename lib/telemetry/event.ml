@@ -25,12 +25,6 @@ type t =
   | Counter of { name : string; t : float; value : int }
       (** final (monotonic) counter value, emitted on publish *)
 
-let timestamp = function
-  | Span_begin s -> s.t
-  | Span_end s -> s.t
-  | Sample s -> s.t
-  | Counter c -> c.t
-
 (* ------------------------------------------------------------------ *)
 (* Strict-JSON encoding (one object per line; CI parses it) *)
 

@@ -20,8 +20,6 @@ type t =
   | Counter of { name : string; t : float; value : int }
       (** final (monotonic) counter value, emitted on publish *)
 
-val timestamp : t -> float
-
 (** One-line strict-JSON form, the unit of the [--trace] JSONL output. *)
 val to_json : t -> string
 

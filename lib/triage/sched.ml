@@ -65,19 +65,6 @@ type cluster_result = {
 type resolve =
   Cluster.t -> (Minic.Program.t * Instrument.Plan.t, string) result
 
-let zero_cases () : Guided.case_stats =
-  { case1 = 0; case2a = 0; case2b = 0; case3a = 0; case3b = 0; case4 = 0;
-    log_exhausted = 0 }
-
-let add_cases ~(into : Guided.case_stats) (c : Guided.case_stats) =
-  into.case1 <- into.case1 + c.case1;
-  into.case2a <- into.case2a + c.case2a;
-  into.case2b <- into.case2b + c.case2b;
-  into.case3a <- into.case3a + c.case3a;
-  into.case3b <- into.case3b + c.case3b;
-  into.case4 <- into.case4 + c.case4;
-  into.log_exhausted <- into.log_exhausted + c.log_exhausted
-
 (* Worker scheduling must not influence outcomes, so the replay seed is a
    pure function of the batch seed and the cluster's identity. *)
 let cluster_seed policy (c : Cluster.t) =
@@ -113,7 +100,7 @@ let course ~policy ~prog ~plan (c : Cluster.t) : course =
     prog;
     plan;
     seed = cluster_seed policy c;
-    cases = zero_cases ();
+    cases = Guided.new_case_stats ();
     ladder = policy.ladder;
     rungs = 0;
     runs = 0;
@@ -164,7 +151,7 @@ let course_step ?(telemetry = Telemetry.disabled) ~cache ~deadline ~max_rungs
                 ~max_attempts:k.policy.max_attempts ~telemetry ~prog:k.prog
                 ~plan:k.plan report
             in
-            add_cases ~into:k.cases stats.Guided.cases;
+            Guided.merge_cases ~into:k.cases stats.Guided.cases;
             let rung_s = Guided.elapsed result in
             k.elapsed <- k.elapsed +. rung_s;
             k.rungs <- k.rungs + 1;

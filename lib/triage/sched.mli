@@ -57,10 +57,6 @@ type cluster_result = {
   cases : Replay.Guided.case_stats;  (** §3.1 counters summed over rungs *)
 }
 
-(** All-zero §3.1 case counters (for synthesizing results — e.g. a
-    cluster whose program failed to resolve). *)
-val zero_cases : unit -> Replay.Guided.case_stats
-
 (** Resolve a cluster's program text and instrumentation plan (the wire
     form carries only the program's name).  Called in the scheduling
     domain, once per cluster, before workers start. *)

@@ -420,7 +420,7 @@ let failed_result (c : Cluster.t) msg : Sched.cluster_result =
     runs = 0;
     elapsed_s = 0.0;
     rung_elapsed_s = [];
-    cases = Sched.zero_cases ();
+    cases = Replay.Guided.new_case_stats ();
   }
 
 let drain ?(rejected = []) (t : t) : Summary.t =

@@ -2,178 +2,86 @@
 
 module Methods = Instrument.Methods
 
-type source = {
-  s_key : string;  (** workload key ("mkdir", "userver") *)
-  s_program : string;  (** program name the wire form will carry *)
-  s_meth : Methods.t;
-  s_prog : unit -> Minic.Program.t;
-  s_scenario : unit -> Concolic.Scenario.t;
-  s_analyze_lib : bool;
+type base = {
+  entry : Catalog.entry;
+  experiment : Catalog.experiment;
+  meth : Methods.t;
 }
 
-let coreutils_source util meth =
-  let e = Coreutils.find util in
-  {
-    s_key = util;
-    s_program = util;
-    s_meth = meth;
-    s_prog = (fun () -> Lazy.force e.Coreutils.prog);
-    s_scenario = (fun () -> Coreutils.crash_scenario e);
-    s_analyze_lib = true;
-  }
+let base name id meth =
+  match Catalog.find name with
+  | Ok entry ->
+      let experiment =
+        List.find (fun (x : Catalog.experiment) -> x.id = id) entry.experiments
+      in
+      { entry; experiment; meth }
+  | Error e -> invalid_arg e
 
-(* µServer crashes arrive from simulated clients: the experiment's
-   requests ride behind a benign Http_gen preamble-free stream (the
-   experiment scenario itself), named "userver-expN" on the wire *)
-let userver_source id meth =
-  let e = Userver.experiment id in
-  {
-    s_key = "userver";
-    s_program = Printf.sprintf "userver-exp%d" id;
-    s_meth = meth;
-    s_prog = (fun () -> Lazy.force Userver.prog);
-    s_scenario = (fun () -> Userver.experiment_scenario e);
-    s_analyze_lib = false;
-  }
-
-let quick_sources () =
+(* µServer crashes arrive from simulated clients: each experiment's
+   request stream is one client's crash, named "userver-expN" on the
+   wire *)
+let quick_bases () =
   [
-    coreutils_source "mkdir" Methods.All_branches;
-    coreutils_source "paste" Methods.Static;
-    userver_source 1 Methods.Static;
+    base "mkdir" 1 Methods.All_branches;
+    base "paste" 1 Methods.Static;
+    base "userver" 1 Methods.Static;
   ]
 
-let full_sources () =
+let full_bases () =
   [
-    coreutils_source "mkdir" Methods.All_branches;
-    coreutils_source "mknod" Methods.Static;
-    coreutils_source "mkfifo" Methods.All_branches;
-    coreutils_source "paste" Methods.Static;
-    userver_source 1 Methods.Static;
-    userver_source 3 Methods.Static;
+    base "mkdir" 1 Methods.All_branches;
+    base "mknod" 1 Methods.Static;
+    base "mkfifo" 1 Methods.All_branches;
+    base "paste" 1 Methods.Static;
+    base "userver" 1 Methods.Static;
+    base "userver" 3 Methods.Static;
   ]
 
 type t = {
-  config : Bugrepro.Pipeline.Config.t;
-  sources : source list;
-  analyses : (string, Bugrepro.Pipeline.analysis) Hashtbl.t;  (** by s_key *)
-  plans :
-    ( string * Methods.t,
-      Minic.Program.t * Instrument.Plan.t )
-    Hashtbl.t;  (** by (s_key, method) *)
-  mutable wires : string array option;  (** one recorded wire per source *)
+  memo : Catalog.memo;
+  bases : base list;
+  mutable wires : string array option;  (** one recorded wire per base *)
 }
 
 let make ?(quick = false) ~config () =
   {
-    config;
-    sources = (if quick then quick_sources () else full_sources ());
-    analyses = Hashtbl.create 8;
-    plans = Hashtbl.create 8;
+    memo = Catalog.memo config;
+    bases = (if quick then quick_bases () else full_bases ());
     wires = None;
   }
 
-let bases t = List.map (fun s -> (s.s_program, s.s_meth)) t.sources
-
-let source_config t (s : source) =
-  Bugrepro.Pipeline.Config.with_analyze_lib s.s_analyze_lib t.config
-
-let analysis_of t (s : source) =
-  match Hashtbl.find_opt t.analyses s.s_key with
-  | Some a -> a
-  | None ->
-      let a = Bugrepro.Pipeline.Run.analyze (source_config t s) (s.s_prog ()) in
-      Hashtbl.add t.analyses s.s_key a;
-      a
-
-let plan_of t (s : source) =
-  match Hashtbl.find_opt t.plans (s.s_key, s.s_meth) with
-  | Some pp -> pp
-  | None ->
-      let analysis = analysis_of t s in
-      let plan =
-        Bugrepro.Pipeline.Run.plan (source_config t s) analysis s.s_meth
-      in
-      let pp = (analysis.Bugrepro.Pipeline.prog, plan) in
-      Hashtbl.add t.plans (s.s_key, s.s_meth) pp;
-      pp
-
-(* Program-name resolution, ignoring the method: exact scenario name,
-   then workload key, then the prefix before the first '-'. *)
-let find_source t ~program =
-  let by key =
-    List.find_opt (fun s -> String.equal s.s_key key) t.sources
-  in
-  match
-    List.find_opt (fun s -> String.equal s.s_program program) t.sources
-  with
-  | Some s -> Some s
-  | None -> (
-      match by program with
-      | Some s -> Some s
-      | None -> (
-          match String.index_opt program '-' with
-          | None -> None
-          | Some i -> by (String.sub program 0 i)))
-
-(* The wire form names the program by its field-run scenario name; match
-   exactly first, then by the prefix before the first '-' (the same
-   convention the CLI's triage resolver uses for "userver-exp3"). *)
-let source_for t ~program ~meth =
-  let matches (s : source) key = String.equal s.s_key key && s.s_meth = meth in
-  let by key = List.find_opt (fun s -> matches s key) t.sources in
-  let found =
-    match List.find_opt (fun s -> String.equal s.s_program program) t.sources with
-    | Some s when s.s_meth = meth -> Some s
-    | _ -> (
-        match by program with
-        | Some s -> Some s
-        | None -> (
-            match String.index_opt program '-' with
-            | None -> None
-            | Some i -> by (String.sub program 0 i)))
-  in
-  match found with
-  | Some s -> Ok s
-  | None ->
-      Error
-        (Printf.sprintf "report_gen: no base for %s (%s)" program
-           (Methods.to_string meth))
+let bases t = List.map (fun b -> (b.experiment.program, b.meth)) t.bases
 
 let plan_for t ~program ~meth =
-  Result.map (plan_of t) (source_for t ~program ~meth)
+  Result.map (fun e -> Catalog.plan t.memo e meth) (Catalog.find program)
 
 let crash_base t ~program ~meth =
-  match find_source t ~program with
-  | None ->
-      Error
-        (Printf.sprintf "report_gen: no base for %s (%s)" program
-           (Methods.to_string meth))
-  | Some s ->
-      (* re-key the source on the requested method: [plan_of] memoizes by
-         (workload, method), so any §2.3 plan can be compiled over a
-         recorded base regardless of the method it was recorded with *)
-      let s = { s with s_meth = meth } in
-      let prog, plan = plan_of t s in
-      Ok (prog, plan, s.s_scenario ())
+  Result.map
+    (fun (e : Catalog.entry) ->
+      (* the experiment whose crash carries this name, else the first *)
+      let x =
+        match
+          List.find_opt
+            (fun (x : Catalog.experiment) -> String.equal x.program program)
+            e.experiments
+        with
+        | Some x -> x
+        | None -> List.hd e.experiments
+      in
+      let prog, plan = Catalog.plan t.memo e meth in
+      (prog, plan, e.crash x.id))
+    (Catalog.find program)
 
 let record_wires t =
   match t.wires with
   | Some w -> w
   | None ->
       let w =
-        t.sources
-        |> List.map (fun s ->
-               let _prog, plan = plan_of t s in
-               let _field, report =
-                 Bugrepro.Pipeline.Run.field_run_report (source_config t s)
-                   ~plan (s.s_scenario ())
-               in
-               match report with
-               | Some r -> Instrument.Wire.serialize r
-               | None ->
-                   failwith
-                     (s.s_program ^ ": crash scenario did not crash"))
+        t.bases
+        |> List.map (fun b ->
+               match Catalog.record t.memo b.entry b.experiment b.meth with
+               | Ok wire -> wire
+               | Error e -> failwith e)
         |> Array.of_list
       in
       t.wires <- Some w;

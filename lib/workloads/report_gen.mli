@@ -23,11 +23,10 @@ val make : ?quick:bool -> config:Bugrepro.Pipeline.Config.t -> unit -> t
     Program names are wire-form names ("mkdir", "userver-exp1", ...). *)
 val bases : t -> (string * Instrument.Methods.t) list
 
-(** Resolve a report's (program, method) back to its analyzed program
-    and instrumentation plan — exact program-name match first, then the
-    prefix before the first ['-'] ("userver-exp3" → "userver").  Memoized
-    (one analysis per workload, one plan per method); callers wrap this
-    into a {!Triage.Sched.resolve}. *)
+(** A report's (program, method) resolved through {!Catalog.find} to its
+    analyzed program and the {!Catalog.plan} for that method, memoized
+    under the generator's config; callers wrap this into a
+    {!Triage.Sched.resolve}. *)
 val plan_for :
   t ->
   program:string ->
@@ -59,13 +58,13 @@ val stream :
     streams (the adaptive deployment loop). *)
 val tear : ?cut_pct:int -> ?lost_hex:int -> Osmodel.Rng.t -> string -> string
 
-(** Resolve a program name (method-agnostic — exact scenario name, then
-    workload key, then the prefix before the first ['-']) to its analyzed
-    program, the plan compiled for [meth] over that base, and a {e fresh}
-    crash scenario.  The adaptive deployment loop's entry point: it
-    re-runs a cohort's field workload under successively refined plans,
-    so unlike {!plan_for} the requested method need not be the one the
-    base was recorded with.  Memoized like {!plan_for}. *)
+(** Resolve a program name with {!Catalog.find} to its analyzed program,
+    the plan compiled for [meth] and a {e fresh} crash scenario of the
+    experiment that name denotes (the entry's first one when the name
+    denotes none).  The adaptive deployment loop's entry point: it re-runs
+    a cohort's field workload under successively refined plans, so the
+    requested method need not be the one the base was recorded with.
+    Memoized like {!plan_for}. *)
 val crash_base :
   t ->
   program:string ->

@@ -292,6 +292,57 @@ let test_reproduce_parallel_no_log_search () =
       check_bool "the frontier was actually explored" true
         (stats.cases.case1 > 0)
 
+(* A search that restarts reports totals over every attempt: the engine
+   counters of [Guided.counters] equal the engine.* telemetry counters,
+   which each attempt's search adds once. *)
+let test_restart_accounting () =
+  let prog = compile magic_src in
+  let none =
+    Instrument.Plan.make
+      ~nbranches:(Minic.Program.nbranches prog)
+      Instrument.Methods.No_instrumentation
+  in
+  let sc = Concolic.Scenario.make ~name:"t" ~args:[ "BUG" ] prog in
+  match Bugrepro.Pipeline.Run.field_run_report config ~plan:none sc with
+  | _, None -> Alcotest.fail "field run did not crash"
+  | _, Some report ->
+      (* a site no input reaches: every attempt exhausts its frontier *)
+      let report =
+        { report with
+          Instrument.Report.crash =
+            { report.Instrument.Report.crash with
+              Interp.Crash.loc = Minic.Loc.make ~file:"nowhere.mc" ~line:999 ~col:1 } }
+      in
+      let sink, events = Telemetry.Sink.memory () in
+      let tel = Telemetry.create ~sink () in
+      let result, stats =
+        Replay.Guided.reproduce ~budget ~max_attempts:3 ~telemetry:tel ~prog
+          ~plan:none report
+      in
+      check_bool "not reproduced" false (Replay.Guided.reproduced result);
+      let attempts =
+        List.length
+          (List.filter
+             (function
+               | Telemetry.Event.Span_begin { name = "replay.attempt"; _ } -> true
+               | _ -> false)
+             (events ()))
+      in
+      check_int "three attempts" 3 attempts;
+      let view = Replay.Guided.counters stats in
+      let published = Telemetry.Counters.of_core tel in
+      List.iter
+        (fun name ->
+          let get snap = Option.value ~default:(-1) (Telemetry.Counters.find snap name) in
+          check_int name (get published) (get view))
+        [ "engine.runs"; "engine.resumes"; "engine.sat"; "engine.unsat";
+          "engine.unknown"; "engine.forks" ];
+      check_int "runs = result runs"
+        (match result with
+        | Replay.Guided.Not_reproduced r -> r.runs
+        | Replay.Guided.Reproduced r -> r.runs)
+        stats.engine.runs
+
 (* ------------------------------------------------------------------ *)
 (* Resume at a case-2b mismatch (DESIGN.md §5m).  A run that
    takes the engine's offer must leave everything a run that aborts and
@@ -873,6 +924,8 @@ let () =
             test_reproduce_without_any_instrumentation;
           Alcotest.test_case "case 2a with full log" `Quick
             test_case2a_dominates_with_full_log;
+          Alcotest.test_case "restart accounting" `Quick
+            test_restart_accounting;
         ] );
       ( "robustness",
         [

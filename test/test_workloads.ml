@@ -306,9 +306,84 @@ let test_lib_starts_with () =
   check_int "prefix yes" 1 (lib_expr {|starts_with("/static/x", "/static/")|});
   check_int "prefix no" 0 (lib_expr {|starts_with("/sta", "/static/")|})
 
+(* ------------------------------------------------------------------ *)
+(* Catalog: the one program-name resolution and the memoized plans *)
+
+module Catalog = Workloads.Catalog
+
+let test_catalog_find () =
+  List.iter
+    (fun (e : Catalog.entry) ->
+      (match Catalog.find e.name with
+      | Ok e' -> check_bool (e.name ^ " resolves to itself") true (e' == e)
+      | Error msg -> Alcotest.fail msg);
+      (* each experiment's wire name is the name its crash scenario carries *)
+      List.iter
+        (fun (x : Catalog.experiment) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s exp %d wire name" e.name x.id)
+            (e.crash x.id).Concolic.Scenario.name x.program)
+        e.experiments)
+    Catalog.entries;
+  (match Catalog.find "userver-exp3" with
+  | Ok e -> Alcotest.(check string) "userver-exp3 prefix" "userver" e.name
+  | Error msg -> Alcotest.fail msg);
+  match Catalog.find "nosuch" with
+  | Ok _ -> Alcotest.fail "an unknown name resolved"
+  | Error msg ->
+      List.iter
+        (fun (e : Catalog.entry) ->
+          check_bool ("error lists " ^ e.name) true
+            (Str.string_match (Str.regexp (".*" ^ Str.quote e.name)) msg 0))
+        Catalog.entries
+
+(* [Catalog.plan] builds what the pipeline builds by hand.  The dynamic
+   budget is run-bounded, so a slow host cannot cut the search short on
+   one side only. *)
+let test_catalog_plan () =
+  let cfg =
+    Bugrepro.Pipeline.Config.(
+      default
+      |> with_budget ~dynamic:{ Concolic.Engine.max_runs = 60; max_time_s = 1e9 })
+  in
+  let memo = Catalog.memo cfg in
+  let entry name = Result.get_ok (Catalog.find name) in
+  List.iter
+    (fun (name, meth) ->
+      let e = entry name in
+      let ((prog, plan) as first) = Catalog.plan memo e meth in
+      let by_hand =
+        let prog = Lazy.force e.prog in
+        let test_scenario =
+          match meth with
+          | Instrument.Methods.Dynamic -> Some (e.analysis ())
+          | _ -> None
+        in
+        Bugrepro.Pipeline.Run.plan cfg
+          (Bugrepro.Pipeline.Run.analyze cfg ?test_scenario prog)
+          meth
+      in
+      let label = name ^ "/" ^ Instrument.Methods.to_string meth in
+      check_bool (label ^ ": program") true (prog == Lazy.force e.prog);
+      check_bool (label ^ ": instruments something") true
+        (plan.Instrument.Plan.n_instrumented > 0);
+      check_bool (label ^ ": same instrumented set") true
+        (plan.Instrument.Plan.instrumented = by_hand.Instrument.Plan.instrumented);
+      check_bool (label ^ ": memoized") true (Catalog.plan memo e meth == first))
+    [
+      ("paste", Instrument.Methods.Static);
+      ("mkdir", Instrument.Methods.All_branches);
+      ("paste", Instrument.Methods.Dynamic);
+    ]
+
 let () =
   Alcotest.run "workloads"
     [
+      ( "catalog",
+        [
+          Alcotest.test_case "find" `Quick test_catalog_find;
+          Alcotest.test_case "plan" `Quick test_catalog_plan;
+        ] );
       ( "coreutils",
         [
           Alcotest.test_case "benign runs clean" `Quick test_coreutils_benign_clean;
